@@ -7,7 +7,7 @@ matrices over the two-element field, so this is the workhorse.
 
 import numpy as np
 
-from stabinv.gf2 import GF2Matrix, kron, stack_rows
+from stabinv.gf2 import GF2Matrix
 
 # Construction: from dense 0/1 data, identities, zeros.
 m = GF2Matrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -27,12 +27,13 @@ rng = np.random.default_rng(0)
 big = GF2Matrix.random(60, 45, rng)
 print("random 60x45: rank", big.rank(), "== transpose rank", big.transpose().rank())
 
-# Kronecker products multiply ranks; stacking concatenates constraints.
-a = GF2Matrix.from_dense([[1, 1]])
-b = GF2Matrix.identity(2)
+# The invariant engine builds its Kronecker blocks and stacks them as
+# dense 0/1 arrays, then packs the stack once for elimination.
+a = np.array([[1, 1]], dtype=np.uint8)
+b = np.eye(2, dtype=np.uint8)
 print("kron([1 1], I2):")
-print(kron(a, b).to_text())
-stacked = stack_rows([b, b, GF2Matrix.zeros(0, 2)])
+print(GF2Matrix.from_dense(np.kron(a, b)).to_text())
+stacked = GF2Matrix.from_dense(np.concatenate([b, b, np.zeros((0, 2), dtype=np.uint8)]))
 print("stacked shape:", (stacked.rows, stacked.cols), "rank:", stacked.rank())
 
 # Zero-dimensional matrices are fine: a 0 x 5 matrix constrains nothing.

@@ -7,7 +7,7 @@ binary computation at desk scale.
 """
 
 from .errors import BudgetError, ParseError
-from .gf2 import GF2Matrix, kron, stack_rows
+from .gf2 import GF2Matrix
 from .invariants import (
     Fingerprint,
     InvariantRecord,

@@ -3,7 +3,8 @@
 Output is JSON on stdout (a plain-text table is available with
 --format table where it makes sense).  Exit codes: 0 success or
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
-parse error, 3 budget exceeded.
+parse error, 3 budget exceeded, 4 invalid code (a command other than
+validate was given a code that fails validation).
 """
 
 from __future__ import annotations
@@ -20,11 +21,30 @@ EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INVALID = 4
+
+
+class InvalidCodeError(ValueError):
+    """A code file parsed but describes no valid stabilizer code."""
 
 
 def _read_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
     with open(path, "r", encoding="ascii") as fh:
         return stabilizer.parse_code(fh.read(), fmt)
+
+
+def _violation(gen: stabilizer.GeneratorMatrix) -> str | None:
+    # the library accepts the trivial 0-qubit code (a restriction to the
+    # empty set), but every command here needs at least one qubit
+    return "bad-shape" if gen.n == 0 else stabilizer.validate(gen)
+
+
+def _read_valid_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
+    gen = _read_code(path, fmt)
+    violation = _violation(gen)
+    if violation is not None:
+        raise InvalidCodeError(f"{path}: {violation}")
+    return gen
 
 
 def _code_path(args) -> str:
@@ -77,7 +97,7 @@ def _parse_omega(text: str, n: int) -> set[int]:
 
 def cmd_validate(args) -> int:
     gen = _read_code(_code_path(args), args.code_format)
-    violation = stabilizer.validate(gen)
+    violation = _violation(gen)
     payload = {
         "n": gen.n,
         "k": gen.k,
@@ -100,7 +120,7 @@ def _read_tuple(spec: str) -> invariants.TreeTuple:
 
 
 def cmd_invariant(args) -> int:
-    gen = _read_code(_code_path(args), args.code_format)
+    gen = _read_valid_code(_code_path(args), args.code_format)
     if (args.trees is None) == (args.omega is None):
         raise ParseError("need exactly one of --trees or --omega")
     if args.omega is not None:
@@ -114,25 +134,20 @@ def cmd_invariant(args) -> int:
     if tup.n != gen.n:
         raise ParseError(f"tuple has {tup.n} trees but the code has {gen.n} qubits")
     dim = invariants.invariant_dim(gen, tup)
-    _emit({"r": tup.r, "tuple": tup.id(), "dim": dim}, args)
+    _emit(invariants.InvariantRecord(tup.r, tup.id(), dim).to_payload(), args)
     return EXIT_OK
 
 
 def cmd_fingerprint(args) -> int:
-    gen = _read_code(_code_path(args), args.code_format)
+    gen = _read_valid_code(_code_path(args), args.code_format)
     fp = invariants.fingerprint(gen, args.rmax, max_records=args.max_tuples)
-    payload = {
-        "n": fp.n,
-        "r_max": fp.r_max,
-        "records": [{"r": r.r, "tuple": r.tuple_id, "dim": r.dim} for r in fp.records],
-    }
-    _emit(payload, args)
+    _emit(fp.to_payload(), args)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    gen_a = _read_code(args.code_a, args.code_format)
-    gen_b = _read_code(args.code_b, args.code_format)
+    gen_a = _read_valid_code(args.code_a, args.code_format)
+    gen_b = _read_valid_code(args.code_b, args.code_format)
     if gen_a.n != gen_b.n:
         raise ParseError(f"codes have different lengths {gen_a.n} and {gen_b.n}")
     if args.global_search:
@@ -269,6 +284,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"stabinv: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvalidCodeError as exc:
+        print(f"stabinv: invalid code: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except BudgetError as exc:
         print(f"stabinv: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -3,8 +3,8 @@
 A matrix is stored row-major with 64 bits per word, so the row XORs that
 dominate Gaussian elimination run one machine word at a time.  Bit j of a
 row lives in word ``j // 64`` at position ``j % 64``.  Padding bits past
-``cols`` are kept zero, which lets elimination and parity tricks work on
-whole words without masking.
+``cols`` are kept zero, which lets elimination work on whole words
+without masking.
 
 All operations are pure; no public method mutates an existing matrix, so
 instances can be shared freely.
@@ -39,14 +39,6 @@ def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.uint8)
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return bits[:, :cols]
-
-
-def _word_parity(w: np.ndarray) -> np.ndarray:
-    """Popcount parity of each uint64 in ``w``."""
-    w = w.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        w ^= w >> np.uint64(shift)
-    return (w & np.uint64(1)).astype(np.uint8)
 
 
 class GF2Matrix:
@@ -145,22 +137,10 @@ class GF2Matrix:
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
 
-    def row_bits(self, i: int) -> np.ndarray:
-        return _unpack(self._words[i : i + 1], self.cols)[0]
-
     def transpose(self) -> "GF2Matrix":
         return GF2Matrix.from_dense(self.to_dense().T)
 
     # -- products ---------------------------------------------------------
-
-    def matvec(self, x) -> np.ndarray:
-        """Mod-2 matrix-vector product; x must have length ``cols``."""
-        x = np.asarray(x, dtype=np.uint8) % 2
-        if x.shape != (self.cols,):
-            raise ValueError(f"vector length {x.shape} does not match cols {self.cols}")
-        xw = _pack(x[None, :], self.cols)
-        acc = np.bitwise_xor.reduce(self._words & xw, axis=1)
-        return _word_parity(acc)
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:
@@ -243,27 +223,3 @@ class GF2Matrix:
                 basis[p, j] = reduced[i, f]
         return GF2Matrix.from_dense(basis)
 
-
-def kron(a: GF2Matrix, b: GF2Matrix) -> "GF2Matrix":
-    """Kronecker product: entry ((i*b.rows+p), (j*b.cols+q)) = a[i,j]*b[p,q]."""
-    dense = np.kron(a.to_dense().astype(np.uint8), b.to_dense().astype(np.uint8))
-    dense = dense.reshape(a.rows * b.rows, a.cols * b.cols)
-    return GF2Matrix.from_dense(dense)
-
-
-def stack_rows(blocks) -> GF2Matrix:
-    """Vertical concatenation of matrices sharing a column count."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("cannot stack an empty list of blocks")
-    cols = blocks[0].cols
-    for blk in blocks[1:]:
-        if blk.cols != cols:
-            raise ValueError(f"column mismatch in stack: {blk.cols} != {cols}")
-    total = sum(blk.rows for blk in blocks)
-    words = np.zeros((total, _words_needed(cols)), dtype=np.uint64)
-    at = 0
-    for blk in blocks:
-        words[at : at + blk.rows] = blk._words
-        at += blk.rows
-    return GF2Matrix(total, cols, words)

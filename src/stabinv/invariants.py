@@ -18,8 +18,8 @@ import numpy as np
 
 from . import trees as trees_mod
 from .errors import BudgetError
-from .gf2 import GF2Matrix, kron, stack_rows
-from .stabilizer import GeneratorMatrix, qubit_subblock
+from .gf2 import GF2Matrix
+from .stabilizer import GeneratorMatrix, code_space, qubit_rows, qubit_subblock
 from .trees import (
     BinaryTree,
     attach_singleton_root,
@@ -97,24 +97,22 @@ def all_tuples(n: int, r: int):
     return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
-def invariant_matrix(gen: GeneratorMatrix, tup: TreeTuple) -> GF2Matrix:
-    """The stacked Kronecker matrix whose kernel dimension is the invariant.
+def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
+    """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
+    a 2t x r*k array of 0/1."""
+    return np.kron(r_matrix(tree).to_dense().T, qubit_subblock(gen, i).to_dense())
 
-    Block i is (r x t_i path matrix)^T kron (2 x k subblock of qubit i);
-    the stack has 2*(sum of t_i) rows and r*k columns.
-    """
-    if tup.n != gen.n:
-        raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    blocks = [
-        kron(r_matrix(tree).transpose(), qubit_subblock(gen, i))
-        for i, tree in enumerate(tup.trees, start=1)
-    ]
-    return stack_rows(blocks)
+
+def _kernel_dim(blocks) -> int:
+    """Kernel dimension of the blocks stacked row-wise."""
+    return GF2Matrix.from_dense(np.concatenate(blocks)).kernel_dimension()
 
 
 def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
     """Kernel dimension of the stacked Kronecker matrix."""
-    return invariant_matrix(gen, tup).kernel_dimension()
+    if tup.n != gen.n:
+        raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
+    return _kernel_dim([_block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)])
 
 
 def degree2_dim(gen: GeneratorMatrix, omega) -> int:
@@ -128,9 +126,7 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     if omega and not omega <= set(range(1, gen.n + 1)):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    if not outside:
-        return gen.k
-    return stack_rows([qubit_subblock(gen, j) for j in outside]).kernel_dimension()
+    return GF2Matrix.from_dense(qubit_rows(gen, outside)).kernel_dimension()
 
 
 def _union_paths(tup: TreeTuple) -> list[tuple[tuple[int, ...], set[int]]]:
@@ -162,14 +158,7 @@ def theorem2_dim(
     if points > max_points:
         raise BudgetError(f"enumeration of 2^{r * k} tuples exceeds budget {max_points}")
 
-    # codewords indexed by coefficient vectors
-    dense = gen.matrix.to_dense()
-    if k == 0:
-        words = np.zeros((1, 2 * n), dtype=np.uint8)
-    else:
-        coeffs = np.array(list(itertools.product((0, 1), repeat=k)), dtype=np.uint8)
-        words = (coeffs @ dense.T) % 2
-
+    words = code_space(gen)  # codewords indexed by coefficient vectors
     idx = np.arange(points, dtype=np.int64)
     digit_shift = k * np.arange(r - 1, -1, -1, dtype=np.int64)
     digits = (idx[:, None] >> digit_shift[None, :]) & ((1 << k) - 1)
@@ -183,7 +172,8 @@ def theorem2_dim(
             if q not in allowed:
                 ok &= (total[:, q - 1] == 0) & (total[:, n + q - 1] == 0)
     count = int(ok.sum())
-    assert count & (count - 1) == 0, "solution set must be a linear space"
+    if count & (count - 1):
+        raise RuntimeError(f"{count} solutions do not form a linear space")
     return count.bit_length() - 1
 
 
@@ -218,6 +208,9 @@ class InvariantRecord:
     tuple_id: str
     dim: int
 
+    def to_payload(self) -> dict:
+        return {"r": self.r, "tuple": self.tuple_id, "dim": self.dim}
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -227,15 +220,15 @@ class Fingerprint:
     r_max: int
     records: tuple[InvariantRecord, ...]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_payload(self) -> dict:
+        return {
             "n": self.n,
             "r_max": self.r_max,
-            "records": [
-                {"r": rec.r, "tuple": rec.tuple_id, "dim": rec.dim} for rec in self.records
-            ],
+            "records": [rec.to_payload() for rec in self.records],
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Fingerprint":
@@ -250,21 +243,36 @@ def record_count(n: int, r_max: int) -> int:
     return sum(catalan(r) ** n for r in range(2, r_max + 1))
 
 
+def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
+    """Yield (r, serialized trees, dim) for every tree tuple of degree
+    2..r_max in canonical order.  Each (qubit, tree) block is built once
+    per degree and shared by every tuple that uses it."""
+    if r_max < 2:
+        raise ValueError("r_max must be at least 2")
+    if gen.n == 0:
+        raise ValueError("need at least one qubit")
+    total = record_count(gen.n, r_max)
+    if total > max_records:
+        raise BudgetError(f"{total} records exceed budget {max_records}")
+    for r in range(2, r_max + 1):
+        slots = [
+            [(serialize(tree), _block(gen, i, tree)) for tree in enumerate_trees(r)]
+            for i in range(1, gen.n + 1)
+        ]
+        for combo in itertools.product(*slots):
+            sers, blocks = zip(*combo)
+            yield r, sers, _kernel_dim(blocks)
+
+
 def fingerprint(
     gen: GeneratorMatrix, r_max: int, max_records: int = DEFAULT_MAX_RECORDS
 ) -> Fingerprint:
     """Invariant dimensions for every tree tuple of degree 2..r_max,
     in canonical order."""
-    if r_max < 2:
-        raise ValueError("r_max must be at least 2")
-    total = record_count(gen.n, r_max)
-    if total > max_records:
-        raise BudgetError(f"{total} records exceed budget {max_records}")
-    records = []
-    for r in range(2, r_max + 1):
-        for tup in all_tuples(gen.n, r):
-            records.append(InvariantRecord(r, tup.id(), invariant_dim(gen, tup)))
-    return Fingerprint(gen.n, r_max, tuple(records))
+    records = tuple(
+        InvariantRecord(r, ";".join(sers), dim) for r, sers, dim in _sweep(gen, r_max, max_records)
+    )
+    return Fingerprint(gen.n, r_max, records)
 
 
 def compare(f1: Fingerprint, f2: Fingerprint):
@@ -295,22 +303,14 @@ def compare_global(
     n = gen1.n
     if n > MAX_GLOBAL_QUBITS:
         raise BudgetError(f"global comparison limited to {MAX_GLOBAL_QUBITS} qubits")
-    f1 = fingerprint(gen1, r_max, max_records)
-    dims2 = {}
-    for r in range(2, r_max + 1):
-        for tup in all_tuples(n, r):
-            sers = tuple(serialize(t) for t in tup.trees)
-            dims2[(r, sers)] = invariant_dim(gen2, tup)
-    by_key = {}
-    for rec in f1.records:
-        sers = tuple(rec.tuple_id.split(";"))
-        by_key[(rec.r, sers)] = rec.dim
+    dims1 = {(r, sers): dim for r, sers, dim in _sweep(gen1, r_max, max_records)}
+    dims2 = {(r, sers): dim for r, sers, dim in _sweep(gen2, r_max, max_records)}
     for perm in itertools.permutations(range(n)):
         # perm maps record positions of the first code onto tree slots of
         # the second; it is the inverse of the qubit relabelling searched.
         if all(
             dim == dims2[(r, tuple(sers[perm[j]] for j in range(n)))]
-            for (r, sers), dim in by_key.items()
+            for (r, sers), dim in dims1.items()
         ):
             relabel = [0] * n
             for j, pj in enumerate(perm):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .gf2 import GF2Matrix, stack_rows
+from .gf2 import GF2Matrix
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
@@ -110,12 +110,17 @@ def symplectic_product(a, b) -> int:
     return int(a[:n] @ b[n:] + a[n:] @ b[:n]) % 2
 
 
+def qubit_rows(gen: GeneratorMatrix, qubits: list[int]) -> np.ndarray:
+    """Rows i, then rows n+i, of the dense generator matrix for the listed
+    1-based qubits i, as a (2 * len(qubits)) x k 0/1 array."""
+    return gen.matrix.to_dense()[[i - 1 for i in qubits] + [gen.n + i - 1 for i in qubits]]
+
+
 def qubit_subblock(gen: GeneratorMatrix, i: int) -> GF2Matrix:
     """Rows i and n+i of the generator matrix as a 2 x k block (1-based i)."""
     if not (1 <= i <= gen.n):
         raise IndexError(f"qubit index {i} out of range 1..{gen.n}")
-    dense = gen.matrix.to_dense()
-    return GF2Matrix.from_dense(dense[[i - 1, gen.n + i - 1], :])
+    return GF2Matrix.from_dense(qubit_rows(gen, [i]))
 
 
 def support(v) -> set[int]:
@@ -148,14 +153,9 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    if outside:
-        constraints = stack_rows([qubit_subblock(gen, j) for j in outside])
-    else:
-        constraints = GF2Matrix.zeros(0, gen.k)
-    basis = constraints.kernel_basis()  # k x d
-    inside = (gen.matrix @ basis).to_dense()  # 2n x d
-    rows = [i - 1 for i in omega] + [gen.n + i - 1 for i in omega]
-    return GeneratorMatrix.from_dense(inside[rows, :] if rows else inside[:0, :])
+    basis = GF2Matrix.from_dense(qubit_rows(gen, outside)).kernel_basis()  # k x d
+    inside = GeneratorMatrix(gen.matrix @ basis)  # 2n x d
+    return GeneratorMatrix.from_dense(qubit_rows(inside, omega))
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,6 @@ class BinaryTree:
     def r(self) -> int:
         return len(self.left)
 
-    def left_son(self, v: int) -> int:
-        return self.left[v - 1]
-
-    def right_son(self, v: int) -> int:
-        return self.right[v - 1]
-
     def __repr__(self) -> str:
         return f"BinaryTree({serialize(self)!r})"
 
@@ -188,12 +182,6 @@ class RightPathDecomposition:
 
     def starts(self) -> tuple[int, ...]:
         return tuple(p[0] for p in self.paths)
-
-    def finishes(self) -> tuple[int, ...]:
-        return tuple(p[-1] for p in self.paths)
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.paths)
 
     def path_of(self, node: int) -> tuple[int, ...]:
         for p in self.paths:

@@ -11,6 +11,8 @@ from stabinv.stabilizer import AdjacencyMatrix, format_code, graph_generator, pa
 EDGE2_TEXT = "2 2\n01\n10\n10\n01\n"
 PROD2_TEXT = "pauli\nXI\nIX\n"
 BAD_PAIR_TEXT = "1 2\n10\n01\n"  # X and Z on the same qubit
+ANTICOMMUTING2_TEXT = "2 2\n01\n00\n10\n00\n"  # full rank, X and Z on qubit 1
+EMPTY_TEXT = "0 0\n"
 
 
 @pytest.fixture
@@ -51,6 +53,35 @@ def test_validate_violation_exit_code(capsys, tmp_path):
     assert code == 1
     assert payload["status"] == "violation"
     assert payload["violation"] in ("bad-shape", "not-self-orthogonal")
+
+
+def test_validate_zero_qubits_bad_shape(capsys, tmp_path):
+    path = tmp_path / "empty.code"
+    path.write_text(EMPTY_TEXT)
+    code, payload = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert payload == {"n": 0, "k": 0, "status": "violation", "violation": "bad-shape"}
+
+
+@pytest.mark.parametrize(
+    "text, violation",
+    [(ANTICOMMUTING2_TEXT, "not-self-orthogonal"), (EMPTY_TEXT, "bad-shape")],
+    ids=["not-self-orthogonal", "zero-qubits"],
+)
+@pytest.mark.parametrize("command", ["invariant", "fingerprint", "compare"])
+def test_invalid_code_exit_code(capsys, tmp_path, command, text, violation):
+    path = tmp_path / "invalid.code"
+    path.write_text(text)
+    argv = {
+        "invariant": ["invariant", str(path), "--omega", "-"],
+        "fingerprint": ["fingerprint", str(path), "--rmax", "2"],
+        "compare": ["compare", str(path), str(path), "--rmax", "2"],
+    }[command]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"invalid code: {path}: {violation}" in captured.err
 
 
 def test_validate_parse_error(capsys, tmp_path):

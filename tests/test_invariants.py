@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabinv.errors import BudgetError
 from stabinv.gf2 import GF2Matrix
@@ -19,7 +21,6 @@ from stabinv.invariants import (
     fingerprint,
     identity_tuple,
     invariant_dim,
-    invariant_matrix,
     pad_degree,
     parse_tuple,
     reduce_singleton,
@@ -35,7 +36,7 @@ from stabinv.stabilizer import (
     permute_qubits,
     random_code,
 )
-from stabinv.trees import enumerate_trees, left_chain, maximal_right_paths, right_chain
+from stabinv.trees import enumerate_trees, left_chain, right_chain
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 
@@ -57,17 +58,55 @@ def test_tuple_id_roundtrip():
     assert parse_tuple(tup.id()) == tup
 
 
-def test_stacked_matrix_shape():
-    rng = np.random.default_rng(0)
-    for trial in range(10):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(2, 4))
-        k = int(rng.integers(0, n + 1))
-        gen = random_code(n, k, (trial, 1))
-        tup = random_tuple(n, r, rng)
-        mat = invariant_matrix(gen, tup)
-        total_paths = sum(maximal_right_paths(t).t for t in tup.trees)
-        assert (mat.rows, mat.cols) == (2 * total_paths, r * k)
+def reference_dim(gen, tup) -> int:
+    """Kernel dimension of the stacked Kronecker matrix, built from the
+    definitions with numpy alone and counted by exhaustive search."""
+    dense = gen.matrix.to_dense().astype(np.int64)
+    blocks = []
+    for i, tree in enumerate(tup.trees):
+        right_sons = {c for c in tree.right if c}
+        columns = []  # one indicator column per maximal right path
+        for start in range(1, tree.r + 1):
+            if start in right_sons:
+                continue
+            column, v = np.zeros(tree.r, dtype=np.int64), start
+            while v:
+                column[v - 1] = 1
+                v = tree.right[v - 1]
+            columns.append(column)
+        path_matrix = np.array(columns).T  # r x t
+        blocks.append(np.kron(path_matrix.T, dense[[i, gen.n + i]]))
+    stacked = np.concatenate(blocks)
+    vectors = np.array(list(itertools.product((0, 1), repeat=stacked.shape[1])), dtype=np.int64)
+    solutions = int(np.sum(~np.any((stacked @ vectors.T) % 2, axis=0)))
+    assert solutions & (solutions - 1) == 0
+    return solutions.bit_length() - 1
+
+
+@st.composite
+def codes(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n))
+    return random_code(n, k, draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data(), gen=codes(), r=st.integers(2, 3))
+def test_invariant_dim_matches_reference(data, gen, r):
+    pool = enumerate_trees(r)
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=gen.n, max_size=gen.n))
+    tup = TreeTuple(tuple(pool[j] for j in picks))
+    assert invariant_dim(gen, tup) == reference_dim(gen, tup)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(gen=codes(), r_max=st.integers(2, 3))
+def test_fingerprint_records_match_reference(gen, r_max):
+    fp = fingerprint(gen, r_max)
+    expected = [(r, tup) for r in range(2, r_max + 1) for tup in all_tuples(gen.n, r)]
+    assert [(rec.r, rec.tuple_id) for rec in fp.records] == [(r, t.id()) for r, t in expected]
+    for rec, (_, tup) in zip(fp.records, expected):
+        assert rec.dim == reference_dim(gen, tup)
 
 
 def test_identity_tuple_dim_zero():

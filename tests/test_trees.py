@@ -80,8 +80,6 @@ def test_ten_node_paths():
     decomp = maximal_right_paths(TEN_NODE)
     assert decomp.paths == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
     assert decomp.starts() == (1, 2, 4, 5)
-    assert decomp.finishes() == (10, 2, 8, 6)
-    assert decomp.lengths() == (4, 1, 3, 2)
     assert decomp.path_of(9) == (1, 3, 9, 10)
 
 
