@@ -8,6 +8,7 @@ commute under the symplectic product; graph states are the special case
 
 import numpy as np
 
+from stabinv.gf2 import to_text
 from stabinv.stabilizer import (
     AdjacencyMatrix,
     LocalCliffordOp,
@@ -27,7 +28,7 @@ from stabinv.stabilizer import (
 edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
 gen = graph_generator(edge)
 print("generator matrix (columns = generators):")
-print(gen.matrix.to_text())
+print(to_text(gen.matrix))
 print("as Pauli strings:", gen.pauli_strings())
 print("validates:", validate(gen) is None)
 
@@ -56,4 +57,4 @@ print("inverse restores the code space:", same_code_space(back, gen))
 # Seeded random codes for experiments; k = 0 is the trivial code.
 sample = random_code(3, 2, seed=7)
 print("random [[3, 2]] code:\n" + format_code(sample), end="")
-print("reproducible:", random_code(3, 2, seed=7).matrix == sample.matrix)
+print("reproducible:", np.array_equal(random_code(3, 2, seed=7).matrix, sample.matrix))

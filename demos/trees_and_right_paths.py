@@ -5,6 +5,7 @@ A degree-r invariant is indexed by one tree per qubit; each tree
 contributes its permutation and two small GF(2) matrices.
 """
 
+from stabinv.gf2 import to_text
 from stabinv.trees import (
     BinaryTree,
     catalan,
@@ -41,9 +42,9 @@ print("as cycles:", cycle_form(permutation_of(ten)))
 # Column j of the path matrix marks the nodes of path j; its transpose's
 # null space has dimension r - t.
 print("path matrix:")
-print(r_matrix(ten).to_text())
+print(to_text(r_matrix(ten)))
 print("null-space dimension r - t =", v_space_dimension(ten))
 
 # The prefix matrix feeds the sign in the oracle's closed-form sums.
 print("prefix matrix of the 3-node right chain:")
-print(d_matrix(enumerate_trees(3)[-1]).to_text())
+print(to_text(d_matrix(enumerate_trees(3)[-1])))

@@ -7,7 +7,6 @@ binary computation at desk scale.
 """
 
 from .errors import BudgetError, ParseError
-from .gf2 import GF2Matrix
 from .invariants import (
     Fingerprint,
     InvariantRecord,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import trees as trees_mod
 from .errors import BudgetError
-from .gf2 import GF2Matrix
-from .stabilizer import GeneratorMatrix, code_space, qubit_rows, qubit_subblock
+from .gf2 import rank
+from .stabilizer import GeneratorMatrix, code_space, qubit_rows, validate
 from .trees import (
     BinaryTree,
     attach_singleton_root,
@@ -97,21 +97,32 @@ def all_tuples(n: int, r: int):
     return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
+def _require_valid(gen: GeneratorMatrix) -> None:
+    violation = validate(gen)
+    if violation is not None:
+        raise ValueError(f"invalid code: {violation}")
+
+
 def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
     """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
     a 2t x r*k array of 0/1."""
-    return np.kron(r_matrix(tree).to_dense().T, qubit_subblock(gen, i).to_dense())
+    return np.kron(r_matrix(tree).T, qubit_rows(gen, [i]))
 
 
 def _kernel_dim(blocks) -> int:
     """Kernel dimension of the blocks stacked row-wise."""
-    return GF2Matrix.from_dense(np.concatenate(blocks)).kernel_dimension()
+    stacked = np.concatenate(blocks)
+    return stacked.shape[1] - rank(stacked)
 
 
 def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
-    """Kernel dimension of the stacked Kronecker matrix."""
+    """Kernel dimension of the stacked Kronecker matrix.
+
+    Raises ValueError naming the violation if the code is invalid.
+    """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
+    _require_valid(gen)
     return _kernel_dim([_block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)])
 
 
@@ -126,7 +137,7 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     if omega and not omega <= set(range(1, gen.n + 1)):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    return GF2Matrix.from_dense(qubit_rows(gen, outside)).kernel_dimension()
+    return _kernel_dim([qubit_rows(gen, outside)])
 
 
 def _union_paths(tup: TreeTuple) -> list[tuple[tuple[int, ...], set[int]]]:
@@ -246,11 +257,13 @@ def record_count(n: int, r_max: int) -> int:
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
     2..r_max in canonical order.  Each (qubit, tree) block is built once
-    per degree and shared by every tuple that uses it."""
+    per degree and shared by every tuple that uses it.  Raises ValueError
+    naming the violation if the code is invalid."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
         raise ValueError("need at least one qubit")
+    _require_valid(gen)
     total = record_count(gen.n, r_max)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")

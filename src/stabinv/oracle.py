@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .gf2 import GF2Matrix
+from .gf2 import kernel_basis, to_text
 from .invariants import TreeTuple, all_tuples, invariant_dim, theorem2_dim
 from .stabilizer import (
     AdjacencyMatrix,
@@ -38,6 +38,7 @@ from .stabilizer import (
 )
 from .trees import (
     BinaryTree,
+    catalan,
     d_matrix,
     enumerate_trees,
     maximal_right_paths,
@@ -46,6 +47,8 @@ from .trees import (
 )
 
 DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
+# Largest projected check count of the exhaustive lemma2 and lemma4 suites.
+MAX_SUITE_CHECKS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,7 @@ def rho_from_code(
     signs = tuple(signs)
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
-    dense = gen.matrix.to_dense()
-    gens = [pauli_op(dense[:n, j], dense[n:, j], max_dim) for j in range(k)]
+    gens = [pauli_op(gen.matrix[:n, j], gen.matrix[n:, j], max_dim) for j in range(k)]
     dim = 1 << n
     acc_re = np.zeros((dim, dim), dtype=object)
     acc_im = np.zeros((dim, dim), dtype=object)
@@ -274,7 +276,7 @@ def rho_from_code(
 
 def quadratic_form(adj: AdjacencyMatrix, x) -> int:
     """Sum of theta_ij x_i x_j over i < j, mod 2."""
-    theta = adj.theta.to_dense().astype(np.int64)
+    theta = adj.theta.astype(np.int64)
     x = np.asarray(x, dtype=np.int64) % 2
     return int(x @ np.triu(theta, 1) @ x) % 2
 
@@ -287,7 +289,7 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     """
     n = adj.n
     _check_dim(n, max_dim)
-    theta = adj.theta.to_dense()
+    theta = adj.theta
     dim = 1 << n
     acc_re = np.zeros((dim, dim), dtype=object)
     acc_im = np.zeros((dim, dim), dtype=object)
@@ -444,7 +446,7 @@ def a_closed(tree: BinaryTree, u, v) -> GaussInt:
         raise ValueError("u, v must have one bit per node")
     if not (_in_path_space(tree, u) and _in_path_space(tree, v)):
         return GaussInt(0, 0)
-    d = d_matrix(tree).to_dense().astype(np.int64)
+    d = d_matrix(tree).astype(np.int64)
     sign = (-1) ** (int(np.array(u) @ d.T @ np.array(v)) % 2)
     return GaussInt(sign * (1 << (r - v_space_dimension(tree))), 0)
 
@@ -452,7 +454,7 @@ def a_closed(tree: BinaryTree, u, v) -> GaussInt:
 # -- the quadratic-form identities on graph-state tuple spaces ---------------
 
 
-def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> GF2Matrix:
+def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> np.ndarray:
     """Kernel basis of the per-path constraints on r-tuples of coefficient
     vectors for a graph code: for every qubit i and every right path p of
     tree i, the path sum x must satisfy [theta_i; e_i] . sum = 0.
@@ -465,7 +467,7 @@ def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> GF2Matrix:
     n, r = tup.n, tup.r
     if adj.n != n:
         raise ValueError("graph and tuple sizes differ")
-    theta = adj.theta.to_dense()
+    theta = adj.theta
     rows = []
     for i in range(1, n + 1):
         for p in maximal_right_paths(tup.trees[i - 1]).paths:
@@ -477,16 +479,16 @@ def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> GF2Matrix:
                 row_e[base + i - 1] ^= 1
             rows.append(row_theta)
             rows.append(row_e)
-    return GF2Matrix.from_dense(np.array(rows, dtype=np.uint8)).kernel_basis()
+    return kernel_basis(np.array(rows, dtype=np.uint8))
 
 
-def _space_elements(basis: GF2Matrix, max_points: int) -> np.ndarray:
-    dim = basis.cols
+def _space_elements(basis: np.ndarray, max_points: int) -> np.ndarray:
+    length, dim = basis.shape
     if 1 << dim > max_points:
         raise BudgetError(f"enumerating 2^{dim} space elements exceeds budget {max_points}")
-    vecs = basis.to_dense().T  # dim x (n*r)
+    vecs = basis.T  # dim x (n*r)
     if dim == 0:
-        return np.zeros((1, basis.rows), dtype=np.uint8)
+        return np.zeros((1, length), dtype=np.uint8)
     coeffs = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=np.uint8)
     return (coeffs @ vecs) % 2
 
@@ -499,11 +501,11 @@ def quad_form_values(adj: AdjacencyMatrix, tup: TreeTuple, elems: np.ndarray) ->
     prefix matrix of tree i.
     """
     n, r = tup.n, tup.r
-    theta = adj.theta.to_dense().astype(np.int64)
+    theta = adj.theta.astype(np.int64)
     low = np.tril(theta, -1)
     xs = elems.reshape(-1, r, n).astype(np.int64)  # [elem, copy, qubit]
     q1 = np.einsum("sjq,qp,sjp->s", xs, low, xs) % 2
-    d = np.stack([d_matrix(t).to_dense().astype(np.int64) for t in tup.trees])  # (n, r, r)
+    d = np.stack([d_matrix(t).astype(np.int64) for t in tup.trees])  # (n, r, r)
     xn = xs.transpose(0, 2, 1)  # [elem, qubit, copy]
     xb = np.einsum("sik,ikj->sij", xn, d) % 2
     q2 = np.einsum("sij,il,slj->s", xb, theta, xn) % 2
@@ -526,7 +528,7 @@ def lemma4_check(
     x = elems[bad[0]]
     return {
         "element": x.tolist(),
-        "graph": adj.theta.to_text(),
+        "graph": to_text(adj.theta),
         "tuple": tup.id(),
     }
 
@@ -561,19 +563,20 @@ def lemma3_check(
     t = trace_value(adj)
     if t * norm != s:
         return {
-            "graph": adj.theta.to_text(),
+            "graph": to_text(adj.theta),
             "tuple": tup.id(),
             "signed_sum": s,
             "trace": str(t),
             "normalization": str(norm),
         }
     basis = tuple_space_basis(adj, tup)
-    if s != 1 << basis.cols:
+    cardinality = 1 << basis.shape[1]
+    if s != cardinality:
         return {
-            "graph": adj.theta.to_text(),
+            "graph": to_text(adj.theta),
             "tuple": tup.id(),
             "signed_sum": s,
-            "cardinality": 1 << basis.cols,
+            "cardinality": cardinality,
         }
     return None
 
@@ -583,6 +586,13 @@ def lemma3_check(
 
 def _skip(name: str, why: str) -> dict:
     return {"suite": name, "status": "skipped", "checks": 0, "failures": [], "warnings": [why]}
+
+
+def _check_budget(name: str, projected: int) -> None:
+    if projected > MAX_SUITE_CHECKS:
+        raise BudgetError(
+            f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
+        )
 
 
 def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
@@ -600,15 +610,20 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
             rhs = rho_from_code(graph_generator(adj), max_dim=max_dim)
             checks += 1
             if not lhs.same_as(rhs):
-                failures.append({"graph": adj.theta.to_text()})
+                failures.append({"graph": to_text(adj.theta)})
     return _result(name, checks, failures)
 
 
 def suite_lemma2(max_r: int = 5) -> dict:
-    """Closed form of the tau cyclic sum, exhaustively over trees and bits."""
+    """Closed form of the tau cyclic sum, exhaustively over trees and bits.
+
+    Raises BudgetError before any work when the projected check count,
+    one per tree and pair of bit vectors, exceeds MAX_SUITE_CHECKS.
+    """
     name = "lemma2"
     if max_r < 1:
         return _skip(name, "max_r below 1; nothing to check")
+    _check_budget(name, sum(catalan(r) << (2 * r) for r in range(1, max_r + 1)))
     checks = 0
     failures = []
     for r in range(1, max_r + 1):
@@ -647,9 +662,21 @@ def suite_lemma3(
 def suite_lemma4(
     max_n: int = 3, max_r: int = 3, max_points: int = 1 << 16
 ) -> dict:
+    """The graph quadratic form vanishes on every tuple space.
+
+    Raises BudgetError before any work when the projected check count
+    exceeds MAX_SUITE_CHECKS.
+    """
     name = "lemma4"
     if max_n < 1 or max_r < 1:
         return _skip(name, "limits below 1; nothing to check")
+    # every graph on n qubits against every tuple of n trees on r nodes
+    projected = sum(
+        (1 << (n * (n - 1) // 2)) * catalan(r) ** n
+        for n in range(1, max_n + 1)
+        for r in range(1, max_r + 1)
+    )
+    _check_budget(name, projected)
     checks = 0
     failures = []
     for n in range(1, max_n + 1):

@@ -15,33 +15,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .gf2 import GF2Matrix
+from .gf2 import kernel_basis, rank, reduced_echelon, to_text
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """A stabilizer code as its 2n x k binary generator matrix."""
+def _frozen_bits(array) -> np.ndarray:
+    """A read-only copy of a 2-d integer array-like, reduced mod 2."""
+    bits = (np.asarray(array, dtype=np.int64) % 2).astype(np.uint8)
+    if bits.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got {bits.ndim} dimensions")
+    bits.setflags(write=False)
+    return bits
 
-    matrix: GF2Matrix
+
+@dataclass(frozen=True, eq=False)
+class GeneratorMatrix:
+    """A stabilizer code as its 2n x k binary generator matrix.
+
+    Any 2-d integer array-like is accepted and stored reduced mod 2 as a
+    read-only uint8 array, so instances can be shared freely.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.matrix.rows % 2 != 0:
+        bits = _frozen_bits(self.matrix)
+        if bits.shape[0] % 2 != 0:
             raise ValueError("generator matrix must have an even number of rows")
+        object.__setattr__(self, "matrix", bits)
 
     @property
     def n(self) -> int:
-        return self.matrix.rows // 2
+        return self.matrix.shape[0] // 2
 
     @property
     def k(self) -> int:
-        return self.matrix.cols
-
-    @classmethod
-    def from_dense(cls, array) -> "GeneratorMatrix":
-        return cls(GF2Matrix.from_dense(array))
+        return self.matrix.shape[1]
 
     @classmethod
     def from_pauli_strings(cls, strings) -> "GeneratorMatrix":
@@ -61,19 +72,15 @@ class GeneratorMatrix:
                     raise ValueError(f"bad Pauli letter {ch!r} in {s!r}")
                 u[i], v[i] = _PAULI_TO_BITS[ch]
             cols.append(u + v)
-        return cls.from_dense(np.array(cols, dtype=np.uint8).T)
+        return cls(np.array(cols, dtype=np.uint8).T)
 
     def pauli_strings(self) -> list[str]:
-        dense = self.matrix.to_dense()
         n = self.n
         out = []
         for j in range(self.k):
-            col = dense[:, j]
+            col = self.matrix[:, j]
             out.append("".join(_BITS_TO_PAULI[(int(col[i]), int(col[n + i]))] for i in range(n)))
         return out
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix.to_dense()[:, j]
 
 
 def validate(gen: GeneratorMatrix) -> str | None:
@@ -84,20 +91,12 @@ def validate(gen: GeneratorMatrix) -> str | None:
     """
     if gen.k > gen.n:
         return "bad-shape"
-    if gen.matrix.rank() != gen.k:
+    if rank(gen.matrix) != gen.k:
         return "not-full-rank"
-    p = _symplectic_form(gen.n)
-    prod = gen.matrix.transpose() @ p @ gen.matrix
-    if prod != GF2Matrix.zeros(gen.k, gen.k):
+    z, x = gen.matrix[: gen.n], gen.matrix[gen.n :]
+    if np.any((z.T @ x + x.T @ z) % 2):
         return "not-self-orthogonal"
     return None
-
-
-def _symplectic_form(n: int) -> GF2Matrix:
-    dense = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    dense[:n, n:] = np.eye(n, dtype=np.uint8)
-    dense[n:, :n] = np.eye(n, dtype=np.uint8)
-    return GF2Matrix.from_dense(dense)
 
 
 def symplectic_product(a, b) -> int:
@@ -113,14 +112,7 @@ def symplectic_product(a, b) -> int:
 def qubit_rows(gen: GeneratorMatrix, qubits: list[int]) -> np.ndarray:
     """Rows i, then rows n+i, of the dense generator matrix for the listed
     1-based qubits i, as a (2 * len(qubits)) x k 0/1 array."""
-    return gen.matrix.to_dense()[[i - 1 for i in qubits] + [gen.n + i - 1 for i in qubits]]
-
-
-def qubit_subblock(gen: GeneratorMatrix, i: int) -> GF2Matrix:
-    """Rows i and n+i of the generator matrix as a 2 x k block (1-based i)."""
-    if not (1 <= i <= gen.n):
-        raise IndexError(f"qubit index {i} out of range 1..{gen.n}")
-    return GF2Matrix.from_dense(qubit_rows(gen, [i]))
+    return gen.matrix[[i - 1 for i in qubits] + [gen.n + i - 1 for i in qubits]]
 
 
 def support(v) -> set[int]:
@@ -134,11 +126,10 @@ def support(v) -> set[int]:
 
 def code_space(gen: GeneratorMatrix) -> np.ndarray:
     """All 2^k codewords as the rows of a (2^k, 2n) uint8 array."""
-    dense = gen.matrix.to_dense()
     if gen.k == 0:
         return np.zeros((1, 2 * gen.n), dtype=np.uint8)
     coeffs = np.array(list(itertools.product((0, 1), repeat=gen.k)), dtype=np.uint8)
-    return (coeffs @ dense.T) % 2
+    return (coeffs @ gen.matrix.T) % 2
 
 
 def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
@@ -153,30 +144,31 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    basis = GF2Matrix.from_dense(qubit_rows(gen, outside)).kernel_basis()  # k x d
+    basis = kernel_basis(qubit_rows(gen, outside))  # k x d
     inside = GeneratorMatrix(gen.matrix @ basis)  # 2n x d
-    return GeneratorMatrix.from_dense(qubit_rows(inside, omega))
+    return GeneratorMatrix(qubit_rows(inside, omega))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
-    """Symmetric zero-diagonal n x n matrix of a simple graph."""
+    """Symmetric zero-diagonal n x n matrix of a simple graph, stored like
+    a generator matrix: reduced mod 2 in a read-only uint8 array."""
 
-    theta: GF2Matrix
+    theta: np.ndarray
 
     def __post_init__(self):
-        t = self.theta
-        if t.rows != t.cols:
+        t = _frozen_bits(self.theta)
+        if t.shape[0] != t.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        dense = t.to_dense()
-        if np.any(dense != dense.T):
+        if np.any(t != t.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diag(dense)):
+        if np.any(np.diag(t)):
             raise ValueError("adjacency matrix must have a zero diagonal")
+        object.__setattr__(self, "theta", t)
 
     @property
     def n(self) -> int:
-        return self.theta.rows
+        return self.theta.shape[0]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyMatrix":
@@ -185,16 +177,15 @@ class AdjacencyMatrix:
             if a == b:
                 raise ValueError("no loops in a simple graph")
             dense[a - 1, b - 1] = dense[b - 1, a - 1] = 1
-        return cls(GF2Matrix.from_dense(dense))
+        return cls(dense)
 
     @classmethod
     def empty(cls, n: int) -> "AdjacencyMatrix":
-        return cls(GF2Matrix.zeros(n, n))
+        return cls(np.zeros((n, n), dtype=np.uint8))
 
     @classmethod
     def complete(cls, n: int) -> "AdjacencyMatrix":
-        dense = np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8)
-        return cls(GF2Matrix.from_dense(dense))
+        return cls(np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "AdjacencyMatrix":
@@ -202,7 +193,7 @@ class AdjacencyMatrix:
         for i in range(n):
             for j in range(i + 1, n):
                 dense[i, j] = dense[j, i] = rng.integers(0, 2)
-        return cls(GF2Matrix.from_dense(dense))
+        return cls(dense)
 
 
 def all_graphs(n: int):
@@ -215,8 +206,7 @@ def all_graphs(n: int):
 
 def graph_generator(adj: AdjacencyMatrix) -> GeneratorMatrix:
     """The generator matrix [theta; I] of a graph state; always valid."""
-    dense = np.vstack([adj.theta.to_dense(), np.eye(adj.n, dtype=np.uint8)])
-    return GeneratorMatrix.from_dense(dense)
+    return GeneratorMatrix(np.vstack([adj.theta, np.eye(adj.n, dtype=np.uint8)]))
 
 
 # The 6 invertible 2x2 matrices over GF(2), in a fixed order.
@@ -270,14 +260,14 @@ def apply_local_clifford(op: LocalCliffordOp, gen: GeneratorMatrix) -> Generator
     """
     if op.n != gen.n:
         raise ValueError("qubit count mismatch")
-    dense = gen.matrix.to_dense()
+    dense = gen.matrix
     n = gen.n
     out = np.zeros_like(dense)
     for i in range(n):
         (a, b), (c, d) = op.blocks[i]
         out[i] = (a * dense[i] + b * dense[n + i]) % 2
         out[n + i] = (c * dense[i] + d * dense[n + i]) % 2
-    return GeneratorMatrix.from_dense(out)
+    return GeneratorMatrix(out)
 
 
 def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
@@ -285,9 +275,7 @@ def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
     perm = list(perm)
     if sorted(perm) != list(range(1, gen.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    dense = gen.matrix.to_dense()
-    rows = [p - 1 for p in perm] + [gen.n + p - 1 for p in perm]
-    return GeneratorMatrix.from_dense(dense[rows, :])
+    return GeneratorMatrix(qubit_rows(gen, perm))
 
 
 def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
@@ -296,8 +284,7 @@ def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
         return False
     if a.k != b.k:
         return False
-    joint = np.hstack([a.matrix.to_dense(), b.matrix.to_dense()])
-    return GF2Matrix.from_dense(joint).rank() == a.matrix.rank()
+    return rank(np.hstack([a.matrix, b.matrix])) == rank(a.matrix)
 
 
 def canonical_form(gen: GeneratorMatrix) -> GeneratorMatrix:
@@ -306,9 +293,8 @@ def canonical_form(gen: GeneratorMatrix) -> GeneratorMatrix:
     Two generator matrices describe the same code exactly when their
     canonical forms are equal.
     """
-    echelon, pivots = gen.matrix.transpose().reduced_echelon()
-    dense = echelon.to_dense()
-    return GeneratorMatrix.from_dense(dense[: len(pivots)].T)
+    echelon, pivots = reduced_echelon(gen.matrix.T)
+    return GeneratorMatrix(echelon[: len(pivots)].T)
 
 
 def random_code(n: int, k: int, seed) -> GeneratorMatrix:
@@ -318,14 +304,14 @@ def random_code(n: int, k: int, seed) -> GeneratorMatrix:
         raise ValueError("need 0 <= k <= n")
     rng = np.random.default_rng(seed)
     adj = AdjacencyMatrix.random(n, rng)
-    dense = graph_generator(adj).matrix.to_dense()[:, :k]
-    gen = GeneratorMatrix.from_dense(dense)
+    gen = GeneratorMatrix(graph_generator(adj).matrix[:, :k])
     return apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
 
 
 # -- code files --------------------------------------------------------------
 #
-# Bits format:   header "n k", then 2n rows of k characters '0'/'1'.
+# Bits format:   header "n k", then 2n rows of k characters '0'/'1' (no rows
+#                when k = 0).
 # Pauli format:  header "pauli", then k Pauli strings of length n.
 
 
@@ -350,16 +336,16 @@ def parse_code(text: str, fmt: str = "auto") -> GeneratorMatrix:
         raise ParseError(f"expected header 'n k', got {header!r}", line=1)
     n, k = int(parts[0]), int(parts[1])
     body = lines[1:]
-    if len(body) != 2 * n:
-        raise ParseError(f"expected {2 * n} bit rows, found {len(body)}", line=len(lines))
+    # a k = 0 code has 2n empty rows, and blank lines were dropped above
+    expected = 2 * n if k else 0
+    if len(body) != expected:
+        raise ParseError(f"expected {expected} bit rows, found {len(body)}", line=len(lines))
     rows = []
     for off, ln in enumerate(body):
         if len(ln) != k or set(ln) - {"0", "1"}:
             raise ParseError(f"expected {k} bits, got {ln!r}", line=off + 2)
         rows.append([int(ch) for ch in ln])
-    dense = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, k), dtype=np.uint8)
-    dense = dense.reshape(2 * n, k)
-    return GeneratorMatrix.from_dense(dense)
+    return GeneratorMatrix(np.array(rows, dtype=np.uint8).reshape(2 * n, k))
 
 
 def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:
@@ -368,5 +354,6 @@ def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:
     if fmt != "bits":
         raise ValueError(f"unknown format {fmt!r}")
     header = f"{gen.n} {gen.k}"
-    body = gen.matrix.to_text()
-    return header + ("\n" + body if body else "") + "\n"
+    if gen.k == 0:
+        return header + "\n"
+    return header + "\n" + to_text(gen.matrix) + "\n"

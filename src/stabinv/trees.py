@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import GF2Matrix
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -235,25 +235,25 @@ def cycle_form(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def r_matrix(tree: BinaryTree) -> GF2Matrix:
+def r_matrix(tree: BinaryTree) -> np.ndarray:
     """r x t path-indicator matrix: column j marks the nodes of path j."""
     decomp = maximal_right_paths(tree)
-    dense = [[0] * decomp.t for _ in range(tree.r)]
+    out = np.zeros((tree.r, decomp.t), dtype=np.uint8)
     for j, p in enumerate(decomp.paths):
         for v in p:
-            dense[v - 1][j] = 1
-    return GF2Matrix.from_dense(dense)
+            out[v - 1, j] = 1
+    return out
 
 
-def d_matrix(tree: BinaryTree) -> GF2Matrix:
+def d_matrix(tree: BinaryTree) -> np.ndarray:
     """r x r prefix matrix: column j marks nodes i <= j on j's right path."""
     decomp = maximal_right_paths(tree)
-    dense = [[0] * tree.r for _ in range(tree.r)]
+    out = np.zeros((tree.r, tree.r), dtype=np.uint8)
     for j in range(1, tree.r + 1):
         for v in decomp.path_of(j):
             if v <= j:
-                dense[v - 1][j - 1] = 1
-    return GF2Matrix.from_dense(dense)
+                out[v - 1, j - 1] = 1
+    return out
 
 
 def v_space_dimension(tree: BinaryTree) -> int:

@@ -216,6 +216,10 @@ def test_oracle_check_budget_skips(capsys):
     assert code == 0
     assert payload["status"] in ("pass", "skipped")
     assert payload["warnings"]  # everything over budget is reported, not failed
+    code, payload = run_json(capsys, "oracle-check", "--suite", "lemma2", "--max-r", "7")
+    assert code == 0
+    assert payload["status"] == "skipped"
+    assert "7616356 checks" in payload["warnings"][0]
 
 
 def test_oracle_check_env_budget(capsys, monkeypatch):

@@ -1,11 +1,12 @@
-"""Tests for the bit-packed GF(2) matrix layer."""
+"""Tests for the GF(2) functions on 0/1 numpy arrays."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from stabinv.gf2 import GF2Matrix
+from stabinv.gf2 import kernel_basis, rank, reduced_echelon, to_text
+from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix
 
 
 def span_size_rank(dense) -> int:
@@ -35,115 +36,145 @@ def annihilated_count(dense) -> int:
     return count
 
 
+def random_matrix(rng, rows, cols) -> np.ndarray:
+    return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+
+
+def kernel_dim(m) -> int:
+    return kernel_basis(m).shape[1]
+
+
 def test_rank_identity():
-    assert GF2Matrix.identity(2).rank() == 2
+    assert rank(np.eye(2, dtype=np.uint8)) == 2
 
 
 def test_rank_zero_matrix():
-    assert GF2Matrix.zeros(3, 5).rank() == 0
+    assert rank(np.zeros((3, 5), dtype=np.uint8)) == 0
 
 
 def test_rank_dependent_rows():
     rows = [[1, 1], [1, 1], [0, 1]]
     assert span_size_rank(rows) == 2
-    assert GF2Matrix.from_dense(rows).rank() == 2
+    assert rank(rows) == 2
 
 
 def test_kernel_dimension_no_rows():
-    assert GF2Matrix.zeros(0, 5).kernel_dimension() == 5
+    assert kernel_dim(np.zeros((0, 5), dtype=np.uint8)) == 5
 
 
 def test_kernel_dimension_identity():
-    assert GF2Matrix.identity(5).kernel_dimension() == 0
+    assert kernel_basis(np.eye(5, dtype=np.uint8)).shape == (5, 0)
 
 
 def test_kernel_dimension_chain():
     rows = [[1, 1, 0], [0, 1, 1]]
     assert annihilated_count(rows) == 2  # exactly {000, 111}
-    assert GF2Matrix.from_dense(rows).kernel_dimension() == 1
+    assert np.array_equal(kernel_basis(rows), [[1], [1], [1]])
 
 
 def test_kernel_matches_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        rows = int(rng.integers(0, 7))
-        cols = int(rng.integers(1, 13))
-        m = GF2Matrix.random(rows, cols, rng)
-        count = annihilated_count(m.to_dense())
-        assert count == 1 << m.kernel_dimension()
+        m = random_matrix(rng, int(rng.integers(0, 7)), int(rng.integers(0, 13)))
+        assert annihilated_count(m) == 1 << kernel_dim(m)
+
+
+def test_rank_matches_span_enumeration():
+    rng = np.random.default_rng(12)
+    shapes = [(0, 0), (0, 4), (4, 0), (3, 70), (10, 130)]
+    shapes += [(int(rng.integers(0, 9)), int(rng.integers(0, 9))) for _ in range(30)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols)
+        assert rank(m) == span_size_rank(m)
+
+
+def test_reduced_echelon_matches_brute_force():
+    """Against the defining properties: the pivots are the columns that
+    are not in the span of the columns to their left, each pivot column is
+    a unit vector, and the row space is unchanged."""
+    rng = np.random.default_rng(13)
+    shapes = [(0, 0), (0, 3), (3, 0), (4, 66), (6, 100)]
+    shapes += [(int(rng.integers(0, 7)), int(rng.integers(0, 9))) for _ in range(30)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols)
+        echelon, pivots = reduced_echelon(m)
+        assert echelon.shape == m.shape
+        expected = tuple(
+            c for c in range(cols) if span_size_rank(m[:, : c + 1]) > span_size_rank(m[:, :c])
+        )
+        assert pivots == expected
+        for i, c in enumerate(pivots):
+            assert np.array_equal(echelon[:, c], np.eye(rows, dtype=np.uint8)[i])
+        assert not np.any(echelon[len(pivots) :])
+        assert span_size_rank(np.vstack([m, echelon])) == len(pivots)
+
+
+def test_reduced_echelon_leaves_input_alone():
+    m = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    echelon, pivots = reduced_echelon(m)
+    assert pivots == (0, 1)
+    assert np.array_equal(echelon, np.eye(2, dtype=np.uint8))
+    assert np.array_equal(m, [[0, 1], [1, 1]])
 
 
 def test_rank_equals_transpose_rank():
     rng = np.random.default_rng(5)
     for _ in range(40):
-        rows = int(rng.integers(1, 65))
-        cols = int(rng.integers(1, 65))
-        m = GF2Matrix.random(rows, cols, rng)
-        assert m.rank() == m.transpose().rank()
+        m = random_matrix(rng, int(rng.integers(1, 80)), int(rng.integers(1, 80)))
+        assert rank(m) == rank(m.T)
 
 
 def test_rank_nullity():
     rng = np.random.default_rng(6)
     for _ in range(40):
-        m = GF2Matrix.random(int(rng.integers(0, 20)), int(rng.integers(0, 20)), rng)
-        assert m.rank() + m.kernel_dimension() == m.cols
-
-
-def test_transpose_involution():
-    rng = np.random.default_rng(3)
-    m = GF2Matrix.random(7, 90, rng)
-    assert m.transpose().transpose() == m
+        m = random_matrix(rng, int(rng.integers(0, 20)), int(rng.integers(0, 70)))
+        assert rank(m) + kernel_dim(m) == m.shape[1]
 
 
 def test_matmul_agrees_with_dense():
+    # uint8 products wrap modulo 256, which keeps their parity, so the
+    # library's GF(2) products need no wider dtype; 300 ones overflow
     rng = np.random.default_rng(17)
-    a = GF2Matrix.random(5, 9, rng)
-    b = GF2Matrix.random(9, 4, rng)
-    expected = (a.to_dense().astype(int) @ b.to_dense().astype(int)) % 2
-    assert np.array_equal((a @ b).to_dense(), expected)
+    a = random_matrix(rng, 5, 300)
+    a[0] = 1
+    b = random_matrix(rng, 300, 4)
+    b[:, 0] = 1
+    expected = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+    assert np.array_equal((a @ b) % 2, expected)
 
 
 def test_kernel_basis_spans_kernel():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        m = GF2Matrix.random(int(rng.integers(1, 8)), int(rng.integers(1, 10)), rng)
-        basis = m.kernel_basis()
-        assert basis.cols == m.kernel_dimension()
-        assert basis.rank() == basis.cols
-        prod = m @ basis
-        assert not np.any(prod.to_dense())
+        m = random_matrix(rng, int(rng.integers(0, 8)), int(rng.integers(0, 90)))
+        basis = kernel_basis(m)
+        assert basis.shape == (m.shape[1], m.shape[1] - rank(m))
+        assert rank(basis) == basis.shape[1]
+        assert not np.any((m @ basis) % 2)
 
 
 def test_text_roundtrip():
     rng = np.random.default_rng(31)
-    m = GF2Matrix.random(6, 70, rng)
-    assert GF2Matrix.from_text(m.to_text()) == m
-
-
-def test_text_blank_line_terminates():
-    text = "10\n01\n\n11\n"
-    assert GF2Matrix.from_text(text) == GF2Matrix.identity(2)
-
-
-def test_text_rejects_ragged_rows():
-    with pytest.raises(ValueError):
-        GF2Matrix.from_text("10\n011\n")
-
-
-def test_padding_bits_are_zero():
-    # 65 columns forces a second word with 63 padding bits
-    m = GF2Matrix.from_dense(np.ones((2, 65), dtype=np.uint8))
-    assert m.rank() == 1
-    back = m.to_dense()
-    assert back.shape == (2, 65)
-    assert np.all(back == 1)
+    m = random_matrix(rng, 6, 70)
+    lines = to_text(m).split("\n")
+    assert np.array_equal([[int(ch) for ch in line] for line in lines], m)
+    assert to_text(np.zeros((0, 3), dtype=np.uint8)) == ""
 
 
 def test_zero_dimensional_edges():
-    empty = GF2Matrix.zeros(0, 0)
-    assert empty.rank() == 0
-    assert empty.kernel_dimension() == 0
+    empty = np.zeros((0, 0), dtype=np.uint8)
+    assert rank(empty) == 0
+    assert kernel_dim(empty) == 0
     # dense stacks with no constraint rows (degree 2, omega = all qubits)
     # and with no columns (a k = 0 code)
-    assert GF2Matrix.from_dense(np.zeros((0, 3), dtype=np.uint8)).kernel_dimension() == 3
-    assert GF2Matrix.from_dense(np.zeros((4, 0), dtype=np.uint8)).kernel_dimension() == 0
+    assert kernel_dim(np.zeros((0, 3), dtype=np.uint8)) == 3
+    assert kernel_dim(np.zeros((4, 0), dtype=np.uint8)) == 0
+
+
+def test_code_matrices_are_read_only():
+    gen = GeneratorMatrix([[0, 1], [1, 0]])
+    adj = AdjacencyMatrix.from_edges(2, [(1, 2)])
+    with pytest.raises(ValueError):
+        gen.matrix[0, 0] = 1
+    with pytest.raises(ValueError):
+        adj.theta[0, 0] = 1

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabinv.errors import BudgetError
-from stabinv.gf2 import GF2Matrix
+from stabinv.gf2 import rank
 from stabinv.invariants import (
+    DEFAULT_MAX_RECORDS,
     Fingerprint,
     TreeTuple,
     all_tuples,
@@ -26,6 +27,7 @@ from stabinv.invariants import (
     reduce_singleton,
     theorem2_dim,
     uniform_tuple,
+    _sweep,
 )
 from stabinv.stabilizer import (
     AdjacencyMatrix,
@@ -61,7 +63,7 @@ def test_tuple_id_roundtrip():
 def reference_dim(gen, tup) -> int:
     """Kernel dimension of the stacked Kronecker matrix, built from the
     definitions with numpy alone and counted by exhaustive search."""
-    dense = gen.matrix.to_dense().astype(np.int64)
+    dense = gen.matrix.astype(np.int64)
     blocks = []
     for i, tree in enumerate(tup.trees):
         right_sons = {c for c in tree.right if c}
@@ -316,6 +318,22 @@ def test_compare_global_guards():
         compare_global(random_code(9, 1, 19), random_code(9, 1, 20), 2)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda gen: invariant_dim(gen, identity_tuple(2, 2)),
+        lambda gen: list(_sweep(gen, 2, DEFAULT_MAX_RECORDS)),
+        lambda gen: fingerprint(gen, 2),
+        lambda gen: compare_global(gen, gen, 2),
+    ],
+    ids=["invariant_dim", "_sweep", "fingerprint", "compare_global"],
+)
+def test_entry_points_reject_invalid_code(entry):
+    anticommuting = GeneratorMatrix.from_pauli_strings(["XX", "ZI"])
+    with pytest.raises(ValueError, match="not-self-orthogonal"):
+        entry(anticommuting)
+
+
 def test_generator_basis_change_invariance():
     rng = np.random.default_rng(21)
     for trial in range(15):
@@ -323,8 +341,8 @@ def test_generator_basis_change_invariance():
         k = int(rng.integers(1, n + 1))
         gen = random_code(n, k, (trial, 21))
         while True:
-            basis = GF2Matrix.random(k, k, rng)
-            if basis.rank() == k:
+            basis = rng.integers(0, 2, size=(k, k), dtype=np.uint8)
+            if rank(basis) == k:
                 break
         other = GeneratorMatrix(gen.matrix @ basis)
         tup = random_tuple(n, int(rng.integers(2, 4)), rng)

@@ -14,6 +14,7 @@ from stabinv.invariants import (
     uniform_tuple,
 )
 from stabinv.oracle import (
+    MAX_SUITE_CHECKS,
     Dyadic,
     ExactOperator,
     GaussInt,
@@ -31,6 +32,8 @@ from stabinv.oracle import (
     rho_from_code,
     rho_graph_formula,
     t_pi,
+    suite_lemma2,
+    suite_lemma4,
     tau_op,
     tuple_space_basis,
 )
@@ -115,14 +118,14 @@ def test_operator_budget():
 
 
 def test_rho_trivial_code_is_maximally_mixed():
-    gen = GeneratorMatrix.from_dense(np.zeros((4, 0), dtype=np.uint8))
+    gen = GeneratorMatrix(np.zeros((4, 0), dtype=np.uint8))
     rho = rho_from_code(gen)
     assert rho.same_as(ExactOperator(2, ExactOperator.identity(2).re,
                                      ExactOperator.identity(2).im, 2))
 
 
 def test_rho_plus_state():
-    gen = GeneratorMatrix.from_dense([[0], [1]])  # X stabilizer
+    gen = GeneratorMatrix([[0], [1]])  # X stabilizer
     rho = rho_from_code(gen)
     assert rho.scale == 1
     assert rho.re.tolist() == [[1, 1], [1, 1]]
@@ -316,7 +319,7 @@ def test_tuple_space_matches_kernel_dimension():
         adj = AdjacencyMatrix.random(n, rng)
         tup = random_tuple(n, r, rng)
         basis = tuple_space_basis(adj, tup)
-        assert basis.cols == invariant_dim(graph_generator(adj), tup)
+        assert basis.shape[1] == invariant_dim(graph_generator(adj), tup)
 
 
 def test_quad_form_zero_on_zero_element():
@@ -341,6 +344,15 @@ def test_lemma4_empty_graph_any_tuple():
         assert lemma4_check(AdjacencyMatrix.empty(3), tup) is None
 
 
+def test_exhaustive_suites_refuse_work_over_budget():
+    # projected before any work: lemma2 at max_r=7 needs 7,616,356 checks,
+    # lemma4 at max_n=5 needs 2^10 graphs times 5^5 tuples at r=3 alone
+    with pytest.raises(BudgetError, match=f"7616356 checks.*budget of {MAX_SUITE_CHECKS}"):
+        suite_lemma2(max_r=7)
+    with pytest.raises(BudgetError, match=f"budget of {MAX_SUITE_CHECKS}"):
+        suite_lemma4(max_n=5)
+
+
 def test_lemma3_small_graphs():
     for n in (1, 2):
         for adj in all_graphs(n):
@@ -352,7 +364,7 @@ def test_lemma3_small_graphs():
 def test_lemma3_identity_tuple_counts():
     adj = AdjacencyMatrix.empty(2)
     tup = identity_tuple(2, 2)
-    assert tuple_space_basis(adj, tup).cols == 0  # only the zero tuple
+    assert tuple_space_basis(adj, tup).shape[1] == 0  # only the zero tuple
     assert invariant_trace(graph_generator(adj), tup) == ONE
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabinv import trees
+from stabinv.gf2 import kernel_basis, rank
 from stabinv.trees import (
     BinaryTree,
     attach_singleton_root,
@@ -127,14 +128,14 @@ def test_permutations_distinct():
 
 
 def test_r_matrix_two_node_trees():
-    assert r_matrix(left_chain(2)).to_dense().tolist() == [[1, 0], [0, 1]]
-    assert r_matrix(right_chain(2)).to_dense().tolist() == [[1], [1]]
+    assert r_matrix(left_chain(2)).tolist() == [[1, 0], [0, 1]]
+    assert r_matrix(right_chain(2)).tolist() == [[1], [1]]
 
 
 def test_r_matrix_ten_node():
     mat = r_matrix(TEN_NODE)
-    assert (mat.rows, mat.cols) == (10, 4)
-    col = mat.to_dense()[:, 0]
+    assert mat.shape == (10, 4)
+    col = mat[:, 0]
     assert {i + 1 for i in np.nonzero(col)[0]} == {1, 3, 9, 10}
 
 
@@ -143,24 +144,24 @@ def test_r_matrix_rank_and_kernel():
         for t in enumerate_trees(r):
             mat = r_matrix(t)
             decomp = maximal_right_paths(t)
-            assert mat.rank() == decomp.t
-            assert mat.transpose().kernel_dimension() == r - decomp.t
+            assert rank(mat) == decomp.t
+            assert kernel_basis(mat.T).shape[1] == r - decomp.t
             assert v_space_dimension(t) == r - decomp.t
 
 
 def test_d_matrix_root_column():
     for r in range(1, 6):
         for t in enumerate_trees(r):
-            col = d_matrix(t).to_dense()[:, 0]
+            col = d_matrix(t)[:, 0]
             assert col.tolist() == [1] + [0] * (r - 1)
 
 
 def test_d_matrix_two_node_right_son():
-    assert d_matrix(right_chain(2)).to_dense().tolist() == [[1, 1], [0, 1]]
+    assert d_matrix(right_chain(2)).tolist() == [[1, 1], [0, 1]]
 
 
 def test_d_matrix_identity_for_left_chain():
-    assert np.array_equal(d_matrix(left_chain(4)).to_dense(), np.eye(4, dtype=np.uint8))
+    assert np.array_equal(d_matrix(left_chain(4)), np.eye(4, dtype=np.uint8))
 
 
 def test_v_space_examples():
