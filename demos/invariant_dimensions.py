@@ -12,11 +12,10 @@ import numpy as np
 
 from stabinv.invariants import (
     TreeTuple,
-    compare,
     compare_global,
     degree2_dim,
     degree2_tuple,
-    fingerprint,
+    first_difference,
     identity_tuple,
     invariant_dim,
     pad_degree,
@@ -53,21 +52,22 @@ tup = TreeTuple((right_chain(2), left_chain(2)))
 print("pad keeps dim:", invariant_dim(edge, pad_degree(tup)) == invariant_dim(edge, tup))
 print("pad then reduce round-trips:", reduce_singleton(pad_degree(tup)) == tup)
 
-# Fingerprints collect every record up to a degree; local Clifford images
-# are indistinguishable.
+# Comparing two codes walks both sweeps of records side by side and stops
+# at the first record that differs; local Clifford images have none.
 rng = np.random.default_rng(3)
 twin = apply_local_clifford(LocalCliffordOp.random(2, rng), edge)
-print("LC twin indistinguishable:", compare(fingerprint(edge, 3), fingerprint(twin, 3)) is None)
+print("LC twin indistinguishable:", first_difference(edge, twin, 3) is None)
 
 # The 3-vertex path and triangle graphs are in the same class; the product
 # state is not (its single-qubit reductions are pure).
 path3 = graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)]))
 tri3 = graph_generator(AdjacencyMatrix.complete(3))
-print("path vs triangle:", compare(fingerprint(path3, 2), fingerprint(tri3, 2)))
+print("path vs triangle:", first_difference(path3, tri3, 2))
 prod2 = graph_generator(AdjacencyMatrix.empty(2))
-print("product vs edge:", compare(fingerprint(prod2, 2), fingerprint(edge, 2)))
+print("product vs edge:", first_difference(prod2, edge, 2))
 
-# Global comparison also searches over qubit relabellings.
+# Global comparison also searches over qubit relabellings, dropping those
+# that each degree's records rule out.
 a = random_code(3, 2, seed=10)
 b = permute_qubits(a, (2, 3, 1))
 print("relabelling found:", compare_global(a, b, 2))

@@ -12,11 +12,11 @@ from .invariants import (
     InvariantRecord,
     TreeTuple,
     all_tuples,
-    compare,
     compare_global,
     degree2_dim,
     degree2_tuple,
     fingerprint,
+    first_difference,
     identity_tuple,
     invariant_dim,
     pad_degree,

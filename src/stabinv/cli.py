@@ -152,35 +152,20 @@ def cmd_compare(args) -> int:
         raise ParseError(f"codes have different lengths {gen_a.n} and {gen_b.n}")
     if args.global_search:
         perm = invariants.compare_global(gen_a, gen_b, args.rmax, args.max_tuples)
-        if perm is not None:
-            payload = {
-                "verdict": f"indistinguishable at r <= {args.rmax}",
-                "permutation": list(perm),
+        same = perm is not None
+        detail = {"permutation": list(perm) if same else None}
+    else:
+        diff = invariants.first_difference(gen_a, gen_b, args.rmax, args.max_tuples)
+        same = diff is None
+        detail = {}
+        if not same:
+            rec_a, rec_b = diff
+            detail["first_difference"] = {
+                "r": rec_a.r, "tuple": rec_a.tuple_id, "dim_a": rec_a.dim, "dim_b": rec_b.dim
             }
-            _emit(payload, args)
-            return EXIT_OK
-        _emit({"verdict": "distinguished", "permutation": None}, args)
-        return EXIT_DISTINGUISHED
-    fp_a = invariants.fingerprint(gen_a, args.rmax, max_records=args.max_tuples)
-    fp_b = invariants.fingerprint(gen_b, args.rmax, max_records=args.max_tuples)
-    diff = invariants.compare(fp_a, fp_b)
-    if diff is None:
-        _emit({"verdict": f"indistinguishable at r <= {args.rmax}"}, args)
-        return EXIT_OK
-    rec_a, rec_b = diff
-    _emit(
-        {
-            "verdict": "distinguished",
-            "first_difference": {
-                "r": rec_a.r,
-                "tuple": rec_a.tuple_id,
-                "dim_a": rec_a.dim,
-                "dim_b": rec_b.dim,
-            },
-        },
-        args,
-    )
-    return EXIT_DISTINGUISHED
+    verdict = f"indistinguishable at r <= {args.rmax}" if same else "distinguished"
+    _emit({"verdict": verdict, **detail}, args)
+    return EXIT_OK if same else EXIT_DISTINGUISHED
 
 
 def cmd_oracle_check(args) -> int:
@@ -259,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--max-tuples", type=int, default=invariants.DEFAULT_MAX_RECORDS)
     p.add_argument("--global", dest="global_search", action="store_true",
-                   help="also minimize over qubit permutations of the second code")
+                   help="search qubit relabellings of the second code")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle-check", help="run an exact certification suite")

@@ -5,7 +5,9 @@ is the GF(2) kernel dimension of a stacked Kronecker matrix: block i is
 (path matrix of tree i)^T tensor (2 x k qubit subblock i).  Equivalently
 it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set.  Both routes are
-implemented; the second doubles as an enumeration cross-check.
+implemented; the second doubles as an enumeration cross-check.  Every
+public function taking a code raises ValueError naming the violation if
+the code is invalid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import trees as trees_mod
 from .errors import BudgetError
 from .gf2 import rank
-from .stabilizer import GeneratorMatrix, code_space, qubit_rows, validate
+from .stabilizer import GeneratorMatrix, code_space, qubit_rows, require_valid
 from .trees import (
     BinaryTree,
     attach_singleton_root,
@@ -97,12 +99,6 @@ def all_tuples(n: int, r: int):
     return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
-def _require_valid(gen: GeneratorMatrix) -> None:
-    violation = validate(gen)
-    if violation is not None:
-        raise ValueError(f"invalid code: {violation}")
-
-
 def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
     """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
     a 2t x r*k array of 0/1."""
@@ -116,13 +112,10 @@ def _kernel_dim(blocks) -> int:
 
 
 def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
-    """Kernel dimension of the stacked Kronecker matrix.
-
-    Raises ValueError naming the violation if the code is invalid.
-    """
+    """Kernel dimension of the stacked Kronecker matrix."""
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    _require_valid(gen)
+    require_valid(gen)
     return _kernel_dim([_block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)])
 
 
@@ -136,6 +129,7 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     omega = set(omega)
     if omega and not omega <= set(range(1, gen.n + 1)):
         raise ValueError("omega must be a subset of 1..n")
+    require_valid(gen)
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
     return _kernel_dim([qubit_rows(gen, outside)])
 
@@ -164,6 +158,7 @@ def theorem2_dim(
     """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
+    require_valid(gen)
     r, k, n = tup.r, gen.k, gen.n
     points = 1 << (r * k)
     if points > max_points:
@@ -241,14 +236,6 @@ class Fingerprint:
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Fingerprint":
-        payload = json.loads(text)
-        records = tuple(
-            InvariantRecord(rec["r"], rec["tuple"], rec["dim"]) for rec in payload["records"]
-        )
-        return cls(payload["n"], payload["r_max"], records)
-
 
 def record_count(n: int, r_max: int) -> int:
     return sum(catalan(r) ** n for r in range(2, r_max + 1))
@@ -263,7 +250,7 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
         raise ValueError("need at least one qubit")
-    _require_valid(gen)
+    require_valid(gen)
     total = record_count(gen.n, r_max)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
@@ -288,13 +275,23 @@ def fingerprint(
     return Fingerprint(gen.n, r_max, records)
 
 
-def compare(f1: Fingerprint, f2: Fingerprint):
-    """None if equal; otherwise the first differing pair of records."""
-    if f1.n != f2.n or f1.r_max != f2.r_max:
-        raise ValueError("fingerprints cover different ranges")
-    for a, b in zip(f1.records, f2.records):
-        if a != b:
-            return (a, b)
+def first_difference(
+    gen1: GeneratorMatrix,
+    gen2: GeneratorMatrix,
+    r_max: int,
+    max_records: int = DEFAULT_MAX_RECORDS,
+):
+    """None if the codes agree on every record of degree 2..r_max; otherwise
+    the first differing pair of records.  Both codes are swept side by side,
+    and no record after the first difference is computed."""
+    if gen1.n != gen2.n:
+        raise ValueError("codes have different lengths")
+    for (r, sers, dim1), (_, _, dim2) in zip(
+        _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
+    ):
+        if dim1 != dim2:
+            tuple_id = ";".join(sers)
+            return InvariantRecord(r, tuple_id, dim1), InvariantRecord(r, tuple_id, dim2)
     return None
 
 
@@ -309,24 +306,31 @@ def compare_global(
     Returns the first permutation (as a tuple p with new qubit i taking
     old qubit p[i-1]) whose fingerprint matches, or None if every
     permutation is distinguished.  Matching fingerprints make the codes
-    equivalence candidates; they are not a proof of equivalence.
+    equivalence candidates; they are not a proof of equivalence.  Each
+    degree drops the relabellings its records rule out, and no higher
+    degree is computed once none is left.
     """
     if gen1.n != gen2.n:
         raise ValueError("codes have different lengths")
     n = gen1.n
     if n > MAX_GLOBAL_QUBITS:
         raise BudgetError(f"global comparison limited to {MAX_GLOBAL_QUBITS} qubits")
-    dims1 = {(r, sers): dim for r, sers, dim in _sweep(gen1, r_max, max_records)}
-    dims2 = {(r, sers): dim for r, sers, dim in _sweep(gen2, r_max, max_records)}
-    for perm in itertools.permutations(range(n)):
-        # perm maps record positions of the first code onto tree slots of
-        # the second; it is the inverse of the qubit relabelling searched.
-        if all(
-            dim == dims2[(r, tuple(sers[perm[j]] for j in range(n)))]
-            for (r, sers), dim in dims1.items()
-        ):
-            relabel = [0] * n
-            for j, pj in enumerate(perm):
-                relabel[pj] = j + 1
-            return tuple(relabel)
-    return None
+    # candidates in itertools.permutations order; each maps record positions
+    # of the first code onto tree slots of the second, so it is the inverse
+    # of the relabelling returned.  dims1 and dims2 hold the current degree.
+    alive = list(itertools.permutations(range(n)))
+    dims1, dims2 = [], {}
+    for (r, sers1, dim1), (_, sers2, dim2) in zip(
+        _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
+    ):
+        dims1.append((sers1, dim1))
+        dims2[sers2] = dim2
+        if len(dims2) < catalan(r) ** n:
+            continue
+        alive = [
+            p for p in alive if all(dim == dims2[tuple(sers[j] for j in p)] for sers, dim in dims1)
+        ]
+        if not alive:
+            return None
+        dims1, dims2 = [], {}
+    return tuple(alive[0].index(i) + 1 for i in range(n))

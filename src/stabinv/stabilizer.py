@@ -99,6 +99,13 @@ def validate(gen: GeneratorMatrix) -> str | None:
     return None
 
 
+def require_valid(gen: GeneratorMatrix) -> None:
+    """Raise ValueError naming the first violation if the code is invalid."""
+    violation = validate(gen)
+    if violation is not None:
+        raise ValueError(f"invalid code: {violation}")
+
+
 def symplectic_product(a, b) -> int:
     """a^T P b mod 2; zero exactly when the two Pauli operators commute."""
     a = np.asarray(a, dtype=np.int64) % 2
@@ -138,11 +145,13 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     Solves for the coefficient space {x : S_j x = 0 for all j outside
     omega}, maps a basis through S, and drops the coordinate pairs outside
     omega.  S being full rank makes that map injective, so the result is a
-    valid code on |omega| qubits.
+    valid code on |omega| qubits.  Raises ValueError naming the violation
+    if the code is invalid.
     """
     omega = sorted(set(omega))
     if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
         raise ValueError("omega must be a subset of 1..n")
+    require_valid(gen)
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
     basis = kernel_basis(qubit_rows(gen, outside))  # k x d
     inside = GeneratorMatrix(gen.matrix @ basis)  # 2n x d

@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabinv import invariants
 from stabinv.errors import BudgetError
 from stabinv.gf2 import rank
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
-    Fingerprint,
     TreeTuple,
     all_tuples,
-    compare,
     compare_global,
     degree2_dim,
     degree2_tuple,
     fingerprint,
+    first_difference,
     identity_tuple,
     invariant_dim,
     pad_degree,
@@ -37,6 +37,7 @@ from stabinv.stabilizer import (
     graph_generator,
     permute_qubits,
     random_code,
+    restrict_to,
 )
 from stabinv.trees import enumerate_trees, left_chain, right_chain
 
@@ -261,30 +262,29 @@ def test_fingerprint_lc_invariant():
         n = int(rng.integers(1, 4))
         gen = random_code(n, int(rng.integers(0, n + 1)), (trial, 15))
         twin = apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
-        assert compare(fingerprint(gen, 2), fingerprint(twin, 2)) is None
+        assert first_difference(gen, twin, 2) is None
 
 
 def test_compare_self_equal():
-    fp = fingerprint(EDGE2, 2)
-    assert compare(fp, fp) is None
+    assert first_difference(EDGE2, EDGE2, 2) is None
 
 
 def test_compare_range_mismatch():
-    with pytest.raises(ValueError):
-        compare(fingerprint(EDGE2, 2), fingerprint(random_code(3, 1, 16), 2))
+    with pytest.raises(ValueError, match="different lengths"):
+        first_difference(EDGE2, random_code(3, 1, 16), 2)
 
 
 def test_ghz_class_graphs_indistinguishable():
     path3 = graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)]))
     tri3 = graph_generator(AdjacencyMatrix.complete(3))
-    assert compare(fingerprint(path3, 2), fingerprint(tri3, 2)) is None
+    assert first_difference(path3, tri3, 2) is None
 
 
 def test_product_vs_entangled_distinguished():
     prod2 = graph_generator(AdjacencyMatrix.empty(2))
     fp_prod = fingerprint(prod2, 2)
     fp_edge = fingerprint(EDGE2, 2)
-    diff = compare(fp_prod, fp_edge)
+    diff = first_difference(prod2, EDGE2, 2)
     assert diff is not None
     rec_a, rec_b = diff
     assert rec_a.r == 2
@@ -302,7 +302,7 @@ def test_compare_global_finds_permutation():
     shuffled = permute_qubits(gen, (2, 3, 1))
     perm = compare_global(gen, shuffled, 2)
     assert perm is not None
-    assert compare(fingerprint(gen, 2), fingerprint(permute_qubits(shuffled, perm), 2)) is None
+    assert first_difference(gen, permute_qubits(shuffled, perm), 2) is None
 
 
 def test_compare_global_distinguishes():
@@ -318,6 +318,66 @@ def test_compare_global_guards():
         compare_global(random_code(9, 1, 19), random_code(9, 1, 20), 2)
 
 
+def brute_first_difference(gen1, gen2, r_max):
+    pairs = zip(fingerprint(gen1, r_max).records, fingerprint(gen2, r_max).records)
+    return next(((a, b) for a, b in pairs if a != b), None)
+
+
+def brute_compare_global(gen1, gen2, r_max):
+    # compare_global searches itertools.permutations of the record
+    # positions, each the inverse of the qubit relabelling it returns
+    records = fingerprint(gen1, r_max).records
+    for perm in itertools.permutations(range(gen1.n)):
+        relabel = tuple(perm.index(i) + 1 for i in range(gen1.n))
+        if fingerprint(permute_qubits(gen2, relabel), r_max).records == records:
+            return relabel
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_comparisons_match_brute_force(seed):
+    # k >= 1: every relabelling of a k = 0 code matches, so the order in
+    # which they are searched would go untested
+    rng = np.random.default_rng((28, seed))
+    n, r_max = 1 + seed % 4, 2 + seed // 4
+    gen = random_code(n, int(rng.integers(1, n + 1)), (seed, 28))
+    shuffled = permute_qubits(gen, tuple(int(p) for p in rng.permutation(n) + 1))
+    image = apply_local_clifford(LocalCliffordOp.random(n, rng), shuffled)
+    other = random_code(n, int(rng.integers(1, n + 1)), (seed, 29))
+    for gen2 in (image, other):
+        assert first_difference(gen, gen2, r_max) == brute_first_difference(gen, gen2, r_max)
+        assert compare_global(gen, gen2, r_max) == brute_compare_global(gen, gen2, r_max)
+    assert compare_global(gen, image, r_max) is not None
+
+
+def count_kernel_dims(monkeypatch) -> list[int]:
+    """Record the column count r*k of every kernel the engine computes."""
+    widths = []
+    real = invariants._kernel_dim
+
+    def counting(blocks):
+        widths.append(blocks[0].shape[1])
+        return real(blocks)
+
+    monkeypatch.setattr(invariants, "_kernel_dim", counting)
+    return widths
+
+
+def test_first_difference_stops_early(monkeypatch):
+    prod2 = graph_generator(AdjacencyMatrix.empty(2))
+    widths = count_kernel_dims(monkeypatch)
+    assert first_difference(prod2, EDGE2, 4) is not None
+    assert widths and max(widths) == 2 * prod2.k
+
+
+def test_compare_global_stops_early(monkeypatch):
+    prod3 = graph_generator(AdjacencyMatrix.empty(3))
+    tri3 = graph_generator(AdjacencyMatrix.complete(3))
+    widths = count_kernel_dims(monkeypatch)
+    assert compare_global(prod3, tri3, 3) is None
+    assert widths and max(widths) == 2 * prod3.k
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -325,8 +385,21 @@ def test_compare_global_guards():
         lambda gen: list(_sweep(gen, 2, DEFAULT_MAX_RECORDS)),
         lambda gen: fingerprint(gen, 2),
         lambda gen: compare_global(gen, gen, 2),
+        lambda gen: first_difference(gen, gen, 2),
+        lambda gen: degree2_dim(gen, {1, 2}),
+        lambda gen: theorem2_dim(gen, identity_tuple(2, 2)),
+        lambda gen: restrict_to(gen, {1}),
     ],
-    ids=["invariant_dim", "_sweep", "fingerprint", "compare_global"],
+    ids=[
+        "invariant_dim",
+        "_sweep",
+        "fingerprint",
+        "compare_global",
+        "first_difference",
+        "degree2_dim",
+        "theorem2_dim",
+        "restrict_to",
+    ],
 )
 def test_entry_points_reject_invalid_code(entry):
     anticommuting = GeneratorMatrix.from_pauli_strings(["XX", "ZI"])
@@ -364,9 +437,8 @@ def test_simultaneous_qubit_permutation_invariance():
 
 def test_fingerprint_json_roundtrip():
     fp = fingerprint(EDGE2, 2)
-    back = Fingerprint.from_json(fp.to_json())
-    assert back == fp
     payload = json.loads(fp.to_json())
+    assert payload == fp.to_payload()
     assert list(payload) == ["n", "r_max", "records"]
 
 
