@@ -10,13 +10,15 @@ binary kernel dimension by a constant that depends only on the tree tuple
 from stabinv import oracle
 from stabinv.invariants import all_tuples, identity_tuple, invariant_dim, uniform_tuple
 from stabinv.oracle import (
+    closed_form_table,
+    cyclic_sum_table,
     invariant_trace,
     rho_from_code,
     rho_graph_formula,
     tau_op,
 )
 from stabinv.stabilizer import AdjacencyMatrix, graph_generator, random_code
-from stabinv.trees import maximal_right_paths, right_chain
+from stabinv.trees import enumerate_trees, maximal_right_paths, permutation_of, right_chain
 
 # tau matrices: the real Pauli variant; the (1,1) member is i*sigma_y.
 print("tau_11:")
@@ -26,6 +28,14 @@ print(tau_op([1], [1]).re)
 adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
 print("tau-sum formula == generator-group sum:",
       rho_graph_formula(adj).same_as(rho_from_code(graph_generator(adj))))
+
+# The cyclic tau sums of a tree's copy permutation, summed from the
+# definition for every (u, v) at once, equal their closed form entry for
+# entry (rows u, columns v, copy 1 as the top bit).
+tree = enumerate_trees(3)[2]
+print(f"cyclic sums of {tree!r}:")
+print(cyclic_sum_table(permutation_of(tree)))
+print("== closed form:", (cyclic_sum_table(permutation_of(tree)) == closed_form_table(tree)).all())
 
 # The trace of rho^{x2} (the degree-2 full-swap invariant) is the purity
 # 2^(k-n), exactly.

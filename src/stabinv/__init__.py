@@ -28,8 +28,8 @@ from .oracle import (
     Dyadic,
     ExactOperator,
     GaussInt,
-    a_closed,
-    a_direct,
+    closed_form_table,
+    cyclic_sum_table,
     invariant_trace,
     pauli_op,
     rho_from_code,

@@ -236,12 +236,6 @@ def tau_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
     return _tensor(_tau_factor(int(a) % 2, int(b) % 2) for a, b in zip(u, v))
 
 
-def pauli_from_vector(vec, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
-    vec = list(vec)
-    n = len(vec) // 2
-    return pauli_op(vec[:n], vec[n:], max_dim)
-
-
 def rho_from_code(
     gen: GeneratorMatrix, signs=None, max_dim: int = DEFAULT_MAX_DIM
 ) -> ExactOperator:
@@ -341,35 +335,29 @@ def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
     return IndexPermutation(n, r, image)
 
 
-def permuted_trace(perm: IndexPermutation, op: ExactOperator) -> Dyadic:
-    """Trace of (permutation operator) . op, contracted via the index map."""
-    if op.dim != perm.dim:
-        raise ValueError("operator and permutation sizes differ")
-    idx = np.arange(op.dim)
-    re = op.re[perm.image, idx].sum()
-    im = op.im[perm.image, idx].sum()
-    return Dyadic(GaussInt(int(re), int(im)), op.scale)
-
-
 def invariant_trace(
     gen: GeneratorMatrix, tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM
 ) -> Dyadic:
     """Exact trace of the copy-permuting operator against rho^(tensor r).
 
-    The tensor power is never materialized: each basis contraction index
-    multiplies one rho entry per copy.  For valid codes the value is a
-    real, positive power of 2.
+    For valid codes the value is a real, positive power of 2.
     """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    n, r = gen.n, tup.r
-    _check_dim(n * r, max_dim)
+    _check_dim(gen.n * tup.r, max_dim)
     rho = rho_from_code(gen, max_dim=max_dim)
-    perm = t_pi(tup, max_dim=max_dim)
-    return _trace_against_copies(perm, [rho] * r)
+    return product_trace(t_pi(tup, max_dim=max_dim), [rho] * tup.r)
 
 
-def _trace_against_copies(perm: IndexPermutation, ops) -> Dyadic:
+def product_trace(perm: IndexPermutation, ops) -> Dyadic:
+    """Trace of the permutation operator against op_1 (x) ... (x) op_r.
+
+    The tensor product is never materialized: each basis contraction
+    index multiplies one entry of each copy's operator.
+    """
+    ops = list(ops)
+    if len(ops) != perm.r or any(op.m != perm.n for op in ops):
+        raise ValueError("need r operators on n qubits each")
     n, r = perm.n, perm.r
     idx = np.arange(perm.dim, dtype=np.int64)
     m = perm.image
@@ -388,67 +376,62 @@ def _trace_against_copies(perm: IndexPermutation, ops) -> Dyadic:
     return Dyadic(GaussInt(int(acc_re.sum()), int(acc_im.sum())), scale)
 
 
-def product_trace(perm: IndexPermutation, ops) -> Dyadic:
-    """Trace of the permutation operator against op_1 (x) ... (x) op_r."""
-    ops = list(ops)
-    if len(ops) != perm.r or any(op.m != perm.n for op in ops):
-        raise ValueError("need r operators on n qubits each")
-    return _trace_against_copies(perm, ops)
+# -- the tau cyclic sums, one table per tree ----------------------------------
+#
+# Both tables index rows by u and columns by v, each read as an r-bit
+# number with copy 1 as the most significant bit (itertools.product order).
+# Entries are at most 2^r in absolute value, so int64 is exact for any
+# table that fits in memory.
 
 
-def a_product(image, mats) -> GaussInt:
-    """Cyclic-pattern sum over binary indices of single-qubit matrices.
+def _bits(i, r: int) -> tuple[int, ...]:
+    """Table index i as r bits, copy 1 first."""
+    return tuple((int(i) >> (r - c)) & 1 for c in range(1, r + 1))
 
-    Sums over i in {0,1}^r the product over copies c of
-    mats[c][i_(pi(c)), i_c]; the trace of the copy-permuting operator
-    against a product operator factorizes into one such value per qubit.
+
+def _parity(a: np.ndarray, r: int) -> np.ndarray:
+    out = np.zeros_like(a)
+    for b in range(r):
+        out ^= (a >> b) & 1
+    return out
+
+
+def cyclic_sum_table(image) -> np.ndarray:
+    """The tau cyclic sums of one copy permutation, for every (u, v).
+
+    Entry [u, v] sums over x in {0,1}^r the product over copies c of
+    (tau_(u_c, v_c))[x_pi(c), x_c].  By the tau entry rule each x adds
+    (-1)^(u . x∘pi) to the single column v = x∘pi + x, for every u.  The
+    trace of the copy-permuting operator against a tau product operator
+    is the product over qubits of one entry of such a table.
     """
     r = len(image)
-    mats = list(mats)
-    if len(mats) != r:
-        raise ValueError("need one 2x2 matrix per copy")
-    if any(op.scale != 0 for op in mats):
-        raise ValueError("factors must be integer operators (scale 0)")
-    total = GaussInt(0, 0)
-    for bits in itertools.product((0, 1), repeat=r):
-        term = GaussInt(1, 0)
-        for c in range(r):
-            row = bits[image[c] - 1]
-            col = bits[c]
-            term = term * GaussInt(int(mats[c].re[row, col]), int(mats[c].im[row, col]))
-        total = total + term
-    return total
+    x = np.arange(1 << r, dtype=np.int64)
+    x_pi = np.zeros_like(x)
+    for c, p in enumerate(image, start=1):
+        x_pi |= ((x >> (r - p)) & 1) << (r - c)
+    u = x[:, None]
+    table = np.zeros((1 << r, 1 << r), dtype=np.int64)
+    np.add.at(table, (u, x_pi ^ x), 1 - 2 * _parity(u & x_pi, r))
+    return table
 
 
-def a_direct(image, u, v) -> GaussInt:
-    """The cyclic-pattern sum evaluated on tau factors picked by (u, v)."""
-    u, v = list(u), list(v)
-    if len(u) != len(image) or len(v) != len(image):
-        raise ValueError("u, v must have one bit per copy")
-    return a_product(image, [_tau_factor(int(a) % 2, int(b) % 2) for a, b in zip(u, v)])
-
-
-def _in_path_space(tree: BinaryTree, vec) -> bool:
-    return all(sum(vec[i - 1] for i in p) % 2 == 0 for p in maximal_right_paths(tree).paths)
-
-
-def a_closed(tree: BinaryTree, u, v) -> GaussInt:
-    """Closed form of the tau cyclic sum for the tree's permutation.
+def closed_form_table(tree: BinaryTree) -> np.ndarray:
+    """Closed form of cyclic_sum_table(permutation_of(tree)).
 
     Zero unless both u and v have even overlap with every right path;
     otherwise +-2^(r - dim of the path null space), with the sign given by
     the prefix-matrix pairing of u and v.
     """
-    u = [int(a) % 2 for a in u]
-    v = [int(b) % 2 for b in v]
     r = tree.r
-    if len(u) != r or len(v) != r:
-        raise ValueError("u, v must have one bit per node")
-    if not (_in_path_space(tree, u) and _in_path_space(tree, v)):
-        return GaussInt(0, 0)
+    bits = (np.arange(1 << r, dtype=np.int64)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    in_paths = np.ones(1 << r, dtype=bool)
+    for p in maximal_right_paths(tree).paths:
+        in_paths &= bits[:, [c - 1 for c in p]].sum(axis=1) % 2 == 0
     d = d_matrix(tree).astype(np.int64)
-    sign = (-1) ** (int(np.array(u) @ d.T @ np.array(v)) % 2)
-    return GaussInt(sign * (1 << (r - v_space_dimension(tree))), 0)
+    signs = 1 - 2 * ((bits @ d.T @ bits.T) % 2)
+    magnitude = 1 << (r - v_space_dimension(tree))
+    return np.where(in_paths[:, None] & in_paths[None, :], signs * magnitude, 0)
 
 
 # -- the quadratic-form identities on graph-state tuple spaces ---------------
@@ -548,18 +531,20 @@ def lemma3_check(
     """
     n = adj.n
 
-    def signed_sum(graph: AdjacencyMatrix) -> int:
-        basis = tuple_space_basis(graph, tup)
-        elems = _space_elements(basis, max_points)
-        q = quad_form_values(graph, tup, elems)
-        return int((q == 0).sum()) - int((q == 1).sum())
+    def form_values(graph: AdjacencyMatrix) -> np.ndarray:
+        elems = _space_elements(tuple_space_basis(graph, tup), max_points)
+        return quad_form_values(graph, tup, elems)
+
+    def signed_sum(q: np.ndarray) -> int:
+        return len(q) - 2 * int(q.sum())
 
     def trace_value(graph: AdjacencyMatrix) -> Fraction:
         return invariant_trace(graph_generator(graph), tup, max_dim).as_fraction()
 
     reference = AdjacencyMatrix.empty(n)
-    norm = Fraction(signed_sum(reference)) / trace_value(reference)
-    s = signed_sum(adj)
+    norm = Fraction(signed_sum(form_values(reference))) / trace_value(reference)
+    q = form_values(adj)
+    s = signed_sum(q)
     t = trace_value(adj)
     if t * norm != s:
         return {
@@ -569,23 +554,17 @@ def lemma3_check(
             "trace": str(t),
             "normalization": str(norm),
         }
-    basis = tuple_space_basis(adj, tup)
-    cardinality = 1 << basis.shape[1]
-    if s != cardinality:
+    if s != len(q):
         return {
             "graph": to_text(adj.theta),
             "tuple": tup.id(),
             "signed_sum": s,
-            "cardinality": cardinality,
+            "cardinality": len(q),
         }
     return None
 
 
 # -- certification suites ----------------------------------------------------
-
-
-def _skip(name: str, why: str) -> dict:
-    return {"suite": name, "status": "skipped", "checks": 0, "failures": [], "warnings": [why]}
 
 
 def _check_budget(name: str, projected: int) -> None:
@@ -599,19 +578,21 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Graph projector from the tau-sum formula vs. from the generator group."""
     name = "lemma1"
     if max_n < 1:
-        return _skip(name, "max_n below 1; nothing to check")
+        return _result(name, 0, [], ["max_n below 1; nothing to check"])
     checks = 0
     failures = []
+    warnings = []
     for n in range(1, max_n + 1):
         if (1 << n) > max_dim:
-            return _skip(name, f"dimension 2^{n} exceeds budget {max_dim}")
+            warnings.append(f"skipped n={n}: 2^{n} over budget")
+            continue
         for adj in all_graphs(n):
             lhs = rho_graph_formula(adj, max_dim)
             rhs = rho_from_code(graph_generator(adj), max_dim=max_dim)
             checks += 1
             if not lhs.same_as(rhs):
                 failures.append({"graph": to_text(adj.theta)})
-    return _result(name, checks, failures)
+    return _result(name, checks, failures, warnings)
 
 
 def suite_lemma2(max_r: int = 5) -> dict:
@@ -622,18 +603,16 @@ def suite_lemma2(max_r: int = 5) -> dict:
     """
     name = "lemma2"
     if max_r < 1:
-        return _skip(name, "max_r below 1; nothing to check")
+        return _result(name, 0, [], ["max_r below 1; nothing to check"])
     _check_budget(name, sum(catalan(r) << (2 * r) for r in range(1, max_r + 1)))
     checks = 0
     failures = []
     for r in range(1, max_r + 1):
         for tree in enumerate_trees(r):
-            image = permutation_of(tree)
-            for u in itertools.product((0, 1), repeat=r):
-                for v in itertools.product((0, 1), repeat=r):
-                    checks += 1
-                    if a_direct(image, u, v) != a_closed(tree, u, v):
-                        failures.append({"tree": repr(tree), "u": u, "v": v})
+            checks += 1 << (2 * r)
+            wrong = cyclic_sum_table(permutation_of(tree)) != closed_form_table(tree)
+            for u, v in np.argwhere(wrong):
+                failures.append({"tree": repr(tree), "u": _bits(u, r), "v": _bits(v, r)})
     return _result(name, checks, failures)
 
 
@@ -642,21 +621,22 @@ def suite_lemma3(
 ) -> dict:
     name = "lemma3"
     if max_n < 1 or max_r < 1:
-        return _skip(name, "limits below 1; nothing to check")
+        return _result(name, 0, [], ["limits below 1; nothing to check"])
     checks = 0
     failures = []
+    warnings = []
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
             if (1 << (n * r)) > max_dim:
-                return _result(name, checks, failures,
-                               warnings=[f"stopped at n={n}, r={r}: 2^{n * r} over budget"])
+                warnings.append(f"skipped n={n}, r={r}: 2^{n * r} over budget")
+                continue
             for adj in all_graphs(n):
                 for tup in all_tuples(n, r):
                     checks += 1
                     bad = lemma3_check(adj, tup, max_dim, max_points)
                     if bad is not None:
                         failures.append(bad)
-    return _result(name, checks, failures)
+    return _result(name, checks, failures, warnings)
 
 
 def suite_lemma4(
@@ -669,7 +649,7 @@ def suite_lemma4(
     """
     name = "lemma4"
     if max_n < 1 or max_r < 1:
-        return _skip(name, "limits below 1; nothing to check")
+        return _result(name, 0, [], ["limits below 1; nothing to check"])
     # every graph on n qubits against every tuple of n trees on r nodes
     projected = sum(
         (1 << (n * (n - 1) // 2)) * catalan(r) ** n
@@ -702,26 +682,30 @@ def suite_theorem1(
     are fixed."""
     name = "theorem1"
     if max_n < 1 or max_r < 2:
-        return _skip(name, "limits too small; nothing to check")
+        return _result(name, 0, [], ["limits too small; nothing to check"])
     checks = 0
     failures = []
     warnings = []
     for n in range(1, max_n + 1):
+        sizes = [r for r in range(2, max_r + 1) if (1 << (n * r)) <= max_dim]
+        warnings += [
+            f"skipped n={n}, r={r}: 2^{n * r} over budget"
+            for r in range(2, max_r + 1) if r not in sizes
+        ]
+        if not sizes:
+            continue
         codes = [
             random_code(n, k, seed=(seed, n, k, c))
             for k in range(n + 1)
             for c in range(codes_per_k)
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
-        for r in range(2, max_r + 1):
-            if (1 << (n * r)) > max_dim:
-                warnings.append(f"skipped n={n}, r={r}: 2^{n * r} over budget")
-                continue
+        for r in sizes:
             for tup in all_tuples(n, r):
                 perm = t_pi(tup, max_dim)
                 offset = None
                 for gen, rho in zip(codes, rhos):
-                    value = _trace_against_copies(perm, [rho] * r)
+                    value = product_trace(perm, [rho] * r)
                     z = value.log2() - invariant_dim(gen, tup)
                     checks += 1
                     if offset is None:
@@ -745,7 +729,7 @@ def suite_theorem2(
     tuples, exhaustively over tree tuples."""
     name = "theorem2"
     if max_n < 1 or max_r < 1:
-        return _skip(name, "limits below 1; nothing to check")
+        return _result(name, 0, [], ["limits below 1; nothing to check"])
     checks = 0
     failures = []
     warnings = []
@@ -770,9 +754,10 @@ def suite_theorem2(
 
 
 def _result(name: str, checks: int, failures: list, warnings: list | None = None) -> dict:
+    """A suite report; "skipped" when no check could run."""
     return {
         "suite": name,
-        "status": "pass" if not failures else "fail",
+        "status": "fail" if failures else "pass" if checks else "skipped",
         "checks": checks,
         "failures": failures,
         "warnings": warnings or [],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .gf2 import kernel_basis, rank, reduced_echelon, to_text
+from .gf2 import kernel_basis, rank, to_text
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
@@ -294,16 +294,6 @@ def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
     if a.k != b.k:
         return False
     return rank(np.hstack([a.matrix, b.matrix])) == rank(a.matrix)
-
-
-def canonical_form(gen: GeneratorMatrix) -> GeneratorMatrix:
-    """Reduced-echelon basis of the column space; a convenience normal form.
-
-    Two generator matrices describe the same code exactly when their
-    canonical forms are equal.
-    """
-    echelon, pivots = reduced_echelon(gen.matrix.T)
-    return GeneratorMatrix(echelon[: len(pivots)].T)
 
 
 def random_code(n: int, k: int, seed) -> GeneratorMatrix:

@@ -180,9 +180,6 @@ class RightPathDecomposition:
     def t(self) -> int:
         return len(self.paths)
 
-    def starts(self) -> tuple[int, ...]:
-        return tuple(p[0] for p in self.paths)
-
     def path_of(self, node: int) -> tuple[int, ...]:
         for p in self.paths:
             if node in p:

@@ -1,10 +1,13 @@
 """Tests for the exact dense-operator oracle."""
 
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from stabinv import oracle
 from stabinv.errors import BudgetError
 from stabinv.invariants import (
     TreeTuple,
@@ -19,21 +22,22 @@ from stabinv.oracle import (
     ExactOperator,
     GaussInt,
     IndexPermutation,
-    a_closed,
-    a_direct,
-    a_product,
+    closed_form_table,
+    cyclic_sum_table,
     invariant_trace,
     lemma3_check,
     lemma4_check,
     pauli_op,
-    permuted_trace,
     product_trace,
     quad_form_values,
     rho_from_code,
     rho_graph_formula,
     t_pi,
+    suite_lemma1,
     suite_lemma2,
+    suite_lemma3,
     suite_lemma4,
+    suite_theorem1,
     tau_op,
     tuple_space_basis,
 )
@@ -46,7 +50,14 @@ from stabinv.stabilizer import (
     graph_generator,
     random_code,
 )
-from stabinv.trees import enumerate_trees, left_chain, maximal_right_paths, permutation_of, right_chain
+from stabinv.trees import (
+    catalan,
+    enumerate_trees,
+    left_chain,
+    maximal_right_paths,
+    permutation_of,
+    right_chain,
+)
 
 ONE = Dyadic(GaussInt(1, 0), 0)
 
@@ -56,11 +67,9 @@ def random_tuple(n, r, rng) -> TreeTuple:
     return TreeTuple(tuple(pool[int(i)] for i in rng.integers(0, len(pool), n)))
 
 
-def random_exact(rng, m=1) -> ExactOperator:
-    dim = 1 << m
-    return ExactOperator.from_entries(
-        rng.integers(-2, 3, (dim, dim)), rng.integers(-2, 3, (dim, dim))
-    )
+def table_index(bits) -> int:
+    """Row or column of a cyclic-sum table: copy 1 is the top bit."""
+    return int("".join(str(int(b)) for b in bits), 2)
 
 
 # -- single operators ---------------------------------------------------------
@@ -201,30 +210,50 @@ def test_index_permutation_rejects_non_bijection():
 
 
 def test_trace_splits_over_qubits():
+    # The trace against a product of tau operators, one (u, v) bit pair per
+    # (copy, qubit), is the product over qubits of one cyclic-sum table
+    # entry.  The trace is multilinear in each single-qubit factor and the
+    # four tau matrices span all 2x2 matrices, so the exhaustive part
+    # covers every product operator with n*r <= 4.
+    tau = functools.cache(tau_op)
+
+    def splits(tup):
+        perm = t_pi(tup)
+        tables = [cyclic_sum_table(permutation_of(tree)) for tree in tup.trees]
+
+        def check(u, v):  # r x n bit arrays
+            lhs = product_trace(perm, [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)])
+            rhs = math.prod(
+                int(table[table_index(u[:, q]), table_index(v[:, q])])
+                for q, table in enumerate(tables)
+            )
+            return lhs == Dyadic(GaussInt(rhs, 0), 0)
+
+        return check
+
+    choices = 0
+    for n in range(1, 5):
+        for r in range(1, 4 // n + 1):
+            for tup in all_tuples(n, r):
+                check = splits(tup)
+                for bits in itertools.product((0, 1), repeat=2 * n * r):
+                    u, v = np.array(bits).reshape(2, r, n)
+                    assert check(u, v), (tup.id(), bits)
+                    choices += 1
+    assert choices == 5300
     rng = np.random.default_rng(3)
-    for _ in range(15):
+    for _ in range(30):
         n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        u, v = rng.integers(0, 2, (2, r, n))
         tup = random_tuple(n, r, rng)
-        factors = [[random_exact(rng) for _ in range(n)] for _ in range(r)]
-        ops = []
-        for c in range(r):
-            op = factors[c][0]
-            for q in range(1, n):
-                op = op.kron(factors[c][q])
-            ops.append(op)
-        lhs = product_trace(t_pi(tup), ops)
-        rhs = GaussInt(1, 0)
-        for q in range(n):
-            image = permutation_of(tup.trees[q])
-            rhs = rhs * a_product(image, [factors[c][q] for c in range(r)])
-        assert lhs == Dyadic(rhs, 0)
+        assert splits(tup)(u, v), (tup.id(), u, v)
 
 
-def test_permuted_trace_of_identity_counts_fixed_points():
-    tup = uniform_tuple(right_chain(2), 1)
-    perm = t_pi(tup)
-    ident = ExactOperator.identity(2)
-    assert permuted_trace(perm, ident) == Dyadic(GaussInt(2, 0), 0)
+def test_product_trace_of_identity_counts_fixed_points():
+    # one qubit, two copies swapped: the trace of SWAP is 2
+    perm = t_pi(uniform_tuple(right_chain(2), 1))
+    ident = ExactOperator.identity(1)
+    assert product_trace(perm, [ident, ident]) == Dyadic(GaussInt(2, 0), 0)
 
 
 # -- invariant traces ---------------------------------------------------------
@@ -281,31 +310,36 @@ def test_trace_invariant_under_local_clifford():
 # -- cyclic sums --------------------------------------------------------------
 
 
-def test_a_direct_identity_permutation_zero_bits():
+def test_cyclic_sum_table_identity_permutation_zero_bits():
     for r in (1, 2, 4):
-        image = permutation_of(left_chain(r))
-        assert a_direct(image, [0] * r, [0] * r) == GaussInt(1 << r, 0)
+        table = cyclic_sum_table(permutation_of(left_chain(r)))
+        assert table.shape == (1 << r, 1 << r)
+        assert table[0, 0] == 1 << r
 
 
-def test_a_closed_zero_outside_path_space():
-    tree = right_chain(3)
-    assert a_closed(tree, [1, 0, 0], [0, 0, 0]) == GaussInt(0, 0)
-    assert a_closed(tree, [0, 0, 0], [1, 1, 0]) != GaussInt(0, 0)
+def test_closed_form_table_zero_outside_path_space():
+    table = closed_form_table(right_chain(3))
+    assert table[table_index([1, 0, 0]), table_index([0, 0, 0])] == 0
+    assert table[table_index([0, 0, 0]), table_index([1, 1, 0])] != 0
 
 
-def test_a_direct_equals_a_closed_small():
-    for r in range(1, 4):
-        for tree in enumerate_trees(r):
-            image = permutation_of(tree)
-            for u in itertools.product((0, 1), repeat=r):
-                for v in itertools.product((0, 1), repeat=r):
-                    assert a_direct(image, u, v) == a_closed(tree, u, v)
+def test_lemma2_reports_a_planted_fault(monkeypatch):
+    # one wrong entry, at a (u, v) whose transpose and bit reversals all
+    # differ, must be reported at exactly that tree, u and v
+    tree = enumerate_trees(3)[2]
+    exact = oracle.closed_form_table
 
+    def planted(t):
+        table = exact(t)
+        if t == tree:
+            table[table_index([1, 1, 0]), table_index([0, 0, 1])] += 1
+        return table
 
-def test_a_product_rejects_scaled_factors():
-    with pytest.raises(ValueError):
-        a_product((1,), [ExactOperator(1, ExactOperator.identity(1).re,
-                                       ExactOperator.identity(1).im, 1)])
+    monkeypatch.setattr(oracle, "closed_form_table", planted)
+    report = suite_lemma2(max_r=3)
+    assert report["status"] == "fail"
+    assert report["checks"] == sum(catalan(r) << (2 * r) for r in (1, 2, 3))
+    assert report["failures"] == [{"tree": repr(tree), "u": (1, 1, 0), "v": (0, 0, 1)}]
 
 
 # -- quadratic-form identities ------------------------------------------------
@@ -351,6 +385,39 @@ def test_exhaustive_suites_refuse_work_over_budget():
         suite_lemma2(max_r=7)
     with pytest.raises(BudgetError, match=f"budget of {MAX_SUITE_CHECKS}"):
         suite_lemma4(max_n=5)
+
+
+def test_dense_suites_keep_checks_below_the_budget(monkeypatch):
+    # a fault at n=1 must still be reported when n=3 is over budget
+    exact = oracle.rho_graph_formula
+
+    def planted(adj, max_dim):
+        rho = exact(adj, max_dim)
+        return rho.times(GaussInt(-1, 0)) if adj.n == 1 else rho
+
+    monkeypatch.setattr(oracle, "rho_graph_formula", planted)
+    report = suite_lemma1(max_n=3, max_dim=4)
+    assert report["status"] == "fail"
+    assert report["checks"] == 3
+    assert report["warnings"] == ["skipped n=3: 2^3 over budget"]
+
+
+def test_dense_suites_run_every_size_that_fits():
+    report = suite_theorem1(max_n=3, max_r=2, codes_per_k=2, max_dim=4)
+    assert (report["status"], report["checks"]) == ("pass", 8)  # n=1: 2 tuples x 4 codes
+    assert report["warnings"] == [
+        "skipped n=2, r=2: 2^4 over budget",
+        "skipped n=3, r=2: 2^6 over budget",
+    ]
+    report = suite_lemma3(max_n=3, max_r=3, max_dim=16)
+    # n=3, r=1 fits after n=2, r=3 does not
+    assert (report["status"], report["checks"]) == ("pass", 8 + 2 * 5 + 8)
+    assert report["warnings"] == [
+        "skipped n=2, r=3: 2^6 over budget",
+        "skipped n=3, r=2: 2^6 over budget",
+        "skipped n=3, r=3: 2^9 over budget",
+    ]
+    assert suite_lemma1(max_n=2, max_dim=1)["status"] == "skipped"
 
 
 def test_lemma3_small_graphs():

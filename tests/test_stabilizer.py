@@ -16,7 +16,6 @@ from stabinv.stabilizer import (
     LocalCliffordOp,
     all_graphs,
     apply_local_clifford,
-    canonical_form,
     code_space,
     format_code,
     graph_generator,
@@ -83,8 +82,8 @@ def test_symplectic_matches_dense_commutator():
         n = int(rng.integers(1, 4))
         a = rng.integers(0, 2, 2 * n)
         b = rng.integers(0, 2, 2 * n)
-        pa = oracle.pauli_from_vector(a)
-        pb = oracle.pauli_from_vector(b)
+        pa = oracle.pauli_op(a[:n], a[n:])
+        pb = oracle.pauli_op(b[:n], b[n:])
         commute = (pa @ pb).same_as(pb @ pa)
         assert commute == (symplectic_product(a, b) == 0)
 
@@ -246,7 +245,7 @@ def test_permute_qubits_roundtrip():
     assert np.array_equal(back.matrix, gen.matrix)
 
 
-def test_canonical_form_identifies_spaces():
+def test_same_code_space_ignores_change_of_basis():
     rng = np.random.default_rng(10)
     gen = random_code(4, 3, 77)
     # right-multiply by an invertible change of basis: same column space
@@ -256,7 +255,6 @@ def test_canonical_form_identifies_spaces():
             break
     other = GeneratorMatrix(gen.matrix @ basis)
     assert same_code_space(gen, other)
-    assert np.array_equal(canonical_form(gen).matrix, canonical_form(other).matrix)
 
 
 def test_pauli_string_roundtrip():

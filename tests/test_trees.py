@@ -80,7 +80,6 @@ def test_ten_node_paths():
     assert is_canonical(TEN_NODE)
     decomp = maximal_right_paths(TEN_NODE)
     assert decomp.paths == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
-    assert decomp.starts() == (1, 2, 4, 5)
     assert decomp.path_of(9) == (1, 3, 9, 10)
 
 
@@ -104,7 +103,8 @@ def test_paths_partition_and_are_maximal():
                 assert t.right[p[-1] - 1] == 0
                 for a, b in zip(p, p[1:]):
                     assert t.right[a - 1] == b
-            assert list(decomp.starts()) == sorted(decomp.starts())
+            starts = [p[0] for p in decomp.paths]
+            assert starts == sorted(starts)
 
 
 def test_ten_node_permutation_cycles():
