@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The exact dense oracle, and what it certifies.
 
-The oracle evaluates the defining trace of each invariant with
-Gaussian-integer arithmetic and checks that its log2 differs from the
-binary kernel dimension by a constant that depends only on the tree tuple
-(never on the code).
+The oracle builds every Pauli and tau operator from one entry rule,
+(tau_(u,v))[x, y] = (-1)^(u.x) [x + y = v], as int64 Gaussian-integer
+arrays, evaluates the defining trace of each invariant exactly, and
+checks that its log2 differs from the binary kernel dimension by a
+constant that depends only on the tree tuple (never on the code).
 """
 
 from stabinv import oracle

@@ -27,7 +27,6 @@ from .invariants import (
 from .oracle import (
     Dyadic,
     ExactOperator,
-    GaussInt,
     closed_form_table,
     cyclic_sum_table,
     invariant_trace,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import invariants, oracle, stabilizer, trees
@@ -69,17 +68,6 @@ def _emit(payload: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _oracle_max_dim(args) -> int:
-    if args.max_dim is not None:
-        return args.max_dim
-    budget_mb = os.environ.get("STABINV_BUDGET_MB")
-    if budget_mb:
-        # coarse model: ~4 KiB of working set per dense basis index, which
-        # covers the boxed-integer entry arrays; 16 MB recovers the default
-        return max(2, (int(budget_mb) * (1 << 20)) // 4096)
-    return oracle.DEFAULT_MAX_DIM
 
 
 def _parse_omega(text: str, n: int) -> set[int]:
@@ -169,17 +157,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    max_dim = _oracle_max_dim(args)
     kwargs = {
-        "lemma1": {"max_n": args.max_n, "max_dim": max_dim},
+        "lemma1": {"max_n": args.max_n, "max_dim": args.max_dim},
         "lemma2": {"max_r": args.max_r},
-        "lemma3": {"max_n": args.max_n, "max_r": args.max_r, "max_dim": max_dim},
+        "lemma3": {"max_n": args.max_n, "max_r": args.max_r, "max_dim": args.max_dim},
         "lemma4": {"max_n": args.max_n, "max_r": args.max_r},
         "theorem1": {
             "max_n": args.max_n,
             "max_r": args.max_r,
             "seed": args.seed,
-            "max_dim": max_dim,
+            "max_dim": args.max_dim,
         },
         "theorem2": {"max_n": args.max_n, "max_r": args.max_r, "seed": args.seed},
     }
@@ -252,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-r", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="dense dimension cap (default from STABINV_BUDGET_MB or 4096)")
+    p.add_argument("--max-dim", type=int, default=oracle.DEFAULT_MAX_DIM,
+                   help="dense dimension cap (default %(default)s)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_oracle_check)

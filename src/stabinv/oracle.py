@@ -1,17 +1,21 @@
 """Exact dense-operator oracle for the binary invariant engine.
 
-Everything here is integer arithmetic: operators are dense matrices of
-Gaussian integers over an explicit power-of-2 denominator, so every
-identity is checked exactly.  This module exists to certify the GF(2)
-engines at desk scale, not to simulate anything large.
+Everything here is integer arithmetic: operators are dense int64 arrays
+of Gaussian integers over an explicit power-of-2 denominator, so every
+identity is checked exactly.  A product or trace whose result could leave
+the int64 range raises BudgetError before it starts; every size the dense
+budget admits stays far inside it.  This module exists to certify the
+GF(2) engines at desk scale, not to simulate anything large.
 
 Conventions, fixed once and used consistently:
 
 * Basis order: qubit 1 is the most significant bit inside a copy; copies
   are ordered 1..r, most significant first.
-* tau matrices are the real Pauli variant with tau_11 = i*sigma_y =
-  [[0, 1], [-1, 0]]; entrywise, (tau_ab)[x, y] = (-1)^(a*x) * [x+y = b].
-  They satisfy tau_(u,v) tau_(u',v') = (-1)^(v.u') tau_(u+u', v+v').
+* tau operators are the real Pauli variant, all built from one entry
+  rule: (tau_(u,v))[x, y] = (-1)^(u.x) * [x + y = v].  On one qubit
+  tau_11 = i*sigma_y = [[0, 1], [-1, 0]], and sigma_(u,v) =
+  (-i)^(u.v) tau_(u,v).  They satisfy
+  tau_(u,v) tau_(u',v') = (-1)^(v.u') tau_(u+u', v+v').
 * The copy permutation acts by sending the component at (copy c, qubit i)
   to the component at (copy pi_i(c), qubit i), and the pairing in the
   cyclic sums below is oriented to match, so that the trace against a
@@ -52,68 +56,59 @@ MAX_SUITE_CHECKS = 1 << 20
 
 
 @dataclass(frozen=True)
-class GaussInt:
-    """A Gaussian integer; plain Python ints, so no overflow anywhere."""
+class Dyadic:
+    """(re + i*im) / 2^scale with integer re and im, kept normalized."""
 
     re: int
     im: int
-
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
-
-@dataclass(frozen=True)
-class Dyadic:
-    """num / 2^scale with a Gaussian-integer numerator, kept normalized."""
-
-    num: GaussInt
     scale: int
 
     def __post_init__(self):
-        num, scale = self.num, self.scale
-        if num.re == 0 and num.im == 0:
+        re, im, scale = self.re, self.im, self.scale
+        if re == 0 and im == 0:
             scale = 0
-        while scale > 0 and num.re % 2 == 0 and num.im % 2 == 0:
-            num = GaussInt(num.re // 2, num.im // 2)
-            scale -= 1
-        object.__setattr__(self, "num", num)
+        while scale > 0 and re % 2 == 0 and im % 2 == 0:
+            re, im, scale = re // 2, im // 2, scale - 1
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
         object.__setattr__(self, "scale", scale)
 
     def log2(self) -> int:
         """Exact log2; requires a real, positive power-of-2 value."""
-        if self.num.im != 0:
+        if self.im != 0:
             raise ValueError(f"value {self} is not real")
-        if self.num.re <= 0:
+        if self.re <= 0:
             raise ValueError(f"value {self} is not positive")
-        if self.num.re & (self.num.re - 1):
+        if self.re & (self.re - 1):
             raise ValueError(f"value {self} is not a power of 2")
-        return self.num.re.bit_length() - 1 - self.scale
+        return self.re.bit_length() - 1 - self.scale
 
     def as_fraction(self) -> Fraction:
-        if self.num.im != 0:
+        if self.im != 0:
             raise ValueError(f"value {self} is not real")
-        return Fraction(self.num.re, 1 << self.scale)
+        return Fraction(self.re, 1 << self.scale)
+
+
+def _check_int64(what: str, bound: int) -> None:
+    """Refuse a computation whose results are only bounded by `bound`."""
+    if bound >= 1 << 63:
+        raise BudgetError(f"{what} may reach 2^{bound.bit_length() - 1}, outside int64")
+
+
+def _magnitude(op: "ExactOperator") -> int:
+    """An upper bound on |re| + |im| over the entries of op, as a Python int."""
+    return int(np.abs(op.re).max()) + int(np.abs(op.im).max())
 
 
 class ExactOperator:
-    """Dense 2^m x 2^m operator with Gaussian-integer entries / 2^scale."""
+    """Dense 2^m x 2^m operator with int64 Gaussian-integer entries / 2^scale."""
 
     __slots__ = ("m", "scale", "re", "im")
 
     def __init__(self, m: int, re: np.ndarray, im: np.ndarray, scale: int = 0):
         dim = 1 << m
+        re = np.asarray(re, dtype=np.int64)
+        im = np.asarray(im, dtype=np.int64)
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValueError("entry arrays do not match the qubit count")
         self.m = m
@@ -126,46 +121,20 @@ class ExactOperator:
         return 1 << self.m
 
     @classmethod
-    def from_entries(cls, re, im=None, scale: int = 0) -> "ExactOperator":
-        re = np.array(re, dtype=object)
-        im = np.zeros_like(re) if im is None else np.array(im, dtype=object)
-        m = re.shape[0].bit_length() - 1
-        return cls(m, re, im, scale)
-
-    @classmethod
     def identity(cls, m: int) -> "ExactOperator":
         dim = 1 << m
-        re = np.array(np.eye(dim, dtype=np.int64), dtype=object)
-        return cls(m, re, np.zeros((dim, dim), dtype=object), 0)
-
-    def kron(self, other: "ExactOperator") -> "ExactOperator":
-        re = np.kron(self.re, other.re) - np.kron(self.im, other.im)
-        im = np.kron(self.re, other.im) + np.kron(self.im, other.re)
-        return ExactOperator(self.m + other.m, re, im, self.scale + other.scale)
+        return cls(m, np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64))
 
     def __matmul__(self, other: "ExactOperator") -> "ExactOperator":
         if self.m != other.m:
             raise ValueError("operator sizes differ")
-        re = np.dot(self.re, other.re) - np.dot(self.im, other.im)
-        im = np.dot(self.re, other.im) + np.dot(self.im, other.re)
+        _check_int64("operator product", self.dim * _magnitude(self) * _magnitude(other))
+        re = self.re @ other.re - self.im @ other.im
+        im = self.re @ other.im + self.im @ other.re
         return ExactOperator(self.m, re, im, self.scale + other.scale)
 
-    def __add__(self, other: "ExactOperator") -> "ExactOperator":
-        if self.m != other.m:
-            raise ValueError("operator sizes differ")
-        s = max(self.scale, other.scale)
-        fa = 1 << (s - self.scale)
-        fb = 1 << (s - other.scale)
-        return ExactOperator(self.m, self.re * fa + other.re * fb,
-                             self.im * fa + other.im * fb, s)
-
-    def times(self, g: GaussInt) -> "ExactOperator":
-        re = self.re * g.re - self.im * g.im
-        im = self.re * g.im + self.im * g.re
-        return ExactOperator(self.m, re, im, self.scale)
-
     def trace(self) -> Dyadic:
-        return Dyadic(GaussInt(int(np.trace(self.re)), int(np.trace(self.im))), self.scale)
+        return Dyadic(int(np.trace(self.re)), int(np.trace(self.im)), self.scale)
 
     def same_as(self, other: "ExactOperator") -> bool:
         """Exact equality of the represented operators."""
@@ -188,52 +157,47 @@ def _check_dim(m: int, max_dim: int):
         raise BudgetError(f"dense dimension 2^{m} exceeds budget {max_dim}")
 
 
-_SIGMA = {
-    (0, 0): (((1, 0), (0, 1)), ((0, 0), (0, 0))),
-    (0, 1): (((0, 1), (1, 0)), ((0, 0), (0, 0))),
-    (1, 0): (((1, 0), (0, -1)), ((0, 0), (0, 0))),
-    (1, 1): (((0, 0), (0, 0)), ((0, -1), (1, 0))),  # sigma_y
-}
+def _parity(a: np.ndarray, r: int) -> np.ndarray:
+    out = np.zeros_like(a)
+    for b in range(r):
+        out ^= (a >> b) & 1
+    return out
 
 
-def _sigma_factor(a: int, b: int) -> ExactOperator:
-    re, im = _SIGMA[(a, b)]
-    return ExactOperator.from_entries(re, im)
+def _tau_entries(u, v, max_dim: int) -> np.ndarray:
+    """tau_(u,v) by its entry rule: [x, y] is (-1)^(u.x) if x + y = v, else 0.
+
+    u and v are bit rows, one bit per qubit, qubit 1 the top bit of x and y.
+    """
+    if len(u) != len(v):
+        raise ValueError("u and v must have equal length")
+    n = len(u)
+    _check_dim(n, max_dim)
+    ui = vi = 0
+    for a, b in zip(u, v):
+        ui, vi = (ui << 1) | (int(a) % 2), (vi << 1) | (int(b) % 2)
+    x = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros((1 << n, 1 << n), dtype=np.int64)
+    out[x, x ^ vi] = 1 - 2 * _parity(x & ui, n)
+    return out
 
 
-def _tau_factor(a: int, b: int) -> ExactOperator:
-    # (tau_ab)[x, y] = (-1)^(a*x) [x + y = b]; tau_11 = i sigma_y.
-    re = np.zeros((2, 2), dtype=object)
-    for x in (0, 1):
-        re[x, x ^ b] = (-1) ** (a & x)
-    return ExactOperator(1, re, np.zeros((2, 2), dtype=object))
-
-
-def _tensor(factors) -> ExactOperator:
-    op = None
-    for f in factors:
-        op = f if op is None else op.kron(f)
-    if op is None:
-        return ExactOperator.identity(0)
-    return op
+# (-i)^w as (re, im), indexed by w mod 4
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 def pauli_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
-    """Tensor product of sigma factors for the (z-part, x-part) bit rows."""
-    u, v = list(u), list(v)
-    if len(u) != len(v):
-        raise ValueError("u and v must have equal length")
-    _check_dim(len(u), max_dim)
-    return _tensor(_sigma_factor(int(a) % 2, int(b) % 2) for a, b in zip(u, v))
+    """The Pauli operator with z-part u and x-part v: (-i)^(u.v) tau_(u,v),
+    so that u = v = 1 on one qubit gives sigma_y."""
+    t = _tau_entries(u, v, max_dim)
+    c, s = _MINUS_I_POWERS[sum(int(a) % 2 * (int(b) % 2) for a, b in zip(u, v)) % 4]
+    return ExactOperator(len(u), c * t, s * t)
 
 
 def tau_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
-    """Tensor product of tau factors; real entries by construction."""
-    u, v = list(u), list(v)
-    if len(u) != len(v):
-        raise ValueError("u and v must have equal length")
-    _check_dim(len(u), max_dim)
-    return _tensor(_tau_factor(int(a) % 2, int(b) % 2) for a, b in zip(u, v))
+    """The real Pauli variant tau_(u,v) on len(u) qubits."""
+    t = _tau_entries(u, v, max_dim)
+    return ExactOperator(len(u), t, np.zeros_like(t))
 
 
 def rho_from_code(
@@ -254,8 +218,8 @@ def rho_from_code(
         raise ValueError("signs must be +-1, one per generator")
     gens = [pauli_op(gen.matrix[:n, j], gen.matrix[n:, j], max_dim) for j in range(k)]
     dim = 1 << n
-    acc_re = np.zeros((dim, dim), dtype=object)
-    acc_im = np.zeros((dim, dim), dtype=object)
+    acc_re = np.zeros((dim, dim), dtype=np.int64)
+    acc_im = np.zeros((dim, dim), dtype=np.int64)
     for x in itertools.product((0, 1), repeat=k):
         term = ExactOperator.identity(n)
         sign = 1
@@ -285,16 +249,13 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     _check_dim(n, max_dim)
     theta = adj.theta
     dim = 1 << n
-    acc_re = np.zeros((dim, dim), dtype=object)
-    acc_im = np.zeros((dim, dim), dtype=object)
+    acc = np.zeros((dim, dim), dtype=np.int64)
     for x in itertools.product((0, 1), repeat=n):
         xv = np.array(x, dtype=np.uint8)
         u = (theta @ xv) % 2
-        term = tau_op(u, xv, max_dim)
         sign = (-1) ** quadratic_form(adj, xv)
-        acc_re += sign * term.re
-        acc_im += sign * term.im
-    return ExactOperator(n, acc_re, acc_im, n)
+        acc += sign * _tau_entries(u, xv, max_dim)
+    return ExactOperator(n, acc, np.zeros_like(acc), n)
 
 
 @dataclass(frozen=True)
@@ -353,17 +314,23 @@ def product_trace(perm: IndexPermutation, ops) -> Dyadic:
     """Trace of the permutation operator against op_1 (x) ... (x) op_r.
 
     The tensor product is never materialized: each basis contraction
-    index multiplies one entry of each copy's operator.
+    index multiplies one entry of each copy's operator.  Raises
+    BudgetError first when 2^(n*r) times the product of each copy's
+    largest |re| + |im| leaves the int64 range.
     """
     ops = list(ops)
     if len(ops) != perm.r or any(op.m != perm.n for op in ops):
         raise ValueError("need r operators on n qubits each")
+    bound = perm.dim
+    for op in ops:
+        bound *= _magnitude(op)
+    _check_int64("product trace", bound)
     n, r = perm.n, perm.r
     idx = np.arange(perm.dim, dtype=np.int64)
     m = perm.image
     mask = (1 << n) - 1
-    acc_re = np.full(perm.dim, 1, dtype=object)
-    acc_im = np.full(perm.dim, 0, dtype=object)
+    acc_re = np.ones(perm.dim, dtype=np.int64)
+    acc_im = np.zeros(perm.dim, dtype=np.int64)
     scale = 0
     for c, op in enumerate(ops):
         shift = n * (r - 1 - c)
@@ -373,7 +340,7 @@ def product_trace(perm: IndexPermutation, ops) -> Dyadic:
         fim = op.im[rows, cols]
         acc_re, acc_im = acc_re * fre - acc_im * fim, acc_re * fim + acc_im * fre
         scale += op.scale
-    return Dyadic(GaussInt(int(acc_re.sum()), int(acc_im.sum())), scale)
+    return Dyadic(int(acc_re.sum()), int(acc_im.sum()), scale)
 
 
 # -- the tau cyclic sums, one table per tree ----------------------------------
@@ -387,13 +354,6 @@ def product_trace(perm: IndexPermutation, ops) -> Dyadic:
 def _bits(i, r: int) -> tuple[int, ...]:
     """Table index i as r bits, copy 1 first."""
     return tuple((int(i) >> (r - c)) & 1 for c in range(1, r + 1))
-
-
-def _parity(a: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    for b in range(r):
-        out ^= (a >> b) & 1
-    return out
 
 
 def cyclic_sum_table(image) -> np.ndarray:
@@ -516,50 +476,44 @@ def lemma4_check(
     }
 
 
+def _signed_sum(adj: AdjacencyMatrix, tup: TreeTuple, max_points: int) -> tuple[int, int]:
+    """The sum of (-1)^Q over the graph's tuple space, and its cardinality."""
+    elems = _space_elements(tuple_space_basis(adj, tup), max_points)
+    q = quad_form_values(adj, tup, elems)
+    return len(q) - 2 * int(q.sum()), len(q)
+
+
 def lemma3_check(
     adj: AdjacencyMatrix,
     tup: TreeTuple,
-    max_dim: int = DEFAULT_MAX_DIM,
+    trace: Fraction,
+    norm: Fraction,
     max_points: int = 1 << 16,
 ) -> dict | None:
     """Verify the signed tuple-space sum reproduces the exact trace.
 
-    The normalization is measured once on the edgeless graph of the same
-    size and must then fit every other graph; the signed sum must also
-    equal the plain cardinality of the space (the quadratic form being
-    zero on it).  Returns None on pass, else a mismatch record.
+    trace is the exact trace of the graph projector against t_pi(tup);
+    norm is the ratio of signed sum to trace measured once on the edgeless
+    graph of the same size, and must then fit every other graph.  The
+    signed sum must also equal the plain cardinality of the space (the
+    quadratic form being zero on it).  Returns None on pass, else a
+    mismatch record.
     """
-    n = adj.n
-
-    def form_values(graph: AdjacencyMatrix) -> np.ndarray:
-        elems = _space_elements(tuple_space_basis(graph, tup), max_points)
-        return quad_form_values(graph, tup, elems)
-
-    def signed_sum(q: np.ndarray) -> int:
-        return len(q) - 2 * int(q.sum())
-
-    def trace_value(graph: AdjacencyMatrix) -> Fraction:
-        return invariant_trace(graph_generator(graph), tup, max_dim).as_fraction()
-
-    reference = AdjacencyMatrix.empty(n)
-    norm = Fraction(signed_sum(form_values(reference))) / trace_value(reference)
-    q = form_values(adj)
-    s = signed_sum(q)
-    t = trace_value(adj)
-    if t * norm != s:
+    s, card = _signed_sum(adj, tup, max_points)
+    if trace * norm != s:
         return {
             "graph": to_text(adj.theta),
             "tuple": tup.id(),
             "signed_sum": s,
-            "trace": str(t),
+            "trace": str(trace),
             "normalization": str(norm),
         }
-    if s != len(q):
+    if s != card:
         return {
             "graph": to_text(adj.theta),
             "tuple": tup.id(),
             "signed_sum": s,
-            "cardinality": len(q),
+            "cardinality": card,
         }
     return None
 
@@ -619,6 +573,11 @@ def suite_lemma2(max_r: int = 5) -> dict:
 def suite_lemma3(
     max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM, max_points: int = 1 << 16
 ) -> dict:
+    """Signed tuple-space sums against exact traces, every graph and tuple.
+
+    Each graph's projector is built once per n, and each tuple's t_pi and
+    edgeless-graph normalization once per (n, r).
+    """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])
@@ -626,14 +585,29 @@ def suite_lemma3(
     failures = []
     warnings = []
     for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
-            if (1 << (n * r)) > max_dim:
-                warnings.append(f"skipped n={n}, r={r}: 2^{n * r} over budget")
-                continue
-            for adj in all_graphs(n):
-                for tup in all_tuples(n, r):
+        sizes = [r for r in range(1, max_r + 1) if (1 << (n * r)) <= max_dim]
+        warnings += [
+            f"skipped n={n}, r={r}: 2^{n * r} over budget"
+            for r in range(1, max_r + 1) if r not in sizes
+        ]
+        if not sizes:
+            continue
+        graphs = list(all_graphs(n))
+        rhos = [rho_from_code(graph_generator(adj), max_dim=max_dim) for adj in graphs]
+        edgeless = AdjacencyMatrix.empty(n)
+        rho_edgeless = rho_from_code(graph_generator(edgeless), max_dim=max_dim)
+        for r in sizes:
+            tuples = []
+            for tup in all_tuples(n, r):
+                perm = t_pi(tup, max_dim)
+                trace = product_trace(perm, [rho_edgeless] * r).as_fraction()
+                norm = Fraction(_signed_sum(edgeless, tup, max_points)[0]) / trace
+                tuples.append((tup, perm, norm))
+            for adj, rho in zip(graphs, rhos):
+                for tup, perm, norm in tuples:
                     checks += 1
-                    bad = lemma3_check(adj, tup, max_dim, max_points)
+                    trace = product_trace(perm, [rho] * r).as_fraction()
+                    bad = lemma3_check(adj, tup, trace, norm, max_points)
                     if bad is not None:
                         failures.append(bad)
     return _result(name, checks, failures, warnings)

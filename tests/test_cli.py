@@ -220,17 +220,12 @@ def test_oracle_check_budget_skips(capsys):
     assert code == 0
     assert payload["status"] == "skipped"
     assert "7616356 checks" in payload["warnings"][0]
-
-
-def test_oracle_check_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("STABINV_BUDGET_MB", "1")
     code, payload = run_json(
         capsys, "oracle-check", "--suite", "theorem1", "--max-n", "3", "--max-r", "3",
-        "--seed", "1",
+        "--seed", "1", "--max-dim", "256",
     )
     assert code == 0
-    # 1 MiB caps the dense dimension at 1024, so n=3, r=3 must be skipped
-    assert any("skipped n=3, r=3" in w for w in payload["warnings"])
+    assert payload["warnings"] == ["skipped n=3, r=3: 2^9 over budget"]
 
 
 def test_oracle_check_deterministic(capsys):

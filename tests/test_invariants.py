@@ -39,7 +39,7 @@ from stabinv.stabilizer import (
     random_code,
     restrict_to,
 )
-from stabinv.trees import enumerate_trees, left_chain, right_chain
+from stabinv.trees import enumerate_trees, left_chain, right_chain, serialize
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 
@@ -316,6 +316,27 @@ def test_compare_global_guards():
         compare_global(EDGE2, random_code(3, 1, 18), 2)
     with pytest.raises(BudgetError):
         compare_global(random_code(9, 1, 19), random_code(9, 1, 20), 2)
+
+
+def test_compare_global_filters_above_degree_2(monkeypatch):
+    # Fake n=2 record streams: the first code's degree-2 records are
+    # symmetric under swapping the qubits and its degree-3 records are not;
+    # the second code is the first with its qubits swapped.  Only the
+    # degree-3 records rule out the identity relabelling.
+    def dims(r, i, j):
+        return int(i == j) if r == 2 else int((i, j) == (0, 1))
+
+    def stream(swapped):
+        for r in (2, 3):
+            names = [serialize(t) for t in enumerate_trees(r)]
+            for i, j in itertools.product(range(len(names)), repeat=2):
+                yield r, (names[i], names[j]), dims(r, j, i) if swapped else dims(r, i, j)
+
+    gen1, gen2 = random_code(2, 1, 21), random_code(2, 1, 22)
+    monkeypatch.setattr(
+        invariants, "_sweep", lambda gen, r_max, max_records: stream(gen is gen2)
+    )
+    assert compare_global(gen1, gen2, 3) == (2, 1)
 
 
 def brute_first_difference(gen1, gen2, r_max):

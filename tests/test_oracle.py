@@ -9,6 +9,7 @@ import pytest
 
 from stabinv import oracle
 from stabinv.errors import BudgetError
+from stabinv.gf2 import to_text
 from stabinv.invariants import (
     TreeTuple,
     all_tuples,
@@ -20,7 +21,6 @@ from stabinv.oracle import (
     MAX_SUITE_CHECKS,
     Dyadic,
     ExactOperator,
-    GaussInt,
     IndexPermutation,
     closed_form_table,
     cyclic_sum_table,
@@ -59,7 +59,7 @@ from stabinv.trees import (
     right_chain,
 )
 
-ONE = Dyadic(GaussInt(1, 0), 0)
+ONE = Dyadic(1, 0, 0)
 
 
 def random_tuple(n, r, rng) -> TreeTuple:
@@ -75,6 +75,32 @@ def table_index(bits) -> int:
 # -- single operators ---------------------------------------------------------
 
 
+# the one-qubit factors written out; sigma as complex, tau_11 = i sigma_y
+SIGMA = {(0, 0): [[1, 0], [0, 1]], (0, 1): [[0, 1], [1, 0]],
+         (1, 0): [[1, 0], [0, -1]], (1, 1): [[0, -1j], [1j, 0]]}
+TAU = {(0, 0): [[1, 0], [0, 1]], (0, 1): [[0, 1], [1, 0]],
+       (1, 0): [[1, 0], [0, -1]], (1, 1): [[0, 1], [-1, 0]]}
+
+
+def scaled(op: ExactOperator, re: int, im: int = 0) -> ExactOperator:
+    """op times the Gaussian integer re + i*im."""
+    return ExactOperator(op.m, re * op.re - im * op.im, re * op.im + im * op.re, op.scale)
+
+
+def test_entry_rule_matches_tensor_products():
+    # qubit 1 is the leftmost Kronecker factor; 84 (u, v) pairs for n <= 3
+    pairs = 0
+    for n in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=2 * n):
+            u, v = bits[:n], bits[n:]
+            factors = list(zip(u, v))
+            for op, table in ((tau_op(u, v), TAU), (pauli_op(u, v), SIGMA)):
+                expected = functools.reduce(np.kron, [np.array(table[f]) for f in factors])
+                assert np.array_equal(op.re + 1j * op.im, expected), (u, v)
+            pairs += 1
+    assert pairs == 84
+
+
 def test_zero_vector_gives_identity():
     assert pauli_op([0, 0], [0, 0]).same_as(ExactOperator.identity(2))
     assert tau_op([0, 0], [0, 0]).same_as(ExactOperator.identity(2))
@@ -87,7 +113,7 @@ def test_sigma_and_tau_at_11():
     t = tau_op([1], [1])
     assert t.re.tolist() == [[0, 1], [-1, 0]]  # i * sigma_y, real
     assert not np.any(t.im)
-    assert t.same_as(sigma_y.times(GaussInt(0, 1)))
+    assert t.same_as(scaled(sigma_y, 0, 1))
 
 
 def test_tau_multiplication_rule():
@@ -96,7 +122,7 @@ def test_tau_multiplication_rule():
     def check(u, v, u2, v2):
         lhs = tau_op(u, v) @ tau_op(u2, v2)
         sign = (-1) ** (sum(a * b for a, b in zip(v, u2)) % 2)
-        rhs = tau_op(np.bitwise_xor(u, u2), np.bitwise_xor(v, v2)).times(GaussInt(sign, 0))
+        rhs = scaled(tau_op(np.bitwise_xor(u, u2), np.bitwise_xor(v, v2)), sign)
         assert lhs.same_as(rhs)
 
     for bits in itertools.product((0, 1), repeat=4):
@@ -227,7 +253,7 @@ def test_trace_splits_over_qubits():
                 int(table[table_index(u[:, q]), table_index(v[:, q])])
                 for q, table in enumerate(tables)
             )
-            return lhs == Dyadic(GaussInt(rhs, 0), 0)
+            return lhs == Dyadic(rhs, 0, 0)
 
         return check
 
@@ -253,7 +279,23 @@ def test_product_trace_of_identity_counts_fixed_points():
     # one qubit, two copies swapped: the trace of SWAP is 2
     perm = t_pi(uniform_tuple(right_chain(2), 1))
     ident = ExactOperator.identity(1)
-    assert product_trace(perm, [ident, ident]) == Dyadic(GaussInt(2, 0), 0)
+    assert product_trace(perm, [ident, ident]) == Dyadic(2, 0, 0)
+
+
+def test_int64_guard_refuses_before_wrapping():
+    # entries near 2^40: the results could reach 2^81 and more, which int64
+    # would wrap
+    big = ExactOperator(1, np.full((2, 2), (1 << 40) + 1), np.zeros((2, 2)))
+    perm = t_pi(identity_tuple(1, 2))
+    with pytest.raises(BudgetError, match=r"product trace may reach 2\^82, outside int64"):
+        product_trace(perm, [big, big])
+    with pytest.raises(BudgetError, match=r"operator product may reach 2\^81, outside int64"):
+        big @ big
+    # entries 2^29 (1 - i): both bounds stay inside int64 and the values are exact
+    near = ExactOperator(1, np.full((2, 2), 1 << 29), np.full((2, 2), -(1 << 29)))
+    assert product_trace(perm, [near, near]) == Dyadic(0, -(1 << 61), 0)
+    square = near @ near
+    assert not square.re.any() and (square.im == -(1 << 60)).all()
 
 
 # -- invariant traces ---------------------------------------------------------
@@ -393,7 +435,7 @@ def test_dense_suites_keep_checks_below_the_budget(monkeypatch):
 
     def planted(adj, max_dim):
         rho = exact(adj, max_dim)
-        return rho.times(GaussInt(-1, 0)) if adj.n == 1 else rho
+        return scaled(rho, -1) if adj.n == 1 else rho
 
     monkeypatch.setattr(oracle, "rho_graph_formula", planted)
     report = suite_lemma1(max_n=3, max_dim=4)
@@ -421,11 +463,43 @@ def test_dense_suites_run_every_size_that_fits():
 
 
 def test_lemma3_small_graphs():
+    # the quadratic form of the edgeless graph is zero, so its signed sum
+    # is the cardinality of its tuple space
     for n in (1, 2):
-        for adj in all_graphs(n):
-            for r in (1, 2):
-                for tup in all_tuples(n, r):
-                    assert lemma3_check(adj, tup) is None
+        edgeless = AdjacencyMatrix.empty(n)
+        for r in (1, 2):
+            for tup in all_tuples(n, r):
+                size = 1 << tuple_space_basis(edgeless, tup).shape[1]
+                norm = size / invariant_trace(graph_generator(edgeless), tup).as_fraction()
+                for adj in all_graphs(n):
+                    trace = invariant_trace(graph_generator(adj), tup).as_fraction()
+                    assert lemma3_check(adj, tup, trace, norm) is None
+                    bad = lemma3_check(adj, tup, 2 * trace, norm)
+                    assert bad["trace"] == str(2 * trace)
+                    assert bad["normalization"] == str(norm)
+
+
+def test_lemma3_reports_a_planted_fault(monkeypatch):
+    # a doubled projector for the one-edge graph on 2 qubits scales its
+    # traces by 2^r; only a normalization taken from the edgeless graph
+    # can notice
+    edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
+    target = graph_generator(edge).matrix
+    exact = oracle.rho_from_code
+
+    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
+        rho = exact(gen, signs, max_dim)
+        return scaled(rho, 2) if np.array_equal(gen.matrix, target) else rho
+
+    checks = suite_lemma3(max_n=2, max_r=2)["checks"]
+    monkeypatch.setattr(oracle, "rho_from_code", planted)
+    report = suite_lemma3(max_n=2, max_r=2)
+    assert report["status"] == "fail"
+    assert report["checks"] == checks == 3 + 2 * 5
+    tuples = [tup.id() for r in (1, 2) for tup in all_tuples(2, r)]
+    assert [(f["graph"], f["tuple"]) for f in report["failures"]] == [
+        (to_text(edge.theta), t) for t in tuples
+    ]
 
 
 def test_lemma3_identity_tuple_counts():
@@ -439,20 +513,14 @@ def test_lemma3_identity_tuple_counts():
 
 
 def test_dyadic_normalization_and_log2():
-    assert Dyadic(GaussInt(4, 0), 2) == ONE
-    assert Dyadic(GaussInt(8, 0), 1).log2() == 2
-    assert Dyadic(GaussInt(1, 0), 3).log2() == -3
+    assert Dyadic(4, 0, 2) == ONE
+    assert Dyadic(8, 0, 1).log2() == 2
+    assert Dyadic(1, 0, 3).log2() == -3
+    assert Dyadic(6, -2, 1) == Dyadic(3, -1, 0)
     with pytest.raises(ValueError):
-        Dyadic(GaussInt(3, 0), 0).log2()
+        Dyadic(3, 0, 0).log2()
     with pytest.raises(ValueError):
-        Dyadic(GaussInt(-4, 0), 0).log2()
+        Dyadic(-4, 0, 0).log2()
     with pytest.raises(ValueError):
-        Dyadic(GaussInt(0, 2), 0).log2()
+        Dyadic(0, 2, 0).log2()
 
-
-def test_gauss_int_arithmetic():
-    a, b = GaussInt(2, 1), GaussInt(0, 3)
-    assert a + b == GaussInt(2, 4)
-    assert a * b == GaussInt(-3, 6)
-    assert -a == GaussInt(-2, -1)
-    assert a - b == GaussInt(2, -2)
