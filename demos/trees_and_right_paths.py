@@ -35,8 +35,7 @@ ten = BinaryTree(
     right=(3, 0, 9, 7, 6, 0, 8, 0, 10, 0),
 )
 print("\n10-node tree:", serialize(ten))
-decomp = maximal_right_paths(ten)
-print("maximal right paths:", decomp.paths)
+print("maximal right paths:", maximal_right_paths(ten))
 print("as cycles:", cycle_form(permutation_of(ten)))
 
 # Column j of the path matrix marks the nodes of path j; its transpose's

@@ -5,11 +5,16 @@ Output is JSON on stdout (a plain-text table is available with
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
 validate was given a code that fails validation).
+
+oracle-check passes on only the limits the user gave; the suite's own
+signature supplies every default, and a limit the suite does not take
+is a parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -157,29 +162,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    kwargs = {
-        "lemma1": {"max_n": args.max_n, "max_dim": args.max_dim},
-        "lemma2": {"max_r": args.max_r},
-        "lemma3": {"max_n": args.max_n, "max_r": args.max_r, "max_dim": args.max_dim},
-        "lemma4": {"max_n": args.max_n, "max_r": args.max_r},
-        "theorem1": {
-            "max_n": args.max_n,
-            "max_r": args.max_r,
-            "seed": args.seed,
-            "max_dim": args.max_dim,
-        },
-        "theorem2": {"max_n": args.max_n, "max_r": args.max_r, "seed": args.seed},
-    }
-    try:
-        report = oracle.SUITES[args.suite](**kwargs[args.suite])
-    except BudgetError as exc:
-        report = {
-            "suite": args.suite,
-            "status": "skipped",
-            "checks": 0,
-            "failures": [],
-            "warnings": [str(exc)],
-        }
+    suite = oracle.SUITES[args.suite]
+    params = inspect.signature(suite).parameters
+    # a wrapper that forwards **kwargs passes every limit on to the suite
+    forwards = any(p.kind is p.VAR_KEYWORD for p in params.values())
+    kwargs = {}
+    for name in ("max_n", "max_r", "seed", "max_dim"):
+        if hasattr(args, name):
+            if name not in params and not forwards:
+                flag = "--" + name.replace("_", "-")
+                raise ParseError(f"suite {args.suite} does not take {flag}")
+            kwargs[name] = getattr(args, name)
+    report = suite(**kwargs)
     _emit(report, args)
     if report["status"] == "fail":
         return EXIT_DISTINGUISHED
@@ -236,11 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="run an exact certification suite")
     p.add_argument("--suite", required=True, choices=sorted(oracle.SUITES))
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-r", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=oracle.DEFAULT_MAX_DIM,
-                   help="dense dimension cap (default %(default)s)")
+    p.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
+                   help="largest qubit count (default: the suite's)")
+    p.add_argument("--max-r", type=int, default=argparse.SUPPRESS,
+                   help="largest degree (default: the suite's)")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="seed of the random codes (default: the suite's)")
+    p.add_argument("--max-dim", type=int, default=argparse.SUPPRESS,
+                   help="dense dimension cap (default: the suite's)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_oracle_check)

@@ -36,7 +36,7 @@ from .trees import (
     singleton_path_nodes,
 )
 
-DEFAULT_MAX_ENUM = 2**16
+MAX_ENUM = 2**16  # largest point count any enumeration cross-check visits
 DEFAULT_MAX_RECORDS = 200_000
 MAX_GLOBAL_QUBITS = 8
 
@@ -137,7 +137,7 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
 def _union_paths(tup: TreeTuple) -> list[tuple[tuple[int, ...], set[int]]]:
     """Distinct right paths across the tuple, each with the qubit set on
     which its codeword sum may be supported (qubits whose tree lacks it)."""
-    path_sets = [set(maximal_right_paths(t).paths) for t in tup.trees]
+    path_sets = [set(maximal_right_paths(t)) for t in tup.trees]
     union = sorted(set().union(*path_sets))
     return [
         (p, {i for i in range(1, tup.n + 1) if p not in path_sets[i - 1]})
@@ -145,24 +145,22 @@ def _union_paths(tup: TreeTuple) -> list[tuple[tuple[int, ...], set[int]]]:
     ]
 
 
-def theorem2_dim(
-    gen: GeneratorMatrix, tup: TreeTuple, max_points: int = DEFAULT_MAX_ENUM
-) -> int:
+def theorem2_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
     """Invariant dimension by direct enumeration of codeword r-tuples.
 
     Counts tuples (y1, ..., yr) of codewords such that for every right
     path p in the union over the trees, the support of sum(y_j, j in p)
     lies inside p's allowed qubit set.  The count is always a power of 2;
     returns its log2.  Intended as an independent cross-check at small
-    r*k.
+    r*k; raises BudgetError when 2^(r*k) exceeds MAX_ENUM.
     """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
     require_valid(gen)
     r, k, n = tup.r, gen.k, gen.n
     points = 1 << (r * k)
-    if points > max_points:
-        raise BudgetError(f"enumeration of 2^{r * k} tuples exceeds budget {max_points}")
+    if points > MAX_ENUM:
+        raise BudgetError(f"enumeration of 2^{r * k} tuples exceeds budget {MAX_ENUM}")
 
     words = code_space(gen)  # codewords indexed by coefficient vectors
     idx = np.arange(points, dtype=np.int64)

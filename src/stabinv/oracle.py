@@ -32,13 +32,14 @@ import numpy as np
 
 from .errors import BudgetError
 from .gf2 import kernel_basis, to_text
-from .invariants import TreeTuple, all_tuples, invariant_dim, theorem2_dim
+from .invariants import MAX_ENUM, TreeTuple, all_tuples, invariant_dim, theorem2_dim
 from .stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
     all_graphs,
     graph_generator,
     random_code,
+    require_valid,
 )
 from .trees import (
     BinaryTree,
@@ -207,8 +208,10 @@ def rho_from_code(
     generated by the k generator Paulis (each taken with +1 phase, or with
     the sign provided per generator).
 
-    Exact properties: trace 1, and rho^2 = 2^(k-n) rho.
+    Exact properties: trace 1, and rho^2 = 2^(k-n) rho.  Raises
+    ValueError naming the violation if the code is invalid.
     """
+    require_valid(gen)
     n, k = gen.n, gen.k
     _check_dim(n, max_dim)
     if signs is None:
@@ -386,7 +389,7 @@ def closed_form_table(tree: BinaryTree) -> np.ndarray:
     r = tree.r
     bits = (np.arange(1 << r, dtype=np.int64)[:, None] >> np.arange(r - 1, -1, -1)) & 1
     in_paths = np.ones(1 << r, dtype=bool)
-    for p in maximal_right_paths(tree).paths:
+    for p in maximal_right_paths(tree):
         in_paths &= bits[:, [c - 1 for c in p]].sum(axis=1) % 2 == 0
     d = d_matrix(tree).astype(np.int64)
     signs = 1 - 2 * ((bits @ d.T @ bits.T) % 2)
@@ -413,7 +416,7 @@ def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> np.ndarray:
     theta = adj.theta
     rows = []
     for i in range(1, n + 1):
-        for p in maximal_right_paths(tup.trees[i - 1]).paths:
+        for p in maximal_right_paths(tup.trees[i - 1]):
             row_theta = np.zeros(n * r, dtype=np.uint8)
             row_e = np.zeros(n * r, dtype=np.uint8)
             for j in p:
@@ -425,10 +428,10 @@ def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> np.ndarray:
     return kernel_basis(np.array(rows, dtype=np.uint8))
 
 
-def _space_elements(basis: np.ndarray, max_points: int) -> np.ndarray:
+def _space_elements(basis: np.ndarray) -> np.ndarray:
     length, dim = basis.shape
-    if 1 << dim > max_points:
-        raise BudgetError(f"enumerating 2^{dim} space elements exceeds budget {max_points}")
+    if 1 << dim > MAX_ENUM:
+        raise BudgetError(f"enumerating 2^{dim} space elements exceeds budget {MAX_ENUM}")
     vecs = basis.T  # dim x (n*r)
     if dim == 0:
         return np.zeros((1, length), dtype=np.uint8)
@@ -455,15 +458,13 @@ def quad_form_values(adj: AdjacencyMatrix, tup: TreeTuple, elems: np.ndarray) ->
     return (q1 + q2) % 2
 
 
-def lemma4_check(
-    adj: AdjacencyMatrix, tup: TreeTuple, max_points: int = 1 << 16
-) -> dict | None:
+def lemma4_check(adj: AdjacencyMatrix, tup: TreeTuple) -> dict | None:
     """Verify the quadratic form vanishes on the whole tuple space.
 
     Returns None on pass, or a counterexample record.
     """
     basis = tuple_space_basis(adj, tup)
-    elems = _space_elements(basis, max_points)
+    elems = _space_elements(basis)
     q = quad_form_values(adj, tup, elems)
     bad = np.nonzero(q)[0]
     if bad.size == 0:
@@ -476,19 +477,15 @@ def lemma4_check(
     }
 
 
-def _signed_sum(adj: AdjacencyMatrix, tup: TreeTuple, max_points: int) -> tuple[int, int]:
+def _signed_sum(adj: AdjacencyMatrix, tup: TreeTuple) -> tuple[int, int]:
     """The sum of (-1)^Q over the graph's tuple space, and its cardinality."""
-    elems = _space_elements(tuple_space_basis(adj, tup), max_points)
+    elems = _space_elements(tuple_space_basis(adj, tup))
     q = quad_form_values(adj, tup, elems)
     return len(q) - 2 * int(q.sum()), len(q)
 
 
 def lemma3_check(
-    adj: AdjacencyMatrix,
-    tup: TreeTuple,
-    trace: Fraction,
-    norm: Fraction,
-    max_points: int = 1 << 16,
+    adj: AdjacencyMatrix, tup: TreeTuple, trace: Fraction, norm: Fraction
 ) -> dict | None:
     """Verify the signed tuple-space sum reproduces the exact trace.
 
@@ -499,7 +496,7 @@ def lemma3_check(
     quadratic form being zero on it).  Returns None on pass, else a
     mismatch record.
     """
-    s, card = _signed_sum(adj, tup, max_points)
+    s, card = _signed_sum(adj, tup)
     if trace * norm != s:
         return {
             "graph": to_text(adj.theta),
@@ -521,11 +518,23 @@ def lemma3_check(
 # -- certification suites ----------------------------------------------------
 
 
-def _check_budget(name: str, projected: int) -> None:
-    if projected > MAX_SUITE_CHECKS:
-        raise BudgetError(
-            f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
-        )
+def _over_budget(name: str, projected: int) -> dict | None:
+    """The "skipped" report of an exhaustive suite whose projected check
+    count exceeds MAX_SUITE_CHECKS, else None."""
+    if projected <= MAX_SUITE_CHECKS:
+        return None
+    warning = f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
+    return _result(name, 0, [], [warning])
+
+
+def _dense_sizes(n: int, degrees, max_dim: int, warnings: list) -> list[int]:
+    """The degrees r whose dense dimension 2^(n*r) fits max_dim; appends
+    one warning per other degree to warnings."""
+    sizes = [r for r in degrees if (1 << (n * r)) <= max_dim]
+    warnings += [
+        f"skipped n={n}, r={r}: 2^{n * r} over budget" for r in degrees if r not in sizes
+    ]
+    return sizes
 
 
 def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
@@ -549,16 +558,17 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     return _result(name, checks, failures, warnings)
 
 
-def suite_lemma2(max_r: int = 5) -> dict:
+def suite_lemma2(max_r: int = 3) -> dict:
     """Closed form of the tau cyclic sum, exhaustively over trees and bits.
 
-    Raises BudgetError before any work when the projected check count,
-    one per tree and pair of bit vectors, exceeds MAX_SUITE_CHECKS.
+    Returns a "skipped" report, before any work, when the projected check
+    count, one per tree and pair of bit vectors, exceeds MAX_SUITE_CHECKS.
     """
     name = "lemma2"
     if max_r < 1:
         return _result(name, 0, [], ["max_r below 1; nothing to check"])
-    _check_budget(name, sum(catalan(r) << (2 * r) for r in range(1, max_r + 1)))
+    if skipped := _over_budget(name, sum(catalan(r) << (2 * r) for r in range(1, max_r + 1))):
+        return skipped
     checks = 0
     failures = []
     for r in range(1, max_r + 1):
@@ -570,9 +580,7 @@ def suite_lemma2(max_r: int = 5) -> dict:
     return _result(name, checks, failures)
 
 
-def suite_lemma3(
-    max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM, max_points: int = 1 << 16
-) -> dict:
+def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
     Each graph's projector is built once per n, and each tuple's t_pi and
@@ -585,11 +593,7 @@ def suite_lemma3(
     failures = []
     warnings = []
     for n in range(1, max_n + 1):
-        sizes = [r for r in range(1, max_r + 1) if (1 << (n * r)) <= max_dim]
-        warnings += [
-            f"skipped n={n}, r={r}: 2^{n * r} over budget"
-            for r in range(1, max_r + 1) if r not in sizes
-        ]
+        sizes = _dense_sizes(n, range(1, max_r + 1), max_dim, warnings)
         if not sizes:
             continue
         graphs = list(all_graphs(n))
@@ -601,25 +605,23 @@ def suite_lemma3(
             for tup in all_tuples(n, r):
                 perm = t_pi(tup, max_dim)
                 trace = product_trace(perm, [rho_edgeless] * r).as_fraction()
-                norm = Fraction(_signed_sum(edgeless, tup, max_points)[0]) / trace
+                norm = Fraction(_signed_sum(edgeless, tup)[0]) / trace
                 tuples.append((tup, perm, norm))
             for adj, rho in zip(graphs, rhos):
                 for tup, perm, norm in tuples:
                     checks += 1
                     trace = product_trace(perm, [rho] * r).as_fraction()
-                    bad = lemma3_check(adj, tup, trace, norm, max_points)
+                    bad = lemma3_check(adj, tup, trace, norm)
                     if bad is not None:
                         failures.append(bad)
     return _result(name, checks, failures, warnings)
 
 
-def suite_lemma4(
-    max_n: int = 3, max_r: int = 3, max_points: int = 1 << 16
-) -> dict:
+def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     """The graph quadratic form vanishes on every tuple space.
 
-    Raises BudgetError before any work when the projected check count
-    exceeds MAX_SUITE_CHECKS.
+    Returns a "skipped" report, before any work, when the projected check
+    count exceeds MAX_SUITE_CHECKS.
     """
     name = "lemma4"
     if max_n < 1 or max_r < 1:
@@ -630,7 +632,8 @@ def suite_lemma4(
         for n in range(1, max_n + 1)
         for r in range(1, max_r + 1)
     )
-    _check_budget(name, projected)
+    if skipped := _over_budget(name, projected):
+        return skipped
     checks = 0
     failures = []
     for n in range(1, max_n + 1):
@@ -638,7 +641,7 @@ def suite_lemma4(
             for adj in all_graphs(n):
                 for tup in all_tuples(n, r):
                     checks += 1
-                    bad = lemma4_check(adj, tup, max_points)
+                    bad = lemma4_check(adj, tup)
                     if bad is not None:
                         failures.append(bad)
     return _result(name, checks, failures)
@@ -661,11 +664,7 @@ def suite_theorem1(
     failures = []
     warnings = []
     for n in range(1, max_n + 1):
-        sizes = [r for r in range(2, max_r + 1) if (1 << (n * r)) <= max_dim]
-        warnings += [
-            f"skipped n={n}, r={r}: 2^{n * r} over budget"
-            for r in range(2, max_r + 1) if r not in sizes
-        ]
+        sizes = _dense_sizes(n, range(2, max_r + 1), max_dim, warnings)
         if not sizes:
             continue
         codes = [
@@ -697,7 +696,6 @@ def suite_theorem2(
     max_r: int = 3,
     codes_per_k: int = 5,
     seed: int = 0,
-    max_points: int = 1 << 16,
 ) -> dict:
     """Kernel dimension vs. direct enumeration of constrained codeword
     tuples, exhaustively over tree tuples."""
@@ -710,7 +708,7 @@ def suite_theorem2(
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
             for k in range(n + 1):
-                if (1 << (r * k)) > max_points:
+                if (1 << (r * k)) > MAX_ENUM:
                     warnings.append(f"skipped n={n}, r={r}, k={k}: 2^{r * k} over budget")
                     continue
                 for c in range(codes_per_k):
@@ -718,7 +716,7 @@ def suite_theorem2(
                     for tup in all_tuples(n, r):
                         checks += 1
                         lhs = invariant_dim(gen, tup)
-                        rhs = theorem2_dim(gen, tup, max_points)
+                        rhs = theorem2_dim(gen, tup)
                         if lhs != rhs:
                             failures.append({
                                 "n": n, "k": k, "tuple": tup.id(),

@@ -183,6 +183,8 @@ class AdjacencyMatrix:
     def from_edges(cls, n: int, edges) -> "AdjacencyMatrix":
         dense = np.zeros((n, n), dtype=np.uint8)
         for a, b in edges:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge ({a}, {b}) has a vertex outside 1..{n}")
             if a == b:
                 raise ValueError("no loops in a simple graph")
             dense[a - 1, b - 1] = dense[b - 1, a - 1] = 1

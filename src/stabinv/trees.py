@@ -109,35 +109,16 @@ def catalan(r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _shapes(m: int):
-    """All tree shapes on m nodes as nested (left, right) pairs."""
+def _serialized(m: int) -> tuple[str, ...]:
+    """Serialized forms of all trees on m nodes; "" stands for no subtree."""
     if m == 0:
-        return (None,)
-    out = []
-    for nl in range(m):
-        for ls in _shapes(nl):
-            for rs in _shapes(m - 1 - nl):
-                out.append((ls, rs))
-    return tuple(out)
-
-
-def _label_shape(shape) -> BinaryTree:
-    left: list[int] = []
-    right: list[int] = []
-
-    def rec(node) -> int:
-        label = len(left) + 1
-        left.append(0)
-        right.append(0)
-        ls, rs = node
-        if ls is not None:
-            left[label - 1] = rec(ls)
-        if rs is not None:
-            right[label - 1] = rec(rs)
-        return label
-
-    rec(shape)
-    return BinaryTree(tuple(left), tuple(right))
+        return ("",)
+    return tuple(
+        "(" + (ls and "L" + ls) + (rs and "R" + rs) + ")"
+        for nl in range(m)
+        for ls in _serialized(nl)
+        for rs in _serialized(m - 1 - nl)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -148,9 +129,7 @@ def enumerate_trees(r: int) -> tuple[BinaryTree, ...]:
     """
     if r < 1:
         raise ValueError("need at least one node")
-    trees = [_label_shape(s) for s in _shapes(r)]
-    trees.sort(key=serialize)
-    return tuple(trees)
+    return tuple(parse(text) for text in sorted(_serialized(r)))
 
 
 def left_chain(r: int) -> BinaryTree:
@@ -165,29 +144,13 @@ def right_chain(r: int) -> BinaryTree:
     return BinaryTree((0,) * r, right)
 
 
-@dataclass(frozen=True)
-class RightPathDecomposition:
+def maximal_right_paths(tree: BinaryTree) -> tuple[tuple[int, ...], ...]:
     """The maximal right paths of a tree, ordered by their start nodes.
 
     Each path (v0, ..., vs) satisfies: v0 is nobody's right son, each
     later node is the right son of its predecessor, and vs has no right
-    son.  The paths partition {1, ..., r}.
+    son.  The paths partition {1, ..., r}, and each one increases.
     """
-
-    paths: tuple[tuple[int, ...], ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.paths)
-
-    def path_of(self, node: int) -> tuple[int, ...]:
-        for p in self.paths:
-            if node in p:
-                return p
-        raise ValueError(f"node {node} not covered")
-
-
-def maximal_right_paths(tree: BinaryTree) -> RightPathDecomposition:
     right_sons = {c for c in tree.right if c}
     paths = []
     for start in range(1, tree.r + 1):
@@ -197,7 +160,7 @@ def maximal_right_paths(tree: BinaryTree) -> RightPathDecomposition:
         while tree.right[path[-1] - 1]:
             path.append(tree.right[path[-1] - 1])
         paths.append(tuple(path))
-    return RightPathDecomposition(tuple(paths))
+    return tuple(paths)
 
 
 def permutation_of(tree: BinaryTree) -> tuple[int, ...]:
@@ -207,7 +170,7 @@ def permutation_of(tree: BinaryTree) -> tuple[int, ...]:
     a path (v0, ..., vs) the cycle maps v0 -> v1 -> ... -> vs -> v0.
     """
     image = [0] * tree.r
-    for p in maximal_right_paths(tree).paths:
+    for p in maximal_right_paths(tree):
         for a, b in zip(p, p[1:]):
             image[a - 1] = b
         image[p[-1] - 1] = p[0]
@@ -234,9 +197,9 @@ def cycle_form(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def r_matrix(tree: BinaryTree) -> np.ndarray:
     """r x t path-indicator matrix: column j marks the nodes of path j."""
-    decomp = maximal_right_paths(tree)
-    out = np.zeros((tree.r, decomp.t), dtype=np.uint8)
-    for j, p in enumerate(decomp.paths):
+    paths = maximal_right_paths(tree)
+    out = np.zeros((tree.r, len(paths)), dtype=np.uint8)
+    for j, p in enumerate(paths):
         for v in p:
             out[v - 1, j] = 1
     return out
@@ -244,11 +207,10 @@ def r_matrix(tree: BinaryTree) -> np.ndarray:
 
 def d_matrix(tree: BinaryTree) -> np.ndarray:
     """r x r prefix matrix: column j marks nodes i <= j on j's right path."""
-    decomp = maximal_right_paths(tree)
     out = np.zeros((tree.r, tree.r), dtype=np.uint8)
-    for j in range(1, tree.r + 1):
-        for v in decomp.path_of(j):
-            if v <= j:
+    for p in maximal_right_paths(tree):
+        for i, v in enumerate(p):
+            for j in p[i:]:
                 out[v - 1, j - 1] = 1
     return out
 
@@ -259,7 +221,7 @@ def v_space_dimension(tree: BinaryTree) -> int:
     The t indicator columns have disjoint nonzero supports, so the rank is
     t and the null-space dimension is r - t.
     """
-    return tree.r - maximal_right_paths(tree).t
+    return tree.r - len(maximal_right_paths(tree))
 
 
 def singleton_path_nodes(tree: BinaryTree) -> set[int]:

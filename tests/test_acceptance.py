@@ -159,7 +159,7 @@ def test_criterion_8_combinatorial_counts():
         left=(2, 0, 4, 5, 0, 0, 0, 0, 0, 0),
         right=(3, 0, 9, 7, 6, 0, 8, 0, 10, 0),
     )
-    paths = maximal_right_paths(ten_node).paths
+    paths = maximal_right_paths(ten_node)
     ok = ok and paths == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
     _report(8, "tree counts and the 10-node path decomposition", ok)
 

@@ -201,6 +201,30 @@ def test_oracle_check_lemma1(capsys):
     assert payload["checks"] == 3
 
 
+@pytest.mark.parametrize(
+    "suite, checks",
+    [("lemma1", 11), ("lemma2", 356), ("lemma3", 1140), ("lemma4", 1140), ("theorem2", 3210)],
+)
+def test_oracle_check_suite_defaults(capsys, suite, checks):
+    # no flag given: every limit is the suite's own default
+    code, payload = run_json(capsys, "oracle-check", "--suite", suite)
+    assert code == 0
+    assert (payload["status"], payload["checks"]) == ("pass", checks)
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("lemma1", "--max-r"), ("lemma2", "--max-n"), ("lemma3", "--seed"),
+     ("lemma4", "--max-dim"), ("theorem2", "--max-dim")],
+)
+def test_oracle_check_rejects_a_flag_the_suite_does_not_take(capsys, suite, flag):
+    code = cli.main(["oracle-check", "--suite", suite, flag, "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"suite {suite} does not take {flag}" in captured.err
+
+
 def test_oracle_check_zero_limits_skip(capsys):
     code, payload = run_json(capsys, "oracle-check", "--suite", "theorem1", "--max-n", "0")
     assert code == 0

@@ -13,6 +13,7 @@ from stabinv.errors import BudgetError
 from stabinv.gf2 import rank
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
+    MAX_ENUM,
     TreeTuple,
     all_tuples,
     compare_global,
@@ -200,8 +201,9 @@ def test_theorem2_identity_tuple_zero():
 
 def test_theorem2_budget():
     gen = random_code(3, 3, 9)
-    with pytest.raises(BudgetError):
-        theorem2_dim(gen, identity_tuple(3, 3), max_points=4)
+    assert theorem2_dim(gen, identity_tuple(3, 5)) == 0  # 2^15 points fit MAX_ENUM
+    with pytest.raises(BudgetError, match=f"2\\^18 tuples exceeds budget {MAX_ENUM}"):
+        theorem2_dim(gen, identity_tuple(3, 6))
 
 
 def test_reduce_pad_roundtrip():

@@ -171,6 +171,14 @@ def test_adjacency_rejects_asymmetry_and_loops():
         AdjacencyMatrix([[1, 0], [0, 0]])
 
 
+def test_from_edges_rejects_labels_outside_range():
+    # labels are 1-based: 0 must not wrap around to vertex n
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has a vertex outside 1\.\.3"):
+        AdjacencyMatrix.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError, match=r"edge \(1, 4\) has a vertex outside 1\.\.3"):
+        AdjacencyMatrix.from_edges(3, [(1, 4)])
+
+
 def test_six_invertible_blocks():
     assert len(INVERTIBLE_2X2) == 6
 

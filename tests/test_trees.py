@@ -78,32 +78,30 @@ def test_parse_rejects_garbage():
 
 def test_ten_node_paths():
     assert is_canonical(TEN_NODE)
-    decomp = maximal_right_paths(TEN_NODE)
-    assert decomp.paths == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
-    assert decomp.path_of(9) == (1, 3, 9, 10)
+    assert maximal_right_paths(TEN_NODE) == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
 
 
 def test_single_node_path():
-    assert maximal_right_paths(left_chain(1)).paths == ((1,),)
+    assert maximal_right_paths(left_chain(1)) == ((1,),)
 
 
 def test_right_chain_single_path():
-    assert maximal_right_paths(right_chain(3)).paths == ((1, 2, 3),)
+    assert maximal_right_paths(right_chain(3)) == ((1, 2, 3),)
 
 
 def test_paths_partition_and_are_maximal():
     for r in range(1, 8):
         for t in enumerate_trees(r):
-            decomp = maximal_right_paths(t)
-            covered = [v for p in decomp.paths for v in p]
+            paths = maximal_right_paths(t)
+            covered = [v for p in paths for v in p]
             assert sorted(covered) == list(range(1, r + 1))
             right_sons = {c for c in t.right if c}
-            for p in decomp.paths:
+            for p in paths:
                 assert p[0] not in right_sons
                 assert t.right[p[-1] - 1] == 0
                 for a, b in zip(p, p[1:]):
                     assert t.right[a - 1] == b
-            starts = [p[0] for p in decomp.paths]
+            starts = [p[0] for p in paths]
             assert starts == sorted(starts)
 
 
@@ -143,10 +141,10 @@ def test_r_matrix_rank_and_kernel():
     for r in range(1, 7):
         for t in enumerate_trees(r):
             mat = r_matrix(t)
-            decomp = maximal_right_paths(t)
-            assert rank(mat) == decomp.t
-            assert kernel_basis(mat.T).shape[1] == r - decomp.t
-            assert v_space_dimension(t) == r - decomp.t
+            t_paths = len(maximal_right_paths(t))
+            assert rank(mat) == t_paths
+            assert kernel_basis(mat.T).shape[1] == r - t_paths
+            assert v_space_dimension(t) == r - t_paths
 
 
 def test_d_matrix_root_column():
@@ -194,8 +192,8 @@ def test_delete_preserves_other_paths():
                 reduced = delete_singleton(t, node)
                 assert is_canonical(reduced)
                 old = {tuple(v - 1 if v > node else v for v in p)
-                       for p in maximal_right_paths(t).paths if p != (node,)}
-                new = set(maximal_right_paths(reduced).paths)
+                       for p in maximal_right_paths(t) if p != (node,)}
+                new = set(maximal_right_paths(reduced))
                 assert old == new
 
 
