@@ -3,14 +3,17 @@
 
 A code is a 2n x k full-rank matrix over GF(2) whose columns pairwise
 commute under the symplectic product; graph states are the special case
-[theta; I] for an adjacency matrix theta.
+[theta; I] for an adjacency matrix theta.  A GeneratorMatrix is always
+such a code: other bits are refused where the code is made.
 """
 
 import numpy as np
 
+from stabinv.errors import InvalidCodeError
 from stabinv.gf2 import to_text
 from stabinv.stabilizer import (
     AdjacencyMatrix,
+    GeneratorMatrix,
     LocalCliffordOp,
     apply_local_clifford,
     code_space,
@@ -30,11 +33,18 @@ gen = graph_generator(edge)
 print("generator matrix (columns = generators):")
 print(to_text(gen.matrix))
 print("as Pauli strings:", gen.pauli_strings())
-print("validates:", validate(gen) is None)
+print("validates:", validate(gen.matrix) is None)
 
 # The symplectic product detects (anti)commutation: X and Z on the same
-# qubit anticommute.
+# qubit anticommute, so together they are no code.  validate names the
+# violation of a bit matrix; the constructor refuses it.
 print("X1 vs Z1:", symplectic_product([0, 1], [1, 0]))
+x1_z1 = [[0, 1], [0, 0], [1, 0], [0, 0]]  # columns X1 and Z1 on 2 qubits
+print("X1 and Z1 as generators:", validate(x1_z1))
+try:
+    GeneratorMatrix(x1_z1)
+except InvalidCodeError as exc:
+    print("refused:", exc)
 
 # Codewords and supports.
 for word in code_space(gen):

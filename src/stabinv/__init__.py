@@ -6,7 +6,7 @@ formalism, and ships an exact dense-operator oracle that certifies the
 binary computation at desk scale.
 """
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, InvalidCodeError, ParseError
 from .invariants import (
     Fingerprint,
     InvariantRecord,

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import invariants, oracle, stabilizer, trees
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, InvalidCodeError, ParseError
 
 EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
@@ -28,26 +28,20 @@ EXIT_BUDGET = 3
 EXIT_INVALID = 4
 
 
-class InvalidCodeError(ValueError):
-    """A code file parsed but describes no valid stabilizer code."""
-
-
 def _read_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
+    """The code in the file.  The library accepts the trivial 0-qubit code
+    (a restriction to the empty set), but every command here needs at
+    least one qubit, so such a code is bad-shape.  An InvalidCodeError
+    leaves with the file as its `path`, for the message on stderr."""
     with open(path, "r", encoding="ascii") as fh:
-        return stabilizer.parse_code(fh.read(), fmt)
-
-
-def _violation(gen: stabilizer.GeneratorMatrix) -> str | None:
-    # the library accepts the trivial 0-qubit code (a restriction to the
-    # empty set), but every command here needs at least one qubit
-    return "bad-shape" if gen.n == 0 else stabilizer.validate(gen)
-
-
-def _read_valid_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
-    gen = _read_code(path, fmt)
-    violation = _violation(gen)
-    if violation is not None:
-        raise InvalidCodeError(f"{path}: {violation}")
+        text = fh.read()
+    try:
+        gen = stabilizer.parse_code(text, fmt)
+        if gen.n == 0:
+            raise InvalidCodeError("bad-shape", gen.matrix.shape)
+    except InvalidCodeError as exc:
+        exc.path = path
+        raise
     return gen
 
 
@@ -89,11 +83,13 @@ def _parse_omega(text: str, n: int) -> set[int]:
 
 
 def cmd_validate(args) -> int:
-    gen = _read_code(_code_path(args), args.code_format)
-    violation = _violation(gen)
+    try:
+        shape, violation = _read_code(_code_path(args), args.code_format).matrix.shape, None
+    except InvalidCodeError as exc:
+        shape, violation = exc.shape, exc.violation
     payload = {
-        "n": gen.n,
-        "k": gen.k,
+        "n": shape[0] // 2,
+        "k": shape[1],
         "status": "ok" if violation is None else "violation",
     }
     if violation is not None:
@@ -113,7 +109,7 @@ def _read_tuple(spec: str) -> invariants.TreeTuple:
 
 
 def cmd_invariant(args) -> int:
-    gen = _read_valid_code(_code_path(args), args.code_format)
+    gen = _read_code(_code_path(args), args.code_format)
     if (args.trees is None) == (args.omega is None):
         raise ParseError("need exactly one of --trees or --omega")
     if args.omega is not None:
@@ -132,15 +128,15 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    gen = _read_valid_code(_code_path(args), args.code_format)
+    gen = _read_code(_code_path(args), args.code_format)
     fp = invariants.fingerprint(gen, args.rmax, max_records=args.max_tuples)
     _emit(fp.to_payload(), args)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    gen_a = _read_valid_code(args.code_a, args.code_format)
-    gen_b = _read_valid_code(args.code_b, args.code_format)
+    gen_a = _read_code(args.code_a, args.code_format)
+    gen_b = _read_code(args.code_b, args.code_format)
     if gen_a.n != gen_b.n:
         raise ParseError(f"codes have different lengths {gen_a.n} and {gen_b.n}")
     if args.global_search:
@@ -254,12 +250,12 @@ def main(argv=None) -> int:
         print(f"stabinv: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidCodeError as exc:
-        print(f"stabinv: invalid code: {exc}", file=sys.stderr)
+        print(f"stabinv: invalid code: {exc.path}: {exc.violation}", file=sys.stderr)
         return EXIT_INVALID
     except BudgetError as exc:
         print(f"stabinv: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"stabinv: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -13,3 +13,13 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class InvalidCodeError(ValueError):
+    """A bit matrix that is no valid stabilizer code; carries the first
+    violated property and the matrix shape."""
+
+    def __init__(self, violation, shape):
+        super().__init__(f"invalid code: {violation}")
+        self.violation = violation
+        self.shape = shape

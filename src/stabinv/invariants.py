@@ -5,9 +5,7 @@ is the GF(2) kernel dimension of a stacked Kronecker matrix: block i is
 (path matrix of tree i)^T tensor (2 x k qubit subblock i).  Equivalently
 it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set.  Both routes are
-implemented; the second doubles as an enumeration cross-check.  Every
-public function taking a code raises ValueError naming the violation if
-the code is invalid.
+implemented; the second doubles as an enumeration cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import numpy as np
 from . import trees as trees_mod
 from .errors import BudgetError
 from .gf2 import rank
-from .stabilizer import GeneratorMatrix, code_space, qubit_rows, require_valid
+from .stabilizer import GeneratorMatrix, code_space, qubit_rows
 from .trees import (
     BinaryTree,
     attach_singleton_root,
@@ -115,7 +113,6 @@ def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
     """Kernel dimension of the stacked Kronecker matrix."""
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    require_valid(gen)
     return _kernel_dim([_block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)])
 
 
@@ -129,7 +126,6 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     omega = set(omega)
     if omega and not omega <= set(range(1, gen.n + 1)):
         raise ValueError("omega must be a subset of 1..n")
-    require_valid(gen)
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
     return _kernel_dim([qubit_rows(gen, outside)])
 
@@ -156,7 +152,6 @@ def theorem2_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
     """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    require_valid(gen)
     r, k, n = tup.r, gen.k, gen.n
     points = 1 << (r * k)
     if points > MAX_ENUM:
@@ -242,13 +237,11 @@ def record_count(n: int, r_max: int) -> int:
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
     2..r_max in canonical order.  Each (qubit, tree) block is built once
-    per degree and shared by every tuple that uses it.  Raises ValueError
-    naming the violation if the code is invalid."""
+    per degree and shared by every tuple that uses it."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
         raise ValueError("need at least one qubit")
-    require_valid(gen)
     total = record_count(gen.n, r_max)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")

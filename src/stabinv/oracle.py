@@ -39,7 +39,6 @@ from .stabilizer import (
     all_graphs,
     graph_generator,
     random_code,
-    require_valid,
 )
 from .trees import (
     BinaryTree,
@@ -144,6 +143,11 @@ class ExactOperator:
         s = max(self.scale, other.scale)
         fa = 1 << (s - self.scale)
         fb = 1 << (s - other.scale)
+        # a factor of 2^63 or more overflows even on a zero operator
+        _check_int64(
+            "rescaled operator",
+            max(fa * max(_magnitude(self), 1), fb * max(_magnitude(other), 1)),
+        )
         return bool(
             np.array_equal(self.re * fa, other.re * fb)
             and np.array_equal(self.im * fa, other.im * fb)
@@ -204,35 +208,22 @@ def tau_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
 def rho_from_code(
     gen: GeneratorMatrix, signs=None, max_dim: int = DEFAULT_MAX_DIM
 ) -> ExactOperator:
-    """The code's normalized projector: 2^-n times the sum of the group
-    generated by the k generator Paulis (each taken with +1 phase, or with
-    the sign provided per generator).
+    """The code's normalized projector 2^-n (I + s_1 g_1) ... (I + s_k g_k)
+    for the k generator Paulis g_j, each with sign s_j = +1 or the sign
+    provided; expanded, it is 2^-n times the sum of the group they generate.
 
-    Exact properties: trace 1, and rho^2 = 2^(k-n) rho.  Raises
-    ValueError naming the violation if the code is invalid.
+    Exact properties: trace 1, and rho^2 = 2^(k-n) rho.
     """
-    require_valid(gen)
     n, k = gen.n, gen.k
     _check_dim(n, max_dim)
-    if signs is None:
-        signs = (1,) * k
-    signs = tuple(signs)
+    signs = (1,) * k if signs is None else tuple(signs)
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
-    gens = [pauli_op(gen.matrix[:n, j], gen.matrix[n:, j], max_dim) for j in range(k)]
-    dim = 1 << n
-    acc_re = np.zeros((dim, dim), dtype=np.int64)
-    acc_im = np.zeros((dim, dim), dtype=np.int64)
-    for x in itertools.product((0, 1), repeat=k):
-        term = ExactOperator.identity(n)
-        sign = 1
-        for j, xj in enumerate(x):
-            if xj:
-                term = term @ gens[j]
-                sign *= signs[j]
-        acc_re += sign * term.re
-        acc_im += sign * term.im
-    return ExactOperator(n, acc_re, acc_im, n)
+    rho = ExactOperator.identity(n)
+    for j, s in enumerate(signs):
+        g = pauli_op(gen.matrix[:n, j], gen.matrix[n:, j], max_dim)
+        rho = rho @ ExactOperator(n, np.eye(rho.dim, dtype=np.int64) + s * g.re, s * g.im)
+    return ExactOperator(n, rho.re, rho.im, n)
 
 
 def quadratic_form(adj: AdjacencyMatrix, x) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidCodeError, ParseError
 from .gf2 import kernel_basis, rank, to_text
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -32,18 +32,21 @@ def _frozen_bits(array) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """A stabilizer code as its 2n x k binary generator matrix.
+    """A valid stabilizer code as its 2n x k binary generator matrix.
 
     Any 2-d integer array-like is accepted and stored reduced mod 2 as a
-    read-only uint8 array, so instances can be shared freely.
+    read-only uint8 array, so instances can be shared freely.  Bits that
+    are no valid code raise InvalidCodeError naming the first violation,
+    so every instance is a valid code.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         bits = _frozen_bits(self.matrix)
-        if bits.shape[0] % 2 != 0:
-            raise ValueError("generator matrix must have an even number of rows")
+        violation = validate(bits)
+        if violation is not None:
+            raise InvalidCodeError(violation, bits.shape)
         object.__setattr__(self, "matrix", bits)
 
     @property
@@ -61,18 +64,7 @@ class GeneratorMatrix:
         if not strings:
             raise ValueError("need n from at least one Pauli string")
         n = len(strings[0])
-        cols = []
-        for s in strings:
-            if len(s) != n:
-                raise ValueError(f"Pauli string length mismatch: {s!r}")
-            u = [0] * n
-            v = [0] * n
-            for i, ch in enumerate(s):
-                if ch not in _PAULI_TO_BITS:
-                    raise ValueError(f"bad Pauli letter {ch!r} in {s!r}")
-                u[i], v[i] = _PAULI_TO_BITS[ch]
-            cols.append(u + v)
-        return cls(np.array(cols, dtype=np.uint8).T)
+        return cls(np.array([_pauli_column(s, n) for s in strings], dtype=np.uint8).T)
 
     def pauli_strings(self) -> list[str]:
         n = self.n
@@ -83,27 +75,34 @@ class GeneratorMatrix:
         return out
 
 
-def validate(gen: GeneratorMatrix) -> str | None:
-    """Return None if valid, else the first violated property.
+def _pauli_column(s: str, n: int) -> list[int]:
+    """The (z-part, x-part) bits of one upper-case Pauli string of length n."""
+    if len(s) != n:
+        raise ValueError(f"Pauli string length mismatch: {s!r}")
+    for ch in s:
+        if ch not in _PAULI_TO_BITS:
+            raise ValueError(f"bad Pauli letter {ch!r} in {s!r}")
+    return [_PAULI_TO_BITS[ch][0] for ch in s] + [_PAULI_TO_BITS[ch][1] for ch in s]
 
-    Violations, checked in order: "bad-shape" (k > n), "not-full-rank",
-    "not-self-orthogonal" (some pair of columns has symplectic product 1).
+
+def validate(matrix) -> str | None:
+    """Return None if a 2n x k bit matrix is a valid code, else the first
+    violated property.
+
+    Violations, checked in order: "bad-shape" (an odd row count, or
+    k > n), "not-full-rank", "not-self-orthogonal" (some pair of columns
+    has symplectic product 1).
     """
-    if gen.k > gen.n:
+    bits = _frozen_bits(matrix)
+    n, k = bits.shape[0] // 2, bits.shape[1]
+    if bits.shape[0] % 2 or k > n:
         return "bad-shape"
-    if rank(gen.matrix) != gen.k:
+    if rank(bits) != k:
         return "not-full-rank"
-    z, x = gen.matrix[: gen.n], gen.matrix[gen.n :]
+    z, x = bits[:n], bits[n:]
     if np.any((z.T @ x + x.T @ z) % 2):
         return "not-self-orthogonal"
     return None
-
-
-def require_valid(gen: GeneratorMatrix) -> None:
-    """Raise ValueError naming the first violation if the code is invalid."""
-    violation = validate(gen)
-    if violation is not None:
-        raise ValueError(f"invalid code: {violation}")
 
 
 def symplectic_product(a, b) -> int:
@@ -145,13 +144,11 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     Solves for the coefficient space {x : S_j x = 0 for all j outside
     omega}, maps a basis through S, and drops the coordinate pairs outside
     omega.  S being full rank makes that map injective, so the result is a
-    valid code on |omega| qubits.  Raises ValueError naming the violation
-    if the code is invalid.
+    valid code on |omega| qubits.
     """
     omega = sorted(set(omega))
     if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
         raise ValueError("omega must be a subset of 1..n")
-    require_valid(gen)
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
     basis = kernel_basis(qubit_rows(gen, outside))  # k x d
     inside = GeneratorMatrix(gen.matrix @ basis)  # 2n x d
@@ -317,34 +314,39 @@ def random_code(n: int, k: int, seed) -> GeneratorMatrix:
 
 
 def parse_code(text: str, fmt: str = "auto") -> GeneratorMatrix:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """The code in a code file.  A format error raises ParseError with the
+    file's own 1-based line; a well-formed file that describes no valid
+    code raises InvalidCodeError."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty code file", line=1)
-    header = lines[0]
+    (header_no, header), body = lines[0], lines[1:]
     detected = "pauli" if header.lower() == "pauli" else "bits"
     if fmt != "auto" and fmt != detected:
-        raise ParseError(f"expected {fmt} format but found {detected} header", line=1)
+        raise ParseError(f"expected {fmt} format but found {detected} header", line=header_no)
     if detected == "pauli":
-        if len(lines) == 1:
-            raise ParseError("pauli header with no generators", line=1)
-        try:
-            return GeneratorMatrix.from_pauli_strings(lines[1:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=2) from exc
+        if not body:
+            raise ParseError("pauli header with no generators", line=header_no)
+        cols = []
+        for no, ln in body:
+            try:
+                cols.append(_pauli_column(ln.upper(), len(body[0][1])))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=no) from exc
+        return GeneratorMatrix(np.array(cols, dtype=np.uint8).T)
     parts = header.split()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(f"expected header 'n k', got {header!r}", line=1)
+        raise ParseError(f"expected header 'n k', got {header!r}", line=header_no)
     n, k = int(parts[0]), int(parts[1])
-    body = lines[1:]
     # a k = 0 code has 2n empty rows, and blank lines were dropped above
     expected = 2 * n if k else 0
     if len(body) != expected:
-        raise ParseError(f"expected {expected} bit rows, found {len(body)}", line=len(lines))
+        raise ParseError(f"expected {expected} bit rows, found {len(body)}", line=lines[-1][0])
     rows = []
-    for off, ln in enumerate(body):
+    for no, ln in body:
         if len(ln) != k or set(ln) - {"0", "1"}:
-            raise ParseError(f"expected {k} bits, got {ln!r}", line=off + 2)
+            raise ParseError(f"expected {k} bits, got {ln!r}", line=no)
         rows.append([int(ch) for ch in ln])
     return GeneratorMatrix(np.array(rows, dtype=np.uint8).reshape(2 * n, k))
 

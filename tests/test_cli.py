@@ -93,6 +93,46 @@ def test_validate_parse_error(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "strings, n, k, violation",
+    [
+        (["X", "Z"], 1, 2, "bad-shape"),
+        (["XX", "XX"], 2, 2, "not-full-rank"),
+        (["XI", "ZI"], 2, 2, "not-self-orthogonal"),
+    ],
+    ids=["bad-shape", "not-full-rank", "not-self-orthogonal"],
+)
+def test_invalid_pauli_file(capsys, tmp_path, strings, n, k, violation):
+    # a well-formed Pauli file with no valid code is a violation, not a
+    # parse error
+    path = tmp_path / "invalid.code"
+    path.write_text("\n".join(["pauli", *strings]) + "\n")
+    code, payload = run_json(capsys, "validate", str(path))
+    assert code == 1
+    assert payload == {"n": n, "k": k, "status": "violation", "violation": violation}
+    for argv in (
+        ["fingerprint", str(path), "--rmax", "2"],
+        ["compare", str(path), str(path), "--rmax", "2"],
+    ):
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stabinv: invalid code: {path}: {violation}\n"
+
+
+def test_os_error_exit_code(capsys, edge2, tmp_path):
+    # a directory where a file is wanted is a usage error, not a traceback
+    for argv in (
+        ["validate", str(tmp_path)],
+        ["fingerprint", edge2, "--rmax", "2", "--out", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stabinv: ") and "Is a directory" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 def test_validate_pauli_format(capsys, prod2):
     code, payload = run_json(capsys, "validate", prod2, "--code-format", "pauli")
     assert code == 0

@@ -172,9 +172,9 @@ def test_zero_dimensional_edges():
 
 
 def test_code_matrices_are_read_only():
-    gen = GeneratorMatrix([[0, 1], [1, 0]])
+    gen = GeneratorMatrix([[0], [1]])
     adj = AdjacencyMatrix.from_edges(2, [(1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
         gen.matrix[0, 0] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
         adj.theta[0, 0] = 1

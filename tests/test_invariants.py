@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabinv import invariants
-from stabinv.errors import BudgetError
+from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import rank
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
@@ -425,9 +425,10 @@ def test_compare_global_stops_early(monkeypatch):
     ],
 )
 def test_entry_points_reject_invalid_code(entry):
-    anticommuting = GeneratorMatrix.from_pauli_strings(["XX", "ZI"])
-    with pytest.raises(ValueError, match="not-self-orthogonal"):
-        entry(anticommuting)
+    # the invalid code stops where it is made, so it never reaches the entry
+    with pytest.raises(InvalidCodeError, match="^invalid code: not-self-orthogonal$"):
+        entry(GeneratorMatrix.from_pauli_strings(["XX", "ZI"]))
+    entry(GeneratorMatrix.from_pauli_strings(["XX", "ZZ"]))
 
 
 def test_generator_basis_change_invariance():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stabinv import oracle
-from stabinv.errors import BudgetError
+from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import to_text
 from stabinv.invariants import (
     TreeTuple,
@@ -189,10 +189,39 @@ def test_rho_sign_flips_change_operator_not_traces():
         signs = tuple(int(s) for s in rng.choice((1, -1), k))
         rho = rho_from_code(gen)
         flipped = rho_from_code(gen, signs=signs)
+        assert flipped.same_as(rho) == (signs == (1,) * k)
         assert flipped.trace() == ONE
         tup = random_tuple(n, 2, rng)
         perm = t_pi(tup)
         assert product_trace(perm, [rho] * 2) == product_trace(perm, [flipped] * 2)
+
+
+def test_rho_matches_group_sum_definition():
+    # 2^-n times the sum over all 2^k subsets of the signed generators of
+    # their product, with each Pauli a Kronecker product of SIGMA factors
+    rng = np.random.default_rng(38)
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for trial in range(3):
+                gen = random_code(n, k, (trial, n, k, 38))
+                signs = tuple(int(s) for s in rng.choice((1, -1), k))
+                paulis = [
+                    signs[j] * functools.reduce(np.kron, [
+                        np.array(SIGMA[int(gen.matrix[i, j]), int(gen.matrix[n + i, j])])
+                        for i in range(n)
+                    ])
+                    for j in range(k)
+                ]
+                group_sum = np.zeros((1 << n, 1 << n), dtype=complex)
+                for subset in itertools.product((0, 1), repeat=k):
+                    term = np.eye(1 << n, dtype=complex)
+                    for j in range(k):
+                        if subset[j]:
+                            term = term @ paulis[j]
+                    group_sum += term
+                rho = rho_from_code(gen, signs=signs)
+                assert rho.scale == n
+                assert np.array_equal(rho.re + 1j * rho.im, group_sum), (n, k, trial)
 
 
 def test_graph_formula_matches_group_sum():
@@ -298,6 +327,19 @@ def test_int64_guard_refuses_before_wrapping():
     assert not square.re.any() and (square.im == -(1 << 60)).all()
 
 
+def test_same_as_refuses_rescaling_outside_int64():
+    # 4 * 2^62 would wrap to 0 and compare equal; 2^70 is no int64 at all
+    four = ExactOperator(0, [[4]], [[0]], 0)
+    with pytest.raises(BudgetError, match=r"^rescaled operator may reach 2\^64, outside int64$"):
+        four.same_as(ExactOperator(0, [[0]], [[0]], 62))
+    zero = ExactOperator(0, [[0]], [[0]], 0)
+    with pytest.raises(BudgetError, match=r"^rescaled operator may reach 2\^70, outside int64$"):
+        zero.same_as(ExactOperator(0, [[0]], [[0]], 70))
+    one = ExactOperator(0, [[1]], [[0]], 0)
+    assert one.same_as(ExactOperator(0, [[1 << 60]], [[0]], 60))
+    assert not one.same_as(ExactOperator(0, [[1 << 60]], [[1]], 60))
+
+
 # -- invariant traces ---------------------------------------------------------
 
 
@@ -338,9 +380,10 @@ def test_trace_offset_matches_path_counts():
     ids=["rho_from_code", "invariant_trace"],
 )
 def test_oracle_rejects_invalid_code(entry):
-    anticommuting = GeneratorMatrix.from_pauli_strings(["XX", "ZI"])
-    with pytest.raises(ValueError, match="^invalid code: not-self-orthogonal$"):
-        entry(anticommuting)
+    # the invalid code stops where it is made, so it never reaches the entry
+    with pytest.raises(InvalidCodeError, match="^invalid code: not-self-orthogonal$"):
+        entry(GeneratorMatrix.from_pauli_strings(["XX", "ZI"]))
+    entry(GeneratorMatrix.from_pauli_strings(["XX", "ZZ"]))
 
 
 def test_trace_budget():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stabinv import oracle
-from stabinv.errors import ParseError
+from stabinv.errors import InvalidCodeError, ParseError
 from stabinv.gf2 import rank
 from stabinv.stabilizer import (
     INVERTIBLE_2X2,
@@ -37,13 +37,14 @@ def test_graph_generators_validate():
     rng = np.random.default_rng(1)
     for n in range(1, 6):
         adj = AdjacencyMatrix.random(n, rng)
-        assert validate(graph_generator(adj)) is None
+        matrix = np.vstack([adj.theta, np.eye(n, dtype=np.uint8)])
+        assert validate(matrix) is None
+        assert np.array_equal(graph_generator(adj).matrix, matrix)
 
 
 def test_duplicate_columns_not_full_rank():
     col = [0, 1, 1, 0]
-    gen = GeneratorMatrix(np.array([col, col]).T)
-    assert validate(gen) == "not-full-rank"
+    assert validate(np.array([col, col]).T) == "not-full-rank"
 
 
 def test_anticommuting_pair_not_self_orthogonal():
@@ -51,13 +52,47 @@ def test_anticommuting_pair_not_self_orthogonal():
     x1 = [0, 0, 1, 0]
     z1 = [1, 0, 0, 0]
     assert symplectic_product(x1, z1) == 1
-    gen = GeneratorMatrix(np.array([x1, z1]).T)
-    assert validate(gen) == "not-self-orthogonal"
+    assert validate(np.array([x1, z1]).T) == "not-self-orthogonal"
 
 
 def test_too_many_generators_bad_shape():
-    gen = GeneratorMatrix(np.eye(2, dtype=np.uint8))  # n=1, k=2
-    assert validate(gen) == "bad-shape"
+    assert validate(np.eye(2, dtype=np.uint8)) == "bad-shape"  # n=1, k=2
+    assert validate(np.zeros((3, 1), dtype=np.uint8)) == "bad-shape"  # odd rows
+
+
+# X and Z on one qubit; XX twice; X and Z on qubit 1 of two
+INVALID = {
+    "bad-shape": ["X", "Z"],
+    "not-full-rank": ["XX", "XX"],
+    "not-self-orthogonal": ["XI", "ZI"],
+}
+
+
+def bits_of(strings):
+    """The 2n x k generator matrix of Pauli strings, z-parts on top."""
+    z = [[int(ch in "ZY") for ch in s] for s in strings]
+    x = [[int(ch in "XY") for ch in s] for s in strings]
+    return np.array(z).T.tolist() + np.array(x).T.tolist()
+
+
+@pytest.mark.parametrize("violation", sorted(INVALID))
+@pytest.mark.parametrize("route", ["GeneratorMatrix", "from_pauli_strings", "bits", "pauli"])
+def test_invalid_bits_never_become_a_code(route, violation):
+    # every way outside input becomes a code refuses it, comments and all
+    strings = INVALID[violation]
+    matrix = bits_of(strings)
+    rows, k = len(matrix), len(matrix[0])
+    assert validate(matrix) == violation
+    bit_rows = "".join("".join(map(str, row)) + "\n" for row in matrix)
+    make = {
+        "GeneratorMatrix": lambda: GeneratorMatrix(matrix),
+        "from_pauli_strings": lambda: GeneratorMatrix.from_pauli_strings(strings),
+        "bits": lambda: parse_code(f"# c\n\n{rows // 2} {k}\n{bit_rows}"),
+        "pauli": lambda: parse_code("# c\npauli\n" + "\n".join(strings) + "\n"),
+    }[route]
+    with pytest.raises(InvalidCodeError, match=f"^invalid code: {violation}$") as info:
+        make()
+    assert (info.value.violation, info.value.shape) == (violation, (rows, k))
 
 
 def test_symplectic_self_product_zero():
@@ -143,8 +178,7 @@ def test_restrict_matches_filtered_enumeration():
         gen = random_code(n, k, (trial, 99))
         for size in range(n + 1):
             for omega in itertools.combinations(range(1, n + 1), size):
-                out = restrict_to(gen, omega)
-                assert validate(out) is None
+                out = restrict_to(gen, omega)  # built, so a valid code
                 keep = [i - 1 for i in omega] + [n + i - 1 for i in omega]
                 filtered = {
                     word[keep].tobytes()
@@ -202,9 +236,8 @@ def test_clifford_preserves_validity():
         k = int(rng.integers(0, n + 1))
         gen = random_code(n, k, (trial, 3))
         op = LocalCliffordOp.random(n, rng)
-        out = apply_local_clifford(op, gen)
+        out = apply_local_clifford(op, gen)  # built, so a valid code
         assert (out.n, out.k) == (gen.n, gen.k)
-        assert validate(out) is None
 
 
 def test_clifford_inverse_restores_space():
@@ -224,8 +257,8 @@ def test_full_rank_column_subsets_validate():
         gen = random_code(n, n, (trial, 5))
         for size in range(n + 1):
             for pick in itertools.combinations(range(n), size):
-                sub = GeneratorMatrix(gen.matrix[:, list(pick)])
-                if rank(sub.matrix) == sub.k:
+                sub = gen.matrix[:, list(pick)]
+                if rank(sub) == size:
                     assert validate(sub) is None
 
 
@@ -239,10 +272,8 @@ def test_random_code_deterministic():
 def test_random_code_trivial_and_full():
     empty = random_code(3, 0, 0)
     assert (empty.n, empty.k) == (3, 0)
-    assert validate(empty) is None
     full = random_code(3, 3, 0)
     assert (full.n, full.k) == (3, 3)
-    assert validate(full) is None
 
 
 def test_permute_qubits_roundtrip():
@@ -296,6 +327,23 @@ def test_parse_code_errors():
         parse_code("2 2\n01\n10\n1x\n01\n")
     with pytest.raises(ParseError):
         parse_code("pauli\nXZ\n", fmt="bits")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# c\n\n2 1\n0\n1\n1\nx\n", 7),
+        ("pauli\nXZ\n# c\nZXX\n", 4),
+        ("pauli\nXZ\nZQ\n", 3),
+        ("\n# c\n2 x\n", 3),
+        ("# c\n2 1\n0\n\n1\n", 5),
+    ],
+    ids=["bit-row", "pauli-length", "pauli-letter", "header", "row-count"],
+)
+def test_parse_error_names_the_files_own_line(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+        parse_code(text)
+    assert info.value.line == line
 
 
 def test_all_graphs_count():
