@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .gf2 import kernel_basis, to_text
+from .gf2 import to_text
 from .invariants import MAX_ENUM, TreeTuple, all_tuples, invariant_dim, theorem2_dim
 from .stabilizer import (
     AdjacencyMatrix,
@@ -53,6 +53,8 @@ from .trees import (
 DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
 # Largest projected check count of the exhaustive lemma2 and lemma4 suites.
 MAX_SUITE_CHECKS = 1 << 20
+# Index entries product_trace contracts at once, across a stack of images.
+TRACE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ class IndexPermutation:
     image: np.ndarray
 
     def __post_init__(self):
-        if sorted(self.image.tolist()) != list(range(1 << (self.n * self.r))):
+        if not np.array_equal(np.sort(self.image), np.arange(self.dim)):
             raise ValueError("image is not a bijection")
 
     @property
@@ -301,40 +303,50 @@ def invariant_trace(
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
     _check_dim(gen.n * tup.r, max_dim)
     rho = rho_from_code(gen, max_dim=max_dim)
-    return product_trace(t_pi(tup, max_dim=max_dim), [rho] * tup.r)
+    return product_trace([t_pi(tup, max_dim=max_dim)], [rho] * tup.r)[0]
 
 
-def product_trace(perm: IndexPermutation, ops) -> Dyadic:
-    """Trace of the permutation operator against op_1 (x) ... (x) op_r.
+def product_trace(perms, ops) -> list[Dyadic]:
+    """Trace of each permutation operator in perms against
+    op_1 (x) ... (x) op_r, all permutations of the same n and r.
 
     The tensor product is never materialized: each basis contraction
-    index multiplies one entry of each copy's operator.  Raises
-    BudgetError first when 2^(n*r) times the product of each copy's
+    index multiplies one entry of each copy's operator, and the stack of
+    permutation images is contracted TRACE_CHUNK index entries at a time.
+    Raises BudgetError first when 2^(n*r) times the product of each copy's
     largest |re| + |im| leaves the int64 range.
     """
-    ops = list(ops)
-    if len(ops) != perm.r or any(op.m != perm.n for op in ops):
-        raise ValueError("need r operators on n qubits each")
-    bound = perm.dim
+    perms, ops = list(perms), list(ops)
+    if not perms:
+        return []
+    n, r, dim = perms[0].n, perms[0].r, perms[0].dim
+    if any((p.n, p.r) != (n, r) for p in perms) or len(ops) != r or any(op.m != n for op in ops):
+        raise ValueError("need permutations of one n and r, and r operators on n qubits each")
+    bound = dim
     for op in ops:
         bound *= _magnitude(op)
     _check_int64("product trace", bound)
-    n, r = perm.n, perm.r
-    idx = np.arange(perm.dim, dtype=np.int64)
-    m = perm.image
     mask = (1 << n) - 1
-    acc_re = np.ones(perm.dim, dtype=np.int64)
-    acc_im = np.zeros(perm.dim, dtype=np.int64)
-    scale = 0
-    for c, op in enumerate(ops):
-        shift = n * (r - 1 - c)
-        rows = (m >> shift) & mask
-        cols = (idx >> shift) & mask
-        fre = op.re[rows, cols]
-        fim = op.im[rows, cols]
-        acc_re, acc_im = acc_re * fre - acc_im * fim, acc_re * fim + acc_im * fre
-        scale += op.scale
-    return Dyadic(int(acc_re.sum()), int(acc_im.sum()), scale)
+    # a chunk holds whole images when they fit, else part of one image
+    per, span = max(1, TRACE_CHUNK // dim), min(dim, TRACE_CHUNK)
+    re, im = np.zeros((2, len(perms)), dtype=np.int64)
+    for t in range(0, len(perms), per):
+        for i in range(0, dim, span):
+            m = np.stack([p.image[i : i + span] for p in perms[t : t + per]])
+            idx = np.arange(i, i + span, dtype=np.int64)
+            acc_re = np.ones(m.shape, dtype=np.int64)
+            acc_im = np.zeros(m.shape, dtype=np.int64)
+            for c, op in enumerate(ops):
+                shift = n * (r - 1 - c)
+                rows = (m >> shift) & mask
+                cols = (idx >> shift) & mask
+                fre = op.re[rows, cols]
+                fim = op.im[rows, cols]
+                acc_re, acc_im = acc_re * fre - acc_im * fim, acc_re * fim + acc_im * fre
+            re[t : t + per] += acc_re.sum(axis=1)
+            im[t : t + per] += acc_im.sum(axis=1)
+    scale = sum(op.scale for op in ops)
+    return [Dyadic(int(a), int(b), scale) for a, b in zip(re, im)]
 
 
 # -- the tau cyclic sums, one table per tree ----------------------------------
@@ -391,62 +403,78 @@ def closed_form_table(tree: BinaryTree) -> np.ndarray:
 # -- the quadratic-form identities on graph-state tuple spaces ---------------
 
 
-def tuple_space_basis(adj: AdjacencyMatrix, tup: TreeTuple) -> np.ndarray:
-    """Kernel basis of the per-path constraints on r-tuples of coefficient
-    vectors for a graph code: for every qubit i and every right path p of
-    tree i, the path sum x must satisfy [theta_i; e_i] . sum = 0.
+class TupleSpaces:
+    """Every tuple space of one graph at degree r, as rows over all 2^(n*r)
+    points, built from the path decompositions and prefix matrices rather
+    than the engine's Kronecker stack; BudgetError when 2^(n*r) > MAX_ENUM.
+    A point is an n x r bit matrix X, column j copy j's coefficient vector;
+    point a holds X[i, j] (from 1) at bit (r - j) * n + (n - i), as in t_pi.
 
-    Built directly from the path decompositions (not via the Kronecker
-    stack), so it provides an independent route to the same space.
-    Columns of the result are basis vectors of length n*r, blocks ordered
-    by copy.
+    member[i][tree] marks where [theta_i; e_i] . sum_(j in p) X_j = 0 for
+    every right path p of the tree at qubit i (0-based); term[i][tree]
+    marks where that qubit's part of the quadratic form,
+    sum_j (X_(i,.) D_tree)_j (theta_i . X_(.,j)), is 1; base marks where
+    the graph-only part Tr X^T L X is 1, L the strict lower triangle of theta.
     """
-    n, r = tup.n, tup.r
-    if adj.n != n:
-        raise ValueError("graph and tuple sizes differ")
-    theta = adj.theta
-    rows = []
-    for i in range(1, n + 1):
-        for p in maximal_right_paths(tup.trees[i - 1]):
-            row_theta = np.zeros(n * r, dtype=np.uint8)
-            row_e = np.zeros(n * r, dtype=np.uint8)
-            for j in p:
-                base = (j - 1) * n
-                row_theta[base : base + n] ^= theta[i - 1]
-                row_e[base + i - 1] ^= 1
-            rows.append(row_theta)
-            rows.append(row_e)
-    return kernel_basis(np.array(rows, dtype=np.uint8))
 
+    def __init__(self, adj: AdjacencyMatrix, r: int):
+        n = adj.n
+        if 1 << (n * r) > MAX_ENUM:
+            raise BudgetError(f"enumerating 2^{n * r} points exceeds budget {MAX_ENUM}")
+        shifts = (r - 1 - np.arange(r)) * n + (n - 1 - np.arange(n))[:, None]
+        x = (np.arange(1 << (n * r), dtype=np.int64) >> shifts[:, :, None]) & 1  # [i, j, point]
+        theta = adj.theta.astype(np.int64)
+        s = np.einsum("il,ljp->ijp", theta, x) % 2  # theta_i . X_(.,j)
+        self.adj, self.r = adj, r
+        self.base = np.einsum("il,ijp,ljp->p", np.tril(theta, -1), x, x) % 2 == 1
+        self.member, self.term = [], []
+        for xi, si in zip(x, s):
+            member, term = {}, {}
+            for tree in enumerate_trees(r):
+                ok = np.ones(x.shape[2], dtype=bool)
+                for p in maximal_right_paths(tree):
+                    cols = [j - 1 for j in p]
+                    ok &= (xi[cols].sum(axis=0) % 2 == 0) & (si[cols].sum(axis=0) % 2 == 0)
+                member[tree] = ok
+                xd = d_matrix(tree).T.astype(np.int64) @ xi % 2  # (X_(i,.) D)_j
+                term[tree] = (xd * si).sum(axis=0) % 2 == 1
+            self.member.append(member)
+            self.term.append(term)
 
-def _space_elements(basis: np.ndarray) -> np.ndarray:
-    length, dim = basis.shape
-    if 1 << dim > MAX_ENUM:
-        raise BudgetError(f"enumerating 2^{dim} space elements exceeds budget {MAX_ENUM}")
-    vecs = basis.T  # dim x (n*r)
-    if dim == 0:
-        return np.zeros((1, length), dtype=np.uint8)
-    coeffs = np.array(list(itertools.product((0, 1), repeat=dim)), dtype=np.uint8)
-    return (coeffs @ vecs) % 2
+    def of(self, tup: TreeTuple) -> tuple[np.ndarray, np.ndarray]:
+        """The tuple space of tup as a mask over the points, and the mask
+        of points where the quadratic form is 1."""
+        if (tup.n, tup.r) != (self.adj.n, self.r):
+            raise ValueError("graph and tuple sizes differ")
+        space = np.logical_and.reduce([m[t] for m, t in zip(self.member, tup.trees)])
+        q = np.logical_xor.reduce([self.base] + [f[t] for f, t in zip(self.term, tup.trees)])
+        return space, q
 
+    def signed_sum(self, tup: TreeTuple) -> tuple[int, int]:
+        """The sum of (-1)^Q over the tuple space, and its cardinality."""
+        space, q = self.of(tup)
+        card = int(np.count_nonzero(space))
+        return card - 2 * int(np.count_nonzero(space & q)), card
 
-def quad_form_values(adj: AdjacencyMatrix, tup: TreeTuple, elems: np.ndarray) -> np.ndarray:
-    """The graph quadratic form on reshaped n x r tuple-space elements.
+    def lemma4_failure(self, tup: TreeTuple) -> dict | None:
+        """lemma4_check of tup on this graph."""
+        bad = np.flatnonzero(np.logical_and(*self.of(tup)))
+        if bad.size == 0:
+            return None
+        m = self.adj.n * self.r  # the point as m bits, blocks ordered by copy
+        element = [(int(bad[0]) >> (m - 1 - b)) & 1 for b in range(m)]
+        return {"element": element, "graph": to_text(self.adj.theta), "tuple": tup.id()}
 
-    Q(X) = Tr X^T L X + Tr X_B^T theta X mod 2, where L is the strictly
-    lower triangle of theta and row i of X_B is row i of X times the
-    prefix matrix of tree i.
-    """
-    n, r = tup.n, tup.r
-    theta = adj.theta.astype(np.int64)
-    low = np.tril(theta, -1)
-    xs = elems.reshape(-1, r, n).astype(np.int64)  # [elem, copy, qubit]
-    q1 = np.einsum("sjq,qp,sjp->s", xs, low, xs) % 2
-    d = np.stack([d_matrix(t).astype(np.int64) for t in tup.trees])  # (n, r, r)
-    xn = xs.transpose(0, 2, 1)  # [elem, qubit, copy]
-    xb = np.einsum("sik,ikj->sij", xn, d) % 2
-    q2 = np.einsum("sij,il,slj->s", xb, theta, xn) % 2
-    return (q1 + q2) % 2
+    def lemma3_failure(self, tup: TreeTuple, trace: Fraction, norm: Fraction) -> dict | None:
+        """lemma3_check of tup on this graph."""
+        s, card = self.signed_sum(tup)
+        if trace * norm != s:
+            detail = {"trace": str(trace), "normalization": str(norm)}
+        elif s != card:
+            detail = {"cardinality": card}
+        else:
+            return None
+        return {"graph": to_text(self.adj.theta), "tuple": tup.id(), "signed_sum": s} | detail
 
 
 def lemma4_check(adj: AdjacencyMatrix, tup: TreeTuple) -> dict | None:
@@ -454,25 +482,7 @@ def lemma4_check(adj: AdjacencyMatrix, tup: TreeTuple) -> dict | None:
 
     Returns None on pass, or a counterexample record.
     """
-    basis = tuple_space_basis(adj, tup)
-    elems = _space_elements(basis)
-    q = quad_form_values(adj, tup, elems)
-    bad = np.nonzero(q)[0]
-    if bad.size == 0:
-        return None
-    x = elems[bad[0]]
-    return {
-        "element": x.tolist(),
-        "graph": to_text(adj.theta),
-        "tuple": tup.id(),
-    }
-
-
-def _signed_sum(adj: AdjacencyMatrix, tup: TreeTuple) -> tuple[int, int]:
-    """The sum of (-1)^Q over the graph's tuple space, and its cardinality."""
-    elems = _space_elements(tuple_space_basis(adj, tup))
-    q = quad_form_values(adj, tup, elems)
-    return len(q) - 2 * int(q.sum()), len(q)
+    return TupleSpaces(adj, tup.r).lemma4_failure(tup)
 
 
 def lemma3_check(
@@ -487,23 +497,7 @@ def lemma3_check(
     quadratic form being zero on it).  Returns None on pass, else a
     mismatch record.
     """
-    s, card = _signed_sum(adj, tup)
-    if trace * norm != s:
-        return {
-            "graph": to_text(adj.theta),
-            "tuple": tup.id(),
-            "signed_sum": s,
-            "trace": str(trace),
-            "normalization": str(norm),
-        }
-    if s != card:
-        return {
-            "graph": to_text(adj.theta),
-            "tuple": tup.id(),
-            "signed_sum": s,
-            "cardinality": card,
-        }
-    return None
+    return TupleSpaces(adj, tup.r).lemma3_failure(tup, trace, norm)
 
 
 # -- certification suites ----------------------------------------------------
@@ -574,8 +568,9 @@ def suite_lemma2(max_r: int = 3) -> dict:
 def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
-    Each graph's projector is built once per n, and each tuple's t_pi and
-    edgeless-graph normalization once per (n, r).
+    Each graph's projector is built once per n, each tuple's t_pi and
+    edgeless-graph normalization once per (n, r), and each graph's tuple
+    spaces and traces once per (n, r).
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -592,17 +587,19 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
         edgeless = AdjacencyMatrix.empty(n)
         rho_edgeless = rho_from_code(graph_generator(edgeless), max_dim=max_dim)
         for r in sizes:
-            tuples = []
-            for tup in all_tuples(n, r):
-                perm = t_pi(tup, max_dim)
-                trace = product_trace(perm, [rho_edgeless] * r).as_fraction()
-                norm = Fraction(_signed_sum(edgeless, tup)[0]) / trace
-                tuples.append((tup, perm, norm))
+            tuples = list(all_tuples(n, r))
+            perms = [t_pi(tup, max_dim) for tup in tuples]
+            empty = TupleSpaces(edgeless, r)
+            norms = [
+                Fraction(empty.signed_sum(tup)[0]) / trace.as_fraction()
+                for tup, trace in zip(tuples, product_trace(perms, [rho_edgeless] * r))
+            ]
             for adj, rho in zip(graphs, rhos):
-                for tup, perm, norm in tuples:
+                spaces = TupleSpaces(adj, r)
+                traces = product_trace(perms, [rho] * r)
+                for tup, trace, norm in zip(tuples, traces, norms):
                     checks += 1
-                    trace = product_trace(perm, [rho] * r).as_fraction()
-                    bad = lemma3_check(adj, tup, trace, norm)
+                    bad = spaces.lemma3_failure(tup, trace.as_fraction(), norm)
                     if bad is not None:
                         failures.append(bad)
     return _result(name, checks, failures, warnings)
@@ -630,9 +627,10 @@ def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
             for adj in all_graphs(n):
+                spaces = TupleSpaces(adj, r)
                 for tup in all_tuples(n, r):
                     checks += 1
-                    bad = lemma4_check(adj, tup)
+                    bad = spaces.lemma4_failure(tup)
                     if bad is not None:
                         failures.append(bad)
     return _result(name, checks, failures)
@@ -665,19 +663,20 @@ def suite_theorem1(
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in sizes:
-            for tup in all_tuples(n, r):
-                perm = t_pi(tup, max_dim)
-                offset = None
-                for gen, rho in zip(codes, rhos):
-                    value = product_trace(perm, [rho] * r)
-                    z = value.log2() - invariant_dim(gen, tup)
+            tuples = list(all_tuples(n, r))
+            perms = [t_pi(tup, max_dim) for tup in tuples]
+            offsets = [  # [code][tuple]
+                [trace.log2() - invariant_dim(gen, tup)
+                 for tup, trace in zip(tuples, product_trace(perms, [rho] * r))]
+                for gen, rho in zip(codes, rhos)
+            ]
+            for t, tup in enumerate(tuples):
+                for gen, z in zip(codes, (o[t] for o in offsets)):
                     checks += 1
-                    if offset is None:
-                        offset = z
-                    elif z != offset:
+                    if z != offsets[0][t]:
                         failures.append({
                             "n": n, "tuple": tup.id(), "k": gen.k,
-                            "offset": z, "expected": offset,
+                            "offset": z, "expected": offsets[0][t],
                         })
     return _result(name, checks, failures, warnings)
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from stabinv import oracle
+from stabinv import invariants, oracle
 from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import to_text
 from stabinv.invariants import (
@@ -15,6 +15,7 @@ from stabinv.invariants import (
     all_tuples,
     identity_tuple,
     invariant_dim,
+    parse_tuple,
     uniform_tuple,
 )
 from stabinv.oracle import (
@@ -22,6 +23,7 @@ from stabinv.oracle import (
     Dyadic,
     ExactOperator,
     IndexPermutation,
+    TupleSpaces,
     closed_form_table,
     cyclic_sum_table,
     invariant_trace,
@@ -29,7 +31,6 @@ from stabinv.oracle import (
     lemma4_check,
     pauli_op,
     product_trace,
-    quad_form_values,
     rho_from_code,
     rho_graph_formula,
     t_pi,
@@ -38,8 +39,8 @@ from stabinv.oracle import (
     suite_lemma3,
     suite_lemma4,
     suite_theorem1,
+    suite_theorem2,
     tau_op,
-    tuple_space_basis,
 )
 from stabinv.stabilizer import (
     AdjacencyMatrix,
@@ -52,6 +53,7 @@ from stabinv.stabilizer import (
 )
 from stabinv.trees import (
     catalan,
+    d_matrix,
     enumerate_trees,
     left_chain,
     maximal_right_paths,
@@ -193,7 +195,7 @@ def test_rho_sign_flips_change_operator_not_traces():
         assert flipped.trace() == ONE
         tup = random_tuple(n, 2, rng)
         perm = t_pi(tup)
-        assert product_trace(perm, [rho] * 2) == product_trace(perm, [flipped] * 2)
+        assert product_trace([perm], [rho] * 2) == product_trace([perm], [flipped] * 2)
 
 
 def test_rho_matches_group_sum_definition():
@@ -262,6 +264,9 @@ def test_t_pi_transposition_involution():
 def test_index_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         IndexPermutation(1, 1, np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="^image is not a bijection$"):
+        IndexPermutation(1, 2, np.array([0, 1, 1, 3]))
+    assert IndexPermutation(1, 2, np.array([0, 2, 1, 3])).dim == 4
 
 
 def test_trace_splits_over_qubits():
@@ -277,7 +282,7 @@ def test_trace_splits_over_qubits():
         tables = [cyclic_sum_table(permutation_of(tree)) for tree in tup.trees]
 
         def check(u, v):  # r x n bit arrays
-            lhs = product_trace(perm, [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)])
+            (lhs,) = product_trace([perm], [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)])
             rhs = math.prod(
                 int(table[table_index(u[:, q]), table_index(v[:, q])])
                 for q, table in enumerate(tables)
@@ -308,7 +313,27 @@ def test_product_trace_of_identity_counts_fixed_points():
     # one qubit, two copies swapped: the trace of SWAP is 2
     perm = t_pi(uniform_tuple(right_chain(2), 1))
     ident = ExactOperator.identity(1)
-    assert product_trace(perm, [ident, ident]) == Dyadic(2, 0, 0)
+    assert product_trace([perm], [ident, ident]) == [Dyadic(2, 0, 0)]
+
+
+def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
+    # every tuple of one (n, r) in one call gives each tuple's own trace,
+    # whether a chunk holds several images (2^12 entries, the last chunk
+    # partly filled at n = r = 3) or half of one; each copy gets its own
+    # signed projector
+    rng = np.random.default_rng(40)
+    for n, r in ((1, 3), (2, 2), (3, 3)):
+        gen = random_code(n, n, (n, r, 40))
+        ops = [rho_from_code(gen, signs=rng.choice((1, -1), n)) for _ in range(r)]
+        perms = [t_pi(tup) for tup in all_tuples(n, r)]
+        alone = [product_trace([perm], ops)[0] for perm in perms]
+        assert product_trace(perms, ops) == alone
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "TRACE_CHUNK", perms[0].dim // 2)
+            assert product_trace(perms, ops) == alone
+    assert product_trace([], ops) == []
+    with pytest.raises(ValueError):
+        product_trace([t_pi(identity_tuple(3, 3)), t_pi(identity_tuple(1, 3))], ops)
 
 
 def test_int64_guard_refuses_before_wrapping():
@@ -317,12 +342,12 @@ def test_int64_guard_refuses_before_wrapping():
     big = ExactOperator(1, np.full((2, 2), (1 << 40) + 1), np.zeros((2, 2)))
     perm = t_pi(identity_tuple(1, 2))
     with pytest.raises(BudgetError, match=r"product trace may reach 2\^82, outside int64"):
-        product_trace(perm, [big, big])
+        product_trace([perm], [big, big])
     with pytest.raises(BudgetError, match=r"operator product may reach 2\^81, outside int64"):
         big @ big
     # entries 2^29 (1 - i): both bounds stay inside int64 and the values are exact
     near = ExactOperator(1, np.full((2, 2), 1 << 29), np.full((2, 2), -(1 << 29)))
-    assert product_trace(perm, [near, near]) == Dyadic(0, -(1 << 61), 0)
+    assert product_trace([perm], [near, near]) == [Dyadic(0, -(1 << 61), 0)]
     square = near @ near
     assert not square.re.any() and (square.im == -(1 << 60)).all()
 
@@ -441,22 +466,102 @@ def test_lemma2_reports_a_planted_fault(monkeypatch):
 # -- quadratic-form identities ------------------------------------------------
 
 
+# The definitions, point by point in plain Python.  X is a list of n rows
+# of r bits; theta a list of n rows of n bits; i and j count from 0.
+
+
+def point_matrix(a, n, r):
+    """Point a of TupleSpaces as X: X[i][j] is bit (r-1-j)*n + (n-1-i) of a."""
+    return [[(a >> ((r - 1 - j) * n + (n - 1 - i))) & 1 for j in range(r)] for i in range(n)]
+
+
+def in_paths(theta, x, i, tree):
+    """[theta_i; e_i] . sum_(j in p) X_j = 0 for every right path p of tree."""
+    n = len(x)
+    for p in maximal_right_paths(tree):
+        path_sum = [sum(x[l][j - 1] for j in p) % 2 for l in range(n)]
+        if sum(theta[i][l] * path_sum[l] for l in range(n)) % 2 or path_sum[i]:
+            return False
+    return True
+
+
+def q_term(theta, x, i, d):
+    """sum_j (X_(i,.) D)_j (theta_i . X_(.,j)) mod 2, D as nested lists."""
+    n, r = len(x), len(x[0])
+    total = 0
+    for j in range(r):
+        xd = sum(x[i][k] * d[k][j] for k in range(r)) % 2
+        total += xd * sum(theta[i][l] * x[l][j] for l in range(n))
+    return total % 2
+
+
+def q_base(theta, x):
+    """Tr X^T L X mod 2, L the strict lower triangle of theta."""
+    n, r = len(x), len(x[0])
+    return sum(
+        theta[i][l] * x[i][j] * x[l][j] for j in range(r) for i in range(n) for l in range(i)
+    ) % 2
+
+
+def q_form(theta, x, trees, prefix):
+    """The whole quadratic form, with prefix(tree) as the prefix matrix."""
+    terms = [q_term(theta, x, i, prefix(t).tolist()) for i, t in enumerate(trees)]
+    return (q_base(theta, x) + sum(terms)) % 2
+
+
+def test_tuple_space_rows_match_definitions():
+    rows = 0
+    for n in (1, 2):
+        for r in (1, 2):
+            for adj in all_graphs(n):
+                spaces = TupleSpaces(adj, r)
+                theta = adj.theta.tolist()
+                assert spaces.base.shape == (1 << (n * r),)
+                for a in range(1 << (n * r)):
+                    x = point_matrix(a, n, r)
+                    assert spaces.base[a] == q_base(theta, x)
+                    for i in range(n):
+                        for tree in enumerate_trees(r):
+                            d = d_matrix(tree).tolist()
+                            assert spaces.member[i][tree][a] == in_paths(theta, x, i, tree)
+                            assert spaces.term[i][tree][a] == q_term(theta, x, i, d)
+                            rows += 1
+    assert rows == 2 + 4 * 2 + 2 * 4 * 2 + 2 * 16 * 2 * 2  # graphs x points x qubits x trees
+
+
+def test_tuple_spaces_are_closed_under_xor():
+    for n in (1, 2):
+        for r in (1, 2):
+            for adj in all_graphs(n):
+                spaces = TupleSpaces(adj, r)
+                for tup in all_tuples(n, r):
+                    points = set(np.flatnonzero(spaces.of(tup)[0]).tolist())
+                    assert 0 in points
+                    assert all(a ^ b in points for a in points for b in points), tup.id()
+
+
 def test_tuple_space_matches_kernel_dimension():
+    # log2 |space| is the engine's kernel dimension
     rng = np.random.default_rng(6)
     for trial in range(10):
         n = int(rng.integers(1, 4))
         r = int(rng.integers(1, 4))
         adj = AdjacencyMatrix.random(n, rng)
         tup = random_tuple(n, r, rng)
-        basis = tuple_space_basis(adj, tup)
-        assert basis.shape[1] == invariant_dim(graph_generator(adj), tup)
+        size = int(np.count_nonzero(TupleSpaces(adj, r).of(tup)[0]))
+        assert size == 1 << invariant_dim(graph_generator(adj), tup)
+
+
+def test_tuple_spaces_refuse_enumeration_over_budget():
+    with pytest.raises(BudgetError, match=r"^enumerating 2\^18 points exceeds budget 65536$"):
+        TupleSpaces(AdjacencyMatrix.empty(6), 3)
 
 
 def test_quad_form_zero_on_zero_element():
     adj = AdjacencyMatrix.complete(3)
     tup = identity_tuple(3, 2)
-    zeros = np.zeros((1, 6), dtype=np.uint8)
-    assert quad_form_values(adj, tup, zeros).tolist() == [0]
+    space, q = TupleSpaces(adj, 2).of(tup)
+    assert space[0] and not q[0]
 
 
 def test_lemma4_small_graphs():
@@ -472,6 +577,58 @@ def test_lemma4_empty_graph_any_tuple():
     for r in (1, 2, 3):
         tup = random_tuple(3, r, rng)
         assert lemma4_check(AdjacencyMatrix.empty(3), tup) is None
+
+
+def test_lemma4_reports_a_planted_fault(monkeypatch):
+    # with every prefix matrix zero only the graph-only part Tr X^T L X of
+    # the form is left, and it is 1 somewhere on 71 tuple spaces; each
+    # reported element must lie in its tuple's space and give Q = 1 there,
+    # while the true form is 0 on it
+    def zero(tree):
+        return np.zeros((tree.r, tree.r), dtype=np.uint8)
+
+    monkeypatch.setattr(oracle, "d_matrix", zero)
+    report = suite_lemma4(3, 3)
+    assert (report["status"], report["checks"]) == ("fail", 1140)
+    assert len(report["failures"]) == 71
+    assert len({(f["graph"], f["tuple"]) for f in report["failures"]}) == 71
+    for failure in report["failures"]:
+        theta = [[int(c) for c in row] for row in failure["graph"].split("\n")]
+        tup = parse_tuple(failure["tuple"])
+        n, r = tup.n, tup.r
+        bits = failure["element"]  # blocks ordered by copy
+        assert len(bits) == n * r
+        x = [[bits[j * n + i] for j in range(r)] for i in range(n)]
+        for i, tree in enumerate(tup.trees):
+            assert in_paths(theta, x, i, tree), failure
+        assert q_form(theta, x, tup.trees, zero) == 1, failure
+        assert q_form(theta, x, tup.trees, d_matrix) == 0, failure
+
+
+def test_lemma_suites_never_call_the_engine(monkeypatch):
+    # lemma1-4 at their benchmark sizes with every engine entry the oracle
+    # could reach made to raise; theorem1 and theorem2 do call it
+    def engine(*args, **kwargs):
+        raise AssertionError("the oracle called the engine")
+
+    for module, name in (
+        (oracle, "invariant_dim"),
+        (oracle, "theorem2_dim"),
+        (invariants, "_kernel_dim"),
+        (invariants, "rank"),
+    ):
+        monkeypatch.setattr(module, name, engine)
+    for suite, limits, count in (
+        (suite_lemma1, {"max_n": 3}, 11),
+        (suite_lemma2, {"max_r": 4}, 3940),
+        (suite_lemma3, {"max_n": 3, "max_r": 3}, 1140),
+        (suite_lemma4, {"max_n": 3, "max_r": 3}, 1140),
+    ):
+        report = suite(**limits)
+        assert (report["status"], report["checks"], report["failures"]) == ("pass", count, [])
+    for suite in (suite_theorem1, suite_theorem2):
+        with pytest.raises(AssertionError, match="called the engine"):
+            suite(max_n=1, max_r=2)
 
 
 def test_exhaustive_suites_refuse_work_over_budget():
@@ -532,7 +689,7 @@ def test_lemma3_small_graphs():
         edgeless = AdjacencyMatrix.empty(n)
         for r in (1, 2):
             for tup in all_tuples(n, r):
-                size = 1 << tuple_space_basis(edgeless, tup).shape[1]
+                size = int(np.count_nonzero(TupleSpaces(edgeless, r).of(tup)[0]))
                 norm = size / invariant_trace(graph_generator(edgeless), tup).as_fraction()
                 for adj in all_graphs(n):
                     trace = invariant_trace(graph_generator(adj), tup).as_fraction()
@@ -568,7 +725,8 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
 def test_lemma3_identity_tuple_counts():
     adj = AdjacencyMatrix.empty(2)
     tup = identity_tuple(2, 2)
-    assert tuple_space_basis(adj, tup).shape[1] == 0  # only the zero tuple
+    space, _ = TupleSpaces(adj, 2).of(tup)
+    assert np.flatnonzero(space).tolist() == [0]  # only the zero tuple
     assert invariant_trace(graph_generator(adj), tup) == ONE
 
 
