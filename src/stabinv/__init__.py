@@ -22,7 +22,6 @@ from .invariants import (
     pad_degree,
     parse_tuple,
     reduce_singleton,
-    theorem2_dim,
 )
 from .oracle import (
     Dyadic,
@@ -35,6 +34,7 @@ from .oracle import (
     rho_graph_formula,
     t_pi,
     tau_op,
+    theorem2_dim,
 )
 from .stabilizer import (
     AdjacencyMatrix,

@@ -4,8 +4,8 @@ The degree-r invariant attached to a code and an n-tuple of binary trees
 is the GF(2) kernel dimension of a stacked Kronecker matrix: block i is
 (path matrix of tree i)^T tensor (2 x k qubit subblock i).  Equivalently
 it counts, on a log scale, the r-tuples of codewords whose per-path sums
-are supported inside the path's allowed qubit set.  Both routes are
-implemented; the second doubles as an enumeration cross-check.
+are supported inside the path's allowed qubit set; the oracle's
+theorem2_dim counts them as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import trees as trees_mod
 from .errors import BudgetError
 from .gf2 import rank
-from .stabilizer import GeneratorMatrix, code_space, qubit_rows
+from .stabilizer import GeneratorMatrix, qubit_rows
 from .trees import (
     BinaryTree,
     attach_singleton_root,
@@ -27,14 +27,12 @@ from .trees import (
     delete_singleton,
     enumerate_trees,
     left_chain,
-    maximal_right_paths,
     r_matrix,
     right_chain,
     serialize,
     singleton_path_nodes,
 )
 
-MAX_ENUM = 2**16  # largest point count any enumeration cross-check visits
 DEFAULT_MAX_RECORDS = 200_000
 MAX_GLOBAL_QUBITS = 8
 
@@ -128,52 +126,6 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
     return _kernel_dim([qubit_rows(gen, outside)])
-
-
-def _union_paths(tup: TreeTuple) -> list[tuple[tuple[int, ...], set[int]]]:
-    """Distinct right paths across the tuple, each with the qubit set on
-    which its codeword sum may be supported (qubits whose tree lacks it)."""
-    path_sets = [set(maximal_right_paths(t)) for t in tup.trees]
-    union = sorted(set().union(*path_sets))
-    return [
-        (p, {i for i in range(1, tup.n + 1) if p not in path_sets[i - 1]})
-        for p in union
-    ]
-
-
-def theorem2_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
-    """Invariant dimension by direct enumeration of codeword r-tuples.
-
-    Counts tuples (y1, ..., yr) of codewords such that for every right
-    path p in the union over the trees, the support of sum(y_j, j in p)
-    lies inside p's allowed qubit set.  The count is always a power of 2;
-    returns its log2.  Intended as an independent cross-check at small
-    r*k; raises BudgetError when 2^(r*k) exceeds MAX_ENUM.
-    """
-    if tup.n != gen.n:
-        raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    r, k, n = tup.r, gen.k, gen.n
-    points = 1 << (r * k)
-    if points > MAX_ENUM:
-        raise BudgetError(f"enumeration of 2^{r * k} tuples exceeds budget {MAX_ENUM}")
-
-    words = code_space(gen)  # codewords indexed by coefficient vectors
-    idx = np.arange(points, dtype=np.int64)
-    digit_shift = k * np.arange(r - 1, -1, -1, dtype=np.int64)
-    digits = (idx[:, None] >> digit_shift[None, :]) & ((1 << k) - 1)
-
-    ok = np.ones(points, dtype=bool)
-    for path, allowed in _union_paths(tup):
-        total = np.zeros((points, 2 * n), dtype=np.uint8)
-        for j in path:
-            total ^= words[digits[:, j - 1]]
-        for q in range(1, n + 1):
-            if q not in allowed:
-                ok &= (total[:, q - 1] == 0) & (total[:, n + q - 1] == 0)
-    count = int(ok.sum())
-    if count & (count - 1):
-        raise RuntimeError(f"{count} solutions do not form a linear space")
-    return count.bit_length() - 1
 
 
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabinv import invariants
+from stabinv import invariants, theorem2_dim
 from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import rank
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
-    MAX_ENUM,
     TreeTuple,
     all_tuples,
     compare_global,
@@ -26,10 +25,10 @@ from stabinv.invariants import (
     pad_degree,
     parse_tuple,
     reduce_singleton,
-    theorem2_dim,
     uniform_tuple,
     _sweep,
 )
+from stabinv.oracle import MAX_ENUM
 from stabinv.stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
@@ -202,7 +201,7 @@ def test_theorem2_identity_tuple_zero():
 def test_theorem2_budget():
     gen = random_code(3, 3, 9)
     assert theorem2_dim(gen, identity_tuple(3, 5)) == 0  # 2^15 points fit MAX_ENUM
-    with pytest.raises(BudgetError, match=f"2\\^18 tuples exceeds budget {MAX_ENUM}"):
+    with pytest.raises(BudgetError, match=f"enumerating 2\\^18 points exceeds budget {MAX_ENUM}"):
         theorem2_dim(gen, identity_tuple(3, 6))
 
 

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from stabinv import invariants, oracle
+from stabinv import cli, invariants, oracle
 from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import to_text
 from stabinv.invariants import (
@@ -22,13 +23,12 @@ from stabinv.oracle import (
     MAX_SUITE_CHECKS,
     Dyadic,
     ExactOperator,
+    GraphTupleSpaces,
     IndexPermutation,
     TupleSpaces,
     closed_form_table,
     cyclic_sum_table,
     invariant_trace,
-    lemma3_check,
-    lemma4_check,
     pauli_op,
     product_trace,
     rho_from_code,
@@ -514,7 +514,7 @@ def test_tuple_space_rows_match_definitions():
     for n in (1, 2):
         for r in (1, 2):
             for adj in all_graphs(n):
-                spaces = TupleSpaces(adj, r)
+                spaces = GraphTupleSpaces(adj, r)
                 theta = adj.theta.tolist()
                 assert spaces.base.shape == (1 << (n * r),)
                 for a in range(1 << (n * r)):
@@ -533,9 +533,9 @@ def test_tuple_spaces_are_closed_under_xor():
     for n in (1, 2):
         for r in (1, 2):
             for adj in all_graphs(n):
-                spaces = TupleSpaces(adj, r)
+                spaces = GraphTupleSpaces(adj, r)
                 for tup in all_tuples(n, r):
-                    points = set(np.flatnonzero(spaces.of(tup)[0]).tolist())
+                    points = set(np.flatnonzero(spaces.space(tup)).tolist())
                     assert 0 in points
                     assert all(a ^ b in points for a in points for b in points), tup.id()
 
@@ -548,19 +548,48 @@ def test_tuple_space_matches_kernel_dimension():
         r = int(rng.integers(1, 4))
         adj = AdjacencyMatrix.random(n, rng)
         tup = random_tuple(n, r, rng)
-        size = int(np.count_nonzero(TupleSpaces(adj, r).of(tup)[0]))
+        size = int(np.count_nonzero(GraphTupleSpaces(adj, r).space(tup)))
         assert size == 1 << invariant_dim(graph_generator(adj), tup)
+
+
+def test_code_membership_rows_match_codeword_path_sums():
+    # codes with k < n: the point holds the k x r coefficient matrix X as
+    # point_matrix lays it out, copy j's codeword is S X_j, and
+    # member[i][tree] is 1 exactly where every right path's codeword sum
+    # vanishes at qubit i
+    rows = 0
+    for n, k, c, r in itertools.product((1, 2, 3), (0, 1, 2), (0, 1), (1, 2)):
+        if k >= n:
+            continue
+        gen = random_code(n, k, seed=(12, n, k, c))
+        s = gen.matrix.tolist()
+        spaces = TupleSpaces(gen, r)
+        for a in range(1 << (k * r)):
+            x = point_matrix(a, k, r)
+            words = [[sum(s[l][i] * x[i][j] for i in range(k)) % 2 for l in range(2 * n)]
+                     for j in range(r)]
+            for i in range(n):
+                for tree in enumerate_trees(r):
+                    vanish = all(
+                        sum(words[j - 1][l] for j in p) % 2 == 0
+                        for p in maximal_right_paths(tree)
+                        for l in (i, n + i)
+                    )
+                    assert spaces.member[i][tree][a] == vanish
+                    rows += 1
+    # 2 codes per (n, k) x 2^(k*r) points x n qubits x catalan(r) trees
+    assert rows == 352
 
 
 def test_tuple_spaces_refuse_enumeration_over_budget():
     with pytest.raises(BudgetError, match=r"^enumerating 2\^18 points exceeds budget 65536$"):
-        TupleSpaces(AdjacencyMatrix.empty(6), 3)
+        TupleSpaces(graph_generator(AdjacencyMatrix.empty(6)), 3)
 
 
 def test_quad_form_zero_on_zero_element():
     adj = AdjacencyMatrix.complete(3)
     tup = identity_tuple(3, 2)
-    space, q = TupleSpaces(adj, 2).of(tup)
+    space, q = GraphTupleSpaces(adj, 2).of(tup)
     assert space[0] and not q[0]
 
 
@@ -568,15 +597,16 @@ def test_lemma4_small_graphs():
     for n in (1, 2):
         for adj in all_graphs(n):
             for r in (1, 2, 3):
+                spaces = GraphTupleSpaces(adj, r)
                 for tup in all_tuples(n, r):
-                    assert lemma4_check(adj, tup) is None
+                    assert spaces.lemma4_failure(tup) is None
 
 
 def test_lemma4_empty_graph_any_tuple():
     rng = np.random.default_rng(7)
     for r in (1, 2, 3):
         tup = random_tuple(3, r, rng)
-        assert lemma4_check(AdjacencyMatrix.empty(3), tup) is None
+        assert GraphTupleSpaces(AdjacencyMatrix.empty(3), r).lemma4_failure(tup) is None
 
 
 def test_lemma4_reports_a_planted_fault(monkeypatch):
@@ -631,12 +661,88 @@ def test_lemma_suites_never_call_the_engine(monkeypatch):
             suite(max_n=1, max_r=2)
 
 
+def test_theorem2_dim_never_calls_the_engine(monkeypatch):
+    cases = [
+        (random_code(n, k, seed=(13, n, k)), tup)
+        for n in (1, 2, 3)
+        for k in range(n + 1)
+        for tup in itertools.islice(all_tuples(n, 2), 3)
+    ]
+    dims = [invariant_dim(gen, tup) for gen, tup in cases]
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the oracle called the engine")
+
+    for module, name in (
+        (oracle, "invariant_dim"),
+        (invariants, "_kernel_dim"),
+        (invariants, "rank"),
+    ):
+        monkeypatch.setattr(module, name, engine)
+    assert [oracle.theorem2_dim(gen, tup) for gen, tup in cases] == dims
+
+
+def test_theorem2_reports_a_planted_fault(monkeypatch):
+    # the engine made to add 1 on one tuple: exactly that tuple's records,
+    # one per code of its size, must be reported
+    target = parse_tuple("(L());(R())")
+    exact = oracle.invariant_dim
+    codes = [random_code(2, k, seed=(0, 2, k, c)) for k in range(3) for c in range(5)]
+    expected = [
+        {"n": 2, "k": gen.k, "tuple": target.id(),
+         "kernel": exact(gen, target) + 1, "enumeration": exact(gen, target)}
+        for gen in codes
+    ]
+    checks = suite_theorem2(max_n=2, max_r=2)["checks"]
+
+    def planted(gen, tup):
+        return exact(gen, tup) + (tup.id() == target.id())
+
+    monkeypatch.setattr(oracle, "invariant_dim", planted)
+    report = suite_theorem2(max_n=2, max_r=2)
+    assert (report["status"], report["checks"]) == ("fail", checks)
+    assert checks == 5 * (2 * 1 + 2 * 2 + 3 * 1 + 3 * 4)  # codes x tuples, n, r <= 2
+    assert report["failures"] == expected
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
+    # one (n=2, k) projector scaled by 3 scales its degree-2 traces by 9,
+    # which have no log2: each is a failure, not an error, and the other
+    # codes still agree (at k=0 the scaled code is the first one)
+    target = random_code(2, k, seed=(0, 2, k, 0))
+    traces = [invariant_trace(target, tup) for tup in all_tuples(2, 2)]
+    exact = oracle.rho_from_code
+
+    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
+        rho = exact(gen, signs, max_dim)
+        return scaled(rho, 3) if np.array_equal(gen.matrix, target.matrix) else rho
+
+    monkeypatch.setattr(oracle, "rho_from_code", planted)
+    report = suite_theorem1(max_n=2, max_r=2, codes_per_k=1)
+    assert (report["status"], report["checks"]) == ("fail", 2 * 2 + 3 * 4)
+    assert report["failures"] == [
+        {"n": 2, "tuple": tup.id(), "k": k, "trace": str(Dyadic(9 * t.re, 9 * t.im, t.scale))}
+        for tup, t in zip(all_tuples(2, 2), traces)
+    ]
+    code = cli.main(["oracle-check", "--suite", "theorem1", "--max-n", "2", "--max-r", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
 def test_exhaustive_suites_refuse_work_over_budget():
     # projected before any work: lemma2 at max_r=7 needs 7,616,356 checks,
-    # lemma4 at max_n=5 needs 2^10 graphs times 5^5 tuples at r=3 alone
+    # lemma4 at max_n=5 needs 2^10 graphs times 5^5 tuples at r=3 alone;
+    # lemma1 at n=7 needs 2^21 graphs, lemma3 at n=12 2^66, theorem2 5^3
+    # codes per k times 42^3 tuples at n=3, r=5 alone (r*k <= 16 fits), and
+    # theorem1 at n=1 40 codes times 208,012 tuples at r=12 alone
     for report, name, projected in (
         (suite_lemma2(max_r=7), "lemma2", 7616356),
         (suite_lemma4(max_n=5), "lemma4", 3276020),
+        (suite_lemma1(max_n=7), "lemma1", 2131019),
+        (suite_lemma3(max_n=12, max_r=1), "lemma3", 73823040345219302475),
+        (suite_theorem2(max_n=3, max_r=5), "theorem2", 1569810),
+        (suite_theorem1(max_n=1, max_r=12), "theorem1", 11620400),
     ):
         assert report == {
             "suite": name,
@@ -689,12 +795,13 @@ def test_lemma3_small_graphs():
         edgeless = AdjacencyMatrix.empty(n)
         for r in (1, 2):
             for tup in all_tuples(n, r):
-                size = int(np.count_nonzero(TupleSpaces(edgeless, r).of(tup)[0]))
+                size = int(np.count_nonzero(GraphTupleSpaces(edgeless, r).of(tup)[0]))
                 norm = size / invariant_trace(graph_generator(edgeless), tup).as_fraction()
                 for adj in all_graphs(n):
+                    spaces = GraphTupleSpaces(adj, r)
                     trace = invariant_trace(graph_generator(adj), tup).as_fraction()
-                    assert lemma3_check(adj, tup, trace, norm) is None
-                    bad = lemma3_check(adj, tup, 2 * trace, norm)
+                    assert spaces.lemma3_failure(tup, trace, norm) is None
+                    bad = spaces.lemma3_failure(tup, 2 * trace, norm)
                     assert bad["trace"] == str(2 * trace)
                     assert bad["normalization"] == str(norm)
 
@@ -725,7 +832,7 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
 def test_lemma3_identity_tuple_counts():
     adj = AdjacencyMatrix.empty(2)
     tup = identity_tuple(2, 2)
-    space, _ = TupleSpaces(adj, 2).of(tup)
+    space, _ = GraphTupleSpaces(adj, 2).of(tup)
     assert np.flatnonzero(space).tolist() == [0]  # only the zero tuple
     assert invariant_trace(graph_generator(adj), tup) == ONE
 

@@ -17,3 +17,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracle_imports_no_engine_internals():
+    # the oracle may take tuples and the engine's answer from invariants,
+    # never the machinery behind that answer
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "invariants" and node.level == 1
+        for alias in node.names
+    }
+    assert imported
+    assert imported <= {"TreeTuple", "all_tuples", "invariant_dim"}
