@@ -3,45 +3,38 @@
 
 Everything downstream (codes, invariants) reduces to ranks and kernels of
 matrices over the two-element field, so this is the workhorse.  A matrix
-is a plain 2-d uint8 numpy array of 0/1; one elimination routine,
-reduced_echelon, serves rank and kernel alike.
+is a sequence of Python ints, one per row, with bit c of a row holding
+column c; the column count travels beside the rows.  One elimination
+routine, reduced_echelon, serves the echelon form and the kernel; rank
+keeps an XOR basis with distinct leading bits.
 """
 
-import numpy as np
+import random
 
-from stabinv.gf2 import kernel_basis, rank, reduced_echelon, to_text
+from stabinv.gf2 import from_dense, kernel_basis, rank, reduced_echelon, to_text, transpose
 
-m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+m, cols = from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 print("matrix:")
-print(to_text(m))
+print(to_text(m, cols))
+print("as int rows:", m)
 print("rank:", rank(m))  # rows sum to zero mod 2, so rank < 3
 
-# The reduced echelon form and its pivot columns, left to right.
+# The reduced echelon form and its pivot columns, from column 0 up.
 echelon, pivots = reduced_echelon(m)
 print("reduced echelon form, pivots", pivots)
-print(to_text(echelon))
+print(to_text(echelon, cols))
 
-# The kernel basis is returned column-wise; products are ordinary numpy
-# products reduced mod 2, and M @ basis vanishes.
-basis = kernel_basis(m)
-print("kernel basis columns:")
-print(to_text(basis))
-print("M @ basis == 0:", not np.any((m @ basis) % 2))
+# Each kernel vector is a cols-bit int x; a row times x is the parity of
+# row & x, and every row times every kernel vector vanishes.
+basis = kernel_basis(m, cols)
+print("kernel basis vectors:", [to_text([x], cols) for x in basis])
+print("M x == 0:", not any((row & x).bit_count() % 2 for row in m for x in basis))
 
 # Rank is insensitive to transposition, and rank + nullity = columns.
-rng = np.random.default_rng(0)
-big = rng.integers(0, 2, size=(60, 45), dtype=np.uint8)
-print("random 60x45: rank", rank(big), "== transpose rank", rank(big.T))
-print("rank + nullity:", rank(big) + kernel_basis(big).shape[1], "== 45")
-
-# The invariant engine builds its Kronecker blocks and stacks them with
-# numpy, then eliminates the stack once.
-a = np.array([[1, 1]], dtype=np.uint8)
-b = np.eye(2, dtype=np.uint8)
-print("kron([1 1], I2):")
-print(to_text(np.kron(a, b)))
-stacked = np.concatenate([b, b, np.zeros((0, 2), dtype=np.uint8)])
-print("stacked shape:", stacked.shape, "rank:", rank(stacked))
+rng = random.Random(0)
+big = [rng.getrandbits(45) for _ in range(60)]
+print("random 60x45: rank", rank(big), "== transpose rank", rank(transpose(big, 45)))
+print("rank + nullity:", rank(big) + len(kernel_basis(big, 45)), "== 45")
 
 # Zero-dimensional matrices are fine: a 0 x 5 matrix constrains nothing.
-print("0x5 kernel dimension:", kernel_basis(np.zeros((0, 5), dtype=np.uint8)).shape[1])
+print("0x5 kernel dimension:", len(kernel_basis([], 5)))

@@ -4,7 +4,8 @@
 A code is a 2n x k full-rank matrix over GF(2) whose columns pairwise
 commute under the symplectic product; graph states are the special case
 [theta; I] for an adjacency matrix theta.  A GeneratorMatrix is always
-such a code: other bits are refused where the code is made.
+such a code: other bits are refused where the code is made.  It holds
+its 2n rows as ints, bit l of a row for generator l + 1.
 """
 
 import numpy as np
@@ -31,7 +32,8 @@ from stabinv.stabilizer import (
 edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
 gen = graph_generator(edge)
 print("generator matrix (columns = generators):")
-print(to_text(gen.matrix))
+print(to_text(gen.rows, gen.k))
+print("as int rows:", gen.rows)
 print("as Pauli strings:", gen.pauli_strings())
 print("validates:", validate(gen.matrix) is None)
 
@@ -67,4 +69,4 @@ print("inverse restores the code space:", same_code_space(back, gen))
 # Seeded random codes for experiments; k = 0 is the trivial code.
 sample = random_code(3, 2, seed=7)
 print("random [[3, 2]] code:\n" + format_code(sample), end="")
-print("reproducible:", np.array_equal(random_code(3, 2, seed=7).matrix, sample.matrix))
+print("reproducible:", random_code(3, 2, seed=7).rows == sample.rows)

@@ -8,7 +8,11 @@ validate was given a code that fails validation).
 
 oracle-check passes on only the limits the user gave; the suite's own
 signature supplies every default, and a limit the suite does not take
-is a parse error.
+is a parse error.  --max-tuples is passed on the same way.
+
+The engine and the oracle, which load numpy, are imported by the commands
+that use them, so validate and every usage, parse or invalid-code exit
+run without numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import inspect
 import json
 import sys
 
-from . import invariants, oracle, stabilizer, trees
+from . import stabilizer, trees
 from .errors import BudgetError, InvalidCodeError, ParseError
 
 EXIT_OK = 0
@@ -26,6 +30,9 @@ EXIT_DISTINGUISHED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
+
+# the keys of oracle.SUITES, known here without importing the oracle
+SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "theorem2")
 
 
 def _read_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
@@ -38,7 +45,7 @@ def _read_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
     try:
         gen = stabilizer.parse_code(text, fmt)
         if gen.n == 0:
-            raise InvalidCodeError("bad-shape", gen.matrix.shape)
+            raise InvalidCodeError("bad-shape", (0, gen.k))
     except InvalidCodeError as exc:
         exc.path = path
         raise
@@ -84,7 +91,8 @@ def _parse_omega(text: str, n: int) -> set[int]:
 
 def cmd_validate(args) -> int:
     try:
-        shape, violation = _read_code(_code_path(args), args.code_format).matrix.shape, None
+        gen = _read_code(_code_path(args), args.code_format)
+        shape, violation = (2 * gen.n, gen.k), None
     except InvalidCodeError as exc:
         shape, violation = exc.shape, exc.violation
     payload = {
@@ -98,9 +106,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK if violation is None else EXIT_DISTINGUISHED
 
 
-def _read_tuple(spec: str) -> invariants.TreeTuple:
+def _read_tuple(spec: str):
     """Tree tuple from an inline 'a;b;c' spec or a '@file' with one
     serialized tree per line."""
+    from . import invariants
+
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -108,8 +118,15 @@ def _read_tuple(spec: str) -> invariants.TreeTuple:
     return invariants.parse_tuple(spec)
 
 
+def _budget(args) -> dict:
+    """The record budget, when the user gave one; else the engine's default."""
+    return {"max_records": args.max_tuples} if hasattr(args, "max_tuples") else {}
+
+
 def cmd_invariant(args) -> int:
     gen = _read_code(_code_path(args), args.code_format)
+    from . import invariants
+
     if (args.trees is None) == (args.omega is None):
         raise ParseError("need exactly one of --trees or --omega")
     if args.omega is not None:
@@ -129,7 +146,9 @@ def cmd_invariant(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     gen = _read_code(_code_path(args), args.code_format)
-    fp = invariants.fingerprint(gen, args.rmax, max_records=args.max_tuples)
+    from . import invariants
+
+    fp = invariants.fingerprint(gen, args.rmax, **_budget(args))
     _emit(fp.to_payload(), args)
     return EXIT_OK
 
@@ -139,12 +158,14 @@ def cmd_compare(args) -> int:
     gen_b = _read_code(args.code_b, args.code_format)
     if gen_a.n != gen_b.n:
         raise ParseError(f"codes have different lengths {gen_a.n} and {gen_b.n}")
+    from . import invariants
+
     if args.global_search:
-        perm = invariants.compare_global(gen_a, gen_b, args.rmax, args.max_tuples)
+        perm = invariants.compare_global(gen_a, gen_b, args.rmax, **_budget(args))
         same = perm is not None
         detail = {"permutation": list(perm) if same else None}
     else:
-        diff = invariants.first_difference(gen_a, gen_b, args.rmax, args.max_tuples)
+        diff = invariants.first_difference(gen_a, gen_b, args.rmax, **_budget(args))
         same = diff is None
         detail = {}
         if not same:
@@ -158,6 +179,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import oracle
+
     suite = oracle.SUITES[args.suite]
     params = inspect.signature(suite).parameters
     # a wrapper that forwards **kwargs passes every limit on to the suite
@@ -212,20 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fingerprint", help="all invariant dimensions up to a degree")
     common(p)
     p.add_argument("--rmax", type=int, required=True, help="largest degree (>= 2)")
-    p.add_argument("--max-tuples", type=int, default=invariants.DEFAULT_MAX_RECORDS,
-                   help="record budget for the sweep")
+    p.add_argument("--max-tuples", type=int, default=argparse.SUPPRESS,
+                   help="record budget for the sweep (default: the engine's)")
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("compare", help="screen two codes for local equivalence")
     common(p, code_args=2)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--max-tuples", type=int, default=invariants.DEFAULT_MAX_RECORDS)
+    p.add_argument("--max-tuples", type=int, default=argparse.SUPPRESS,
+                   help="record budget for each code's sweep (default: the engine's)")
     p.add_argument("--global", dest="global_search", action="store_true",
                    help="search qubit relabellings of the second code")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle-check", help="run an exact certification suite")
-    p.add_argument("--suite", required=True, choices=sorted(oracle.SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--max-n", type=int, default=argparse.SUPPRESS,
                    help="largest qubit count (default: the suite's)")
     p.add_argument("--max-r", type=int, default=argparse.SUPPRESS,

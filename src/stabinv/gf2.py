@@ -1,67 +1,101 @@
-"""Linear algebra over GF(2) on 0/1 numpy arrays.
+"""Linear algebra over GF(2) on Python-int rows.
 
-A GF(2) matrix is a 2-d ``np.uint8`` array whose entries are 0 or 1.
-Products of such arrays may be taken with ``@`` and reduced ``% 2``:
-uint8 sums wrap modulo 256, which keeps their parity.  Zero-dimensional
-matrices (no rows or no columns) are first-class citizens; they show up
-as trivial codes and empty constraint stacks.
+A GF(2) matrix is a sequence of ints, one per row, with bit c of a row
+holding the entry in column c; the column count travels beside the rows
+where the rows alone cannot tell it.  Zero-dimensional matrices (no rows
+or no columns) are first-class citizens; they show up as trivial codes
+and empty constraint stacks.
 
-Every function here is pure: it never writes to its argument.
+`from_dense` and `to_dense` convert at the boundary to 2-d 0/1 arrays;
+only `to_dense` loads numpy, and only when it is called.  Every function
+here is pure: it never writes to its argument.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+def from_dense(a) -> tuple[tuple[int, ...], int]:
+    """The int rows and the column count of a 2-d integer array-like,
+    reduced mod 2.  A numpy array keeps its column count even with no rows."""
+    shape = getattr(a, "shape", None)
+    if shape is not None and len(shape) != 2:
+        raise ValueError(f"need a 2-d matrix, got {len(shape)} dimensions")
+    try:
+        dense = [[int(v) & 1 for v in row] for row in a]
+    except TypeError:
+        raise ValueError("need a 2-d matrix of integers") from None
+    cols = shape[1] if shape is not None else len(dense[0]) if dense else 0
+    if any(len(row) != cols for row in dense):
+        raise ValueError("rows of a matrix need equal lengths")
+    return tuple(sum(v << c for c, v in enumerate(row)) for row in dense), cols
 
 
-def reduced_echelon(a) -> tuple[np.ndarray, tuple[int, ...]]:
+def to_dense(rows, cols: int):
+    """The rows as a new len(rows) x cols np.uint8 array of 0/1."""
+    import numpy as np
+
+    dense = np.array([[(row >> c) & 1 for c in range(cols)] for row in rows], dtype=np.uint8)
+    return dense.reshape(len(rows), cols)
+
+
+def transpose(rows, cols: int) -> tuple[int, ...]:
+    """The cols rows of the transpose; each has len(rows) bits."""
+    return tuple(
+        sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in range(cols)
+    )
+
+
+def reduced_echelon(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row-echelon form of a GF(2) matrix and its pivot columns.
 
-    Pivots are searched left to right; within a column the first nonzero
-    row at or below the current one is chosen, so the result is
-    deterministic.
+    Pivots are searched from column 0 up; within a column the first row
+    at or below the current one with that bit set is chosen, so the result
+    is deterministic.
     """
-    m = np.array(a, dtype=np.uint8)
-    if m.ndim != 2:
-        raise ValueError("need a 2-d matrix")
-    rows, cols = m.shape
+    m = list(rows)
     pivots: list[int] = []
-    for c in range(cols):
+    for c in range(max((row.bit_length() for row in m), default=0)):
         r = len(pivots)
-        if r == rows:
+        if r == len(m):
             break
-        hits = np.flatnonzero(m[r:, c])
-        if hits.size == 0:
+        bit = 1 << c
+        p = next((i for i in range(r, len(m)) if m[i] & bit), None)
+        if p is None:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        others = np.flatnonzero(m[:, c])
-        m[others[others != r]] ^= m[r]
+        m[r], m[p] = m[p], m[r]
+        for i in range(len(m)):
+            if i != r and m[i] & bit:
+                m[i] ^= m[r]
         pivots.append(c)
-    return m, tuple(pivots)
+    return tuple(m), tuple(pivots)
 
 
-def rank(a) -> int:
-    """GF(2) rank: the number of pivots of the reduced echelon form."""
-    return len(reduced_echelon(a)[1])
+def rank(rows) -> int:
+    """GF(2) rank: the size of an XOR basis with distinct leading bits."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
-def kernel_basis(a) -> np.ndarray:
-    """Basis of {x : a x = 0} as the columns of a cols x dim 0/1 array.
+def kernel_basis(rows, cols: int) -> tuple[int, ...]:
+    """Basis of {x : a x = 0}, each vector a cols-bit int.
 
     Basis vectors follow the standard free-column construction in
     ascending free-column order, so the output is deterministic.
     """
-    echelon, pivots = reduced_echelon(a)
-    cols = echelon.shape[1]
+    echelon, pivots = reduced_echelon(rows)
     free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.uint8)
-    basis[free, range(len(free))] = 1
-    basis[list(pivots)] = echelon[: len(pivots)][:, free]
-    return basis
+    return tuple(
+        (1 << f) | sum(((echelon[i] >> f) & 1) << p for i, p in enumerate(pivots)) for f in free
+    )
 
 
-def to_text(a) -> str:
-    """One row of '0'/'1' characters per line."""
-    return "\n".join("".join(map(str, row)) for row in np.asarray(a).tolist())
+def to_text(rows, cols: int) -> str:
+    """One row of '0'/'1' characters per line, column 0 first."""
+    return "\n".join("".join("1" if (row >> c) & 1 else "0" for c in range(cols)) for row in rows)

@@ -6,6 +6,9 @@ is the GF(2) kernel dimension of a stacked Kronecker matrix: block i is
 it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
+
+The blocks and their elimination are 0/1 np.uint8 arrays, built from the
+code's cached `matrix` view; the code itself is held as int rows.
 """
 
 from __future__ import annotations
@@ -98,13 +101,29 @@ def all_tuples(n: int, r: int):
 def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
     """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
     a 2t x r*k array of 0/1."""
-    return np.kron(r_matrix(tree).T, qubit_rows(gen, [i]))
+    return np.kron(r_matrix(tree).T, gen.matrix[[i - 1, gen.n + i - 1]])
 
 
 def _kernel_dim(blocks) -> int:
-    """Kernel dimension of the blocks stacked row-wise."""
-    stacked = np.concatenate(blocks)
-    return stacked.shape[1] - rank(stacked)
+    """Kernel dimension of the blocks stacked row-wise, by Gauss-Jordan
+    elimination: pivots are searched column by column, and within a column
+    the first nonzero row at or below the current one is chosen."""
+    m = np.concatenate(blocks)
+    rows, cols = m.shape
+    pivots = 0
+    for c in range(cols):
+        if pivots == rows:
+            break
+        hits = np.flatnonzero(m[pivots:, c])
+        if hits.size == 0:
+            continue
+        p = pivots + int(hits[0])
+        if p != pivots:
+            m[[pivots, p]] = m[[p, pivots]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != pivots]] ^= m[pivots]
+        pivots += 1
+    return cols - pivots
 
 
 def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
@@ -125,7 +144,7 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     if omega and not omega <= set(range(1, gen.n + 1)):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    return _kernel_dim([qubit_rows(gen, outside)])
+    return gen.k - rank(qubit_rows(gen, outside))
 
 
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:

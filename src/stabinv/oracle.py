@@ -425,7 +425,9 @@ class TupleSpaces:
         shifts = (r - 1 - np.arange(r)) * k + (k - 1 - np.arange(k))[:, None]
         x = (np.arange(1 << (k * r), dtype=np.int64) >> shifts[:, :, None]) & 1  # [i, j, point]
         self.gen, self.r = gen, r
-        self.words = np.einsum("il,ljp->ijp", gen.matrix.astype(np.int64), x) % 2
+        # 0/1 entries as uint8: lemma3 keeps every graph's table of one (n, r)
+        words = np.einsum("il,ljp->ijp", gen.matrix.astype(np.int64), x) % 2
+        self.words = words.astype(np.uint8)
         self.member = []
         for i in range(n):
             rows = self.words[[i, n + i]]  # qubit i's z and x coordinates
@@ -501,7 +503,8 @@ class GraphTupleSpaces(TupleSpaces):
             return None
         m = self.adj.n * self.r  # the point as m bits, blocks ordered by copy
         element = [(int(bad[0]) >> (m - 1 - b)) & 1 for b in range(m)]
-        return {"element": element, "graph": to_text(self.adj.theta), "tuple": tup.id()}
+        graph = to_text(self.adj.rows, self.adj.n)
+        return {"element": element, "graph": graph, "tuple": tup.id()}
 
     def lemma3_failure(self, tup: TreeTuple, trace: Fraction, norm: Fraction) -> dict | None:
         """None if the signed tuple-space sum reproduces the exact trace
@@ -518,7 +521,8 @@ class GraphTupleSpaces(TupleSpaces):
             detail = {"cardinality": card}
         else:
             return None
-        return {"graph": to_text(self.adj.theta), "tuple": tup.id(), "signed_sum": s} | detail
+        graph = to_text(self.adj.rows, self.adj.n)
+        return {"graph": graph, "tuple": tup.id(), "signed_sum": s} | detail
 
 
 # -- certification suites ----------------------------------------------------
@@ -534,6 +538,17 @@ def _over_budget(name: str, projected: int) -> dict | None:
         return None
     warning = f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
     return _result(name, 0, [], [warning])
+
+
+def _tuple_batches(n: int, r: int, max_dim: int):
+    """The tuples of n trees on r nodes in canonical order, in batches
+    whose t_pi images hold TRACE_CHUNK index entries (one image when an
+    image is larger), each batch with its images; one batch's images are
+    built at a time."""
+    per = max(1, TRACE_CHUNK >> (n * r))
+    tuples = all_tuples(n, r)
+    while batch := list(itertools.islice(tuples, per)):
+        yield batch, [t_pi(tup, max_dim) for tup in batch]
 
 
 def _dense_sizes(max_n: int, degrees: range, max_dim: int) -> tuple[dict, list]:
@@ -565,7 +580,7 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
             rhs = rho_from_code(graph_generator(adj), max_dim=max_dim)
             checks += 1
             if not lhs.same_as(rhs):
-                failures.append({"graph": to_text(adj.theta)})
+                failures.append({"graph": to_text(adj.rows, n)})
     return _result(name, checks, failures, warnings)
 
 
@@ -591,9 +606,10 @@ def suite_lemma2(max_r: int = 3) -> dict:
 def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
-    Each graph's projector is built once per n, each tuple's t_pi and
-    edgeless-graph normalization once per (n, r), and each graph's tuple
-    spaces and traces once per (n, r).
+    Each graph's projector is built once per n, and each graph's tuple
+    spaces once per (n, r).  Each tuple's t_pi image and edgeless-graph
+    normalization are made once, one batch of tuples at a time, and every
+    graph's traces against that batch are taken before the next.
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -611,21 +627,22 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
         edgeless = AdjacencyMatrix.empty(n)
         rho_edgeless = rho_from_code(graph_generator(edgeless), max_dim=max_dim)
         for r in degrees:
-            tuples = list(all_tuples(n, r))
-            perms = [t_pi(tup, max_dim) for tup in tuples]
             empty = GraphTupleSpaces(edgeless, r)
-            norms = [
-                Fraction(empty.signed_sum(tup)[0]) / trace.as_fraction()
-                for tup, trace in zip(tuples, product_trace(perms, [rho_edgeless] * r))
-            ]
-            for adj, rho in zip(graphs, rhos):
-                spaces = GraphTupleSpaces(adj, r)
-                traces = product_trace(perms, [rho] * r)
-                for tup, trace, norm in zip(tuples, traces, norms):
-                    checks += 1
-                    bad = spaces.lemma3_failure(tup, trace.as_fraction(), norm)
-                    if bad is not None:
-                        failures.append(bad)
+            spaces = [GraphTupleSpaces(adj, r) for adj in graphs]
+            found = [[] for _ in graphs]  # reported graph by graph
+            for tuples, perms in _tuple_batches(n, r, max_dim):
+                norms = [
+                    Fraction(empty.signed_sum(tup)[0]) / trace.as_fraction()
+                    for tup, trace in zip(tuples, product_trace(perms, [rho_edgeless] * r))
+                ]
+                for graph_spaces, rho, graph_failures in zip(spaces, rhos, found):
+                    traces = product_trace(perms, [rho] * r)
+                    for tup, trace, norm in zip(tuples, traces, norms):
+                        checks += 1
+                        bad = graph_spaces.lemma3_failure(tup, trace.as_fraction(), norm)
+                        if bad is not None:
+                            graph_failures.append(bad)
+            failures.extend(itertools.chain.from_iterable(found))
     return _result(name, checks, failures, warnings)
 
 
@@ -684,23 +701,22 @@ def suite_theorem1(
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in degrees:
-            tuples = list(all_tuples(n, r))
-            perms = [t_pi(tup, max_dim) for tup in tuples]
-            offsets = [  # [code][tuple]
-                [_offset(gen, tup, trace)
-                 for tup, trace in zip(tuples, product_trace(perms, [rho] * r))]
-                for gen, rho in zip(codes, rhos)
-            ]
-            for t, tup in enumerate(tuples):
-                column = [o[t] for o in offsets]
-                expected = next((z for z in column if isinstance(z, int)), None)
-                for gen, z in zip(codes, column):
-                    checks += 1
-                    record = {"n": n, "tuple": tup.id(), "k": gen.k}
-                    if isinstance(z, Dyadic):
-                        failures.append(record | {"trace": str(z)})
-                    elif z != expected:
-                        failures.append(record | {"offset": z, "expected": expected})
+            for tuples, perms in _tuple_batches(n, r, max_dim):
+                offsets = [  # [code][tuple]
+                    [_offset(gen, tup, trace)
+                     for tup, trace in zip(tuples, product_trace(perms, [rho] * r))]
+                    for gen, rho in zip(codes, rhos)
+                ]
+                for t, tup in enumerate(tuples):
+                    column = [o[t] for o in offsets]
+                    expected = next((z for z in column if isinstance(z, int)), None)
+                    for gen, z in zip(codes, column):
+                        checks += 1
+                        record = {"n": n, "tuple": tup.id(), "k": gen.k}
+                        if isinstance(z, Dyadic):
+                            failures.append(record | {"trace": str(z)})
+                        elif z != expected:
+                            failures.append(record | {"offset": z, "expected": expected})
     return _result(name, checks, failures, warnings)
 
 

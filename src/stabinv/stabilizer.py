@@ -5,6 +5,9 @@ whose columns are the generators, written as (z-part, x-part) vectors and
 satisfying S^T P S = 0 for the symplectic form P = [[0, I], [I, 0]].
 Generator phases are not represented; they do not affect the local
 equivalence class, and the dense oracle fixes its own +1 convention.
+
+Codes and graphs are held as Python-int rows (see gf2), and nothing here
+loads numpy: a `.matrix` or `.theta` array is built on first use only.
 """
 
 from __future__ import annotations
@@ -12,50 +15,79 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidCodeError, ParseError
-from .gf2 import kernel_basis, rank, to_text
+from .gf2 import from_dense, kernel_basis, rank, to_dense, to_text, transpose
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
 
 
-def _frozen_bits(array) -> np.ndarray:
-    """A read-only copy of a 2-d integer array-like, reduced mod 2."""
-    bits = (np.asarray(array, dtype=np.int64) % 2).astype(np.uint8)
-    if bits.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got {bits.ndim} dimensions")
-    bits.setflags(write=False)
-    return bits
+class _Frozen:
+    """Fields are set once, through object.__setattr__, when an instance is made."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
+def _frozen_dense(rows, cols: int):
+    dense = to_dense(rows, cols)
+    dense.setflags(write=False)
+    return dense
+
+
+def _check_rows(rows, bits: int) -> tuple[int, ...]:
+    rows = tuple(int(row) for row in rows)
+    if any(row >> bits for row in rows):
+        raise ValueError(f"rows must be ints in [0, 2^{bits})")
+    return rows
+
+
+class GeneratorMatrix(_Frozen):
     """A valid stabilizer code as its 2n x k binary generator matrix.
 
-    Any 2-d integer array-like is accepted and stored reduced mod 2 as a
-    read-only uint8 array, so instances can be shared freely.  Bits that
+    Held as 2n int rows of k bits: bit l of row i is entry (i, l), so bit
+    l belongs to generator l + 1.  The constructor takes any 2-d integer
+    array-like and reduces it mod 2; from_rows takes int rows.  Bits that
     are no valid code raise InvalidCodeError naming the first violation,
-    so every instance is a valid code.
+    so every instance is a valid code.  Instances are immutable and can
+    be shared freely; `matrix` is a read-only np.uint8 view, built once.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("rows", "k", "_matrix")
 
-    def __post_init__(self):
-        bits = _frozen_bits(self.matrix)
-        violation = validate(bits)
+    def __init__(self, matrix):
+        self._fill(*from_dense(matrix))
+
+    @classmethod
+    def from_rows(cls, rows, k: int) -> "GeneratorMatrix":
+        """The code with these 2n int rows of k bits each."""
+        gen = cls.__new__(cls)
+        gen._fill(_check_rows(rows, k), k)
+        return gen
+
+    def _fill(self, rows: tuple[int, ...], k: int) -> None:
+        violation = _violation(rows, k)
         if violation is not None:
-            raise InvalidCodeError(violation, bits.shape)
-        object.__setattr__(self, "matrix", bits)
+            raise InvalidCodeError(violation, (len(rows), k))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_matrix", None)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0] // 2
+        return len(self.rows) // 2
 
     @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
+    def matrix(self):
+        """The rows as a read-only 2n x k np.uint8 array; loads numpy."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _frozen_dense(self.rows, self.k))
+        return self._matrix
+
+    def __repr__(self) -> str:
+        return f"GeneratorMatrix.from_rows({self.rows}, k={self.k})"
 
     @classmethod
     def from_pauli_strings(cls, strings) -> "GeneratorMatrix":
@@ -64,25 +96,44 @@ class GeneratorMatrix:
         if not strings:
             raise ValueError("need n from at least one Pauli string")
         n = len(strings[0])
-        return cls(np.array([_pauli_column(s, n) for s in strings], dtype=np.uint8).T)
+        return cls.from_rows(transpose([_pauli_column(s, n) for s in strings], 2 * n), len(strings))
 
     def pauli_strings(self) -> list[str]:
-        n = self.n
-        out = []
-        for j in range(self.k):
-            col = self.matrix[:, j]
-            out.append("".join(_BITS_TO_PAULI[(int(col[i]), int(col[n + i]))] for i in range(n)))
-        return out
+        z, x = self.rows[: self.n], self.rows[self.n :]
+        return [
+            "".join(_BITS_TO_PAULI[((zi >> j) & 1, (xi >> j) & 1)] for zi, xi in zip(z, x))
+            for j in range(self.k)
+        ]
 
 
-def _pauli_column(s: str, n: int) -> list[int]:
-    """The (z-part, x-part) bits of one upper-case Pauli string of length n."""
+def _pauli_column(s: str, n: int) -> int:
+    """One upper-case Pauli string of length n as a 2n-bit generator
+    column: bit i-1 is the z-part of qubit i, bit n+i-1 its x-part."""
     if len(s) != n:
         raise ValueError(f"Pauli string length mismatch: {s!r}")
-    for ch in s:
+    column = 0
+    for i, ch in enumerate(s):
         if ch not in _PAULI_TO_BITS:
             raise ValueError(f"bad Pauli letter {ch!r} in {s!r}")
-    return [_PAULI_TO_BITS[ch][0] for ch in s] + [_PAULI_TO_BITS[ch][1] for ch in s]
+        z, x = _PAULI_TO_BITS[ch]
+        column |= (z << i) | (x << (n + i))
+    return column
+
+
+def _violation(rows: tuple[int, ...], k: int) -> str | None:
+    """The first violated property of 2n int rows of k bits, or None."""
+    n = len(rows) // 2
+    if len(rows) % 2 or k > n:
+        return "bad-shape"
+    if rank(rows) != k:
+        return "not-full-rank"
+    # generator columns, z-part in the low n bits: a pair's symplectic
+    # product is the parity of z_a.x_b + x_a.z_b
+    columns = transpose(rows, k)
+    for a, b in itertools.combinations(columns, 2):
+        if ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1:
+            return "not-self-orthogonal"
+    return None
 
 
 def validate(matrix) -> str | None:
@@ -93,49 +144,45 @@ def validate(matrix) -> str | None:
     k > n), "not-full-rank", "not-self-orthogonal" (some pair of columns
     has symplectic product 1).
     """
-    bits = _frozen_bits(matrix)
-    n, k = bits.shape[0] // 2, bits.shape[1]
-    if bits.shape[0] % 2 or k > n:
-        return "bad-shape"
-    if rank(bits) != k:
-        return "not-full-rank"
-    z, x = bits[:n], bits[n:]
-    if np.any((z.T @ x + x.T @ z) % 2):
-        return "not-self-orthogonal"
-    return None
+    return _violation(*from_dense(matrix))
+
+
+def _bits(v) -> list[int]:
+    return [int(b) & 1 for b in v]
 
 
 def symplectic_product(a, b) -> int:
     """a^T P b mod 2; zero exactly when the two Pauli operators commute."""
-    a = np.asarray(a, dtype=np.int64) % 2
-    b = np.asarray(b, dtype=np.int64) % 2
-    if a.shape != b.shape or a.ndim != 1 or a.shape[0] % 2 != 0:
+    a, b = _bits(a), _bits(b)
+    if len(a) != len(b) or len(a) % 2:
         raise ValueError("need two equal-length vectors of even length")
-    n = a.shape[0] // 2
-    return int(a[:n] @ b[n:] + a[n:] @ b[:n]) % 2
+    n = len(a) // 2
+    return sum(a[i] * b[n + i] + a[n + i] * b[i] for i in range(n)) % 2
 
 
-def qubit_rows(gen: GeneratorMatrix, qubits: list[int]) -> np.ndarray:
-    """Rows i, then rows n+i, of the dense generator matrix for the listed
-    1-based qubits i, as a (2 * len(qubits)) x k 0/1 array."""
-    return gen.matrix[[i - 1 for i in qubits] + [gen.n + i - 1 for i in qubits]]
+def qubit_rows(gen: GeneratorMatrix, qubits) -> tuple[int, ...]:
+    """Rows i, then rows n+i, of the generator matrix for the listed
+    1-based qubits i: the int rows of a (2 * len(qubits)) x k matrix."""
+    return tuple(gen.rows[i - 1] for i in qubits) + tuple(gen.rows[gen.n + i - 1] for i in qubits)
 
 
 def support(v) -> set[int]:
     """Qubits where the (z, x) coordinate pair of v is nonzero (1-based)."""
-    v = np.asarray(v, dtype=np.uint8) % 2
-    if v.ndim != 1 or v.shape[0] % 2 != 0:
+    v = _bits(v)
+    if len(v) % 2:
         raise ValueError("need an even-length vector")
-    n = v.shape[0] // 2
+    n = len(v) // 2
     return {i + 1 for i in range(n) if v[i] or v[n + i]}
 
 
-def code_space(gen: GeneratorMatrix) -> np.ndarray:
-    """All 2^k codewords as the rows of a (2^k, 2n) uint8 array."""
-    if gen.k == 0:
-        return np.zeros((1, 2 * gen.n), dtype=np.uint8)
-    coeffs = np.array(list(itertools.product((0, 1), repeat=gen.k)), dtype=np.uint8)
-    return (coeffs @ gen.matrix.T) % 2
+def code_space(gen: GeneratorMatrix) -> list[tuple[int, ...]]:
+    """All 2^k codewords as tuples of 2n bits, one per coefficient vector
+    in itertools.product order."""
+    words = []
+    for coeffs in itertools.product((0, 1), repeat=gen.k):
+        mask = sum(c << j for j, c in enumerate(coeffs))
+        words.append(tuple((row & mask).bit_count() & 1 for row in gen.rows))
+    return words
 
 
 def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
@@ -150,58 +197,89 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
         raise ValueError("omega must be a subset of 1..n")
     outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    basis = kernel_basis(qubit_rows(gen, outside))  # k x d
-    inside = GeneratorMatrix(gen.matrix @ basis)  # 2n x d
-    return GeneratorMatrix(qubit_rows(inside, omega))
+    basis = kernel_basis(qubit_rows(gen, outside), gen.k)
+    # bit j of row i is coordinate i of the codeword S x_j
+    inside = [
+        sum(((row & x).bit_count() & 1) << j for j, x in enumerate(basis)) for row in gen.rows
+    ]
+    rows = [inside[i - 1] for i in omega] + [inside[gen.n + i - 1] for i in omega]
+    return GeneratorMatrix.from_rows(rows, len(basis))
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyMatrix:
-    """Symmetric zero-diagonal n x n matrix of a simple graph, stored like
-    a generator matrix: reduced mod 2 in a read-only uint8 array."""
+class AdjacencyMatrix(_Frozen):
+    """Symmetric zero-diagonal n x n matrix of a simple graph, held like a
+    generator matrix: n int rows, bit j of row i the entry (i, j), and a
+    read-only np.uint8 `theta` view built once."""
 
-    theta: np.ndarray
+    __slots__ = ("rows", "_theta")
 
-    def __post_init__(self):
-        t = _frozen_bits(self.theta)
-        if t.shape[0] != t.shape[1]:
+    def __init__(self, theta):
+        rows, cols = from_dense(theta)
+        if len(rows) != cols:
             raise ValueError("adjacency matrix must be square")
-        if np.any(t != t.T):
+        self._fill(rows)
+
+    @classmethod
+    def from_rows(cls, rows) -> "AdjacencyMatrix":
+        """The graph with these n int rows of n bits each."""
+        rows = tuple(rows)
+        adj = cls.__new__(cls)
+        adj._fill(_check_rows(rows, len(rows)))
+        return adj
+
+    def _fill(self, rows: tuple[int, ...]) -> None:
+        if transpose(rows, len(rows)) != rows:
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.diag(t)):
+        if any((row >> i) & 1 for i, row in enumerate(rows)):
             raise ValueError("adjacency matrix must have a zero diagonal")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_theta", None)
 
     @property
     def n(self) -> int:
-        return self.theta.shape[0]
+        return len(self.rows)
+
+    @property
+    def theta(self):
+        """The rows as a read-only n x n np.uint8 array; loads numpy."""
+        if self._theta is None:
+            object.__setattr__(self, "_theta", _frozen_dense(self.rows, self.n))
+        return self._theta
+
+    def __repr__(self) -> str:
+        return f"AdjacencyMatrix.from_rows({self.rows})"
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyMatrix":
-        dense = np.zeros((n, n), dtype=np.uint8)
+        rows = [0] * n
         for a, b in edges:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge ({a}, {b}) has a vertex outside 1..{n}")
             if a == b:
                 raise ValueError("no loops in a simple graph")
-            dense[a - 1, b - 1] = dense[b - 1, a - 1] = 1
-        return cls(dense)
+            rows[a - 1] |= 1 << (b - 1)
+            rows[b - 1] |= 1 << (a - 1)
+        return cls.from_rows(rows)
 
     @classmethod
     def empty(cls, n: int) -> "AdjacencyMatrix":
-        return cls(np.zeros((n, n), dtype=np.uint8))
+        return cls.from_rows([0] * n)
 
     @classmethod
     def complete(cls, n: int) -> "AdjacencyMatrix":
-        return cls(np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8))
+        return cls.from_rows([((1 << n) - 1) ^ (1 << i) for i in range(n)])
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "AdjacencyMatrix":
-        dense = np.zeros((n, n), dtype=np.uint8)
+    def random(cls, n: int, rng) -> "AdjacencyMatrix":
+        """One fair coin per vertex pair from a numpy Generator, pairs in
+        row-major order."""
+        rows = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                dense[i, j] = dense[j, i] = rng.integers(0, 2)
-        return cls(dense)
+                if rng.integers(0, 2):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return cls.from_rows(rows)
 
 
 def all_graphs(n: int):
@@ -214,7 +292,7 @@ def all_graphs(n: int):
 
 def graph_generator(adj: AdjacencyMatrix) -> GeneratorMatrix:
     """The generator matrix [theta; I] of a graph state; always valid."""
-    return GeneratorMatrix(np.vstack([adj.theta, np.eye(adj.n, dtype=np.uint8)]))
+    return GeneratorMatrix.from_rows(adj.rows + tuple(1 << i for i in range(adj.n)), adj.n)
 
 
 # The 6 invertible 2x2 matrices over GF(2), in a fixed order.
@@ -247,7 +325,8 @@ class LocalCliffordOp:
         return cls((((1, 0), (0, 1)),) * n)
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "LocalCliffordOp":
+    def random(cls, n: int, rng) -> "LocalCliffordOp":
+        """One block per qubit, drawn from a numpy Generator."""
         picks = rng.integers(0, len(INVERTIBLE_2X2), size=n)
         return cls(tuple(INVERTIBLE_2X2[int(p)] for p in picks))
 
@@ -268,14 +347,12 @@ def apply_local_clifford(op: LocalCliffordOp, gen: GeneratorMatrix) -> Generator
     """
     if op.n != gen.n:
         raise ValueError("qubit count mismatch")
-    dense = gen.matrix
     n = gen.n
-    out = np.zeros_like(dense)
-    for i in range(n):
-        (a, b), (c, d) = op.blocks[i]
-        out[i] = (a * dense[i] + b * dense[n + i]) % 2
-        out[n + i] = (c * dense[i] + d * dense[n + i]) % 2
-    return GeneratorMatrix(out)
+    z_rows, x_rows = [], []
+    for ((a, b), (c, d)), z, x in zip(op.blocks, gen.rows[:n], gen.rows[n:]):
+        z_rows.append((a * z) ^ (b * x))
+        x_rows.append((c * z) ^ (d * x))
+    return GeneratorMatrix.from_rows(z_rows + x_rows, gen.k)
 
 
 def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
@@ -283,7 +360,7 @@ def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
     perm = list(perm)
     if sorted(perm) != list(range(1, gen.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    return GeneratorMatrix(qubit_rows(gen, perm))
+    return GeneratorMatrix.from_rows(qubit_rows(gen, perm), gen.k)
 
 
 def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
@@ -292,17 +369,21 @@ def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
         return False
     if a.k != b.k:
         return False
-    return rank(np.hstack([a.matrix, b.matrix])) == rank(a.matrix)
+    return rank(ra | (rb << a.k) for ra, rb in zip(a.rows, b.rows)) == a.k
 
 
 def random_code(n: int, k: int, seed) -> GeneratorMatrix:
     """Deterministic random valid code: a local-Clifford image of the
-    first k generators of a random graph code."""
+    first k generators of a random graph code, drawn from numpy's
+    default_rng(seed)."""
+    import numpy as np
+
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
     rng = np.random.default_rng(seed)
     adj = AdjacencyMatrix.random(n, rng)
-    gen = GeneratorMatrix(graph_generator(adj).matrix[:, :k])
+    low = (1 << k) - 1
+    gen = GeneratorMatrix.from_rows([row & low for row in graph_generator(adj).rows], k)
     return apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
 
 
@@ -328,13 +409,14 @@ def parse_code(text: str, fmt: str = "auto") -> GeneratorMatrix:
     if detected == "pauli":
         if not body:
             raise ParseError("pauli header with no generators", line=header_no)
+        n = len(body[0][1])
         cols = []
         for no, ln in body:
             try:
-                cols.append(_pauli_column(ln.upper(), len(body[0][1])))
+                cols.append(_pauli_column(ln.upper(), n))
             except ValueError as exc:
                 raise ParseError(str(exc), line=no) from exc
-        return GeneratorMatrix(np.array(cols, dtype=np.uint8).T)
+        return GeneratorMatrix.from_rows(transpose(cols, 2 * n), len(cols))
     parts = header.split()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError(f"expected header 'n k', got {header!r}", line=header_no)
@@ -343,12 +425,12 @@ def parse_code(text: str, fmt: str = "auto") -> GeneratorMatrix:
     expected = 2 * n if k else 0
     if len(body) != expected:
         raise ParseError(f"expected {expected} bit rows, found {len(body)}", line=lines[-1][0])
-    rows = []
     for no, ln in body:
         if len(ln) != k or set(ln) - {"0", "1"}:
             raise ParseError(f"expected {k} bits, got {ln!r}", line=no)
-        rows.append([int(ch) for ch in ln])
-    return GeneratorMatrix(np.array(rows, dtype=np.uint8).reshape(2 * n, k))
+    # column c is character c, so the reversed row reads as the int row
+    rows = [int(ln[::-1], 2) for _, ln in body] if k else [0] * (2 * n)
+    return GeneratorMatrix.from_rows(rows, k)
 
 
 def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:
@@ -359,4 +441,4 @@ def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:
     header = f"{gen.n} {gen.k}"
     if gen.k == 0:
         return header + "\n"
-    return header + "\n" + to_text(gen.matrix) + "\n"
+    return header + "\n" + to_text(gen.rows, gen.k) + "\n"

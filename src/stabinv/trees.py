@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+from .gf2 import to_dense
 
 
 @dataclass(frozen=True)
@@ -195,24 +195,26 @@ def cycle_form(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def r_matrix(tree: BinaryTree) -> np.ndarray:
-    """r x t path-indicator matrix: column j marks the nodes of path j."""
+def r_matrix(tree: BinaryTree):
+    """r x t path-indicator matrix as an np.uint8 array: column j marks
+    the nodes of path j."""
     paths = maximal_right_paths(tree)
-    out = np.zeros((tree.r, len(paths)), dtype=np.uint8)
+    rows = [0] * tree.r
     for j, p in enumerate(paths):
         for v in p:
-            out[v - 1, j] = 1
-    return out
+            rows[v - 1] |= 1 << j
+    return to_dense(rows, len(paths))
 
 
-def d_matrix(tree: BinaryTree) -> np.ndarray:
-    """r x r prefix matrix: column j marks nodes i <= j on j's right path."""
-    out = np.zeros((tree.r, tree.r), dtype=np.uint8)
+def d_matrix(tree: BinaryTree):
+    """r x r prefix matrix as an np.uint8 array: column j marks nodes
+    i <= j on j's right path."""
+    rows = [0] * tree.r
     for p in maximal_right_paths(tree):
         for i, v in enumerate(p):
             for j in p[i:]:
-                out[v - 1, j - 1] = 1
-    return out
+                rows[v - 1] |= 1 << (j - 1)
+    return to_dense(rows, tree.r)
 
 
 def v_space_dimension(tree: BinaryTree) -> int:

@@ -1,12 +1,19 @@
 """End-to-end tests of the stabinv command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stabinv import cli
+import stabinv
+from stabinv import cli, invariants, oracle
 from stabinv.invariants import degree2_dim
 from stabinv.stabilizer import AdjacencyMatrix, format_code, graph_generator, parse_code
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EDGE2_TEXT = "2 2\n01\n10\n10\n01\n"
 PROD2_TEXT = "pauli\nXI\nIX\n"
@@ -192,6 +199,22 @@ def test_fingerprint_budget_exit(capsys, edge2):
     assert "budget" in err
 
 
+def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, monkeypatch):
+    # no --max-tuples: the engine's own default applies, and n=8 at
+    # --rmax 3 (2^8 + 5^8 = 390,881 records) is over it
+    path = tmp_path / "empty8.code"
+    path.write_text(format_code(graph_generator(AdjacencyMatrix.empty(8))))
+
+    def block(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(invariants, "_block", block)
+    code = cli.main(["fingerprint", str(path), "--rmax", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"390881 records exceed budget {invariants.DEFAULT_MAX_RECORDS}" in err
+
+
 def test_fingerprint_out_file(capsys, edge2, tmp_path):
     out = tmp_path / "fp.json"
     code = cli.main(["fingerprint", edge2, "--rmax", "2", "--out", str(out)])
@@ -326,3 +349,59 @@ def test_trees_from_file(capsys, edge2, tmp_path):
     code, payload = run_json(capsys, "invariant", edge2, "--trees", f"@{spec}")
     assert code == 0
     assert payload["tuple"] == "(L());(L())"
+
+
+# Runs the CLI, then writes on stderr whether numpy was ever imported.
+NUMPY_PROBE = (
+    "import sys\n"
+    "from stabinv.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_child(*args):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_validate_and_early_exits_never_load_numpy(tmp_path):
+    files = {"ok": EDGE2_TEXT, "violation": ANTICOMMUTING2_TEXT, "malformed": "2 2\n01\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cases = [
+        (["validate", "ok"], 0),
+        (["validate", "violation"], 1),
+        (["fingerprint", "malformed", "--rmax", "2"], 2),
+        (["fingerprint", "violation", "--rmax", "2"], 4),
+    ]
+    for argv, exit_code in cases:
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        proc = run_child("-c", NUMPY_PROBE, *argv)
+        assert proc.returncode == exit_code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False", argv
+    # the probe does see numpy once the engine runs
+    proc = run_child("-c", NUMPY_PROBE, "fingerprint", str(tmp_path / "ok"), "--rmax", "2")
+    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "True")
+    proc = run_child("-c", "import sys, stabinv.cli; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
+    # every lazy re-export of the package resolves
+    assert stabinv.__all__
+    for name in stabinv.__all__:
+        assert getattr(stabinv, name) is not None
+    from stabinv import theorem2_dim
+
+    assert theorem2_dim is oracle.theorem2_dim
+    with pytest.raises(AttributeError):
+        stabinv.no_such_name
+
+
+def test_suite_names_match_the_oracle():
+    assert list(cli.SUITE_NAMES) == sorted(oracle.SUITES)

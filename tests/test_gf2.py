@@ -1,88 +1,99 @@
-"""Tests for the GF(2) functions on 0/1 numpy arrays."""
+"""Tests for the GF(2) functions on Python-int rows."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from stabinv.gf2 import kernel_basis, rank, reduced_echelon, to_text
+from stabinv.gf2 import (
+    from_dense,
+    kernel_basis,
+    rank,
+    reduced_echelon,
+    to_dense,
+    to_text,
+    transpose,
+)
 from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix
 
 
-def span_size_rank(dense) -> int:
+def parity(x: int) -> int:
+    return bin(x).count("1") % 2
+
+
+def span_size_rank(rows) -> int:
     """Independent rank oracle: log2 of the number of distinct row combinations."""
-    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8)) % 2
-    rows = dense.shape[0]
     span = set()
-    for coeffs in itertools.product((0, 1), repeat=rows):
-        vec = np.zeros(dense.shape[1], dtype=np.uint8)
-        for c, row in zip(coeffs, dense):
+    for coeffs in itertools.product((0, 1), repeat=len(rows)):
+        vec = 0
+        for c, row in zip(coeffs, rows):
             if c:
                 vec ^= row
-        span.add(vec.tobytes())
+        span.add(vec)
     size = len(span)
     assert size & (size - 1) == 0
     return size.bit_length() - 1
 
 
-def annihilated_count(dense) -> int:
+def annihilated_count(rows, cols) -> int:
     """Independent kernel oracle: count vectors sent to zero, exhaustively."""
-    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8)) % 2
-    cols = dense.shape[1]
-    count = 0
-    for x in itertools.product((0, 1), repeat=cols):
-        if not np.any((dense @ np.array(x, dtype=np.uint8)) % 2):
-            count += 1
-    return count
+    return sum(1 for x in range(1 << cols) if not any(parity(row & x) for row in rows))
 
 
-def random_matrix(rng, rows, cols) -> np.ndarray:
-    return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+def random_matrix(rng, rows, cols) -> list[int]:
+    return [rng.getrandbits(cols) for _ in range(rows)]
 
 
-def kernel_dim(m) -> int:
-    return kernel_basis(m).shape[1]
+def random_shape(rng, max_rows, max_cols):
+    return rng.randrange(max_rows + 1), rng.randrange(max_cols + 1)
+
+
+def kernel_dim(rows, cols) -> int:
+    return len(kernel_basis(rows, cols))
 
 
 def test_rank_identity():
-    assert rank(np.eye(2, dtype=np.uint8)) == 2
+    assert rank([0b01, 0b10]) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(np.zeros((3, 5), dtype=np.uint8)) == 0
+    assert rank([0, 0, 0]) == 0
 
 
 def test_rank_dependent_rows():
-    rows = [[1, 1], [1, 1], [0, 1]]
+    rows, cols = from_dense([[1, 1], [1, 1], [0, 1]])
+    assert (rows, cols) == ((0b11, 0b11, 0b10), 2)
     assert span_size_rank(rows) == 2
     assert rank(rows) == 2
 
 
 def test_kernel_dimension_no_rows():
-    assert kernel_dim(np.zeros((0, 5), dtype=np.uint8)) == 5
+    assert kernel_dim([], 5) == 5
 
 
 def test_kernel_dimension_identity():
-    assert kernel_basis(np.eye(5, dtype=np.uint8)).shape == (5, 0)
+    assert kernel_basis([1 << c for c in range(5)], 5) == ()
 
 
 def test_kernel_dimension_chain():
-    rows = [[1, 1, 0], [0, 1, 1]]
-    assert annihilated_count(rows) == 2  # exactly {000, 111}
-    assert np.array_equal(kernel_basis(rows), [[1], [1], [1]])
+    rows, cols = from_dense([[1, 1, 0], [0, 1, 1]])
+    assert annihilated_count(rows, cols) == 2  # exactly {000, 111}
+    assert kernel_basis(rows, cols) == (0b111,)
 
 
 def test_kernel_matches_enumeration():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(30):
-        m = random_matrix(rng, int(rng.integers(0, 7)), int(rng.integers(0, 13)))
-        assert annihilated_count(m) == 1 << kernel_dim(m)
+        rows, cols = random_shape(rng, 6, 12)
+        m = random_matrix(rng, rows, cols)
+        assert annihilated_count(m, cols) == 1 << kernel_dim(m, cols)
 
 
 def test_rank_matches_span_enumeration():
-    rng = np.random.default_rng(12)
+    rng = random.Random(12)
     shapes = [(0, 0), (0, 4), (4, 0), (3, 70), (10, 130)]
-    shapes += [(int(rng.integers(0, 9)), int(rng.integers(0, 9))) for _ in range(30)]
+    shapes += [random_shape(rng, 8, 8) for _ in range(30)]
     for rows, cols in shapes:
         m = random_matrix(rng, rows, cols)
         assert rank(m) == span_size_rank(m)
@@ -92,83 +103,106 @@ def test_reduced_echelon_matches_brute_force():
     """Against the defining properties: the pivots are the columns that
     are not in the span of the columns to their left, each pivot column is
     a unit vector, and the row space is unchanged."""
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     shapes = [(0, 0), (0, 3), (3, 0), (4, 66), (6, 100)]
-    shapes += [(int(rng.integers(0, 7)), int(rng.integers(0, 9))) for _ in range(30)]
+    shapes += [random_shape(rng, 6, 8) for _ in range(30)]
     for rows, cols in shapes:
         m = random_matrix(rng, rows, cols)
         echelon, pivots = reduced_echelon(m)
-        assert echelon.shape == m.shape
+        assert len(echelon) == rows
+        assert all(0 <= row < 1 << cols for row in echelon)
+
+        def left_of(c):  # the columns 0..c-1
+            return [row & ((1 << c) - 1) for row in m]
+
         expected = tuple(
-            c for c in range(cols) if span_size_rank(m[:, : c + 1]) > span_size_rank(m[:, :c])
+            c for c in range(cols) if span_size_rank(left_of(c + 1)) > span_size_rank(left_of(c))
         )
         assert pivots == expected
         for i, c in enumerate(pivots):
-            assert np.array_equal(echelon[:, c], np.eye(rows, dtype=np.uint8)[i])
-        assert not np.any(echelon[len(pivots) :])
-        assert span_size_rank(np.vstack([m, echelon])) == len(pivots)
+            assert [(row >> c) & 1 for row in echelon] == [int(j == i) for j in range(rows)]
+        assert not any(echelon[len(pivots) :])
+        assert span_size_rank(m + list(echelon)) == len(pivots)
 
 
 def test_reduced_echelon_leaves_input_alone():
-    m = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    m = [0b10, 0b11]  # rows [0, 1] and [1, 1]
     echelon, pivots = reduced_echelon(m)
     assert pivots == (0, 1)
-    assert np.array_equal(echelon, np.eye(2, dtype=np.uint8))
-    assert np.array_equal(m, [[0, 1], [1, 1]])
+    assert echelon == (0b01, 0b10)
+    assert m == [0b10, 0b11]
 
 
 def test_rank_equals_transpose_rank():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(40):
-        m = random_matrix(rng, int(rng.integers(1, 80)), int(rng.integers(1, 80)))
-        assert rank(m) == rank(m.T)
+        rows, cols = rng.randrange(1, 80), rng.randrange(1, 80)
+        m = random_matrix(rng, rows, cols)
+        assert rank(m) == rank(transpose(m, cols))
 
 
 def test_rank_nullity():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for _ in range(40):
-        m = random_matrix(rng, int(rng.integers(0, 20)), int(rng.integers(0, 70)))
-        assert rank(m) + kernel_dim(m) == m.shape[1]
+        rows, cols = random_shape(rng, 19, 69)
+        m = random_matrix(rng, rows, cols)
+        assert rank(m) + kernel_dim(m, cols) == cols
 
 
 def test_matmul_agrees_with_dense():
-    # uint8 products wrap modulo 256, which keeps their parity, so the
-    # library's GF(2) products need no wider dtype; 300 ones overflow
+    # the library multiplies int rows by int vectors as the parity of
+    # their AND; against int64 products of the dense arrays
     rng = np.random.default_rng(17)
-    a = random_matrix(rng, 5, 300)
-    a[0] = 1
-    b = random_matrix(rng, 300, 4)
-    b[:, 0] = 1
+    a = rng.integers(0, 2, size=(5, 300), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(300, 4), dtype=np.uint8)
+    rows, _ = from_dense(a)
+    vectors = transpose(from_dense(b)[0], 4)  # the columns of b
     expected = (a.astype(np.int64) @ b.astype(np.int64)) % 2
-    assert np.array_equal((a @ b) % 2, expected)
+    assert [[parity(row & x) for x in vectors] for row in rows] == expected.tolist()
 
 
 def test_kernel_basis_spans_kernel():
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     for _ in range(20):
-        m = random_matrix(rng, int(rng.integers(0, 8)), int(rng.integers(0, 90)))
-        basis = kernel_basis(m)
-        assert basis.shape == (m.shape[1], m.shape[1] - rank(m))
-        assert rank(basis) == basis.shape[1]
-        assert not np.any((m @ basis) % 2)
+        rows, cols = random_shape(rng, 7, 89)
+        m = random_matrix(rng, rows, cols)
+        basis = kernel_basis(m, cols)
+        assert len(basis) == cols - rank(m)
+        assert rank(basis) == len(basis)
+        assert all(0 <= x < 1 << cols for x in basis)
+        assert not any(parity(row & x) for row in m for x in basis)
 
 
 def test_text_roundtrip():
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     m = random_matrix(rng, 6, 70)
-    lines = to_text(m).split("\n")
-    assert np.array_equal([[int(ch) for ch in line] for line in lines], m)
-    assert to_text(np.zeros((0, 3), dtype=np.uint8)) == ""
+    lines = to_text(m, 70).split("\n")
+    assert from_dense([[int(ch) for ch in line] for line in lines]) == (tuple(m), 70)
+    assert to_text([0b011], 3) == "110"  # column 0 first
+    assert to_text([], 3) == ""
+
+
+def test_dense_roundtrip():
+    rng = np.random.default_rng(37)
+    for shape in [(0, 0), (0, 3), (4, 0), (5, 70)]:
+        dense = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        rows, cols = from_dense(dense)
+        assert (len(rows), cols) == shape
+        assert np.array_equal(to_dense(rows, cols), dense)
+    # entries are reduced mod 2; anything but a 2-d matrix is refused
+    assert from_dense([[2, 3, -1]]) == ((0b110,), 3)
+    for bad in ([0, 1], np.zeros((2, 2, 2)), [[0, 1], [1]]):
+        with pytest.raises(ValueError):
+            from_dense(bad)
 
 
 def test_zero_dimensional_edges():
-    empty = np.zeros((0, 0), dtype=np.uint8)
-    assert rank(empty) == 0
-    assert kernel_dim(empty) == 0
-    # dense stacks with no constraint rows (degree 2, omega = all qubits)
-    # and with no columns (a k = 0 code)
-    assert kernel_dim(np.zeros((0, 3), dtype=np.uint8)) == 3
-    assert kernel_dim(np.zeros((4, 0), dtype=np.uint8)) == 0
+    assert rank([]) == 0
+    assert kernel_dim([], 0) == 0
+    # stacks with no constraint rows (degree 2, omega = all qubits) and
+    # with no columns (a k = 0 code)
+    assert kernel_dim([], 3) == 3
+    assert kernel_dim([0, 0, 0, 0], 0) == 0
 
 
 def test_code_matrices_are_read_only():
@@ -178,3 +212,7 @@ def test_code_matrices_are_read_only():
         gen.matrix[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         adj.theta[0, 0] = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        gen.rows = (1, 0)
+    with pytest.raises(AttributeError, match="immutable"):
+        adj.rows = (0, 0)

@@ -730,6 +730,51 @@ def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
+def test_dense_suites_contract_images_in_batches(monkeypatch):
+    # lemma3 with every graph but the edgeless one doubled, and theorem1
+    # with one projector scaled by 3 and one by 2, so that both reports
+    # carry failures of each kind; a TRACE_CHUNK of 2 entries holds one
+    # t_pi image per batch and must leave every report as it was
+    edgeless = {graph_generator(AdjacencyMatrix.empty(n)).rows for n in (1, 2, 3)}
+    factors = {
+        random_code(2, 1, seed=(0, 2, 1, 0)).rows: 3,
+        random_code(2, 2, seed=(0, 2, 2, 1)).rows: 2,
+    }
+    exact_rho = oracle.rho_from_code
+    exact_trace = oracle.product_trace
+    stacks = []
+
+    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
+        rho = exact_rho(gen, signs, max_dim)
+        if gen.n == gen.k and gen.rows[gen.n :] == tuple(1 << i for i in range(gen.n)):
+            return rho if gen.rows in edgeless else scaled(rho, 2)
+        return scaled(rho, factors.get(gen.rows, 1))
+
+    def counted(perms, ops):
+        stacks.append(len(perms))
+        return exact_trace(perms, ops)
+
+    monkeypatch.setattr(oracle, "rho_from_code", planted)
+    monkeypatch.setattr(oracle, "product_trace", counted)
+    runs = {
+        "lemma3": lambda: suite_lemma3(max_n=3, max_r=2),
+        "theorem1": lambda: suite_theorem1(max_n=2, max_r=3, codes_per_k=2),
+    }
+    whole = {name: run() for name, run in runs.items()}
+    assert max(stacks) == 25  # all n=2, r=3 images in one batch
+    stacks.clear()
+    monkeypatch.setattr(oracle, "TRACE_CHUNK", 2)
+    batched = {name: run() for name, run in runs.items()}
+    assert set(stacks) == {1}
+    assert batched == whole
+    assert whole["lemma3"]["checks"] == 1 * 3 + 2 * 5 + 8 * 9
+    assert len(whole["lemma3"]["failures"]) == 1 * 5 + 7 * 9  # every other graph
+    assert whole["theorem1"]["checks"] == 4 * 7 + 6 * 29
+    assert {tuple(f) for f in whole["theorem1"]["failures"]} == {
+        ("n", "tuple", "k", "trace"), ("n", "tuple", "k", "offset", "expected")
+    }
+
+
 def test_exhaustive_suites_refuse_work_over_budget():
     # projected before any work: lemma2 at max_r=7 needs 7,616,356 checks,
     # lemma4 at max_n=5 needs 2^10 graphs times 5^5 tuples at r=3 alone;
@@ -825,7 +870,7 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
     assert report["checks"] == checks == 3 + 2 * 5
     tuples = [tup.id() for r in (1, 2) for tup in all_tuples(2, r)]
     assert [(f["graph"], f["tuple"]) for f in report["failures"]] == [
-        (to_text(edge.theta), t) for t in tuples
+        (to_text(edge.rows, edge.n), t) for t in tuples
     ]
 
 

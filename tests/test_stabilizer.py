@@ -5,10 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabinv import oracle
 from stabinv.errors import InvalidCodeError, ParseError
-from stabinv.gf2 import rank
+from stabinv.gf2 import from_dense, rank
 from stabinv.stabilizer import (
     INVERTIBLE_2X2,
     AdjacencyMatrix,
@@ -95,6 +97,70 @@ def test_invalid_bits_never_become_a_code(route, violation):
     assert (info.value.violation, info.value.shape) == (violation, (rows, k))
 
 
+def numpy_rank(m) -> int:
+    """GF(2) rank by elimination on a dense int64 array."""
+    m = np.array(m, dtype=np.int64) % 2
+    r = 0
+    for c in range(m.shape[1]):
+        hits = np.flatnonzero(m[r:, c])
+        if hits.size == 0:
+            continue
+        m[[r, r + hits[0]]] = m[[r + hits[0], r]]
+        m[(m[:, c] == 1) & (np.arange(len(m)) != r)] ^= m[r]
+        r += 1
+        if r == len(m):
+            break
+    return r
+
+
+def numpy_violation(m) -> str | None:
+    rows, k = m.shape
+    n = rows // 2
+    if rows % 2 or k > n:
+        return "bad-shape"
+    if numpy_rank(m) != k:
+        return "not-full-rank"
+    z, x = m[:n].astype(np.int64), m[n:].astype(np.int64)
+    if np.any((z.T @ x + x.T @ z) % 2):
+        return "not-self-orthogonal"
+    return None
+
+
+@st.composite
+def bit_matrices(draw):
+    """2n x k bit matrices of any shape, half of them a random code kept
+    as it is, with one bit flipped or with one column copied onto another,
+    so that every verdict comes up."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        m = random_code(n, draw(st.integers(0, n)), draw(st.integers(0, 2**16))).matrix.copy()
+        edit = draw(st.sampled_from(["none", "flip", "copy"])) if m.size else "none"
+        column = st.integers(0, m.shape[1] - 1)
+        if edit == "flip":
+            m[draw(st.integers(0, len(m) - 1)), draw(column)] ^= 1
+        elif edit == "copy":
+            m[:, draw(column)] = m[:, draw(column)]
+        return m
+    rows, k = draw(st.integers(0, 9)), draw(st.integers(0, 5))
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * k, max_size=rows * k))
+    return np.array(bits, dtype=np.uint8).reshape(rows, k)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(m=bit_matrices())
+def test_int_row_validate_agrees_with_numpy(m):
+    violation = numpy_violation(m)
+    assert validate(m) == violation
+    if violation is None:
+        gen = GeneratorMatrix(m)
+        assert np.array_equal(gen.matrix, m)
+        assert gen.matrix.shape == (2 * gen.n, gen.k)
+    else:
+        with pytest.raises(InvalidCodeError, match=f"^invalid code: {violation}$") as info:
+            GeneratorMatrix(m)
+        assert (info.value.violation, info.value.shape) == (violation, m.shape)
+
+
 def test_symplectic_self_product_zero():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -127,21 +193,20 @@ def test_qubit_subblock_graph_structure():
     adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
     gen = graph_generator(adj)
     for j in range(1, 4):
-        block = qubit_rows(gen, [j])
-        assert np.array_equal(block[0], adj.theta[j - 1])
-        expected = np.zeros(3, dtype=np.uint8)
-        expected[j - 1] = 1
-        assert np.array_equal(block[1], expected)
+        z_row, x_row = qubit_rows(gen, [j])
+        assert z_row == from_dense(adj.theta[[j - 1]])[0][0]
+        assert x_row == 1 << (j - 1)  # generator j is the only one with X on qubit j
 
 
 def test_qubit_subblock_trivial_code():
     gen = GeneratorMatrix(np.zeros((4, 0), dtype=np.uint8))
-    assert qubit_rows(gen, [2]).shape == (2, 0)
+    assert (gen.rows, gen.k) == ((0, 0, 0, 0), 0)
+    assert qubit_rows(gen, [2]) == (0, 0)
 
 
 def test_qubit_subblock_single_qubit():
     gen = GeneratorMatrix([[0], [1]])
-    assert qubit_rows(gen, [1]).tolist() == [[0], [1]]
+    assert qubit_rows(gen, [1]) == (0, 1)
 
 
 def test_support_examples():
@@ -181,11 +246,11 @@ def test_restrict_matches_filtered_enumeration():
                 out = restrict_to(gen, omega)  # built, so a valid code
                 keep = [i - 1 for i in omega] + [n + i - 1 for i in omega]
                 filtered = {
-                    word[keep].tobytes()
+                    tuple(word[j] for j in keep)
                     for word in code_space(gen)
                     if support(word) <= set(omega)
                 }
-                restricted = {word.tobytes() for word in code_space(out)}
+                restricted = set(code_space(out))
                 assert filtered == restricted
 
 
@@ -203,6 +268,24 @@ def test_adjacency_rejects_asymmetry_and_loops():
         AdjacencyMatrix([[0, 1], [0, 0]])
     with pytest.raises(ValueError):
         AdjacencyMatrix([[1, 0], [0, 0]])
+
+
+def test_from_rows_matches_the_dense_constructor():
+    for seed in range(10):
+        gen = random_code(4, seed % 5, seed)
+        assert GeneratorMatrix(gen.matrix).rows == gen.rows
+        assert np.array_equal(GeneratorMatrix.from_rows(gen.rows, gen.k).matrix, gen.matrix)
+    adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
+    assert adj.rows == (0b010, 0b101, 0b010)
+    assert AdjacencyMatrix(adj.theta).rows == adj.rows
+    # rows wider than the matrix, and graphs that are not simple, are refused
+    for bad in (lambda: GeneratorMatrix.from_rows([2, 0], 1),
+                lambda: GeneratorMatrix.from_rows([-1, 0], 1),
+                lambda: AdjacencyMatrix.from_rows([0b1000, 0, 0]),
+                lambda: AdjacencyMatrix.from_rows([0b10, 0b00]),
+                lambda: AdjacencyMatrix.from_rows([0b01, 0b00])):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_from_edges_rejects_labels_outside_range():
@@ -258,7 +341,7 @@ def test_full_rank_column_subsets_validate():
         for size in range(n + 1):
             for pick in itertools.combinations(range(n), size):
                 sub = gen.matrix[:, list(pick)]
-                if rank(sub) == size:
+                if rank(from_dense(sub)[0]) == size:
                     assert validate(sub) is None
 
 
@@ -290,7 +373,7 @@ def test_same_code_space_ignores_change_of_basis():
     # right-multiply by an invertible change of basis: same column space
     while True:
         basis = rng.integers(0, 2, size=(3, 3), dtype=np.uint8)
-        if rank(basis) == 3:
+        if rank(from_dense(basis)[0]) == 3:
             break
     other = GeneratorMatrix(gen.matrix @ basis)
     assert same_code_space(gen, other)
