@@ -35,7 +35,7 @@ print("generator matrix (columns = generators):")
 print(to_text(gen.rows, gen.k))
 print("as int rows:", gen.rows)
 print("as Pauli strings:", gen.pauli_strings())
-print("validates:", validate(gen.matrix) is None)
+print("its bits validate:", validate([[0, 1], [1, 0], [1, 0], [0, 1]]) is None)
 
 # The symplectic product detects (anti)commutation: X and Z on the same
 # qubit anticommute, so together they are no code.  validate names the

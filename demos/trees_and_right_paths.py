@@ -5,7 +5,7 @@ A degree-r invariant is indexed by one tree per qubit; each tree
 contributes its permutation and two small GF(2) matrices.
 """
 
-from stabinv.gf2 import from_dense, to_text
+from stabinv.gf2 import to_text
 from stabinv.trees import (
     BinaryTree,
     catalan,
@@ -39,12 +39,12 @@ print("maximal right paths:", maximal_right_paths(ten))
 print("as cycles:", cycle_form(permutation_of(ten)))
 
 # Column j of the path matrix marks the nodes of path j; its transpose's
-# null space has dimension r - t.  Both matrices are numpy arrays, which
-# from_dense turns into gf2's int rows.
+# null space has dimension r - t.  Both matrices are gf2's int rows: bit j
+# of a row is column j, and the column count travels beside them.
 print("path matrix:")
-print(to_text(*from_dense(r_matrix(ten))))
+print(to_text(r_matrix(ten), len(maximal_right_paths(ten))))
 print("null-space dimension r - t =", v_space_dimension(ten))
 
 # The prefix matrix feeds the sign in the oracle's closed-form sums.
 print("prefix matrix of the 3-node right chain:")
-print(to_text(*from_dense(d_matrix(enumerate_trees(3)[-1]))))
+print(to_text(d_matrix(enumerate_trees(3)[-1]), 3))

@@ -35,15 +35,16 @@ EXIT_INVALID = 4
 SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "theorem2")
 
 
-def _read_code(path: str, fmt: str) -> stabilizer.GeneratorMatrix:
-    """The code in the file.  The library accepts the trivial 0-qubit code
-    (a restriction to the empty set), but every command here needs at
-    least one qubit, so such a code is bad-shape.  An InvalidCodeError
-    leaves with the file as its `path`, for the message on stderr."""
+def _read_code(path: str) -> stabilizer.GeneratorMatrix:
+    """The code in the file, in the format its header names.  The library
+    accepts the trivial 0-qubit code (a restriction to the empty set), but
+    every command here needs at least one qubit, so such a code is
+    bad-shape.  An InvalidCodeError leaves with the file as its `path`,
+    for the message on stderr."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     try:
-        gen = stabilizer.parse_code(text, fmt)
+        gen = stabilizer.parse_code(text)
         if gen.n == 0:
             raise InvalidCodeError("bad-shape", (0, gen.k))
     except InvalidCodeError as exc:
@@ -91,7 +92,7 @@ def _parse_omega(text: str, n: int) -> set[int]:
 
 def cmd_validate(args) -> int:
     try:
-        gen = _read_code(_code_path(args), args.code_format)
+        gen = _read_code(_code_path(args))
         shape, violation = (2 * gen.n, gen.k), None
     except InvalidCodeError as exc:
         shape, violation = exc.shape, exc.violation
@@ -124,7 +125,7 @@ def _budget(args) -> dict:
 
 
 def cmd_invariant(args) -> int:
-    gen = _read_code(_code_path(args), args.code_format)
+    gen = _read_code(_code_path(args))
     from . import invariants
 
     if (args.trees is None) == (args.omega is None):
@@ -145,7 +146,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    gen = _read_code(_code_path(args), args.code_format)
+    gen = _read_code(_code_path(args))
     from . import invariants
 
     fp = invariants.fingerprint(gen, args.rmax, **_budget(args))
@@ -154,8 +155,8 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    gen_a = _read_code(args.code_a, args.code_format)
-    gen_b = _read_code(args.code_b, args.code_format)
+    gen_a = _read_code(args.code_a)
+    gen_b = _read_code(args.code_b)
     if gen_a.n != gen_b.n:
         raise ParseError(f"codes have different lengths {gen_a.n} and {gen_b.n}")
     from . import invariants
@@ -217,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("code_b", help="second code file")
         p.add_argument("--format", choices=("json", "table"), default="json",
                        help="output format (default json)")
-        p.add_argument("--code-format", choices=("auto", "bits", "pauli"), default="auto",
-                       help="input code file format (default: detect from header)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("validate", help="check shape, rank and self-orthogonality")

@@ -7,8 +7,8 @@ it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
 
-The blocks and their elimination are 0/1 np.uint8 arrays, built from the
-code's cached `matrix` view; the code itself is held as int rows.
+Each block is built as int rows, from the code's rows and the tree's
+right paths, and made a 0/1 np.uint8 array once for the elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import trees as trees_mod
 from .errors import BudgetError
-from .gf2 import rank
+from .gf2 import rank, to_dense
 from .stabilizer import GeneratorMatrix, qubit_rows
 from .trees import (
     BinaryTree,
@@ -30,7 +30,7 @@ from .trees import (
     delete_singleton,
     enumerate_trees,
     left_chain,
-    r_matrix,
+    maximal_right_paths,
     right_chain,
     serialize,
     singleton_path_nodes,
@@ -100,8 +100,15 @@ def all_tuples(n: int, r: int):
 
 def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
     """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
-    a 2t x r*k array of 0/1."""
-    return np.kron(r_matrix(tree).T, gen.matrix[[i - 1, gen.n + i - 1]])
+    a 2t x r*k array of 0/1.  Row (path p, z or x) holds the qubit's z or
+    x row in the k columns of each node c of p, from column (c - 1) * k."""
+    k = gen.k
+    rows = [
+        sum(row << (c - 1) * k for c in p)
+        for p in maximal_right_paths(tree)
+        for row in qubit_rows(gen, [i])
+    ]
+    return to_dense(rows, tree.r * k)
 
 
 def _kernel_dim(blocks) -> int:

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .gf2 import to_text
+from .gf2 import to_dense, to_text
 from .invariants import TreeTuple, all_tuples, invariant_dim
 from .stabilizer import (
     AdjacencyMatrix,
@@ -222,36 +222,31 @@ def rho_from_code(
     signs = (1,) * k if signs is None else tuple(signs)
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
+    dense = to_dense(gen.rows, k)
     rho = ExactOperator.identity(n)
     for j, s in enumerate(signs):
-        g = pauli_op(gen.matrix[:n, j], gen.matrix[n:, j], max_dim)
+        g = pauli_op(dense[:n, j], dense[n:, j], max_dim)
         rho = rho @ ExactOperator(n, np.eye(rho.dim, dtype=np.int64) + s * g.re, s * g.im)
     return ExactOperator(n, rho.re, rho.im, n)
-
-
-def quadratic_form(adj: AdjacencyMatrix, x) -> int:
-    """Sum of theta_ij x_i x_j over i < j, mod 2."""
-    theta = adj.theta.astype(np.int64)
-    x = np.asarray(x, dtype=np.int64) % 2
-    return int(x @ np.triu(theta, 1) @ x) % 2
 
 
 def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
     """Graph-state projector as a signed sum of tau operators.
 
-    2^-n times the sum over x of (-1)^(quadratic form of x) tau_(theta x, x);
-    equals the projector built from the generator matrix [theta; I].
+    2^-n times the sum over x of (-1)^(x^T U x) tau_(theta x, x), U the
+    strict upper triangle of theta; equals the projector built from the
+    generator matrix [theta; I].
     """
     n = adj.n
     _check_dim(n, max_dim)
-    theta = adj.theta
+    theta = to_dense(adj.rows, n).astype(np.int64)
+    upper = np.triu(theta, 1)
     dim = 1 << n
     acc = np.zeros((dim, dim), dtype=np.int64)
     for x in itertools.product((0, 1), repeat=n):
-        xv = np.array(x, dtype=np.uint8)
-        u = (theta @ xv) % 2
-        sign = (-1) ** quadratic_form(adj, xv)
-        acc += sign * _tau_entries(u, xv, max_dim)
+        xv = np.array(x, dtype=np.int64)
+        sign = 1 - 2 * int(xv @ upper @ xv % 2)
+        acc += sign * _tau_entries(theta @ xv % 2, xv, max_dim)
     return ExactOperator(n, acc, np.zeros_like(acc), n)
 
 
@@ -395,7 +390,7 @@ def closed_form_table(tree: BinaryTree) -> np.ndarray:
     in_paths = np.ones(1 << r, dtype=bool)
     for p in maximal_right_paths(tree):
         in_paths &= bits[:, [c - 1 for c in p]].sum(axis=1) % 2 == 0
-    d = d_matrix(tree).astype(np.int64)
+    d = to_dense(d_matrix(tree), r).astype(np.int64)
     signs = 1 - 2 * ((bits @ d.T @ bits.T) % 2)
     magnitude = 1 << (r - v_space_dimension(tree))
     return np.where(in_paths[:, None] & in_paths[None, :], signs * magnitude, 0)
@@ -425,8 +420,8 @@ class TupleSpaces:
         shifts = (r - 1 - np.arange(r)) * k + (k - 1 - np.arange(k))[:, None]
         x = (np.arange(1 << (k * r), dtype=np.int64) >> shifts[:, :, None]) & 1  # [i, j, point]
         self.gen, self.r = gen, r
-        # 0/1 entries as uint8: lemma3 keeps every graph's table of one (n, r)
-        words = np.einsum("il,ljp->ijp", gen.matrix.astype(np.int64), x) % 2
+        # 0/1 entries as uint8: lemma3 keeps the tables of a whole pass of graphs
+        words = np.einsum("il,ljp->ijp", to_dense(gen.rows, k).astype(np.int64), x) % 2
         self.words = words.astype(np.uint8)
         self.member = []
         for i in range(n):
@@ -475,11 +470,12 @@ class GraphTupleSpaces(TupleSpaces):
         n = adj.n
         s, x = self.words[:n], self.words[n:]  # theta_i . X_(.,j) and X[i, j]
         self.adj = adj
-        lower = np.tril(adj.theta.astype(np.int64), -1)
+        lower = np.tril(to_dense(adj.rows, n).astype(np.int64), -1)
         self.base = np.einsum("il,ijp,ljp->p", lower, x, x) % 2 == 1
+        prefix_t = {tree: to_dense(d_matrix(tree), r).T.astype(np.int64)
+                    for tree in enumerate_trees(r)}
         self.term = [
-            {tree: (d_matrix(tree).T.astype(np.int64) @ xi % 2 * si).sum(axis=0) % 2 == 1
-             for tree in enumerate_trees(r)}
+            {tree: (d @ xi % 2 * si).sum(axis=0) % 2 == 1 for tree, d in prefix_t.items()}
             for xi, si in zip(x, s)
         ]
 
@@ -506,17 +502,20 @@ class GraphTupleSpaces(TupleSpaces):
         graph = to_text(self.adj.rows, self.adj.n)
         return {"element": element, "graph": graph, "tuple": tup.id()}
 
-    def lemma3_failure(self, tup: TreeTuple, trace: Fraction, norm: Fraction) -> dict | None:
+    def lemma3_failure(self, tup: TreeTuple, trace: Dyadic, norm: int) -> dict | None:
         """None if the signed tuple-space sum reproduces the exact trace
         and equals the plain cardinality of the space, else a mismatch record.
 
-        trace is the exact trace of the graph projector against t_pi(tup);
-        norm is the ratio of signed sum to trace measured once on the
-        edgeless graph of the same size, and must then fit every other graph.
+        trace is the exact trace of the graph projector against t_pi(tup),
+        kept as text when it is not real.  norm is the cardinality of the
+        edgeless graph's tuple space: its projector (|+><+|)^n is a pure
+        product state, whose r-fold power every copy permutation fixes, so
+        its trace is 1 and norm is its ratio of signed sum to trace.
         """
         s, card = self.signed_sum(tup)
-        if trace * norm != s:
-            detail = {"trace": str(trace), "normalization": str(norm)}
+        if trace.im or trace.as_fraction() * norm != s:
+            text = str(trace.as_fraction() if trace.im == 0 else trace)
+            detail = {"trace": text, "normalization": str(norm)}
         elif s != card:
             detail = {"cardinality": card}
         else:
@@ -603,13 +602,24 @@ def suite_lemma2(max_r: int = 3) -> dict:
     return _result(name, checks, failures)
 
 
+def _graph_passes(n: int):
+    """All graphs on n vertices in order, in passes whose projectors hold
+    at most MAX_ENUM entries together (one graph when a projector is
+    larger): one pass up to n = 4."""
+    per = max(1, MAX_ENUM >> (2 * n))
+    graphs = all_graphs(n)
+    while batch := list(itertools.islice(graphs, per)):
+        yield batch
+
+
 def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
-    Each graph's projector is built once per n, and each graph's tuple
-    spaces once per (n, r).  Each tuple's t_pi image and edgeless-graph
-    normalization are made once, one batch of tuples at a time, and every
-    graph's traces against that batch are taken before the next.
+    Graphs are taken one pass at a time: each graph's projector is built
+    once per n, and its tuple spaces once per (n, r).  In a pass each
+    tuple's t_pi image is made once, one batch of tuples at a time, and
+    every graph's traces against that batch are taken before the next.
+    The edgeless graph's tuple-space cardinalities normalize every trace.
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -622,27 +632,24 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
     checks = 0
     failures = []
     for n, degrees in sizes.items():
-        graphs = list(all_graphs(n))
-        rhos = [rho_from_code(graph_generator(adj), max_dim=max_dim) for adj in graphs]
-        edgeless = AdjacencyMatrix.empty(n)
-        rho_edgeless = rho_from_code(graph_generator(edgeless), max_dim=max_dim)
-        for r in degrees:
-            empty = GraphTupleSpaces(edgeless, r)
-            spaces = [GraphTupleSpaces(adj, r) for adj in graphs]
-            found = [[] for _ in graphs]  # reported graph by graph
-            for tuples, perms in _tuple_batches(n, r, max_dim):
-                norms = [
-                    Fraction(empty.signed_sum(tup)[0]) / trace.as_fraction()
-                    for tup, trace in zip(tuples, product_trace(perms, [rho_edgeless] * r))
-                ]
-                for graph_spaces, rho, graph_failures in zip(spaces, rhos, found):
-                    traces = product_trace(perms, [rho] * r)
-                    for tup, trace, norm in zip(tuples, traces, norms):
-                        checks += 1
-                        bad = graph_spaces.lemma3_failure(tup, trace.as_fraction(), norm)
-                        if bad is not None:
-                            graph_failures.append(bad)
-            failures.extend(itertools.chain.from_iterable(found))
+        empty = {r: TupleSpaces(graph_generator(AdjacencyMatrix.empty(n)), r) for r in degrees}
+        found = {r: [] for r in degrees}  # reported graph by graph within each r
+        for graphs in _graph_passes(n):
+            rhos = [rho_from_code(graph_generator(adj), max_dim=max_dim) for adj in graphs]
+            for r in degrees:
+                spaces = [GraphTupleSpaces(adj, r) for adj in graphs]
+                pass_found = [[] for _ in graphs]
+                for tuples, perms in _tuple_batches(n, r, max_dim):
+                    norms = [int(np.count_nonzero(empty[r].space(tup))) for tup in tuples]
+                    for graph_spaces, rho, graph_failures in zip(spaces, rhos, pass_found):
+                        traces = product_trace(perms, [rho] * r)
+                        for tup, trace, norm in zip(tuples, traces, norms):
+                            checks += 1
+                            bad = graph_spaces.lemma3_failure(tup, trace, norm)
+                            if bad is not None:
+                                graph_failures.append(bad)
+                found[r].extend(itertools.chain.from_iterable(pass_found))
+        failures.extend(itertools.chain.from_iterable(found.values()))
     return _result(name, checks, failures, warnings)
 
 

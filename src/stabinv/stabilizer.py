@@ -6,8 +6,8 @@ satisfying S^T P S = 0 for the symplectic form P = [[0, I], [I, 0]].
 Generator phases are not represented; they do not affect the local
 equivalence class, and the dense oracle fixes its own +1 convention.
 
-Codes and graphs are held as Python-int rows (see gf2), and nothing here
-loads numpy: a `.matrix` or `.theta` array is built on first use only.
+Codes and graphs are held as Python-int rows (see gf2) and hand out
+nothing else; nothing here loads numpy but random_code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidCodeError, ParseError
-from .gf2 import from_dense, kernel_basis, rank, to_dense, to_text, transpose
+from .gf2 import from_dense, kernel_basis, rank, to_text, transpose
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
@@ -29,12 +29,6 @@ class _Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-def _frozen_dense(rows, cols: int):
-    dense = to_dense(rows, cols)
-    dense.setflags(write=False)
-    return dense
 
 
 def _check_rows(rows, bits: int) -> tuple[int, ...]:
@@ -52,10 +46,10 @@ class GeneratorMatrix(_Frozen):
     array-like and reduces it mod 2; from_rows takes int rows.  Bits that
     are no valid code raise InvalidCodeError naming the first violation,
     so every instance is a valid code.  Instances are immutable and can
-    be shared freely; `matrix` is a read-only np.uint8 view, built once.
+    be shared freely.
     """
 
-    __slots__ = ("rows", "k", "_matrix")
+    __slots__ = ("rows", "k")
 
     def __init__(self, matrix):
         self._fill(*from_dense(matrix))
@@ -73,18 +67,10 @@ class GeneratorMatrix(_Frozen):
             raise InvalidCodeError(violation, (len(rows), k))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_matrix", None)
 
     @property
     def n(self) -> int:
         return len(self.rows) // 2
-
-    @property
-    def matrix(self):
-        """The rows as a read-only 2n x k np.uint8 array; loads numpy."""
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix", _frozen_dense(self.rows, self.k))
-        return self._matrix
 
     def __repr__(self) -> str:
         return f"GeneratorMatrix.from_rows({self.rows}, k={self.k})"
@@ -208,10 +194,9 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
 
 class AdjacencyMatrix(_Frozen):
     """Symmetric zero-diagonal n x n matrix of a simple graph, held like a
-    generator matrix: n int rows, bit j of row i the entry (i, j), and a
-    read-only np.uint8 `theta` view built once."""
+    generator matrix: n int rows, bit j of row i the entry (i, j)."""
 
-    __slots__ = ("rows", "_theta")
+    __slots__ = ("rows",)
 
     def __init__(self, theta):
         rows, cols = from_dense(theta)
@@ -233,18 +218,10 @@ class AdjacencyMatrix(_Frozen):
         if any((row >> i) & 1 for i, row in enumerate(rows)):
             raise ValueError("adjacency matrix must have a zero diagonal")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_theta", None)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @property
-    def theta(self):
-        """The rows as a read-only n x n np.uint8 array; loads numpy."""
-        if self._theta is None:
-            object.__setattr__(self, "_theta", _frozen_dense(self.rows, self.n))
-        return self._theta
 
     def __repr__(self) -> str:
         return f"AdjacencyMatrix.from_rows({self.rows})"
@@ -394,19 +371,16 @@ def random_code(n: int, k: int, seed) -> GeneratorMatrix:
 # Pauli format:  header "pauli", then k Pauli strings of length n.
 
 
-def parse_code(text: str, fmt: str = "auto") -> GeneratorMatrix:
-    """The code in a code file.  A format error raises ParseError with the
-    file's own 1-based line; a well-formed file that describes no valid
-    code raises InvalidCodeError."""
+def parse_code(text: str) -> GeneratorMatrix:
+    """The code in a code file, in the format its header names.  A format
+    error raises ParseError with the file's own 1-based line; a well-formed
+    file that describes no valid code raises InvalidCodeError."""
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty code file", line=1)
     (header_no, header), body = lines[0], lines[1:]
-    detected = "pauli" if header.lower() == "pauli" else "bits"
-    if fmt != "auto" and fmt != detected:
-        raise ParseError(f"expected {fmt} format but found {detected} header", line=header_no)
-    if detected == "pauli":
+    if header.lower() == "pauli":
         if not body:
             raise ParseError("pauli header with no generators", line=header_no)
         n = len(body[0][1])

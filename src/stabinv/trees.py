@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2 import to_dense
-
 
 @dataclass(frozen=True)
 class BinaryTree:
@@ -195,26 +193,25 @@ def cycle_form(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def r_matrix(tree: BinaryTree):
-    """r x t path-indicator matrix as an np.uint8 array: column j marks
-    the nodes of path j."""
-    paths = maximal_right_paths(tree)
+def r_matrix(tree: BinaryTree) -> tuple[int, ...]:
+    """r x t path-indicator matrix as r int rows (see gf2): column j marks
+    the nodes of path j, so bit j of row v - 1 is set when node v is on it."""
     rows = [0] * tree.r
-    for j, p in enumerate(paths):
+    for j, p in enumerate(maximal_right_paths(tree)):
         for v in p:
             rows[v - 1] |= 1 << j
-    return to_dense(rows, len(paths))
+    return tuple(rows)
 
 
-def d_matrix(tree: BinaryTree):
-    """r x r prefix matrix as an np.uint8 array: column j marks nodes
-    i <= j on j's right path."""
+def d_matrix(tree: BinaryTree) -> tuple[int, ...]:
+    """r x r prefix matrix as r int rows (see gf2): column j - 1 marks the
+    nodes i <= j on j's right path."""
     rows = [0] * tree.r
     for p in maximal_right_paths(tree):
         for i, v in enumerate(p):
             for j in p[i:]:
                 rows[v - 1] |= 1 << (j - 1)
-    return to_dense(rows, tree.r)
+    return tuple(rows)
 
 
 def v_space_dimension(tree: BinaryTree) -> int:

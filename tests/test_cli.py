@@ -141,12 +141,14 @@ def test_os_error_exit_code(capsys, edge2, tmp_path):
 
 
 def test_validate_pauli_format(capsys, prod2):
-    code, payload = run_json(capsys, "validate", prod2, "--code-format", "pauli")
+    # the header names the format, and no flag can force another one
+    code, payload = run_json(capsys, "validate", prod2)
     assert code == 0
-    assert payload["status"] == "ok"
-    code = cli.main(["validate", prod2, "--code-format", "bits"])
-    capsys.readouterr()
-    assert code == 2
+    assert (payload["n"], payload["k"], payload["status"]) == (2, 2, "ok")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["validate", prod2, "--code-format", "pauli"])
+    assert info.value.code == 2
+    assert "--code-format" in capsys.readouterr().err
 
 
 def test_invariant_identity_tuple(capsys, edge2):

@@ -10,7 +10,7 @@ import pytest
 
 from stabinv import cli, invariants, oracle
 from stabinv.errors import BudgetError, InvalidCodeError
-from stabinv.gf2 import to_text
+from stabinv.gf2 import to_dense, to_text
 from stabinv.invariants import (
     TreeTuple,
     all_tuples,
@@ -207,9 +207,10 @@ def test_rho_matches_group_sum_definition():
             for trial in range(3):
                 gen = random_code(n, k, (trial, n, k, 38))
                 signs = tuple(int(s) for s in rng.choice((1, -1), k))
+                dense = to_dense(gen.rows, k)
                 paulis = [
                     signs[j] * functools.reduce(np.kron, [
-                        np.array(SIGMA[int(gen.matrix[i, j]), int(gen.matrix[n + i, j])])
+                        np.array(SIGMA[int(dense[i, j]), int(dense[n + i, j])])
                         for i in range(n)
                     ])
                     for j in range(k)
@@ -505,7 +506,7 @@ def q_base(theta, x):
 
 def q_form(theta, x, trees, prefix):
     """The whole quadratic form, with prefix(tree) as the prefix matrix."""
-    terms = [q_term(theta, x, i, prefix(t).tolist()) for i, t in enumerate(trees)]
+    terms = [q_term(theta, x, i, to_dense(prefix(t), t.r).tolist()) for i, t in enumerate(trees)]
     return (q_base(theta, x) + sum(terms)) % 2
 
 
@@ -515,14 +516,14 @@ def test_tuple_space_rows_match_definitions():
         for r in (1, 2):
             for adj in all_graphs(n):
                 spaces = GraphTupleSpaces(adj, r)
-                theta = adj.theta.tolist()
+                theta = to_dense(adj.rows, n).tolist()
                 assert spaces.base.shape == (1 << (n * r),)
                 for a in range(1 << (n * r)):
                     x = point_matrix(a, n, r)
                     assert spaces.base[a] == q_base(theta, x)
                     for i in range(n):
                         for tree in enumerate_trees(r):
-                            d = d_matrix(tree).tolist()
+                            d = to_dense(d_matrix(tree), r).tolist()
                             assert spaces.member[i][tree][a] == in_paths(theta, x, i, tree)
                             assert spaces.term[i][tree][a] == q_term(theta, x, i, d)
                             rows += 1
@@ -562,7 +563,7 @@ def test_code_membership_rows_match_codeword_path_sums():
         if k >= n:
             continue
         gen = random_code(n, k, seed=(12, n, k, c))
-        s = gen.matrix.tolist()
+        s = to_dense(gen.rows, k).tolist()
         spaces = TupleSpaces(gen, r)
         for a in range(1 << (k * r)):
             x = point_matrix(a, k, r)
@@ -615,7 +616,7 @@ def test_lemma4_reports_a_planted_fault(monkeypatch):
     # reported element must lie in its tuple's space and give Q = 1 there,
     # while the true form is 0 on it
     def zero(tree):
-        return np.zeros((tree.r, tree.r), dtype=np.uint8)
+        return (0,) * tree.r
 
     monkeypatch.setattr(oracle, "d_matrix", zero)
     report = suite_lemma4(3, 3)
@@ -716,7 +717,7 @@ def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
 
     def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
         rho = exact(gen, signs, max_dim)
-        return scaled(rho, 3) if np.array_equal(gen.matrix, target.matrix) else rho
+        return scaled(rho, 3) if (gen.rows, gen.k) == (target.rows, target.k) else rho
 
     monkeypatch.setattr(oracle, "rho_from_code", planted)
     report = suite_theorem1(max_n=2, max_r=2, codes_per_k=1)
@@ -767,6 +768,17 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
     batched = {name: run() for name, run in runs.items()}
     assert set(stacks) == {1}
     assert batched == whole
+    # lemma3 again with every graph a pass of its own
+    passes = []
+
+    def one_graph(n):
+        for adj in all_graphs(n):
+            passes.append(n)
+            yield [adj]
+
+    monkeypatch.setattr(oracle, "_graph_passes", one_graph)
+    assert runs["lemma3"]() == whole["lemma3"]
+    assert passes == [1] + [2] * 2 + [3] * 8
     assert whole["lemma3"]["checks"] == 1 * 3 + 2 * 5 + 8 * 9
     assert len(whole["lemma3"]["failures"]) == 1 * 5 + 7 * 9  # every other graph
     assert whole["theorem1"]["checks"] == 4 * 7 + 6 * 29
@@ -835,19 +847,20 @@ def test_dense_suites_run_every_size_that_fits():
 
 def test_lemma3_small_graphs():
     # the quadratic form of the edgeless graph is zero, so its signed sum
-    # is the cardinality of its tuple space
+    # is the cardinality of its tuple space, and its trace is 1
     for n in (1, 2):
         edgeless = AdjacencyMatrix.empty(n)
         for r in (1, 2):
             for tup in all_tuples(n, r):
-                size = int(np.count_nonzero(GraphTupleSpaces(edgeless, r).of(tup)[0]))
-                norm = size / invariant_trace(graph_generator(edgeless), tup).as_fraction()
+                norm = int(np.count_nonzero(GraphTupleSpaces(edgeless, r).of(tup)[0]))
+                assert invariant_trace(graph_generator(edgeless), tup) == ONE
                 for adj in all_graphs(n):
                     spaces = GraphTupleSpaces(adj, r)
-                    trace = invariant_trace(graph_generator(adj), tup).as_fraction()
+                    trace = invariant_trace(graph_generator(adj), tup)
                     assert spaces.lemma3_failure(tup, trace, norm) is None
-                    bad = spaces.lemma3_failure(tup, 2 * trace, norm)
-                    assert bad["trace"] == str(2 * trace)
+                    doubled = Dyadic(2 * trace.re, 2 * trace.im, trace.scale)
+                    bad = spaces.lemma3_failure(tup, doubled, norm)
+                    assert bad["trace"] == str(2 * trace.as_fraction())
                     assert bad["normalization"] == str(norm)
 
 
@@ -856,12 +869,12 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
     # traces by 2^r; only a normalization taken from the edgeless graph
     # can notice
     edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
-    target = graph_generator(edge).matrix
+    target = graph_generator(edge).rows
     exact = oracle.rho_from_code
 
     def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
         rho = exact(gen, signs, max_dim)
-        return scaled(rho, 2) if np.array_equal(gen.matrix, target) else rho
+        return scaled(rho, 2) if gen.rows == target else rho
 
     checks = suite_lemma3(max_n=2, max_r=2)["checks"]
     monkeypatch.setattr(oracle, "rho_from_code", planted)
@@ -872,6 +885,42 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
     assert [(f["graph"], f["tuple"]) for f in report["failures"]] == [
         (to_text(edge.rows, edge.n), t) for t in tuples
     ]
+
+
+def test_lemma3_reports_a_trace_that_is_not_real(monkeypatch, capsys):
+    # i times the one-edge projector gives i * t at r = 1, which has no
+    # real value, and -t at r = 2: each is a failure, not an error
+    edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
+    target = graph_generator(edge).rows
+    expected = []
+    for r in (1, 2):
+        for tup in all_tuples(2, r):
+            t = invariant_trace(graph_generator(edge), tup)
+            text = str(Dyadic(0, t.re, t.scale)) if r == 1 else str(-t.as_fraction())
+            expected.append((to_text(edge.rows, edge.n), tup.id(), text))
+    exact = oracle.rho_from_code
+
+    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
+        rho = exact(gen, signs, max_dim)
+        return scaled(rho, 0, 1) if gen.rows == target else rho
+
+    monkeypatch.setattr(oracle, "rho_from_code", planted)
+    report = suite_lemma3(max_n=2, max_r=2)
+    assert (report["status"], report["checks"]) == ("fail", 3 + 2 * 5)
+    assert [(f["graph"], f["tuple"], f["trace"]) for f in report["failures"]] == expected
+    assert expected[0][2] == "Dyadic(re=0, im=1, scale=0)"
+    code = cli.main(["oracle-check", "--suite", "lemma3", "--max-n", "2", "--max-r", "2"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report["failures"]
+
+
+def test_lemma3_takes_graphs_in_passes():
+    # a pass keeps its projectors within MAX_ENUM entries: every graph of
+    # n <= 4 in one pass, n = 5 in 16 passes of 64, all in enumeration order
+    for n in range(1, 6):
+        passes = list(oracle._graph_passes(n))
+        assert [adj.rows for p in passes for adj in p] == [adj.rows for adj in all_graphs(n)]
+        assert [len(p) for p in passes] == ([1 << n * (n - 1) // 2] if n <= 4 else [64] * 16)
 
 
 def test_lemma3_identity_tuple_counts():

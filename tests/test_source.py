@@ -1,6 +1,9 @@
 """Properties of the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stabinv"
@@ -60,3 +63,58 @@ def test_oracle_imports_no_engine_internals():
     }
     assert imported
     assert imported <= {"TreeTuple", "all_tuples", "invariant_dim"}
+
+
+def test_only_the_engine_and_the_oracle_call_to_dense():
+    # codes, graphs and trees hand out int rows; a dense array is made
+    # only where numpy multiplies or eliminates it
+    callers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "to_dense"
+    }
+    assert callers == {"invariants.py", "oracle.py"}
+
+
+# Works with codes, graphs and trees, then prints whether numpy was imported.
+ROWS_ONLY = """
+import sys
+from stabinv.stabilizer import (
+    AdjacencyMatrix, GeneratorMatrix, all_graphs, format_code, graph_generator,
+    parse_code, permute_qubits, restrict_to, validate,
+)
+from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths, r_matrix
+
+codes = [
+    GeneratorMatrix([[0, 1], [1, 0], [1, 0], [0, 1]]),
+    GeneratorMatrix.from_pauli_strings(["XZI", "ZXZ", "IZX"]),
+    GeneratorMatrix.from_rows((0, 0, 1, 1), 1),
+    graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])),
+]
+codes += [graph_generator(adj) for adj in all_graphs(3)]
+for gen in codes:
+    for fmt in ("bits", "pauli"):
+        assert parse_code(format_code(gen, fmt)).n == gen.n
+    assert validate([[(row >> c) & 1 for c in range(gen.k)] for row in gen.rows]) is None
+    restrict_to(gen, [1])
+    permute_qubits(gen, list(range(gen.n, 0, -1)))
+for r in range(1, 5):
+    for tree in enumerate_trees(r):
+        maximal_right_paths(tree), r_matrix(tree), d_matrix(tree)
+print("numpy" in sys.modules)
+"""
+
+
+def test_codes_graphs_and_trees_never_load_numpy():
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ROWS_ONLY],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

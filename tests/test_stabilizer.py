@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stabinv import oracle
 from stabinv.errors import InvalidCodeError, ParseError
-from stabinv.gf2 import from_dense, rank
+from stabinv.gf2 import from_dense, rank, to_dense
 from stabinv.stabilizer import (
     INVERTIBLE_2X2,
     AdjacencyMatrix,
@@ -39,9 +39,10 @@ def test_graph_generators_validate():
     rng = np.random.default_rng(1)
     for n in range(1, 6):
         adj = AdjacencyMatrix.random(n, rng)
-        matrix = np.vstack([adj.theta, np.eye(n, dtype=np.uint8)])
+        matrix = np.vstack([to_dense(adj.rows, n), np.eye(n, dtype=np.uint8)])
         assert validate(matrix) is None
-        assert np.array_equal(graph_generator(adj).matrix, matrix)
+        gen = graph_generator(adj)
+        assert np.array_equal(to_dense(gen.rows, gen.k), matrix)
 
 
 def test_duplicate_columns_not_full_rank():
@@ -133,7 +134,8 @@ def bit_matrices(draw):
     so that every verdict comes up."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 5))
-        m = random_code(n, draw(st.integers(0, n)), draw(st.integers(0, 2**16))).matrix.copy()
+        gen = random_code(n, draw(st.integers(0, n)), draw(st.integers(0, 2**16)))
+        m = to_dense(gen.rows, gen.k)
         edit = draw(st.sampled_from(["none", "flip", "copy"])) if m.size else "none"
         column = st.integers(0, m.shape[1] - 1)
         if edit == "flip":
@@ -153,8 +155,8 @@ def test_int_row_validate_agrees_with_numpy(m):
     assert validate(m) == violation
     if violation is None:
         gen = GeneratorMatrix(m)
-        assert np.array_equal(gen.matrix, m)
-        assert gen.matrix.shape == (2 * gen.n, gen.k)
+        assert np.array_equal(to_dense(gen.rows, gen.k), m)
+        assert (2 * gen.n, gen.k) == m.shape
     else:
         with pytest.raises(InvalidCodeError, match=f"^invalid code: {violation}$") as info:
             GeneratorMatrix(m)
@@ -194,7 +196,7 @@ def test_qubit_subblock_graph_structure():
     gen = graph_generator(adj)
     for j in range(1, 4):
         z_row, x_row = qubit_rows(gen, [j])
-        assert z_row == from_dense(adj.theta[[j - 1]])[0][0]
+        assert z_row == from_dense(to_dense(adj.rows, 3)[[j - 1]])[0][0]
         assert x_row == 1 << (j - 1)  # generator j is the only one with X on qubit j
 
 
@@ -256,11 +258,11 @@ def test_restrict_matches_filtered_enumeration():
 
 def test_graph_generator_examples():
     single = graph_generator(AdjacencyMatrix.empty(1))
-    assert single.matrix.tolist() == [[0], [1]]
+    assert to_dense(single.rows, single.k).tolist() == [[0], [1]]
     pair = graph_generator(AdjacencyMatrix.complete(2))
-    assert pair.matrix.tolist() == [[0, 1], [1, 0], [1, 0], [0, 1]]
+    assert to_dense(pair.rows, pair.k).tolist() == [[0, 1], [1, 0], [1, 0], [0, 1]]
     triple = graph_generator(AdjacencyMatrix.empty(3))
-    assert np.array_equal(triple.matrix[3:], np.eye(3, dtype=np.uint8))
+    assert np.array_equal(to_dense(triple.rows[3:], 3), np.eye(3, dtype=np.uint8))
 
 
 def test_adjacency_rejects_asymmetry_and_loops():
@@ -273,11 +275,13 @@ def test_adjacency_rejects_asymmetry_and_loops():
 def test_from_rows_matches_the_dense_constructor():
     for seed in range(10):
         gen = random_code(4, seed % 5, seed)
-        assert GeneratorMatrix(gen.matrix).rows == gen.rows
-        assert np.array_equal(GeneratorMatrix.from_rows(gen.rows, gen.k).matrix, gen.matrix)
+        dense = to_dense(gen.rows, gen.k)
+        assert GeneratorMatrix(dense).rows == gen.rows
+        again = GeneratorMatrix.from_rows(gen.rows, gen.k)
+        assert np.array_equal(to_dense(again.rows, again.k), dense)
     adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
     assert adj.rows == (0b010, 0b101, 0b010)
-    assert AdjacencyMatrix(adj.theta).rows == adj.rows
+    assert AdjacencyMatrix(to_dense(adj.rows, adj.n)).rows == adj.rows
     # rows wider than the matrix, and graphs that are not simple, are refused
     for bad in (lambda: GeneratorMatrix.from_rows([2, 0], 1),
                 lambda: GeneratorMatrix.from_rows([-1, 0], 1),
@@ -302,14 +306,15 @@ def test_six_invertible_blocks():
 
 def test_identity_clifford_fixes_code():
     op = LocalCliffordOp.identity(2)
-    assert np.array_equal(apply_local_clifford(op, EDGE2).matrix, EDGE2.matrix)
+    out = apply_local_clifford(op, EDGE2)
+    assert np.array_equal(to_dense(out.rows, out.k), to_dense(EDGE2.rows, EDGE2.k))
 
 
 def test_swap_block_exchanges_roles():
     gen = GeneratorMatrix([[0], [1]])  # X generator
     op = LocalCliffordOp((((0, 1), (1, 0)),))
     out = apply_local_clifford(op, gen)
-    assert out.matrix.tolist() == [[1], [0]]  # now Z
+    assert to_dense(out.rows, out.k).tolist() == [[1], [0]]  # now Z
 
 
 def test_clifford_preserves_validity():
@@ -340,7 +345,7 @@ def test_full_rank_column_subsets_validate():
         gen = random_code(n, n, (trial, 5))
         for size in range(n + 1):
             for pick in itertools.combinations(range(n), size):
-                sub = gen.matrix[:, list(pick)]
+                sub = to_dense(gen.rows, gen.k)[:, list(pick)]
                 if rank(from_dense(sub)[0]) == size:
                     assert validate(sub) is None
 
@@ -348,8 +353,9 @@ def test_full_rank_column_subsets_validate():
 def test_random_code_deterministic():
     a = random_code(4, 2, 123)
     b = random_code(4, 2, 123)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert not np.array_equal(random_code(4, 2, 124).matrix, a.matrix)
+    c = random_code(4, 2, 124)
+    assert np.array_equal(to_dense(a.rows, a.k), to_dense(b.rows, b.k))
+    assert not np.array_equal(to_dense(c.rows, c.k), to_dense(a.rows, a.k))
 
 
 def test_random_code_trivial_and_full():
@@ -364,7 +370,7 @@ def test_permute_qubits_roundtrip():
     perm = (3, 1, 4, 2)
     inverse = tuple(perm.index(i) + 1 for i in range(1, 5))
     back = permute_qubits(permute_qubits(gen, perm), inverse)
-    assert np.array_equal(back.matrix, gen.matrix)
+    assert np.array_equal(to_dense(back.rows, back.k), to_dense(gen.rows, gen.k))
 
 
 def test_same_code_space_ignores_change_of_basis():
@@ -375,7 +381,7 @@ def test_same_code_space_ignores_change_of_basis():
         basis = rng.integers(0, 2, size=(3, 3), dtype=np.uint8)
         if rank(from_dense(basis)[0]) == 3:
             break
-    other = GeneratorMatrix(gen.matrix @ basis)
+    other = GeneratorMatrix(to_dense(gen.rows, gen.k) @ basis)
     assert same_code_space(gen, other)
 
 
@@ -391,7 +397,7 @@ def test_code_file_roundtrip_bits():
     for gen in (EDGE2, random_code(3, 0, 1)):
         back = parse_code(format_code(gen, "bits"))
         assert (back.n, back.k) == (gen.n, gen.k)
-        assert np.array_equal(back.matrix, gen.matrix)
+        assert np.array_equal(to_dense(back.rows, back.k), to_dense(gen.rows, gen.k))
     assert format_code(random_code(3, 0, 1)) == "3 0\n"
 
 
@@ -409,7 +415,9 @@ def test_parse_code_errors():
     with pytest.raises(ParseError):
         parse_code("2 2\n01\n10\n1x\n01\n")
     with pytest.raises(ParseError):
-        parse_code("pauli\nXZ\n", fmt="bits")
+        parse_code("pauli\n")  # the header names the format, but no generator follows
+    # the header alone decides the format
+    assert parse_code("pauli\nXZ\nZX\n").rows == parse_code("2 2\n01\n10\n10\n01\n").rows
 
 
 @pytest.mark.parametrize(

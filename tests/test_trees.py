@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stabinv import trees
-from stabinv.gf2 import from_dense, kernel_basis, rank, transpose
+from stabinv.gf2 import kernel_basis, rank, to_dense, transpose
 from stabinv.trees import (
     BinaryTree,
     attach_singleton_root,
@@ -126,13 +126,15 @@ def test_permutations_distinct():
 
 
 def test_r_matrix_two_node_trees():
-    assert r_matrix(left_chain(2)).tolist() == [[1, 0], [0, 1]]
-    assert r_matrix(right_chain(2)).tolist() == [[1], [1]]
+    assert to_dense(r_matrix(left_chain(2)), 2).tolist() == [[1, 0], [0, 1]]
+    assert to_dense(r_matrix(right_chain(2)), 1).tolist() == [[1], [1]]
+    assert r_matrix(left_chain(2)) == (0b01, 0b10)  # bit j is column j
 
 
 def test_r_matrix_ten_node():
-    mat = r_matrix(TEN_NODE)
-    assert mat.shape == (10, 4)
+    rows = r_matrix(TEN_NODE)
+    assert len(rows) == 10 and max(rows).bit_length() == 4
+    mat = to_dense(rows, 4)
     col = mat[:, 0]
     assert {i + 1 for i in np.nonzero(col)[0]} == {1, 3, 9, 10}
 
@@ -140,9 +142,9 @@ def test_r_matrix_ten_node():
 def test_r_matrix_rank_and_kernel():
     for r in range(1, 7):
         for t in enumerate_trees(r):
-            rows, cols = from_dense(r_matrix(t))
-            t_paths = len(maximal_right_paths(t))
-            assert cols == t_paths
+            rows = r_matrix(t)
+            t_paths = cols = len(maximal_right_paths(t))
+            assert len(rows) == r and all(0 < row < 1 << cols for row in rows)
             assert rank(rows) == t_paths
             assert len(kernel_basis(transpose(rows, cols), r)) == r - t_paths
             assert v_space_dimension(t) == r - t_paths
@@ -151,16 +153,16 @@ def test_r_matrix_rank_and_kernel():
 def test_d_matrix_root_column():
     for r in range(1, 6):
         for t in enumerate_trees(r):
-            col = d_matrix(t)[:, 0]
+            col = to_dense(d_matrix(t), r)[:, 0]
             assert col.tolist() == [1] + [0] * (r - 1)
 
 
 def test_d_matrix_two_node_right_son():
-    assert d_matrix(right_chain(2)).tolist() == [[1, 1], [0, 1]]
+    assert to_dense(d_matrix(right_chain(2)), 2).tolist() == [[1, 1], [0, 1]]
 
 
 def test_d_matrix_identity_for_left_chain():
-    assert np.array_equal(d_matrix(left_chain(4)), np.eye(4, dtype=np.uint8))
+    assert np.array_equal(to_dense(d_matrix(left_chain(4)), 4), np.eye(4, dtype=np.uint8))
 
 
 def test_v_space_examples():
