@@ -6,7 +6,8 @@ formalism, and ships an exact dense-operator oracle that certifies the
 binary computation at desk scale.
 
 The names below resolve on first use (PEP 562), so importing the package
-loads no submodule; numpy loads only with `invariants` or `oracle`.
+loads no submodule; numpy loads only with `oracle`, or when `invariants`
+eliminates a kernel (degree 3 or more, or one `invariant_dim`).
 """
 
 import importlib

@@ -10,9 +10,11 @@ oracle-check passes on only the limits the user gave; the suite's own
 signature supplies every default, and a limit the suite does not take
 is a parse error.  --max-tuples is passed on the same way.
 
-The engine and the oracle, which load numpy, are imported by the commands
-that use them, so validate and every usage, parse or invalid-code exit
-run without numpy.
+The engine and the oracle are imported by the commands that use them.
+The oracle loads numpy, and the engine loads it only to eliminate a
+kernel of degree 3 or more or a single tuple's, so validate,
+fingerprint --rmax 2, a compare settled by degree-2 records, and every
+usage, parse or invalid-code exit run without numpy.
 """
 
 from __future__ import annotations

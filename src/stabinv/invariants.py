@@ -9,6 +9,10 @@ theorem2_dim counts them as an independent cross-check.
 
 Each block is built as int rows, from the code's rows and the tree's
 right paths, and made a 0/1 np.uint8 array once for the elimination.
+At degree 2 the sweep needs no block: the record is the dimension of the
+codewords supported inside the qubits whose tree is the right chain,
+a rank of int rows.  So numpy loads only when a kernel of degree 3 or
+more, or one invariant_dim, is eliminated.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import trees as trees_mod
 from .errors import BudgetError
@@ -98,7 +100,7 @@ def all_tuples(n: int, r: int):
     return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
-def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> np.ndarray:
+def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree):
     """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
     a 2t x r*k array of 0/1.  Row (path p, z or x) holds the qubit's z or
     x row in the k columns of each node c of p, from column (c - 1) * k."""
@@ -115,6 +117,8 @@ def _kernel_dim(blocks) -> int:
     """Kernel dimension of the blocks stacked row-wise, by Gauss-Jordan
     elimination: pivots are searched column by column, and within a column
     the first nonzero row at or below the current one is chosen."""
+    import numpy as np
+
     m = np.concatenate(blocks)
     rows, cols = m.shape
     pivots = 0
@@ -214,8 +218,10 @@ def record_count(n: int, r_max: int) -> int:
 
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
-    2..r_max in canonical order.  Each (qubit, tree) block is built once
-    per degree and shared by every tuple that uses it."""
+    2..r_max in canonical order.  A degree-2 record is degree2_dim of the
+    qubits whose tree is the right chain.  Above degree 2, each (qubit,
+    tree) block is built once per degree and shared by every tuple that
+    uses it."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
@@ -223,7 +229,11 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     total = record_count(gen.n, r_max)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
-    for r in range(2, r_max + 1):
+    slots = [(serialize(tree), tree == right_chain(2)) for tree in enumerate_trees(2)]
+    for combo in itertools.product(slots, repeat=gen.n):
+        sers, chains = zip(*combo)
+        yield 2, sers, degree2_dim(gen, [i for i, c in enumerate(chains, start=1) if c])
+    for r in range(3, r_max + 1):
         slots = [
             [(serialize(tree), _block(gen, i, tree)) for tree in enumerate_trees(r)]
             for i in range(1, gen.n + 1)

@@ -172,8 +172,10 @@ def _parity(a: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _tau_entries(u, v, max_dim: int) -> np.ndarray:
-    """tau_(u,v) by its entry rule: [x, y] is (-1)^(u.x) if x + y = v, else 0.
+def _tau_rows(u, v, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where tau_(u,v) is nonzero, by its entry rule: [x, y] is (-1)^(u.x)
+    if x + y = v, else 0.  Returns, for each row x, its one column x + v
+    and the sign there.
 
     u and v are bit rows, one bit per qubit, qubit 1 the top bit of x and y.
     """
@@ -185,8 +187,14 @@ def _tau_entries(u, v, max_dim: int) -> np.ndarray:
     for a, b in zip(u, v):
         ui, vi = (ui << 1) | (int(a) % 2), (vi << 1) | (int(b) % 2)
     x = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros((1 << n, 1 << n), dtype=np.int64)
-    out[x, x ^ vi] = 1 - 2 * _parity(x & ui, n)
+    return x ^ vi, 1 - 2 * _parity(x & ui, n)
+
+
+def _tau_entries(u, v, max_dim: int) -> np.ndarray:
+    """tau_(u,v) as a dense array."""
+    cols, signs = _tau_rows(u, v, max_dim)
+    out = np.zeros((len(cols), len(cols)), dtype=np.int64)
+    out[np.arange(len(cols)), cols] = signs
     return out
 
 
@@ -194,11 +202,16 @@ def _tau_entries(u, v, max_dim: int) -> np.ndarray:
 _MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
+def _phase(u, v) -> tuple[int, int]:
+    """(-i)^(u.v) as (re, im): the factor taking tau_(u,v) to the Pauli."""
+    return _MINUS_I_POWERS[sum(int(a) % 2 * (int(b) % 2) for a, b in zip(u, v)) % 4]
+
+
 def pauli_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
     """The Pauli operator with z-part u and x-part v: (-i)^(u.v) tau_(u,v),
     so that u = v = 1 on one qubit gives sigma_y."""
     t = _tau_entries(u, v, max_dim)
-    c, s = _MINUS_I_POWERS[sum(int(a) % 2 * (int(b) % 2) for a, b in zip(u, v)) % 4]
+    c, s = _phase(u, v)
     return ExactOperator(len(u), c * t, s * t)
 
 
@@ -216,6 +229,11 @@ def rho_from_code(
     provided; expanded, it is 2^-n times the sum of the group they generate.
 
     Exact properties: trace 1, and rho^2 = 2^(k-n) rho.
+
+    Each factor is applied as rho + s * rho g.  A Pauli g has one nonzero
+    entry per row and column, so rho g is rho with its columns permuted,
+    signed and multiplied by g's phase: O(4^n) per factor, and every entry
+    stays a sum of at most 2^k units.
     """
     n, k = gen.n, gen.k
     _check_dim(n, max_dim)
@@ -223,11 +241,17 @@ def rho_from_code(
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
     dense = to_dense(gen.rows, k)
-    rho = ExactOperator.identity(n)
+    re, im = np.eye(1 << n, dtype=np.int64), np.zeros((1 << n, 1 << n), dtype=np.int64)
     for j, s in enumerate(signs):
-        g = pauli_op(dense[:n, j], dense[n:, j], max_dim)
-        rho = rho @ ExactOperator(n, np.eye(rho.dim, dtype=np.int64) + s * g.re, s * g.im)
-    return ExactOperator(n, rho.re, rho.im, n)
+        u, v = dense[:n, j], dense[n:, j]
+        # column y of rho tau_(u,v) is rho's column y + v times the sign
+        # of tau's row y + v
+        cols, tau_signs = _tau_rows(u, v, max_dim)
+        col_signs = s * tau_signs[cols]
+        c, d = _phase(u, v)
+        re_t, im_t = re[:, cols] * col_signs, im[:, cols] * col_signs
+        re, im = re + c * re_t - d * im_t, im + c * im_t + d * re_t
+    return ExactOperator(n, re, im, n)
 
 
 def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:

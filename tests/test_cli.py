@@ -207,10 +207,11 @@ def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, mo
     path = tmp_path / "empty8.code"
     path.write_text(format_code(graph_generator(AdjacencyMatrix.empty(8))))
 
-    def block(*args):
+    def work(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(invariants, "_block", block)
+    monkeypatch.setattr(invariants, "_block", work)
+    monkeypatch.setattr(invariants, "degree2_dim", work)
     code = cli.main(["fingerprint", str(path), "--rmax", "3"])
     err = capsys.readouterr().err
     assert code == 3
@@ -375,23 +376,38 @@ def run_child(*args):
 
 
 def test_validate_and_early_exits_never_load_numpy(tmp_path):
-    files = {"ok": EDGE2_TEXT, "violation": ANTICOMMUTING2_TEXT, "malformed": "2 2\n01\n"}
+    files = {
+        "ok": EDGE2_TEXT,
+        "prod": PROD2_TEXT,
+        "violation": ANTICOMMUTING2_TEXT,
+        "malformed": "2 2\n01\n",
+    }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    # degree-2 records are ranks of int rows, so a sweep that stops at
+    # degree 2 needs no elimination in numpy
     cases = [
         (["validate", "ok"], 0),
         (["validate", "violation"], 1),
         (["fingerprint", "malformed", "--rmax", "2"], 2),
         (["fingerprint", "violation", "--rmax", "2"], 4),
+        (["fingerprint", "ok", "--rmax", "2"], 0),
+        (["compare", "ok", "prod", "--rmax", "3"], 1),
+        (["compare", "ok", "prod", "--rmax", "3", "--global"], 1),
     ]
     for argv, exit_code in cases:
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         proc = run_child("-c", NUMPY_PROBE, *argv)
         assert proc.returncode == exit_code, proc.stderr
         assert proc.stderr.splitlines()[-1] == "False", argv
-    # the probe does see numpy once the engine runs
-    proc = run_child("-c", NUMPY_PROBE, "fingerprint", str(tmp_path / "ok"), "--rmax", "2")
-    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "True")
+    # the probe does see numpy once a degree-3 kernel is eliminated
+    for argv in (
+        ["fingerprint", "ok", "--rmax", "3"],
+        ["compare", "ok", "ok", "--rmax", "3"],
+    ):
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        proc = run_child("-c", NUMPY_PROBE, *argv)
+        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "True"), argv
     proc = run_child("-c", "import sys, stabinv.cli; print('numpy' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
     # every lazy re-export of the package resolves

@@ -33,6 +33,7 @@ from stabinv.stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
     LocalCliffordOp,
+    all_graphs,
     apply_local_clifford,
     graph_generator,
     permute_qubits,
@@ -161,16 +162,30 @@ def test_degree2_full_and_empty():
 
 
 def test_degree2_matches_tuple_engine():
-    rng = np.random.default_rng(6)
-    for trial in range(12):
-        n = int(rng.integers(1, 5))
-        k = int(rng.integers(0, n + 1))
-        gen = random_code(n, k, (trial, 6))
-        for size in range(n + 1):
-            for omega in itertools.combinations(range(1, n + 1), size):
-                assert degree2_dim(gen, omega) == invariant_dim(
-                    gen, degree2_tuple(n, omega)
-                )
+    # every degree-2 record of the sweep, which takes the subcode route,
+    # against the general elimination and the oracle's enumeration
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for trial in range(2):
+                gen = random_code(n, k, (trial, n, k, 6))
+                records = fingerprint(gen, 2).records
+                assert len(records) == 2**n
+                for rec in records:
+                    tup = parse_tuple(rec.tuple_id)
+                    omega = {i for i, t in enumerate(tup.trees, start=1) if t == right_chain(2)}
+                    assert tup == degree2_tuple(n, omega)
+                    assert rec.dim == degree2_dim(gen, omega)
+                    assert rec.dim == invariant_dim(gen, tup) == theorem2_dim(gen, tup)
+    # for a graph state the record is |omega| minus the cut-rank of omega
+    chain = serialize(right_chain(2))
+    for n in range(1, 6):
+        for adj in all_graphs(n):
+            for rec in fingerprint(graph_generator(adj), 2).records:
+                omega = [i for i, ser in enumerate(rec.tuple_id.split(";")) if ser == chain]
+                outside = [j for j in range(n) if j not in omega]
+                cut = [sum(((adj.rows[i] >> j) & 1) << c for c, j in enumerate(outside))
+                       for i in omega]
+                assert rec.dim == len(omega) - rank(cut), (adj.rows, rec)
 
 
 def test_degree2_tuple_encoding():
@@ -372,32 +387,42 @@ def test_comparisons_match_brute_force(seed):
     assert compare_global(gen, image, r_max) is not None
 
 
-def count_kernel_dims(monkeypatch) -> list[int]:
-    """Record the column count r*k of every kernel the engine computes."""
-    widths = []
-    real = invariants._kernel_dim
+def count_engine_calls(monkeypatch) -> dict[str, int]:
+    """Count the engine's block builds, kernel eliminations and degree-2
+    ranks as they happen."""
+    calls = dict.fromkeys(("_block", "_kernel_dim", "degree2_dim"), 0)
 
-    def counting(blocks):
-        widths.append(blocks[0].shape[1])
-        return real(blocks)
+    def counting(name):
+        real = getattr(invariants, name)
 
-    monkeypatch.setattr(invariants, "_kernel_dim", counting)
-    return widths
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(invariants, name, counting(name))
+    return calls
 
 
 def test_first_difference_stops_early(monkeypatch):
+    # the records differ at degree 2, so no block of degree 3 or 4 is
+    # built, and the sweeps stop before their last degree-2 record
     prod2 = graph_generator(AdjacencyMatrix.empty(2))
-    widths = count_kernel_dims(monkeypatch)
+    calls = count_engine_calls(monkeypatch)
     assert first_difference(prod2, EDGE2, 4) is not None
-    assert widths and max(widths) == 2 * prod2.k
+    assert calls["_block"] == calls["_kernel_dim"] == 0
+    assert 0 < calls["degree2_dim"] < 2 * 2**2
 
 
 def test_compare_global_stops_early(monkeypatch):
+    # every relabelling is ruled out by the degree-2 records of both codes
     prod3 = graph_generator(AdjacencyMatrix.empty(3))
     tri3 = graph_generator(AdjacencyMatrix.complete(3))
-    widths = count_kernel_dims(monkeypatch)
+    calls = count_engine_calls(monkeypatch)
     assert compare_global(prod3, tri3, 3) is None
-    assert widths and max(widths) == 2 * prod3.k
+    assert calls == {"_block": 0, "_kernel_dim": 0, "degree2_dim": 2 * 2**3}
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 
 from stabinv import cli, invariants, oracle
 from stabinv.errors import BudgetError, InvalidCodeError
-from stabinv.gf2 import to_dense, to_text
+from stabinv.gf2 import rank, reduced_echelon, to_dense, to_text, transpose
 from stabinv.invariants import (
     TreeTuple,
     all_tuples,
@@ -225,6 +225,52 @@ def test_rho_matches_group_sum_definition():
                 rho = rho_from_code(gen, signs=signs)
                 assert rho.scale == n
                 assert np.array_equal(rho.re + 1j * rho.im, group_sum), (n, k, trial)
+
+
+def all_codes(n: int):
+    """Every code on n qubits, once each: the isotropic subspaces of the
+    2n-bit symplectic space, each by its reduced row-echelon basis as the
+    generator columns."""
+
+    def orthogonal(a, b):
+        return bin((a & ((1 << n) - 1)) & (b >> n) ^ (a >> n) & b).count("1") % 2 == 0
+
+    def extend(basis, start):
+        echelon, _ = reduced_echelon(basis)
+        if set(echelon) == set(basis):
+            yield GeneratorMatrix.from_rows(transpose(basis, 2 * n), len(basis))
+        for w in range(start, 1 << 2 * n):
+            if rank([*basis, w]) > len(basis) and all(orthogonal(w, b) for b in basis):
+                yield from extend([*basis, w], w + 1)
+
+    return extend([], 1)
+
+
+def dense_product_rho(gen, signs) -> ExactOperator:
+    """2^-n (I + s_1 g_1) ... (I + s_k g_k) as k dense operator products."""
+    n = gen.n
+    dense = to_dense(gen.rows, gen.k)
+    rho = ExactOperator.identity(n)
+    for j, s in enumerate(signs):
+        g = pauli_op(dense[:n, j], dense[n:, j])
+        rho = rho @ ExactOperator(n, np.eye(rho.dim, dtype=np.int64) + s * g.re, s * g.im)
+    return ExactOperator(n, rho.re, rho.im, n)
+
+
+def test_rho_matches_dense_product_for_every_small_code():
+    counts = []
+    for n in (1, 2, 3):
+        codes = list(all_codes(n))
+        counts.append(len(codes))
+        for gen in codes:
+            for signs in itertools.product((1, -1), repeat=gen.k):
+                rho, expected = rho_from_code(gen, signs=signs), dense_product_rho(gen, signs)
+                assert rho.scale == expected.scale == n
+                assert np.array_equal(rho.re, expected.re), (gen.rows, signs)
+                assert np.array_equal(rho.im, expected.im), (gen.rows, signs)
+    # isotropic subspaces of dimension 0..n; the n-dimensional ones number
+    # (2 + 1)(4 + 1)...(2^n + 1)
+    assert counts == [1 + 3, 1 + 15 + 15, 1 + 63 + 315 + 135]
 
 
 def test_graph_formula_matches_group_sum():

@@ -41,14 +41,23 @@ def module_level_imports(tree: ast.Module) -> set[str]:
 
 def test_only_the_engine_and_the_oracle_load_numpy():
     # codes, trees, the package and the CLI work on int rows, so that
-    # validate and every early exit start without numpy
+    # validate and every early exit start without numpy; the engine loads
+    # it only to eliminate a kernel, which degree-2 records never need
     sources = sorted(SRC.glob("*.py"))
     loaders = {
         path.name
         for path in sources
         if "numpy" in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert loaders == {"invariants.py", "oracle.py"}
+    assert loaders == {"oracle.py"}
+    tree = ast.parse((SRC / "invariants.py").read_text(encoding="utf-8"))
+    importers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "numpy" in module_level_imports(ast.Module(body=func.body, type_ignores=[]))
+    }
+    assert importers == {"_kernel_dim"}
 
 
 def test_oracle_imports_no_engine_internals():
