@@ -7,7 +7,7 @@ binary computation at desk scale.
 
 The names below resolve on first use (PEP 562), so importing the package
 loads no submodule; numpy loads only with `oracle`, or when `invariants`
-eliminates a kernel (degree 3 or more, or one `invariant_dim`).
+eliminates a kernel (degree 4 or more, or one `invariant_dim`).
 """
 
 import importlib

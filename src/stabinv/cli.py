@@ -12,8 +12,8 @@ is a parse error.  --max-tuples is passed on the same way.
 
 The engine and the oracle are imported by the commands that use them.
 The oracle loads numpy, and the engine loads it only to eliminate a
-kernel of degree 3 or more or a single tuple's, so validate,
-fingerprint --rmax 2, a compare settled by degree-2 records, and every
+kernel of degree 4 or more or a --trees tuple's, so validate,
+invariant --omega, fingerprint and compare up to --rmax 3, and every
 usage, parse or invalid-code exit run without numpy.
 """
 
@@ -135,14 +135,15 @@ def cmd_invariant(args) -> int:
     if args.omega is not None:
         omega = _parse_omega(args.omega, gen.n)
         tup = invariants.degree2_tuple(gen.n, omega)
+        dim = invariants.degree2_dim(gen, omega)
     else:
         if args.trees.startswith("all:"):
             raise ParseError("'all:r' is a sweep spec; this command takes a single "
                              "tuple (use 'fingerprint' for sweeps)")
         tup = _read_tuple(args.trees)
-    if tup.n != gen.n:
-        raise ParseError(f"tuple has {tup.n} trees but the code has {gen.n} qubits")
-    dim = invariants.invariant_dim(gen, tup)
+        if tup.n != gen.n:
+            raise ParseError(f"tuple has {tup.n} trees but the code has {gen.n} qubits")
+        dim = invariants.invariant_dim(gen, tup)
     _emit(invariants.InvariantRecord(tup.r, tup.id(), dim).to_payload(), args)
     return EXIT_OK
 

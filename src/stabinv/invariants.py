@@ -9,10 +9,12 @@ theorem2_dim counts them as an independent cross-check.
 
 Each block is built as int rows, from the code's rows and the tree's
 right paths, and made a 0/1 np.uint8 array once for the elimination.
-At degree 2 the sweep needs no block: the record is the dimension of the
-codewords supported inside the qubits whose tree is the right chain,
-a rank of int rows.  So numpy loads only when a kernel of degree 3 or
-more, or one invariant_dim, is eliminated.
+At degrees 2 and 3 the sweep needs no block: a degree-2 record is the
+dimension of the codewords supported inside the qubits whose tree is the
+right chain, and a degree-3 record is a sum of three such subcode
+dimensions less the dimension of their sum, all ranks of int rows.  So
+numpy loads only when a kernel of degree 4 or more, or one
+invariant_dim, is eliminated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from . import trees as trees_mod
 from .errors import BudgetError
-from .gf2 import rank, to_dense
+from .gf2 import kernel_basis, rank, to_dense
 from .stabilizer import GeneratorMatrix, qubit_rows
 from .trees import (
     BinaryTree,
@@ -158,6 +160,53 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     return gen.k - rank(qubit_rows(gen, outside))
 
 
+def _subcode_basis(gen: GeneratorMatrix, inside: int) -> tuple[int, ...]:
+    """Coefficient basis of the codewords supported inside the qubits of
+    the bitmask `inside`, bit i - 1 standing for qubit i."""
+    outside = [i for i in range(1, gen.n + 1) if not inside >> (i - 1) & 1]
+    return kernel_basis(qubit_rows(gen, outside), gen.k)
+
+
+def _degree3_records(gen: GeneratorMatrix):
+    """Yield (3, serialized trees, dim) for every degree-3 tuple in
+    canonical order, from subcode dimensions alone.
+
+    For a tuple (T_1, ..., T_n) and a node c in {1, 2, 3}, let A_c be the
+    qubits i where c is not a one-node maximal right path of T_i, and C_A
+    the subcode supported inside A.  Then
+
+        dim = dim C_A1 + dim C_A2 + dim C_A3 - dim(C_A1 + C_A2 + C_A3).
+
+    The kernel holds the coefficient triples (x_1, x_2, x_3) whose sum over
+    each right path p of T_i vanishes on qubit i.  The paths of T_i
+    partition {1, 2, 3}, so x_1 + x_2 + x_3 vanishes on every qubit, and
+    is 0 because the generator matrix has full column rank.  Given that,
+    a one-node path {c} asks that x_c vanish on qubit i; a two-node path
+    asks the same of the node it leaves out, which is a one-node path; the
+    three-node path asks nothing.  So the kernel is the kernel of the map
+    (x_1, x_2, x_3) -> x_1 + x_2 + x_3 from C_A1 x C_A2 x C_A3 onto
+    C_A1 + C_A2 + C_A3.  Each C_A's basis is built once per code.
+    """
+    # one slot per (qubit i + 1, tree): the serialized tree and, for each
+    # node c, the tree's share of A_c, bit i or 0
+    slots = [
+        [
+            (serialize(t), *(0 if c in singleton_path_nodes(t) else 1 << i for c in (1, 2, 3)))
+            for t in enumerate_trees(3)
+        ]
+        for i in range(gen.n)
+    ]
+    bases: dict[int, tuple[int, ...]] = {}
+    for combo in itertools.product(*slots):
+        sers, *columns = zip(*combo)
+        parts = []
+        for inside in map(sum, columns):
+            if inside not in bases:
+                bases[inside] = _subcode_basis(gen, inside)
+            parts.append(bases[inside])
+        yield 3, sers, sum(map(len, parts)) - rank(itertools.chain(*parts))
+
+
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
     """Drop a node that forms a one-node right path in every tree.
 
@@ -219,9 +268,9 @@ def record_count(n: int, r_max: int) -> int:
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
     2..r_max in canonical order.  A degree-2 record is degree2_dim of the
-    qubits whose tree is the right chain.  Above degree 2, each (qubit,
-    tree) block is built once per degree and shared by every tuple that
-    uses it."""
+    qubits whose tree is the right chain, and a degree-3 record comes from
+    _degree3_records.  From degree 4 on, each (qubit, tree) block is built
+    once per degree and shared by every tuple that uses it."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
@@ -233,7 +282,9 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     for combo in itertools.product(slots, repeat=gen.n):
         sers, chains = zip(*combo)
         yield 2, sers, degree2_dim(gen, [i for i, c in enumerate(chains, start=1) if c])
-    for r in range(3, r_max + 1):
+    if r_max >= 3:
+        yield from _degree3_records(gen)
+    for r in range(4, r_max + 1):
         slots = [
             [(serialize(tree), _block(gen, i, tree)) for tree in enumerate_trees(r)]
             for i in range(1, gen.n + 1)

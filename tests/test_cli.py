@@ -212,6 +212,7 @@ def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, mo
 
     monkeypatch.setattr(invariants, "_block", work)
     monkeypatch.setattr(invariants, "degree2_dim", work)
+    monkeypatch.setattr(invariants, "_subcode_basis", work)
     code = cli.main(["fingerprint", str(path), "--rmax", "3"])
     err = capsys.readouterr().err
     assert code == 3
@@ -384,26 +385,29 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    # degree-2 records are ranks of int rows, so a sweep that stops at
-    # degree 2 needs no elimination in numpy
+    # degree-2 and degree-3 records are ranks of int rows, so a sweep that
+    # stops at degree 3 needs no elimination in numpy
     cases = [
         (["validate", "ok"], 0),
         (["validate", "violation"], 1),
         (["fingerprint", "malformed", "--rmax", "2"], 2),
         (["fingerprint", "violation", "--rmax", "2"], 4),
-        (["fingerprint", "ok", "--rmax", "2"], 0),
+        (["invariant", "ok", "--omega", "1"], 0),
+        (["fingerprint", "ok", "--rmax", "3"], 0),
         (["compare", "ok", "prod", "--rmax", "3"], 1),
         (["compare", "ok", "prod", "--rmax", "3", "--global"], 1),
+        (["compare", "ok", "ok", "--rmax", "3"], 0),
+        (["compare", "ok", "ok", "--rmax", "3", "--global"], 0),
     ]
     for argv, exit_code in cases:
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         proc = run_child("-c", NUMPY_PROBE, *argv)
         assert proc.returncode == exit_code, proc.stderr
         assert proc.stderr.splitlines()[-1] == "False", argv
-    # the probe does see numpy once a degree-3 kernel is eliminated
+    # the probe does see numpy once a degree-4 kernel is eliminated
     for argv in (
-        ["fingerprint", "ok", "--rmax", "3"],
-        ["compare", "ok", "ok", "--rmax", "3"],
+        ["fingerprint", "ok", "--rmax", "4"],
+        ["compare", "ok", "ok", "--rmax", "4"],
     ):
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         proc = run_child("-c", NUMPY_PROBE, *argv)

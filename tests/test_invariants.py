@@ -188,6 +188,31 @@ def test_degree2_matches_tuple_engine():
                 assert rec.dim == len(omega) - rank(cut), (adj.rows, rec)
 
 
+def test_degree3_matches_tuple_engine():
+    # every degree-3 record of the sweep, which takes the subcode-sum
+    # route, against the general elimination, and up to n = 3 against the
+    # oracle's enumeration
+    right, left = serialize(right_chain(3)), serialize(left_chain(3))
+    for n in range(1, 5):
+        for k in range(n + 1):
+            gen = random_code(n, k, (n, k, 7))
+            records = {(rec.r, rec.tuple_id): rec.dim for rec in fingerprint(gen, 3).records}
+            assert len(records) == 2**n + 5**n
+            for (r, tuple_id), dim in records.items():
+                if r != 3:
+                    continue
+                tup = parse_tuple(tuple_id)
+                assert dim == invariant_dim(gen, tup), (n, k, tuple_id)
+                if n <= 3:
+                    assert dim == theorem2_dim(gen, tup), (n, k, tuple_id)
+                # a common one-node path drops to the degree-2 record
+                reduced = reduce_singleton(tup)
+                if reduced is not None:
+                    assert dim == records[2, reduced.id()], (n, k, tuple_id)
+            assert records[3, ";".join([right] * n)] == 2 * k
+            assert records[3, ";".join([left] * n)] == 0
+
+
 def test_degree2_tuple_encoding():
     tup = degree2_tuple(3, {1, 3})
     assert tup.trees[0] == right_chain(2)
@@ -388,9 +413,9 @@ def test_comparisons_match_brute_force(seed):
 
 
 def count_engine_calls(monkeypatch) -> dict[str, int]:
-    """Count the engine's block builds, kernel eliminations and degree-2
-    ranks as they happen."""
-    calls = dict.fromkeys(("_block", "_kernel_dim", "degree2_dim"), 0)
+    """Count the engine's block builds, kernel eliminations, degree-2
+    ranks and degree-3 subcode bases as they happen."""
+    calls = dict.fromkeys(("_block", "_kernel_dim", "degree2_dim", "_subcode_basis"), 0)
 
     def counting(name):
         real = getattr(invariants, name)
@@ -412,7 +437,7 @@ def test_first_difference_stops_early(monkeypatch):
     prod2 = graph_generator(AdjacencyMatrix.empty(2))
     calls = count_engine_calls(monkeypatch)
     assert first_difference(prod2, EDGE2, 4) is not None
-    assert calls["_block"] == calls["_kernel_dim"] == 0
+    assert calls["_block"] == calls["_kernel_dim"] == calls["_subcode_basis"] == 0
     assert 0 < calls["degree2_dim"] < 2 * 2**2
 
 
@@ -422,7 +447,7 @@ def test_compare_global_stops_early(monkeypatch):
     tri3 = graph_generator(AdjacencyMatrix.complete(3))
     calls = count_engine_calls(monkeypatch)
     assert compare_global(prod3, tri3, 3) is None
-    assert calls == {"_block": 0, "_kernel_dim": 0, "degree2_dim": 2 * 2**3}
+    assert calls == {"_block": 0, "_kernel_dim": 0, "degree2_dim": 2 * 2**3, "_subcode_basis": 0}
 
 
 @pytest.mark.parametrize(
