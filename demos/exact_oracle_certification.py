@@ -2,10 +2,12 @@
 """The exact dense oracle, and what it certifies.
 
 The oracle builds every Pauli and tau operator from one entry rule,
-(tau_(u,v))[x, y] = (-1)^(u.x) [x + y = v], as int64 Gaussian-integer
-arrays, evaluates the defining trace of each invariant exactly, and
-checks that its log2 differs from the binary kernel dimension by a
-constant that depends only on the tree tuple (never on the code).
+(tau_(u,v))[x, y] = (-1)^(u.x) [x + y = v], as flat lists of
+Gaussian-integer entries held in Python ints, which never overflow,
+evaluates the defining trace of each invariant exactly, and checks that
+its log2 differs from the binary kernel dimension by a constant that
+depends only on the tree tuple (never on the code).  It runs without
+numpy.
 """
 
 from stabinv import oracle
@@ -22,8 +24,7 @@ from stabinv.stabilizer import AdjacencyMatrix, graph_generator, random_code
 from stabinv.trees import enumerate_trees, maximal_right_paths, permutation_of, right_chain
 
 # tau matrices: the real Pauli variant; the (1,1) member is i*sigma_y.
-print("tau_11:")
-print(tau_op([1], [1]).re)
+print("tau_11 entries, row by row:", tau_op([1], [1]).re)
 
 # Two ways to build a graph-state projector agree entry for entry.
 adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
@@ -34,9 +35,11 @@ print("tau-sum formula == generator-group sum:",
 # definition for every (u, v) at once, equal their closed form entry for
 # entry (rows u, columns v, copy 1 as the top bit).
 tree = enumerate_trees(3)[2]
-print(f"cyclic sums of {tree!r}:")
-print(cyclic_sum_table(permutation_of(tree)))
-print("== closed form:", (cyclic_sum_table(permutation_of(tree)) == closed_form_table(tree)).all())
+table = cyclic_sum_table(permutation_of(tree))
+print(f"cyclic sums of {tree!r}, one row per u:")
+for u in range(8):
+    print(" ", table[8 * u : 8 * u + 8])
+print("== closed form:", table == closed_form_table(tree))
 
 # The trace of rho^{x2} (the degree-2 full-swap invariant) is the purity
 # 2^(k-n), exactly.

@@ -6,8 +6,9 @@ formalism, and ships an exact dense-operator oracle that certifies the
 binary computation at desk scale.
 
 The names below resolve on first use (PEP 562), so importing the package
-loads no submodule; numpy loads only with `oracle`, or when `invariants`
-eliminates a kernel (degree 4 or more, or one `invariant_dim`).
+loads no submodule; numpy loads only when `invariants` eliminates a
+kernel (degree 4 or more, or one `invariant_dim`) or `random_code` draws
+a code.
 """
 
 import importlib

@@ -8,13 +8,20 @@ validate was given a code that fails validation).
 
 oracle-check passes on only the limits the user gave; the suite's own
 signature supplies every default, and a limit the suite does not take
-is a parse error.  --max-tuples is passed on the same way.
+is a parse error.  --max-tuples is passed on the same way.  A suite that
+ran no check (limits below 1, every size over --max-dim, or a projected
+check count over the suite budget) reports status "skipped" and exits 0,
+as a pass does: it found no counterexample, and its warnings say why.
+A script must read the report's status, not only the exit code, to tell
+a pass from a skip.
 
 The engine and the oracle are imported by the commands that use them.
-The oracle loads numpy, and the engine loads it only to eliminate a
-kernel of degree 4 or more or a --trees tuple's, so validate,
-invariant --omega, fingerprint and compare up to --rmax 3, and every
-usage, parse or invalid-code exit run without numpy.
+The oracle works on Python ints and never loads numpy; the engine loads
+it only to eliminate a kernel of degree 4 or more or a --trees tuple's,
+and the theorem suites' random codes draw from numpy's generator.  So
+validate, invariant --omega, fingerprint and compare up to --rmax 3,
+oracle-check on lemma1 to lemma4, and every usage, parse or
+invalid-code exit run without numpy.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from . import trees as trees_mod
@@ -347,20 +348,29 @@ def compare_global(
         raise BudgetError(f"global comparison limited to {MAX_GLOBAL_QUBITS} qubits")
     # candidates in itertools.permutations order; each maps record positions
     # of the first code onto tree slots of the second, so it is the inverse
-    # of the relabelling returned.  dims1 and dims2 hold the current degree.
-    alive = list(itertools.permutations(range(n)))
-    dims1, dims2 = [], {}
-    for (r, sers1, dim1), (_, sers2, dim2) in zip(
+    # of the relabelling returned.  Each comes with its getter, which takes
+    # the first code's trees to the second code's key in one call (tuple
+    # for n = 1, where itemgetter would return the bare tree).  sers1,
+    # dims1 and dims2 hold the current degree.
+    alive = [
+        (p, operator.itemgetter(*p) if n > 1 else tuple)
+        for p in itertools.permutations(range(n))
+    ]
+    sers1, dims1, dims2 = [], [], {}
+    for (r, s1, dim1), (_, s2, dim2) in zip(
         _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
     ):
-        dims1.append((sers1, dim1))
-        dims2[sers2] = dim2
+        sers1.append(s1)
+        dims1.append(dim1)
+        dims2[s2] = dim2
         if len(dims2) < catalan(r) ** n:
             continue
+        lookup = dims2.__getitem__
         alive = [
-            p for p in alive if all(dim == dims2[tuple(sers[j] for j in p)] for sers, dim in dims1)
+            (p, get) for p, get in alive
+            if all(map(operator.eq, dims1, map(lookup, map(get, sers1))))
         ]
         if not alive:
             return None
-        dims1, dims2 = [], {}
-    return tuple(alive[0].index(i) + 1 for i in range(n))
+        sers1, dims1, dims2 = [], [], {}
+    return tuple(alive[0][0].index(i) + 1 for i in range(n))

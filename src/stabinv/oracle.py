@@ -1,16 +1,17 @@
 """Exact dense-operator oracle for the binary invariant engine.
 
-Everything here is integer arithmetic: operators are dense int64 arrays
-of Gaussian integers over an explicit power-of-2 denominator, so every
-identity is checked exactly.  A product or trace whose result could leave
-the int64 range raises BudgetError before it starts; every size the dense
-budget admits stays far inside it.  This module exists to certify the
-GF(2) engines at desk scale, not to simulate anything large.
+Everything here is integer arithmetic on Python ints, which cannot
+overflow: operators are flat lists of Gaussian integers over an explicit
+power-of-2 denominator, so every identity is checked exactly.  Only the
+dense dimension is budgeted (max_dim).  This module exists to certify the
+GF(2) engines at desk scale, not to simulate anything large, and it loads
+no numpy.
 
 Conventions, fixed once and used consistently:
 
 * Basis order: qubit 1 is the most significant bit inside a copy; copies
-  are ordered 1..r, most significant first.
+  are ordered 1..r, most significant first.  A dense operator on m
+  qubits holds entry [x, y] at flat index x * 2^m + y.
 * tau operators are the real Pauli variant, all built from one entry
   rule: (tau_(u,v))[x, y] = (-1)^(u.x) * [x + y = v].  On one qubit
   tau_11 = i*sigma_y = [[0, 1], [-1, 0]], and sigma_(u,v) =
@@ -20,18 +21,19 @@ Conventions, fixed once and used consistently:
   to the component at (copy pi_i(c), qubit i), and the pairing in the
   cyclic sums below is oriented to match, so that the trace against a
   product operator factorizes through them qubit by qubit.
+* A mask over points is one Python int with bit a set for point a.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cache, cached_property, reduce
 
 from .errors import BudgetError
-from .gf2 import to_dense, to_text
+from .gf2 import to_text
 from .invariants import TreeTuple, all_tuples, invariant_dim
 from .stabilizer import (
     AdjacencyMatrix,
@@ -54,7 +56,7 @@ DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
 # Largest projected check count of any suite.
 MAX_SUITE_CHECKS = 1 << 20
 MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
-# Index entries product_trace contracts at once, across a stack of images.
+# Index entries one batch of t_pi images holds.
 TRACE_CHUNK = 1 << 12
 
 
@@ -92,28 +94,17 @@ class Dyadic:
         return Fraction(self.re, 1 << self.scale)
 
 
-def _check_int64(what: str, bound: int) -> None:
-    """Refuse a computation whose results are only bounded by `bound`."""
-    if bound >= 1 << 63:
-        raise BudgetError(f"{what} may reach 2^{bound.bit_length() - 1}, outside int64")
-
-
-def _magnitude(op: "ExactOperator") -> int:
-    """An upper bound on |re| + |im| over the entries of op, as a Python int."""
-    return int(np.abs(op.re).max()) + int(np.abs(op.im).max())
-
-
 class ExactOperator:
-    """Dense 2^m x 2^m operator with int64 Gaussian-integer entries / 2^scale."""
+    """Dense 2^m x 2^m operator with Gaussian-integer entries / 2^scale:
+    re and im are tuples of 4^m ints, entry [x, y] at x * 2^m + y."""
 
     __slots__ = ("m", "scale", "re", "im")
 
-    def __init__(self, m: int, re: np.ndarray, im: np.ndarray, scale: int = 0):
-        dim = 1 << m
-        re = np.asarray(re, dtype=np.int64)
-        im = np.asarray(im, dtype=np.int64)
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValueError("entry arrays do not match the qubit count")
+    def __init__(self, m: int, re, im, scale: int = 0):
+        re = tuple(map(operator.index, re))
+        im = tuple(map(operator.index, im))
+        if len(re) != 1 << (2 * m) or len(im) != 1 << (2 * m):
+            raise ValueError("entry lists do not match the qubit count")
         self.m = m
         self.scale = scale
         self.re = re
@@ -126,34 +117,36 @@ class ExactOperator:
     @classmethod
     def identity(cls, m: int) -> "ExactOperator":
         dim = 1 << m
-        return cls(m, np.eye(dim, dtype=np.int64), np.zeros((dim, dim), dtype=np.int64))
+        re = [0] * (dim * dim)
+        re[:: dim + 1] = [1] * dim
+        return cls(m, re, [0] * (dim * dim))
 
     def __matmul__(self, other: "ExactOperator") -> "ExactOperator":
         if self.m != other.m:
             raise ValueError("operator sizes differ")
-        _check_int64("operator product", self.dim * _magnitude(self) * _magnitude(other))
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
+        dim, mul = self.dim, operator.mul
+        columns = [(other.re[y::dim], other.im[y::dim]) for y in range(dim)]
+        re, im = [], []
+        for x in range(0, dim * dim, dim):
+            ar, ai = self.re[x : x + dim], self.im[x : x + dim]
+            for br, bi in columns:
+                re.append(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)))
+                im.append(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
         return ExactOperator(self.m, re, im, self.scale + other.scale)
 
     def trace(self) -> Dyadic:
-        return Dyadic(int(np.trace(self.re)), int(np.trace(self.im)), self.scale)
+        step = self.dim + 1
+        return Dyadic(sum(self.re[::step]), sum(self.im[::step]), self.scale)
 
     def same_as(self, other: "ExactOperator") -> bool:
         """Exact equality of the represented operators."""
         if self.m != other.m:
             return False
         s = max(self.scale, other.scale)
-        fa = 1 << (s - self.scale)
-        fb = 1 << (s - other.scale)
-        # a factor of 2^63 or more overflows even on a zero operator
-        _check_int64(
-            "rescaled operator",
-            max(fa * max(_magnitude(self), 1), fb * max(_magnitude(other), 1)),
-        )
-        return bool(
-            np.array_equal(self.re * fa, other.re * fb)
-            and np.array_equal(self.im * fa, other.im * fb)
+        fa, fb = s - self.scale, s - other.scale
+        return all(
+            [a << fa for a in mine] == [b << fb for b in theirs]
+            for mine, theirs in ((self.re, other.re), (self.im, other.im))
         )
 
     def __repr__(self) -> str:
@@ -165,36 +158,30 @@ def _check_dim(m: int, max_dim: int):
         raise BudgetError(f"dense dimension 2^{m} exceeds budget {max_dim}")
 
 
-def _parity(a: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros_like(a)
-    for b in range(r):
-        out ^= (a >> b) & 1
+def _signs(u: int, size: int) -> list[int]:
+    """(-1)^(u.x) for every x below size."""
+    return [1 - 2 * ((u & x).bit_count() & 1) for x in range(size)]
+
+
+def _top_first(bits) -> int:
+    """A bit sequence, qubit 1 first, as an int with qubit 1 the top bit."""
+    out = 0
+    for b in bits:
+        out = (out << 1) | (int(b) % 2)
     return out
 
 
-def _tau_rows(u, v, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where tau_(u,v) is nonzero, by its entry rule: [x, y] is (-1)^(u.x)
-    if x + y = v, else 0.  Returns, for each row x, its one column x + v
-    and the sign there.
-
-    u and v are bit rows, one bit per qubit, qubit 1 the top bit of x and y.
-    """
-    if len(u) != len(v):
-        raise ValueError("u and v must have equal length")
-    n = len(u)
-    _check_dim(n, max_dim)
-    ui = vi = 0
-    for a, b in zip(u, v):
-        ui, vi = (ui << 1) | (int(a) % 2), (vi << 1) | (int(b) % 2)
-    x = np.arange(1 << n, dtype=np.int64)
-    return x ^ vi, 1 - 2 * _parity(x & ui, n)
+def _column(rows, j: int) -> int:
+    """Bit j of each row, as an int with the first row's bit on top."""
+    return _top_first((row >> j) & 1 for row in rows)
 
 
-def _tau_entries(u, v, max_dim: int) -> np.ndarray:
-    """tau_(u,v) as a dense array."""
-    cols, signs = _tau_rows(u, v, max_dim)
-    out = np.zeros((len(cols), len(cols)), dtype=np.int64)
-    out[np.arange(len(cols)), cols] = signs
+def _tau_entries(u: int, v: int, n: int) -> list[int]:
+    """tau_(u,v) on n qubits as flat entries, by its entry rule: [x, y] is
+    (-1)^(u.x) if x + y = v, else 0; u and v hold qubit 1 as the top bit."""
+    out = [0] * (1 << (2 * n))
+    for x, sign in enumerate(_signs(u, 1 << n)):
+        out[x << n | x ^ v] = sign
     return out
 
 
@@ -202,23 +189,33 @@ def _tau_entries(u, v, max_dim: int) -> np.ndarray:
 _MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
-def _phase(u, v) -> tuple[int, int]:
+def _phase(u: int, v: int) -> tuple[int, int]:
     """(-i)^(u.v) as (re, im): the factor taking tau_(u,v) to the Pauli."""
-    return _MINUS_I_POWERS[sum(int(a) % 2 * (int(b) % 2) for a, b in zip(u, v)) % 4]
+    return _MINUS_I_POWERS[(u & v).bit_count() % 4]
+
+
+def _bit_pair(u, v, max_dim: int) -> tuple[int, int, int]:
+    """Bit rows u and v, one bit per qubit, as (n, u, v) with qubit 1 the
+    top bit of each int."""
+    if len(u) != len(v):
+        raise ValueError("u and v must have equal length")
+    _check_dim(len(u), max_dim)
+    return len(u), _top_first(u), _top_first(v)
 
 
 def pauli_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
     """The Pauli operator with z-part u and x-part v: (-i)^(u.v) tau_(u,v),
     so that u = v = 1 on one qubit gives sigma_y."""
-    t = _tau_entries(u, v, max_dim)
+    n, u, v = _bit_pair(u, v, max_dim)
+    t = _tau_entries(u, v, n)
     c, s = _phase(u, v)
-    return ExactOperator(len(u), c * t, s * t)
+    return ExactOperator(n, [c * e for e in t], [s * e for e in t])
 
 
 def tau_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
     """The real Pauli variant tau_(u,v) on len(u) qubits."""
-    t = _tau_entries(u, v, max_dim)
-    return ExactOperator(len(u), t, np.zeros_like(t))
+    n, u, v = _bit_pair(u, v, max_dim)
+    return ExactOperator(n, _tau_entries(u, v, n), [0] * (1 << (2 * n)))
 
 
 def rho_from_code(
@@ -240,17 +237,21 @@ def rho_from_code(
     signs = (1,) * k if signs is None else tuple(signs)
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
-    dense = to_dense(gen.rows, k)
-    re, im = np.eye(1 << n, dtype=np.int64), np.zeros((1 << n, 1 << n), dtype=np.int64)
-    for j, s in enumerate(signs):
-        u, v = dense[:n, j], dense[n:, j]
+    rho = ExactOperator.identity(n)
+    re, im = rho.re, rho.im
+    for j, s in enumerate(map(int, signs)):
+        u, v = _column(gen.rows[:n], j), _column(gen.rows[n:], j)
         # column y of rho tau_(u,v) is rho's column y + v times the sign
-        # of tau's row y + v
-        cols, tau_signs = _tau_rows(u, v, max_dim)
-        col_signs = s * tau_signs[cols]
+        # of tau's row y + v; flat index i + v has column y + v
+        tau_signs = _signs(u, 1 << n)
+        col_signs = [s * tau_signs[y ^ v] for y in range(1 << n)] * (1 << n)
+        re_t = [re[i ^ v] * g for i, g in enumerate(col_signs)]
+        im_t = [im[i ^ v] * g for i, g in enumerate(col_signs)]
         c, d = _phase(u, v)
-        re_t, im_t = re[:, cols] * col_signs, im[:, cols] * col_signs
-        re, im = re + c * re_t - d * im_t, im + c * im_t + d * re_t
+        re, im = (
+            [a + c * b - d * e for a, b, e in zip(re, re_t, im_t)],
+            [a + c * e + d * b for a, b, e in zip(im, re_t, im_t)],
+        )
     return ExactOperator(n, re, im, n)
 
 
@@ -263,15 +264,18 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     """
     n = adj.n
     _check_dim(n, max_dim)
-    theta = to_dense(adj.rows, n).astype(np.int64)
-    upper = np.triu(theta, 1)
     dim = 1 << n
-    acc = np.zeros((dim, dim), dtype=np.int64)
-    for x in itertools.product((0, 1), repeat=n):
-        xv = np.array(x, dtype=np.int64)
-        sign = 1 - 2 * int(xv @ upper @ xv % 2)
-        acc += sign * _tau_entries(theta @ xv % 2, xv, max_dim)
-    return ExactOperator(n, acc, np.zeros_like(acc), n)
+    # row i of theta, and its part past column i, with qubit 1 the top bit
+    theta = [_top_first((row >> j) & 1 for j in range(n)) for row in adj.rows]
+    upper = [row & ((1 << (n - 1 - i)) - 1) for i, row in enumerate(theta)]
+    acc = [0] * (dim * dim)
+    for x in range(dim):
+        u = _top_first((row & x).bit_count() & 1 for row in theta)
+        form = sum((row & x).bit_count() for i, row in enumerate(upper) if x >> (n - 1 - i) & 1)
+        sign = -1 if form % 2 else 1
+        for y, s in enumerate(_signs(u, dim)):
+            acc[y << n | y ^ x] += sign * s
+    return ExactOperator(n, acc, [0] * (dim * dim), n)
 
 
 @dataclass(frozen=True)
@@ -281,15 +285,42 @@ class IndexPermutation:
 
     n: int
     r: int
-    image: np.ndarray
+    image: tuple[int, ...]
 
     def __post_init__(self):
-        if not np.array_equal(np.sort(self.image), np.arange(self.dim)):
+        image = tuple(map(operator.index, self.image))
+        if sorted(image) != list(range(self.dim)):
             raise ValueError("image is not a bijection")
+        object.__setattr__(self, "image", image)
 
     @property
     def dim(self) -> int:
         return 1 << (self.n * self.r)
+
+    @cached_property
+    def entries(self) -> tuple[list[int], ...]:
+        """For each copy c, the flat index of the entry of copy c's
+        operator that each basis index a meets in the trace: its row is
+        copy c's block of image[a], its column copy c's block of a.  Made
+        on first use, then kept."""
+        return tuple(
+            list(map(operator.or_, map(rows.__getitem__, self.image), cols))
+            for rows, cols in _copy_blocks(self.n, self.r)
+        )
+
+
+@cache
+def _copy_blocks(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each copy c, copy c's block of every basis index a, as the row
+    part (shifted up by n) and as the column part of a flat entry index."""
+    mask = (1 << n) - 1
+    return tuple(
+        (
+            tuple((a >> s & mask) << n for a in range(1 << (n * r))),
+            tuple(a >> s & mask for a in range(1 << (n * r))),
+        )
+        for s in range(n * (r - 1), -1, -n)
+    )
 
 
 def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
@@ -297,19 +328,20 @@ def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
 
     Output bit (copy c, qubit q) of image[a] equals input bit
     (copy pi_q(c), qubit q) of a, where pi_q is the permutation of the
-    q-th tree.
+    q-th tree.  The image is a bit permutation, so it is built by
+    doubling: setting input bit b sets its one output bit.
     """
     n, r = tup.n, tup.r
     _check_dim(n * r, max_dim)
-    a = np.arange(1 << (n * r), dtype=np.int64)
-    image = np.zeros_like(a)
+    target = [0] * (n * r)
     for q in range(1, n + 1):
         pi = permutation_of(tup.trees[q - 1])
         for c in range(1, r + 1):
-            src = (r - pi[c - 1]) * n + (n - q)
-            dst = (r - c) * n + (n - q)
-            image |= ((a >> src) & 1) << dst
-    return IndexPermutation(n, r, image)
+            target[(r - pi[c - 1]) * n + (n - q)] = (r - c) * n + (n - q)
+    image = [0]
+    for b in target:
+        image += [a | 1 << b for a in image]
+    return IndexPermutation(n, r, tuple(image))
 
 
 def invariant_trace(
@@ -330,51 +362,54 @@ def product_trace(perms, ops) -> list[Dyadic]:
     """Trace of each permutation operator in perms against
     op_1 (x) ... (x) op_r, all permutations of the same n and r.
 
-    The tensor product is never materialized: each basis contraction
-    index multiplies one entry of each copy's operator, and the stack of
-    permutation images is contracted TRACE_CHUNK index entries at a time.
-    Raises BudgetError first when 2^(n*r) times the product of each copy's
-    largest |re| + |im| leaves the int64 range.
+    The tensor product is never materialized: each of the 2^(n*r) basis
+    indices multiplies one entry of each copy's operator, and the
+    products are summed.  Each entry is packed as re + im * 2^w, so a
+    product of r entries is a polynomial in 2^w whose coefficient j goes
+    with i^j; w is wide enough that every coefficient of the sum reads
+    back exactly.
     """
     perms, ops = list(perms), list(ops)
     if not perms:
         return []
-    n, r, dim = perms[0].n, perms[0].r, perms[0].dim
+    n, r = perms[0].n, perms[0].r
     if any((p.n, p.r) != (n, r) for p in perms) or len(ops) != r or any(op.m != n for op in ops):
         raise ValueError("need permutations of one n and r, and r operators on n qubits each")
-    bound = dim
+    # no coefficient exceeds 2^(n*r) times the product of each copy's
+    # largest |re| + |im|, bounded in turn by twice its largest part
+    bound = perms[0].dim
     for op in ops:
-        bound *= _magnitude(op)
-    _check_int64("product trace", bound)
-    mask = (1 << n) - 1
-    # a chunk holds whole images when they fit, else part of one image
-    per, span = max(1, TRACE_CHUNK // dim), min(dim, TRACE_CHUNK)
-    re, im = np.zeros((2, len(perms)), dtype=np.int64)
-    for t in range(0, len(perms), per):
-        for i in range(0, dim, span):
-            m = np.stack([p.image[i : i + span] for p in perms[t : t + per]])
-            idx = np.arange(i, i + span, dtype=np.int64)
-            acc_re = np.ones(m.shape, dtype=np.int64)
-            acc_im = np.zeros(m.shape, dtype=np.int64)
-            for c, op in enumerate(ops):
-                shift = n * (r - 1 - c)
-                rows = (m >> shift) & mask
-                cols = (idx >> shift) & mask
-                fre = op.re[rows, cols]
-                fim = op.im[rows, cols]
-                acc_re, acc_im = acc_re * fre - acc_im * fim, acc_re * fim + acc_im * fre
-            re[t : t + per] += acc_re.sum(axis=1)
-            im[t : t + per] += acc_im.sum(axis=1)
+        bound *= 2 * max(map(abs, op.re + op.im))
+    w = bound.bit_length() + 1
+    packed = [[a + (b << w) for a, b in zip(op.re, op.im)] for op in ops]
     scale = sum(op.scale for op in ops)
-    return [Dyadic(int(a), int(b), scale) for a, b in zip(re, im)]
+    traces = []
+    for perm in perms:
+        index = perm.entries
+        terms = map(packed[0].__getitem__, index[0])
+        for table, entries in zip(packed[1:], index[1:]):
+            terms = map(operator.mul, terms, map(table.__getitem__, entries))
+        traces.append(Dyadic(*_gaussian(sum(terms), w, r), scale))
+    return traces
+
+
+def _gaussian(total: int, w: int, r: int) -> tuple[int, int]:
+    """(re, im) of the sum over j of c_j i^j, read from total = the sum
+    over j <= r of c_j 2^(w*j) with every |c_j| below 2^(w-1)."""
+    half, low = 1 << (w - 1), (1 << w) - 1
+    parts = [0, 0]
+    for j in range(r + 1):
+        c = ((total + half) & low) - half
+        total = (total - c) >> w
+        parts[j % 2] += c if j % 4 < 2 else -c
+    return parts[0], parts[1]
 
 
 # -- the tau cyclic sums, one table per tree ----------------------------------
 #
-# Both tables index rows by u and columns by v, each read as an r-bit
-# number with copy 1 as the most significant bit (itertools.product order).
-# Entries are at most 2^r in absolute value, so int64 is exact for any
-# table that fits in memory.
+# Both tables are flat lists of 4^r ints: entry [u, v] at u * 2^r + v, u
+# and v each read as an r-bit number with copy 1 as the most significant
+# bit (itertools.product order).
 
 
 def _bits(i, r: int) -> tuple[int, ...]:
@@ -382,7 +417,12 @@ def _bits(i, r: int) -> tuple[int, ...]:
     return tuple((int(i) >> (r - c)) & 1 for c in range(1, r + 1))
 
 
-def cyclic_sum_table(image) -> np.ndarray:
+def _node_mask(nodes, r: int) -> int:
+    """The table-index bits of a set of nodes: node c is bit r - c."""
+    return sum(1 << (r - c) for c in nodes)
+
+
+def cyclic_sum_table(image) -> list[int]:
     """The tau cyclic sums of one copy permutation, for every (u, v).
 
     Entry [u, v] sums over x in {0,1}^r the product over copies c of
@@ -392,17 +432,17 @@ def cyclic_sum_table(image) -> np.ndarray:
     is the product over qubits of one entry of such a table.
     """
     r = len(image)
-    x = np.arange(1 << r, dtype=np.int64)
-    x_pi = np.zeros_like(x)
-    for c, p in enumerate(image, start=1):
-        x_pi |= ((x >> (r - p)) & 1) << (r - c)
-    u = x[:, None]
-    table = np.zeros((1 << r, 1 << r), dtype=np.int64)
-    np.add.at(table, (u, x_pi ^ x), 1 - 2 * _parity(u & x_pi, r))
+    size = 1 << r
+    table = [0] * (size * size)
+    for x in range(size):
+        x_pi = _node_mask((c for c, p in enumerate(image, start=1) if x >> (r - p) & 1), r)
+        v = x_pi ^ x
+        # column v, every u at once
+        table[v::size] = map(operator.add, table[v::size], _signs(x_pi, size))
     return table
 
 
-def closed_form_table(tree: BinaryTree) -> np.ndarray:
+def closed_form_table(tree: BinaryTree) -> list[int]:
     """Closed form of cyclic_sum_table(permutation_of(tree)).
 
     Zero unless both u and v have even overlap with every right path;
@@ -410,63 +450,85 @@ def closed_form_table(tree: BinaryTree) -> np.ndarray:
     the prefix-matrix pairing of u and v.
     """
     r = tree.r
-    bits = (np.arange(1 << r, dtype=np.int64)[:, None] >> np.arange(r - 1, -1, -1)) & 1
-    in_paths = np.ones(1 << r, dtype=bool)
-    for p in maximal_right_paths(tree):
-        in_paths &= bits[:, [c - 1 for c in p]].sum(axis=1) % 2 == 0
-    d = to_dense(d_matrix(tree), r).astype(np.int64)
-    signs = 1 - 2 * ((bits @ d.T @ bits.T) % 2)
+    size = 1 << r
+    paths = [_node_mask(p, r) for p in maximal_right_paths(tree)]
+    in_paths = [all((w & p).bit_count() % 2 == 0 for p in paths) for w in range(size)]
+    # the prefix matrix D as table-index bits, one row per node; the sign
+    # is (-1)^(v^T D u), and dv[v] is v^T D
+    prefix = [_node_mask((j for j in range(1, r + 1) if row >> (j - 1) & 1), r)
+              for row in d_matrix(tree)]
+    dv = [reduce(operator.xor, (row for c, row in enumerate(prefix, 1) if v >> (r - c) & 1), 0)
+          for v in range(size)]
     magnitude = 1 << (r - v_space_dimension(tree))
-    return np.where(in_paths[:, None] & in_paths[None, :], signs * magnitude, 0)
+    return [
+        (-magnitude if (u & d).bit_count() & 1 else magnitude) if u_in and v_in else 0
+        for u, u_in in enumerate(in_paths)
+        for d, v_in in zip(dv, in_paths)
+    ]
 
 
 # -- tuple spaces: theorem 2 and the quadratic-form identities --------------
 
 
+def _xor(masks) -> int:
+    return reduce(operator.xor, masks, 0)
+
+
+def _bit_masks(m: int) -> list[int]:
+    """For each bit b of an m-bit point, the mask of the 2^m points with
+    bit b set: blocks of h = 2^b points, alternately clear and set, which
+    is the all-ones mask divided by 2^h + 1, shifted up by h."""
+    full = (1 << (1 << m)) - 1
+    return [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(m)]
+
+
 class TupleSpaces:
-    """Every tuple space of one code at degree r, as rows over all 2^(k*r)
+    """Every tuple space of one code at degree r, as masks over all 2^(k*r)
     coefficient points, built from the path decompositions rather than
     the engine's Kronecker stack; BudgetError when 2^(k*r) > MAX_ENUM.
     A point is a k x r bit matrix X, column j the coefficient vector of
     codeword S X_j of copy j; point a holds X[i, j] (from 1) at bit
     (r - j) * k + (k - i), as t_pi lays out qubits when k = n.
 
-    words[l] holds row l of S X (0-based), and member[i][tree] marks where
-    rows i and n + i of S X, summed over each right path of the tree, are
-    0: codeword path sums vanish at qubit i (0-based).  A tuple's space is
-    the AND of its n rows, and its log2 size the invariant dimension.
+    The masks are bit-sliced: one mask per entry X[i, j], and words[l][j]
+    marks where row l of S X_j (0-based) is 1, the XOR of the X[i, j] with
+    S[l, i] = 1.  member[i][tree] marks where rows i and n + i of S X,
+    summed over each right path of the tree, are 0: codeword path sums
+    vanish at qubit i (0-based).  A tuple's space is the AND of its n
+    masks, and its log2 size the invariant dimension.
     """
 
     def __init__(self, gen: GeneratorMatrix, r: int):
         n, k = gen.n, gen.k
         if 1 << (k * r) > MAX_ENUM:
             raise BudgetError(f"enumerating 2^{k * r} points exceeds budget {MAX_ENUM}")
-        shifts = (r - 1 - np.arange(r)) * k + (k - 1 - np.arange(k))[:, None]
-        x = (np.arange(1 << (k * r), dtype=np.int64) >> shifts[:, :, None]) & 1  # [i, j, point]
+        bits = _bit_masks(k * r)
+        x = [[bits[(r - 1 - j) * k + (k - 1 - i)] for j in range(r)] for i in range(k)]
         self.gen, self.r = gen, r
-        # 0/1 entries as uint8: lemma3 keeps the tables of a whole pass of graphs
-        words = np.einsum("il,ljp->ijp", to_dense(gen.rows, k).astype(np.int64), x) % 2
-        self.words = words.astype(np.uint8)
+        self.full = (1 << (1 << (k * r))) - 1
+        self.words = [
+            [_xor(x[i][j] for i in range(k) if row >> i & 1) for j in range(r)]
+            for row in gen.rows
+        ]
         self.member = []
-        for i in range(n):
-            rows = self.words[[i, n + i]]  # qubit i's z and x coordinates
+        for z, xs in zip(self.words[:n], self.words[n:]):  # qubit i's z and x rows
             member = {}
             for tree in enumerate_trees(r):
-                ok = np.ones(rows.shape[2], dtype=bool)
+                nonzero = 0
                 for p in maximal_right_paths(tree):
-                    ok &= (rows[:, [j - 1 for j in p]].sum(axis=1) % 2 == 0).all(axis=0)
-                member[tree] = ok
+                    nonzero |= _xor(z[j - 1] for j in p) | _xor(xs[j - 1] for j in p)
+                member[tree] = self.full ^ nonzero
             self.member.append(member)
 
-    def space(self, tup: TreeTuple) -> np.ndarray:
+    def space(self, tup: TreeTuple) -> int:
         """The tuple space of tup as a mask over the points."""
         if (tup.n, tup.r) != (self.gen.n, self.r):
             raise ValueError("code and tuple sizes differ")
-        return np.logical_and.reduce([m[t] for m, t in zip(self.member, tup.trees)])
+        return reduce(operator.and_, [m[t] for m, t in zip(self.member, tup.trees)])
 
     def dim(self, tup: TreeTuple) -> int:
         """log2 of the size of the tuple space of tup."""
-        count = int(np.count_nonzero(self.space(tup)))
+        count = self.space(tup).bit_count()
         if count & (count - 1):
             raise RuntimeError(f"{count} solutions do not form a linear space")
         return count.bit_length() - 1
@@ -494,35 +556,48 @@ class GraphTupleSpaces(TupleSpaces):
         n = adj.n
         s, x = self.words[:n], self.words[n:]  # theta_i . X_(.,j) and X[i, j]
         self.adj = adj
-        lower = np.tril(to_dense(adj.rows, n).astype(np.int64), -1)
-        self.base = np.einsum("il,ijp,ljp->p", lower, x, x) % 2 == 1
-        prefix_t = {tree: to_dense(d_matrix(tree), r).T.astype(np.int64)
-                    for tree in enumerate_trees(r)}
+        self.base = _xor(
+            x[i][j] & x[l][j]
+            for i, row in enumerate(adj.rows)
+            for l in range(i)
+            if row >> l & 1
+            for j in range(r)
+        )
+        # (X_(i,.) D)_j is the XOR of X[i, c] over the rows c of D with bit j
+        prefix = {tree: d_matrix(tree) for tree in enumerate_trees(r)}
         self.term = [
-            {tree: (d @ xi % 2 * si).sum(axis=0) % 2 == 1 for tree, d in prefix_t.items()}
+            {
+                tree: _xor(
+                    _xor(xc for xc, row in zip(xi, d) if row >> j & 1) & sj
+                    for j, sj in enumerate(si)
+                )
+                for tree, d in prefix.items()
+            }
             for xi, si in zip(x, s)
         ]
 
-    def of(self, tup: TreeTuple) -> tuple[np.ndarray, np.ndarray]:
+    def of(self, tup: TreeTuple) -> tuple[int, int]:
         """The tuple space of tup as a mask over the points, and the mask
         of points where the quadratic form is 1."""
-        q = np.logical_xor.reduce([self.base] + [f[t] for f, t in zip(self.term, tup.trees)])
+        q = _xor(f[t] for f, t in zip(self.term, tup.trees)) ^ self.base
         return self.space(tup), q
 
     def signed_sum(self, tup: TreeTuple) -> tuple[int, int]:
         """The sum of (-1)^Q over the tuple space, and its cardinality."""
         space, q = self.of(tup)
-        card = int(np.count_nonzero(space))
-        return card - 2 * int(np.count_nonzero(space & q)), card
+        card = space.bit_count()
+        return card - 2 * (space & q).bit_count(), card
 
     def lemma4_failure(self, tup: TreeTuple) -> dict | None:
         """None if the quadratic form vanishes on the whole tuple space,
         else a record with its lowest-numbered counterexample."""
-        bad = np.flatnonzero(np.logical_and(*self.of(tup)))
-        if bad.size == 0:
+        space, q = self.of(tup)
+        bad = space & q
+        if not bad:
             return None
+        a = (bad & -bad).bit_length() - 1
         m = self.adj.n * self.r  # the point as m bits, blocks ordered by copy
-        element = [(int(bad[0]) >> (m - 1 - b)) & 1 for b in range(m)]
+        element = [(a >> (m - 1 - b)) & 1 for b in range(m)]
         graph = to_text(self.adj.rows, self.adj.n)
         return {"element": element, "graph": graph, "tuple": tup.id()}
 
@@ -620,9 +695,11 @@ def suite_lemma2(max_r: int = 3) -> dict:
     for r in range(1, max_r + 1):
         for tree in enumerate_trees(r):
             checks += 1 << (2 * r)
-            wrong = cyclic_sum_table(permutation_of(tree)) != closed_form_table(tree)
-            for u, v in np.argwhere(wrong):
-                failures.append({"tree": repr(tree), "u": _bits(u, r), "v": _bits(v, r)})
+            pairs = zip(cyclic_sum_table(permutation_of(tree)), closed_form_table(tree))
+            for i, (a, b) in enumerate(pairs):
+                if a != b:
+                    u, v = divmod(i, 1 << r)
+                    failures.append({"tree": repr(tree), "u": _bits(u, r), "v": _bits(v, r)})
     return _result(name, checks, failures)
 
 
@@ -664,7 +741,7 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
                 spaces = [GraphTupleSpaces(adj, r) for adj in graphs]
                 pass_found = [[] for _ in graphs]
                 for tuples, perms in _tuple_batches(n, r, max_dim):
-                    norms = [int(np.count_nonzero(empty[r].space(tup))) for tup in tuples]
+                    norms = [empty[r].space(tup).bit_count() for tup in tuples]
                     for graph_spaces, rho, graph_failures in zip(spaces, rhos, pass_found):
                         traces = product_trace(perms, [rho] * r)
                         for tup, trace, norm in zip(tuples, traces, norms):

@@ -386,7 +386,8 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     # degree-2 and degree-3 records are ranks of int rows, so a sweep that
-    # stops at degree 3 needs no elimination in numpy
+    # stops at degree 3 needs no elimination in numpy; the oracle works on
+    # Python ints, so the lemma suites never load it
     cases = [
         (["validate", "ok"], 0),
         (["validate", "violation"], 1),
@@ -398,6 +399,10 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
         (["compare", "ok", "prod", "--rmax", "3", "--global"], 1),
         (["compare", "ok", "ok", "--rmax", "3"], 0),
         (["compare", "ok", "ok", "--rmax", "3", "--global"], 0),
+        (["oracle-check", "--suite", "lemma1", "--max-n", "3"], 0),
+        (["oracle-check", "--suite", "lemma2", "--max-r", "4"], 0),
+        (["oracle-check", "--suite", "lemma3", "--max-n", "3", "--max-r", "3"], 0),
+        (["oracle-check", "--suite", "lemma4", "--max-n", "3", "--max-r", "3"], 0),
     ]
     for argv, exit_code in cases:
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]

@@ -74,6 +74,21 @@ def table_index(bits) -> int:
     return int("".join(str(int(b)) for b in bits), 2)
 
 
+def table_entry(table, u, v) -> int:
+    """Entry [u, v] of a flat cyclic-sum table, u and v as bit rows."""
+    return table[table_index(u) << len(u) | table_index(v)]
+
+
+def as_matrix(op: ExactOperator) -> np.ndarray:
+    """The entries of op as a complex dim x dim array, scale left out."""
+    return (np.array(op.re) + 1j * np.array(op.im)).reshape(op.dim, op.dim)
+
+
+def bit(mask: int, a: int) -> int:
+    """Whether point a lies in a point mask."""
+    return (mask >> a) & 1
+
+
 # -- single operators ---------------------------------------------------------
 
 
@@ -86,7 +101,12 @@ TAU = {(0, 0): [[1, 0], [0, 1]], (0, 1): [[0, 1], [1, 0]],
 
 def scaled(op: ExactOperator, re: int, im: int = 0) -> ExactOperator:
     """op times the Gaussian integer re + i*im."""
-    return ExactOperator(op.m, re * op.re - im * op.im, re * op.im + im * op.re, op.scale)
+    return ExactOperator(
+        op.m,
+        [re * a - im * b for a, b in zip(op.re, op.im)],
+        [re * b + im * a for a, b in zip(op.re, op.im)],
+        op.scale,
+    )
 
 
 def test_entry_rule_matches_tensor_products():
@@ -98,7 +118,7 @@ def test_entry_rule_matches_tensor_products():
             factors = list(zip(u, v))
             for op, table in ((tau_op(u, v), TAU), (pauli_op(u, v), SIGMA)):
                 expected = functools.reduce(np.kron, [np.array(table[f]) for f in factors])
-                assert np.array_equal(op.re + 1j * op.im, expected), (u, v)
+                assert np.array_equal(as_matrix(op), expected), (u, v)
             pairs += 1
     assert pairs == 84
 
@@ -110,11 +130,11 @@ def test_zero_vector_gives_identity():
 
 def test_sigma_and_tau_at_11():
     sigma_y = pauli_op([1], [1])
-    assert sigma_y.re.tolist() == [[0, 0], [0, 0]]
-    assert sigma_y.im.tolist() == [[0, -1], [1, 0]]
+    assert sigma_y.re == (0, 0, 0, 0)
+    assert sigma_y.im == (0, -1, 1, 0)  # rows [0, -1] and [1, 0]
     t = tau_op([1], [1])
-    assert t.re.tolist() == [[0, 1], [-1, 0]]  # i * sigma_y, real
-    assert not np.any(t.im)
+    assert t.re == (0, 1, -1, 0)  # i * sigma_y, real
+    assert not any(t.im)
     assert t.same_as(scaled(sigma_y, 0, 1))
 
 
@@ -141,8 +161,7 @@ def test_pauli_ops_are_hermitian_and_unitary():
         n = int(rng.integers(1, 4))
         u, v = rng.integers(0, 2, n), rng.integers(0, 2, n)
         op = pauli_op(u, v)
-        assert np.array_equal(op.re, op.re.T)
-        assert np.array_equal(op.im, -op.im.T)
+        assert np.array_equal(as_matrix(op), as_matrix(op).conj().T)
         assert (op @ op).same_as(ExactOperator.identity(n))
 
 
@@ -165,8 +184,8 @@ def test_rho_plus_state():
     gen = GeneratorMatrix([[0], [1]])  # X stabilizer
     rho = rho_from_code(gen)
     assert rho.scale == 1
-    assert rho.re.tolist() == [[1, 1], [1, 1]]
-    assert not np.any(rho.im)
+    assert rho.re == (1, 1, 1, 1)
+    assert not any(rho.im)
 
 
 def test_rho_purity_scaling():
@@ -177,7 +196,7 @@ def test_rho_purity_scaling():
         rho = rho_from_code(gen)
         assert rho.trace() == ONE
         square = rho @ rho
-        scaled = ExactOperator(rho.m, rho.re * (1 << k), rho.im * (1 << k), 2 * n)
+        scaled = ExactOperator(rho.m, [a << k for a in rho.re], [b << k for b in rho.im], 2 * n)
         assert square.same_as(scaled)
         assert (square.trace()).log2() == k - n
 
@@ -224,7 +243,7 @@ def test_rho_matches_group_sum_definition():
                     group_sum += term
                 rho = rho_from_code(gen, signs=signs)
                 assert rho.scale == n
-                assert np.array_equal(rho.re + 1j * rho.im, group_sum), (n, k, trial)
+                assert np.array_equal(as_matrix(rho), group_sum), (n, k, trial)
 
 
 def all_codes(n: int):
@@ -251,9 +270,10 @@ def dense_product_rho(gen, signs) -> ExactOperator:
     n = gen.n
     dense = to_dense(gen.rows, gen.k)
     rho = ExactOperator.identity(n)
+    one = rho.re
     for j, s in enumerate(signs):
         g = pauli_op(dense[:n, j], dense[n:, j])
-        rho = rho @ ExactOperator(n, np.eye(rho.dim, dtype=np.int64) + s * g.re, s * g.im)
+        rho = rho @ ExactOperator(n, [a + s * b for a, b in zip(one, g.re)], [s * b for b in g.im])
     return ExactOperator(n, rho.re, rho.im, n)
 
 
@@ -266,8 +286,7 @@ def test_rho_matches_dense_product_for_every_small_code():
             for signs in itertools.product((1, -1), repeat=gen.k):
                 rho, expected = rho_from_code(gen, signs=signs), dense_product_rho(gen, signs)
                 assert rho.scale == expected.scale == n
-                assert np.array_equal(rho.re, expected.re), (gen.rows, signs)
-                assert np.array_equal(rho.im, expected.im), (gen.rows, signs)
+                assert (rho.re, rho.im) == (expected.re, expected.im), (gen.rows, signs)
     # isotropic subspaces of dimension 0..n; the n-dimensional ones number
     # (2 + 1)(4 + 1)...(2^n + 1)
     assert counts == [1 + 3, 1 + 15 + 15, 1 + 63 + 315 + 135]
@@ -283,7 +302,7 @@ def test_graph_formula_matches_group_sum():
 
 def test_graph_formula_empty_single_vertex():
     rho = rho_graph_formula(AdjacencyMatrix.empty(1))
-    assert rho.re.tolist() == [[1, 1], [1, 1]]
+    assert rho.re == (1, 1, 1, 1)
     assert rho.scale == 1
 
 
@@ -298,14 +317,14 @@ def test_one_edge_graph_state_is_pure():
 
 def test_t_pi_identity():
     perm = t_pi(identity_tuple(2, 2))
-    assert np.array_equal(perm.image, np.arange(16))
+    assert perm.image == tuple(range(16))
 
 
 def test_t_pi_transposition_involution():
     perm = t_pi(uniform_tuple(right_chain(2), 2))
     img = perm.image
-    assert np.array_equal(img[img], np.arange(16))
-    assert not np.array_equal(img, np.arange(16))
+    assert [img[a] for a in img] == list(range(16))
+    assert img != tuple(range(16))
 
 
 def test_index_permutation_rejects_non_bijection():
@@ -330,10 +349,7 @@ def test_trace_splits_over_qubits():
 
         def check(u, v):  # r x n bit arrays
             (lhs,) = product_trace([perm], [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)])
-            rhs = math.prod(
-                int(table[table_index(u[:, q]), table_index(v[:, q])])
-                for q, table in enumerate(tables)
-            )
+            rhs = math.prod(table_entry(table, u[:, q], v[:, q]) for q, table in enumerate(tables))
             return lhs == Dyadic(rhs, 0, 0)
 
         return check
@@ -365,15 +381,17 @@ def test_product_trace_of_identity_counts_fixed_points():
 
 def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
     # every tuple of one (n, r) in one call gives each tuple's own trace,
-    # whether a chunk holds several images (2^12 entries, the last chunk
-    # partly filled at n = r = 3) or half of one; each copy gets its own
-    # signed projector
+    # and a second call, which reuses each image's entry lists, the same;
+    # TRACE_CHUNK sizes only the suites' batches of images, so half an
+    # image leaves every trace as it was; each copy gets its own signed
+    # projector
     rng = np.random.default_rng(40)
     for n, r in ((1, 3), (2, 2), (3, 3)):
         gen = random_code(n, n, (n, r, 40))
         ops = [rho_from_code(gen, signs=rng.choice((1, -1), n)) for _ in range(r)]
         perms = [t_pi(tup) for tup in all_tuples(n, r)]
         alone = [product_trace([perm], ops)[0] for perm in perms]
+        assert product_trace(perms, ops) == alone
         assert product_trace(perms, ops) == alone
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "TRACE_CHUNK", perms[0].dim // 2)
@@ -383,33 +401,43 @@ def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
         product_trace([t_pi(identity_tuple(3, 3)), t_pi(identity_tuple(1, 3))], ops)
 
 
-def test_int64_guard_refuses_before_wrapping():
-    # entries near 2^40: the results could reach 2^81 and more, which int64
-    # would wrap
-    big = ExactOperator(1, np.full((2, 2), (1 << 40) + 1), np.zeros((2, 2)))
+def test_products_stay_exact_past_int64():
+    # entries near 2^40: the trace is near 2^82 and the product's entries
+    # near 2^81, where int64 would wrap; Python ints keep them exact
+    big = ExactOperator(1, [(1 << 40) + 1] * 4, [0] * 4)
     perm = t_pi(identity_tuple(1, 2))
-    with pytest.raises(BudgetError, match=r"product trace may reach 2\^82, outside int64"):
-        product_trace([perm], [big, big])
-    with pytest.raises(BudgetError, match=r"operator product may reach 2\^81, outside int64"):
-        big @ big
-    # entries 2^29 (1 - i): both bounds stay inside int64 and the values are exact
-    near = ExactOperator(1, np.full((2, 2), 1 << 29), np.full((2, 2), -(1 << 29)))
+    (trace,) = product_trace([perm], [big, big])
+    assert trace == Dyadic(4 * ((1 << 40) + 1) ** 2, 0, 0)
+    assert trace.re.bit_length() - 1 == 82
+    square = big @ big
+    assert square.re == (2 * ((1 << 40) + 1) ** 2,) * 4 and not any(square.im)
+    assert square.re[0].bit_length() - 1 == 81
+    # entries 2^40 (1 - i): each copy's trace is 2^41 (1 - i), and their
+    # product -2^83 i
+    skew = ExactOperator(1, [1 << 40] * 4, [-(1 << 40)] * 4)
+    assert product_trace([perm], [skew, skew]) == [Dyadic(0, -(1 << 83), 0)]
+    # entries 2^29 (1 - i), as before
+    near = ExactOperator(1, [1 << 29] * 4, [-(1 << 29)] * 4)
     assert product_trace([perm], [near, near]) == [Dyadic(0, -(1 << 61), 0)]
     square = near @ near
-    assert not square.re.any() and (square.im == -(1 << 60)).all()
+    assert not any(square.re) and square.im == (-(1 << 60),) * 4
 
 
-def test_same_as_refuses_rescaling_outside_int64():
-    # 4 * 2^62 would wrap to 0 and compare equal; 2^70 is no int64 at all
-    four = ExactOperator(0, [[4]], [[0]], 0)
-    with pytest.raises(BudgetError, match=r"^rescaled operator may reach 2\^64, outside int64$"):
-        four.same_as(ExactOperator(0, [[0]], [[0]], 62))
-    zero = ExactOperator(0, [[0]], [[0]], 0)
-    with pytest.raises(BudgetError, match=r"^rescaled operator may reach 2\^70, outside int64$"):
-        zero.same_as(ExactOperator(0, [[0]], [[0]], 70))
-    one = ExactOperator(0, [[1]], [[0]], 0)
-    assert one.same_as(ExactOperator(0, [[1 << 60]], [[0]], 60))
-    assert not one.same_as(ExactOperator(0, [[1 << 60]], [[1]], 60))
+def test_same_as_rescales_exactly_past_int64():
+    # 4 * 2^62 would wrap to 0 in int64 and compare equal; a Python int
+    # rescales by 2^64 or 2^70 exactly
+    four = ExactOperator(0, [4], [0], 0)
+    assert not four.same_as(ExactOperator(0, [0], [0], 62))
+    assert four.same_as(ExactOperator(0, [1 << 64], [0], 62))
+    zero = ExactOperator(0, [0], [0], 0)
+    assert zero.same_as(ExactOperator(0, [0], [0], 70))
+    assert not zero.same_as(ExactOperator(0, [1], [0], 70))
+    one = ExactOperator(0, [1], [0], 0)
+    assert one.same_as(ExactOperator(0, [1 << 70], [0], 70))
+    assert not one.same_as(ExactOperator(0, [1 << 70], [1], 70))
+    assert not one.same_as(ExactOperator(0, [(1 << 70) + 1], [0], 70))
+    assert one.same_as(ExactOperator(0, [1 << 60], [0], 60))
+    assert not one.same_as(ExactOperator(0, [1 << 60], [1], 60))
 
 
 # -- invariant traces ---------------------------------------------------------
@@ -481,14 +509,14 @@ def test_trace_invariant_under_local_clifford():
 def test_cyclic_sum_table_identity_permutation_zero_bits():
     for r in (1, 2, 4):
         table = cyclic_sum_table(permutation_of(left_chain(r)))
-        assert table.shape == (1 << r, 1 << r)
-        assert table[0, 0] == 1 << r
+        assert len(table) == 1 << (2 * r)
+        assert table[0] == 1 << r
 
 
 def test_closed_form_table_zero_outside_path_space():
     table = closed_form_table(right_chain(3))
-    assert table[table_index([1, 0, 0]), table_index([0, 0, 0])] == 0
-    assert table[table_index([0, 0, 0]), table_index([1, 1, 0])] != 0
+    assert table_entry(table, [1, 0, 0], [0, 0, 0]) == 0
+    assert table_entry(table, [0, 0, 0], [1, 1, 0]) != 0
 
 
 def test_lemma2_reports_a_planted_fault(monkeypatch):
@@ -500,7 +528,7 @@ def test_lemma2_reports_a_planted_fault(monkeypatch):
     def planted(t):
         table = exact(t)
         if t == tree:
-            table[table_index([1, 1, 0]), table_index([0, 0, 1])] += 1
+            table[table_index([1, 1, 0]) << 3 | table_index([0, 0, 1])] += 1
         return table
 
     monkeypatch.setattr(oracle, "closed_form_table", planted)
@@ -563,15 +591,15 @@ def test_tuple_space_rows_match_definitions():
             for adj in all_graphs(n):
                 spaces = GraphTupleSpaces(adj, r)
                 theta = to_dense(adj.rows, n).tolist()
-                assert spaces.base.shape == (1 << (n * r),)
+                assert spaces.base >> (1 << (n * r)) == 0
                 for a in range(1 << (n * r)):
                     x = point_matrix(a, n, r)
-                    assert spaces.base[a] == q_base(theta, x)
+                    assert bit(spaces.base, a) == q_base(theta, x)
                     for i in range(n):
                         for tree in enumerate_trees(r):
                             d = to_dense(d_matrix(tree), r).tolist()
-                            assert spaces.member[i][tree][a] == in_paths(theta, x, i, tree)
-                            assert spaces.term[i][tree][a] == q_term(theta, x, i, d)
+                            assert bit(spaces.member[i][tree], a) == in_paths(theta, x, i, tree)
+                            assert bit(spaces.term[i][tree], a) == q_term(theta, x, i, d)
                             rows += 1
     assert rows == 2 + 4 * 2 + 2 * 4 * 2 + 2 * 16 * 2 * 2  # graphs x points x qubits x trees
 
@@ -582,7 +610,8 @@ def test_tuple_spaces_are_closed_under_xor():
             for adj in all_graphs(n):
                 spaces = GraphTupleSpaces(adj, r)
                 for tup in all_tuples(n, r):
-                    points = set(np.flatnonzero(spaces.space(tup)).tolist())
+                    space = spaces.space(tup)
+                    points = {a for a in range(1 << (n * r)) if bit(space, a)}
                     assert 0 in points
                     assert all(a ^ b in points for a in points for b in points), tup.id()
 
@@ -595,7 +624,7 @@ def test_tuple_space_matches_kernel_dimension():
         r = int(rng.integers(1, 4))
         adj = AdjacencyMatrix.random(n, rng)
         tup = random_tuple(n, r, rng)
-        size = int(np.count_nonzero(GraphTupleSpaces(adj, r).space(tup)))
+        size = GraphTupleSpaces(adj, r).space(tup).bit_count()
         assert size == 1 << invariant_dim(graph_generator(adj), tup)
 
 
@@ -622,7 +651,7 @@ def test_code_membership_rows_match_codeword_path_sums():
                         for p in maximal_right_paths(tree)
                         for l in (i, n + i)
                     )
-                    assert spaces.member[i][tree][a] == vanish
+                    assert bit(spaces.member[i][tree], a) == vanish
                     rows += 1
     # 2 codes per (n, k) x 2^(k*r) points x n qubits x catalan(r) trees
     assert rows == 352
@@ -637,7 +666,7 @@ def test_quad_form_zero_on_zero_element():
     adj = AdjacencyMatrix.complete(3)
     tup = identity_tuple(3, 2)
     space, q = GraphTupleSpaces(adj, 2).of(tup)
-    assert space[0] and not q[0]
+    assert bit(space, 0) and not bit(q, 0)
 
 
 def test_lemma4_small_graphs():
@@ -898,7 +927,7 @@ def test_lemma3_small_graphs():
         edgeless = AdjacencyMatrix.empty(n)
         for r in (1, 2):
             for tup in all_tuples(n, r):
-                norm = int(np.count_nonzero(GraphTupleSpaces(edgeless, r).of(tup)[0]))
+                norm = GraphTupleSpaces(edgeless, r).of(tup)[0].bit_count()
                 assert invariant_trace(graph_generator(edgeless), tup) == ONE
                 for adj in all_graphs(n):
                     spaces = GraphTupleSpaces(adj, r)
@@ -973,7 +1002,7 @@ def test_lemma3_identity_tuple_counts():
     adj = AdjacencyMatrix.empty(2)
     tup = identity_tuple(2, 2)
     space, _ = GraphTupleSpaces(adj, 2).of(tup)
-    assert np.flatnonzero(space).tolist() == [0]  # only the zero tuple
+    assert space == 1  # only the zero tuple
     assert invariant_trace(graph_generator(adj), tup) == ONE
 
 

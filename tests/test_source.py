@@ -39,17 +39,32 @@ def module_level_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+def all_imports(path: Path) -> set[str]:
+    """Top-level names of every module the file imports anywhere,
+    function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_only_the_engine_and_the_oracle_load_numpy():
-    # codes, trees, the package and the CLI work on int rows, so that
-    # validate and every early exit start without numpy; the engine loads
-    # it only to eliminate a kernel, which degree-2 records never need
+    # codes, trees, the package, the CLI and the oracle work on Python
+    # ints, so that validate, every early exit and the lemma suites start
+    # without numpy; the engine loads it only to eliminate a kernel, which
+    # degree-2 and degree-3 records never need, and the oracle nowhere
     sources = sorted(SRC.glob("*.py"))
     loaders = {
         path.name
         for path in sources
         if "numpy" in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert loaders == {"oracle.py"}
+    assert loaders == set()
+    assert "fractions" in all_imports(SRC / "oracle.py")
+    assert "numpy" not in all_imports(SRC / "oracle.py")
     tree = ast.parse((SRC / "invariants.py").read_text(encoding="utf-8"))
     importers = {
         func.name
@@ -76,7 +91,7 @@ def test_oracle_imports_no_engine_internals():
 
 def test_only_the_engine_and_the_oracle_call_to_dense():
     # codes, graphs and trees hand out int rows; a dense array is made
-    # only where numpy multiplies or eliminates it
+    # only where numpy eliminates it
     callers = {
         path.name
         for path in sorted(SRC.glob("*.py"))
@@ -84,7 +99,7 @@ def test_only_the_engine_and_the_oracle_call_to_dense():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "to_dense"
     }
-    assert callers == {"invariants.py", "oracle.py"}
+    assert callers == {"invariants.py"}
 
 
 # Works with codes, graphs and trees, then prints whether numpy was imported.
