@@ -6,9 +6,9 @@ formalism, and ships an exact dense-operator oracle that certifies the
 binary computation at desk scale.
 
 The names below resolve on first use (PEP 562), so importing the package
-loads no submodule; numpy loads only when `invariants` eliminates a
-kernel (degree 4 or more, or one `invariant_dim`) or `random_code` draws
-a code.
+loads no submodule, and the oracle's lemma suites never load the engine;
+numpy loads only when `invariants` eliminates a kernel (degree 4 or
+more, or one `invariant_dim`) or `random_code` draws a code.
 """
 
 import importlib
@@ -18,8 +18,6 @@ _EXPORTS = {
     "invariants": (
         "Fingerprint",
         "InvariantRecord",
-        "TreeTuple",
-        "all_tuples",
         "compare_global",
         "degree2_dim",
         "degree2_tuple",
@@ -59,6 +57,8 @@ _EXPORTS = {
     ),
     "trees": (
         "BinaryTree",
+        "TreeTuple",
+        "all_tuples",
         "enumerate_trees",
         "maximal_right_paths",
         "permutation_of",

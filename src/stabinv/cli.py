@@ -7,31 +7,32 @@ parse error, 3 budget exceeded, 4 invalid code (a command other than
 validate was given a code that fails validation).
 
 oracle-check passes on only the limits the user gave; the suite's own
-signature supplies every default, and a limit the suite does not take
-is a parse error.  --max-tuples is passed on the same way.  A suite that
-ran no check (limits below 1, every size over --max-dim, or a projected
-check count over the suite budget) reports status "skipped" and exits 0,
-as a pass does: it found no counterexample, and its warnings say why.
-A script must read the report's status, not only the exit code, to tell
-a pass from a skip.
+signature, read from its code object, supplies every default, and a
+limit it does not take is a parse error.  --max-tuples is passed on the
+same way.  A suite that ran no check (limits below 1, every size over
+--max-dim, or a projected check count over the suite budget) reports
+status "skipped" and exits 0, as a pass does: it found no
+counterexample, and its warnings say why.  A script must read the
+report's status, not only the exit code, to tell a pass from a skip.
 
-The engine and the oracle are imported by the commands that use them.
-The oracle works on Python ints and never loads numpy; the engine loads
-it only to eliminate a kernel of degree 4 or more or a --trees tuple's,
-and the theorem suites' random codes draw from numpy's generator.  So
+The engine and the oracle are imported by the commands that use them,
+and of the suites only theorem1 and theorem2 import the engine.  The
+oracle works on Python ints and never loads numpy; the engine loads it
+only to eliminate a kernel of degree 4 or more or a --trees tuple's, and
+the theorem suites' random codes draw from numpy's generator.  So
 validate, invariant --omega, fingerprint and compare up to --rmax 3,
-oracle-check on lemma1 to lemma4, and every usage, parse or
-invalid-code exit run without numpy.
+oracle-check on lemma1 to lemma4, and every usage, parse or invalid-code
+exit run without numpy.  No command loads dataclasses, inspect or
+fractions.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
-from . import stabilizer, trees
+from . import stabilizer
 from .errors import BudgetError, InvalidCodeError, ParseError
 
 EXIT_OK = 0
@@ -119,12 +120,12 @@ def cmd_validate(args) -> int:
 def _read_tuple(spec: str):
     """Tree tuple from an inline 'a;b;c' spec or a '@file' with one
     serialized tree per line."""
-    from . import invariants
+    from . import invariants, trees
 
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        return invariants.TreeTuple(tuple(trees.parse(ln) for ln in lines))
+        return trees.TreeTuple(tuple(trees.parse(ln) for ln in lines))
     return invariants.parse_tuple(spec)
 
 
@@ -193,9 +194,13 @@ def cmd_oracle_check(args) -> int:
     from . import oracle
 
     suite = oracle.SUITES[args.suite]
-    params = inspect.signature(suite).parameters
-    # a wrapper that forwards **kwargs passes every limit on to the suite
-    forwards = any(p.kind is p.VAR_KEYWORD for p in params.values())
+    # the suite's parameters, past functools.wraps; **kwargs takes every limit
+    inner = suite
+    while hasattr(inner, "__wrapped__"):
+        inner = inner.__wrapped__
+    code = inner.__code__
+    params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    forwards = bool(code.co_flags & 0x08)  # CO_VARKEYWORDS
     kwargs = {}
     for name in ("max_n", "max_r", "seed", "max_dim"):
         if hasattr(args, name):

@@ -19,17 +19,19 @@ invariant_dim, is eliminated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 
 from . import trees as trees_mod
-from .errors import BudgetError
+from .errors import BudgetError, Frozen
 from .gf2 import kernel_basis, rank, to_dense
 from .stabilizer import GeneratorMatrix, qubit_rows
 from .trees import (
     BinaryTree,
+    TreeTuple,
+    all_tuples,
     attach_singleton_root,
     catalan,
     delete_singleton,
@@ -43,34 +45,6 @@ from .trees import (
 
 DEFAULT_MAX_RECORDS = 200_000
 MAX_GLOBAL_QUBITS = 8
-
-
-@dataclass(frozen=True)
-class TreeTuple:
-    """One binary tree per qubit, all on the same number of nodes."""
-
-    trees: tuple[BinaryTree, ...]
-
-    def __post_init__(self):
-        if not self.trees:
-            raise ValueError("need at least one tree")
-        degrees = {t.r for t in self.trees}
-        if len(degrees) != 1:
-            raise ValueError(f"trees have mixed node counts {sorted(degrees)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.trees)
-
-    @property
-    def r(self) -> int:
-        return self.trees[0].r
-
-    def id(self) -> str:
-        return ";".join(serialize(t) for t in self.trees)
-
-    def __repr__(self) -> str:
-        return f"TreeTuple({self.id()!r})"
 
 
 def parse_tuple(text: str) -> TreeTuple:
@@ -96,11 +70,6 @@ def degree2_tuple(n: int, omega) -> TreeTuple:
     return TreeTuple(
         tuple(right_chain(2) if i in omega else left_chain(2) for i in range(1, n + 1))
     )
-
-
-def all_tuples(n: int, r: int):
-    """All tree tuples in canonical (per-qubit lexicographic) order."""
-    return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
 def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree):
@@ -186,7 +155,8 @@ def _degree3_records(gen: GeneratorMatrix):
     asks the same of the node it leaves out, which is a one-node path; the
     three-node path asks nothing.  So the kernel is the kernel of the map
     (x_1, x_2, x_3) -> x_1 + x_2 + x_3 from C_A1 x C_A2 x C_A3 onto
-    C_A1 + C_A2 + C_A3.  Each C_A's basis is built once per code.
+    C_A1 + C_A2 + C_A3.  Each C_A's basis is built once per code, and each
+    dimension once per sorted triple (A1, A2, A3), as the sum is symmetric.
     """
     # one slot per (qubit i + 1, tree): the serialized tree and, for each
     # node c, the tree's share of A_c, bit i or 0
@@ -197,15 +167,15 @@ def _degree3_records(gen: GeneratorMatrix):
         ]
         for i in range(gen.n)
     ]
-    bases: dict[int, tuple[int, ...]] = {}
+    basis = functools.cache(functools.partial(_subcode_basis, gen))
+    dims: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*slots):
         sers, *columns = zip(*combo)
-        parts = []
-        for inside in map(sum, columns):
-            if inside not in bases:
-                bases[inside] = _subcode_basis(gen, inside)
-            parts.append(bases[inside])
-        yield 3, sers, sum(map(len, parts)) - rank(itertools.chain(*parts))
+        key = tuple(sorted(map(sum, columns)))
+        if key not in dims:
+            parts = [basis(inside) for inside in key]
+            dims[key] = sum(map(len, parts)) - rank(itertools.chain(*parts))
+        yield 3, sers, dims[key]
 
 
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
@@ -233,23 +203,17 @@ def pad_degree(tup: TreeTuple) -> TreeTuple:
     return TreeTuple(tuple(attach_singleton_root(t) for t in tup.trees))
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    r: int
-    tuple_id: str
-    dim: int
+class InvariantRecord(Frozen):
+    __slots__ = ("r", "tuple_id", "dim")
 
     def to_payload(self) -> dict:
         return {"r": self.r, "tuple": self.tuple_id, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Frozen):
     """All invariant dimensions of one code for degrees 2..r_max."""
 
-    n: int
-    r_max: int
-    records: tuple[InvariantRecord, ...]
+    __slots__ = ("n", "r_max", "records")
 
     def to_payload(self) -> dict:
         return {

@@ -28,13 +28,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property, reduce
 
-from .errors import BudgetError
+from .errors import BudgetError, Frozen
 from .gf2 import to_text
-from .invariants import TreeTuple, all_tuples, invariant_dim
 from .stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
@@ -44,6 +41,8 @@ from .stabilizer import (
 )
 from .trees import (
     BinaryTree,
+    TreeTuple,
+    all_tuples,
     catalan,
     d_matrix,
     enumerate_trees,
@@ -60,23 +59,17 @@ MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
 TRACE_CHUNK = 1 << 12
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(Frozen):
     """(re + i*im) / 2^scale with integer re and im, kept normalized."""
 
-    re: int
-    im: int
-    scale: int
+    __slots__ = ("re", "im", "scale")
 
-    def __post_init__(self):
-        re, im, scale = self.re, self.im, self.scale
+    def __init__(self, re: int, im: int, scale: int):
         if re == 0 and im == 0:
             scale = 0
         while scale > 0 and re % 2 == 0 and im % 2 == 0:
             re, im, scale = re // 2, im // 2, scale - 1
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(re, im, scale)
 
     def log2(self) -> int:
         """Exact log2; requires a real, positive power-of-2 value."""
@@ -88,7 +81,9 @@ class Dyadic:
             raise ValueError(f"value {self} is not a power of 2")
         return self.re.bit_length() - 1 - self.scale
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        from fractions import Fraction
+
         if self.im != 0:
             raise ValueError(f"value {self} is not real")
         return Fraction(self.re, 1 << self.scale)
@@ -278,20 +273,17 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     return ExactOperator(n, acc, [0] * (dim * dim), n)
 
 
-@dataclass(frozen=True)
-class IndexPermutation:
+class IndexPermutation(Frozen):
     """Permutation of the 2^(n*r) computational basis indices realizing a
     qubit-wise permutation of tensor copies."""
 
-    n: int
-    r: int
-    image: tuple[int, ...]
+    __slots__ = ("n", "r", "image", "__dict__")
 
-    def __post_init__(self):
-        image = tuple(map(operator.index, self.image))
-        if sorted(image) != list(range(self.dim)):
+    def __init__(self, n: int, r: int, image: tuple[int, ...]):
+        image = tuple(map(operator.index, image))
+        if sorted(image) != list(range(1 << (n * r))):
             raise ValueError("image is not a bijection")
-        object.__setattr__(self, "image", image)
+        super().__init__(n, r, image)
 
     @property
     def dim(self) -> int:
@@ -612,7 +604,7 @@ class GraphTupleSpaces(TupleSpaces):
         its trace is 1 and norm is its ratio of signed sum to trace.
         """
         s, card = self.signed_sum(tup)
-        if trace.im or trace.as_fraction() * norm != s:
+        if trace.im or trace.re * norm != s << trace.scale:
             text = str(trace.as_fraction() if trace.im == 0 else trace)
             detail = {"trace": text, "normalization": str(norm)}
         elif s != card:
@@ -831,6 +823,8 @@ def suite_theorem1(
 def _offset(gen: GeneratorMatrix, tup: TreeTuple, trace: Dyadic) -> int | Dyadic:
     """log2 of the trace minus the kernel dimension, or the trace itself
     when it is not a positive real power of 2."""
+    from .invariants import invariant_dim
+
     try:
         log = trace.log2()
     except ValueError:
@@ -846,6 +840,8 @@ def suite_theorem2(
 ) -> dict:
     """Kernel dimension vs. direct enumeration of constrained codeword
     tuples, exhaustively over tree tuples, one point table per code and r."""
+    from .invariants import invariant_dim
+
     name = "theorem2"
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])

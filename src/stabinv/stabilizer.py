@@ -13,22 +13,12 @@ nothing else; nothing here loads numpy but random_code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import InvalidCodeError, ParseError
+from .errors import Frozen, InvalidCodeError, ParseError
 from .gf2 import from_dense, kernel_basis, rank, to_text, transpose
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
-
-
-class _Frozen:
-    """Fields are set once, through object.__setattr__, when an instance is made."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _check_rows(rows, bits: int) -> tuple[int, ...]:
@@ -38,7 +28,7 @@ def _check_rows(rows, bits: int) -> tuple[int, ...]:
     return rows
 
 
-class GeneratorMatrix(_Frozen):
+class GeneratorMatrix(Frozen):
     """A valid stabilizer code as its 2n x k binary generator matrix.
 
     Held as 2n int rows of k bits: bit l of row i is entry (i, l), so bit
@@ -46,7 +36,7 @@ class GeneratorMatrix(_Frozen):
     array-like and reduces it mod 2; from_rows takes int rows.  Bits that
     are no valid code raise InvalidCodeError naming the first violation,
     so every instance is a valid code.  Instances are immutable and can
-    be shared freely.
+    be shared freely; == compares matrices, same_code_space codes.
     """
 
     __slots__ = ("rows", "k")
@@ -65,8 +55,7 @@ class GeneratorMatrix(_Frozen):
         violation = _violation(rows, k)
         if violation is not None:
             raise InvalidCodeError(violation, (len(rows), k))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "k", k)
+        Frozen.__init__(self, rows, k)
 
     @property
     def n(self) -> int:
@@ -192,7 +181,7 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     return GeneratorMatrix.from_rows(rows, len(basis))
 
 
-class AdjacencyMatrix(_Frozen):
+class AdjacencyMatrix(Frozen):
     """Symmetric zero-diagonal n x n matrix of a simple graph, held like a
     generator matrix: n int rows, bit j of row i the entry (i, j)."""
 
@@ -217,7 +206,7 @@ class AdjacencyMatrix(_Frozen):
             raise ValueError("adjacency matrix must be symmetric")
         if any((row >> i) & 1 for i, row in enumerate(rows)):
             raise ValueError("adjacency matrix must have a zero diagonal")
-        object.__setattr__(self, "rows", rows)
+        Frozen.__init__(self, rows)
 
     @property
     def n(self) -> int:
@@ -282,16 +271,16 @@ INVERTIBLE_2X2: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class LocalCliffordOp:
+class LocalCliffordOp(Frozen):
     """Per-qubit invertible 2x2 binary blocks, one per qubit."""
 
-    blocks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        for blk in self.blocks:
+    def __init__(self, blocks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]):
+        for blk in blocks:
             if blk not in INVERTIBLE_2X2:
                 raise ValueError(f"block {blk} is not invertible over GF(2)")
+        super().__init__(blocks)
 
     @property
     def n(self) -> int:

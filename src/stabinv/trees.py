@@ -1,4 +1,4 @@
-"""Canonically labelled ordered binary trees and their right-path data.
+"""Canonically labelled ordered binary trees, their right-path data, and tree tuples.
 
 Nodes carry the labels 1..r assigned by the traversal root, left subtree,
 right subtree, so a tree's structure determines its labelling.  The
@@ -9,21 +9,21 @@ length, which makes lexicographic ordering unambiguous.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import Frozen
 
-@dataclass(frozen=True)
-class BinaryTree:
+
+class BinaryTree(Frozen):
     """Ordered binary tree on r nodes labelled in preorder.
 
     ``left[i-1]`` / ``right[i-1]`` hold the label of node i's left/right
     son, or 0 when absent.
     """
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ("left", "right")
 
     @property
     def r(self) -> int:
@@ -128,6 +128,39 @@ def enumerate_trees(r: int) -> tuple[BinaryTree, ...]:
     if r < 1:
         raise ValueError("need at least one node")
     return tuple(parse(text) for text in sorted(_serialized(r)))
+
+
+class TreeTuple(Frozen):
+    """One binary tree per qubit, all on the same number of nodes."""
+
+    __slots__ = ("trees",)
+
+    def __init__(self, trees: tuple[BinaryTree, ...]):
+        if not trees:
+            raise ValueError("need at least one tree")
+        degrees = {t.r for t in trees}
+        if len(degrees) != 1:
+            raise ValueError(f"trees have mixed node counts {sorted(degrees)}")
+        super().__init__(trees)
+
+    @property
+    def n(self) -> int:
+        return len(self.trees)
+
+    @property
+    def r(self) -> int:
+        return self.trees[0].r
+
+    def id(self) -> str:
+        return ";".join(serialize(t) for t in self.trees)
+
+    def __repr__(self) -> str:
+        return f"TreeTuple({self.id()!r})"
+
+
+def all_tuples(n: int, r: int):
+    """All tree tuples in canonical (per-qubit lexicographic) order."""
+    return (TreeTuple(combo) for combo in itertools.product(enumerate_trees(r), repeat=n))
 
 
 def left_chain(r: int) -> BinaryTree:

@@ -1,5 +1,6 @@
 """End-to-end tests of the stabinv command-line interface."""
 
+import functools
 import json
 import os
 import subprocess
@@ -292,6 +293,38 @@ def test_oracle_check_rejects_a_flag_the_suite_does_not_take(capsys, suite, flag
     assert f"suite {suite} does not take {flag}" in captured.err
 
 
+def test_oracle_check_forwards_every_limit_to_a_kwargs_wrapper(capsys, monkeypatch):
+    seen = []
+
+    def wrapper(**kwargs):
+        seen.append(kwargs)
+        return oracle.suite_lemma1(max_n=1)
+
+    monkeypatch.setitem(oracle.SUITES, "lemma1", wrapper)
+    code, payload = run_json(capsys, "oracle-check", "--suite", "lemma1", "--max-n", "2",
+                             "--max-r", "3", "--seed", "4", "--max-dim", "16")
+    assert (code, payload["status"]) == (0, "pass")
+    assert seen == [{"max_n": 2, "max_r": 3, "seed": 4, "max_dim": 16}]
+
+
+def test_oracle_check_reads_the_suite_a_wrapper_wraps(capsys, monkeypatch):
+    # functools.wraps twice over: the flags are checked against lemma2
+    calls = []
+    suite = oracle.SUITES["lemma2"]
+
+    @functools.wraps(suite)
+    def inner(*args, **kwargs):
+        calls.append(kwargs)
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(oracle.SUITES, "lemma2", functools.wraps(inner)(lambda **kw: inner(**kw)))
+    assert cli.main(["oracle-check", "--suite", "lemma2", "--max-n", "2"]) == 2
+    assert "suite lemma2 does not take --max-n" in capsys.readouterr().err
+    code, payload = run_json(capsys, "oracle-check", "--suite", "lemma2", "--max-r", "2")
+    assert (code, payload["checks"]) == (0, 1 * 4 + 2 * 16)
+    assert calls == [{"max_r": 2}]
+
+
 def test_oracle_check_zero_limits_skip(capsys):
     code, payload = run_json(capsys, "oracle-check", "--suite", "theorem1", "--max-n", "0")
     assert code == 0
@@ -355,12 +388,13 @@ def test_trees_from_file(capsys, edge2, tmp_path):
     assert payload["tuple"] == "(L());(L())"
 
 
-# Runs the CLI, then writes on stderr whether numpy was ever imported.
+# Runs the CLI, then writes on stderr which of these modules were imported.
+PROBED = ("numpy", "dataclasses", "inspect", "fractions", "stabinv.invariants")
 NUMPY_PROBE = (
     "import sys\n"
     "from stabinv.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    f"print(*[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -387,7 +421,9 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
         (tmp_path / name).write_text(text)
     # degree-2 and degree-3 records are ranks of int rows, so a sweep that
     # stops at degree 3 needs no elimination in numpy; the oracle works on
-    # Python ints, so the lemma suites never load it
+    # Python ints, so the lemma suites never load it, and it imports the
+    # engine only inside the theorem suites.  No child loads dataclasses,
+    # inspect (which numpy brings) or fractions.
     cases = [
         (["validate", "ok"], 0),
         (["validate", "violation"], 1),
@@ -408,17 +444,24 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         proc = run_child("-c", NUMPY_PROBE, *argv)
         assert proc.returncode == exit_code, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "False", argv
-    # the probe does see numpy once a degree-4 kernel is eliminated
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert loaded <= {"stabinv.invariants"}, argv
+        if argv[0] == "oracle-check":
+            assert not loaded, argv
+    # the probe does see numpy (which imports inspect) once a degree-4
+    # kernel is eliminated
     for argv in (
         ["fingerprint", "ok", "--rmax", "4"],
         ["compare", "ok", "ok", "--rmax", "4"],
     ):
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         proc = run_child("-c", NUMPY_PROBE, *argv)
-        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "True"), argv
-    proc = run_child("-c", "import sys, stabinv.cli; print('numpy' in sys.modules)")
-    assert proc.stdout == "False\n", proc.stderr
+        loaded = set(proc.stderr.splitlines()[-1].split())
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" in loaded and not loaded & {"dataclasses", "fractions"}, argv
+    imported = f"import sys, stabinv.cli; print(*[m for m in {PROBED!r} if m in sys.modules])"
+    proc = run_child("-c", imported)
+    assert proc.stdout == "\n", proc.stderr
     # every lazy re-export of the package resolves
     assert stabinv.__all__
     for name in stabinv.__all__:

@@ -213,6 +213,22 @@ def test_degree3_matches_tuple_engine():
             assert records[3, ";".join([left] * n)] == 0
 
 
+def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
+    # the record is symmetric in (A1, A2, A3), so the 625 tuples at n = 4
+    # need one rank for each of their 150 sorted triples
+    gen = random_code(4, 3, (4, 3, 7))
+    expected = list(invariants._degree3_records(gen))
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(invariants, "rank", counted)
+    assert list(invariants._degree3_records(gen)) == expected
+    assert (len(expected), len(calls)) == (625, 150)
+
+
 def test_degree2_tuple_encoding():
     tup = degree2_tuple(3, {1, 3})
     assert tup.trees[0] == right_chain(2)

@@ -718,7 +718,7 @@ def test_lemma_suites_never_call_the_engine(monkeypatch):
         raise AssertionError("the oracle called the engine")
 
     for module, name in (
-        (oracle, "invariant_dim"),
+        (invariants, "invariant_dim"),
         (oracle, "theorem2_dim"),
         (invariants, "_kernel_dim"),
         (invariants, "rank"),
@@ -750,7 +750,7 @@ def test_theorem2_dim_never_calls_the_engine(monkeypatch):
         raise AssertionError("the oracle called the engine")
 
     for module, name in (
-        (oracle, "invariant_dim"),
+        (invariants, "invariant_dim"),
         (invariants, "_kernel_dim"),
         (invariants, "rank"),
     ):
@@ -762,7 +762,7 @@ def test_theorem2_reports_a_planted_fault(monkeypatch):
     # the engine made to add 1 on one tuple: exactly that tuple's records,
     # one per code of its size, must be reported
     target = parse_tuple("(L());(R())")
-    exact = oracle.invariant_dim
+    exact = invariants.invariant_dim
     codes = [random_code(2, k, seed=(0, 2, k, c)) for k in range(3) for c in range(5)]
     expected = [
         {"n": 2, "k": gen.k, "tuple": target.id(),
@@ -774,7 +774,7 @@ def test_theorem2_reports_a_planted_fault(monkeypatch):
     def planted(gen, tup):
         return exact(gen, tup) + (tup.id() == target.id())
 
-    monkeypatch.setattr(oracle, "invariant_dim", planted)
+    monkeypatch.setattr(invariants, "invariant_dim", planted)
     report = suite_theorem2(max_n=2, max_r=2)
     assert (report["status"], report["checks"]) == ("fail", checks)
     assert checks == 5 * (2 * 1 + 2 * 2 + 3 * 1 + 3 * 4)  # codes x tuples, n, r <= 2

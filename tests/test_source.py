@@ -24,7 +24,8 @@ def test_no_assert_statements():
 
 def module_level_imports(tree: ast.Module) -> set[str]:
     """Top-level names of the modules an import runs when the module
-    loads: everything outside function bodies, class bodies included."""
+    loads: everything outside function bodies, class bodies included.
+    A module of the package counts as ".name"."""
     names = set()
     stack = list(tree.body)
     while stack:
@@ -35,6 +36,9 @@ def module_level_imports(tree: ast.Module) -> set[str]:
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+            names.update("." + module.split(".")[0] for module in modules)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -73,6 +77,21 @@ def test_only_the_engine_and_the_oracle_load_numpy():
         and "numpy" in module_level_imports(ast.Module(body=func.body, type_ignores=[]))
     }
     assert importers == {"_kernel_dim"}
+
+
+def test_no_module_loads_dataclasses_inspect_or_fractions():
+    # each costs a CLI child start-up time; records build on errors.Frozen,
+    # the CLI reads a suite's parameters from its code object, and only a
+    # failure text makes a Fraction.  The oracle leaves the engine to the
+    # theorem suites, so the lemma suites never load it.
+    loaded = {
+        path.name: module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {".errors", ".trees", ".stabilizer"} <= loaded["oracle.py"]
+    unwanted = {"dataclasses", "inspect", "fractions"}
+    assert {name for name, mods in loaded.items() if unwanted & mods} == set()
+    assert {name for name, mods in loaded.items() if ".invariants" in mods} == set()
 
 
 def test_oracle_imports_no_engine_internals():

@@ -1,12 +1,20 @@
 """Tests for tree enumeration, right paths, and the path matrices."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from stabinv import trees
+from stabinv.errors import Frozen
 from stabinv.gf2 import kernel_basis, rank, to_dense, transpose
+from stabinv.invariants import Fingerprint, InvariantRecord
+from stabinv.oracle import Dyadic, IndexPermutation
+from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp
 from stabinv.trees import (
     BinaryTree,
+    TreeTuple,
     attach_singleton_root,
     catalan,
     cycle_form,
@@ -207,3 +215,68 @@ def test_delete_rejects_non_singleton():
 
 def test_cached_enumeration_returns_same_objects():
     assert trees.enumerate_trees(4) is trees.enumerate_trees(4)
+
+
+# One instance of each record class, by its fields in order.
+RECORDS = [
+    (BinaryTree, ((2, 0), (0, 0))),
+    (TreeTuple, ((left_chain(2), right_chain(2)),)),
+    (InvariantRecord, (2, "(L());(R())", 1)),
+    (Fingerprint, (1, 2, ())),
+    (Dyadic, (3, -1, 2)),
+    (IndexPermutation, (1, 1, (1, 0))),
+    (LocalCliffordOp, ((((0, 1), (1, 0)),),)),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_values(cls, values):
+    rec = cls(*values)
+    fields = cls._fields
+    assert tuple(getattr(rec, name) for name in fields) == values
+    # positional and keyword construction agree, and equal records hash alike
+    same = cls(**dict(zip(fields, values)))
+    assert same is not rec and same == rec and hash(same) == hash(rec)
+    # equal fields under another type are not equal
+    twin = type("Twin", (Frozen,), {"__slots__": fields})(*values)
+    assert rec != twin and twin != rec and rec != values
+    for name in fields:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(rec, name)
+    with pytest.raises(AttributeError, match="immutable"):
+        rec.extra = 1
+    for args, kwargs in (
+        (values[:-1], {}),
+        ((*values, values[0]), {}),
+        (values, {fields[0]: values[0]}),
+        (values[:-1], {"no_such_field": values[-1]}),
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    assert rec == cls(*values)
+    assert copy.deepcopy(rec) == rec == pickle.loads(pickle.dumps(rec))
+
+
+def test_record_repr_and_validation():
+    assert repr(InvariantRecord(2, "(L())", 1)) == "InvariantRecord(r=2, tuple_id='(L())', dim=1)"
+    assert repr(Dyadic(re=4, im=2, scale=1)) == "Dyadic(re=2, im=1, scale=0)"
+    assert repr(TreeTuple((right_chain(2),))) == "TreeTuple('(R())')"
+    for bad in (
+        lambda: TreeTuple(()),
+        lambda: TreeTuple((left_chain(2), left_chain(3))),
+        lambda: IndexPermutation(1, 1, (0, 0)),
+        lambda: LocalCliffordOp((((1, 1), (1, 1)),)),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    # a cached property is kept beside the fields, which stay frozen
+    perm = IndexPermutation(1, 2, (0, 2, 1, 3))
+    assert perm.entries is perm.entries and "entries" in vars(perm)
+    # codes and graphs compare as matrices
+    gen, same = GeneratorMatrix([[0], [1]]), GeneratorMatrix.from_rows((0, 1), 1)
+    assert gen == same and hash(gen) == hash(same) and gen != GeneratorMatrix.from_rows((1, 0), 1)
+    assert copy.deepcopy(gen) == gen == pickle.loads(pickle.dumps(gen))
+    empty = AdjacencyMatrix.empty(2)
+    assert empty == AdjacencyMatrix.from_rows((0, 0)) and empty != AdjacencyMatrix.complete(2)
