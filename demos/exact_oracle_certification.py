@@ -11,7 +11,7 @@ numpy.
 """
 
 from stabinv import oracle
-from stabinv.invariants import all_tuples, identity_tuple, invariant_dim, uniform_tuple
+from stabinv.invariants import identity_tuple, invariant_dim, uniform_tuple
 from stabinv.oracle import (
     closed_form_table,
     cyclic_sum_table,
@@ -21,7 +21,13 @@ from stabinv.oracle import (
     tau_op,
 )
 from stabinv.stabilizer import AdjacencyMatrix, graph_generator, random_code
-from stabinv.trees import enumerate_trees, maximal_right_paths, permutation_of, right_chain
+from stabinv.trees import (
+    all_tuples,
+    enumerate_trees,
+    maximal_right_paths,
+    permutation_of,
+    right_chain,
+)
 
 # tau matrices: the real Pauli variant; the (1,1) member is i*sigma_y.
 print("tau_11 entries, row by row:", tau_op([1], [1]).re)

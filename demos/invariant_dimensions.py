@@ -11,7 +11,6 @@ import itertools
 import numpy as np
 
 from stabinv.invariants import (
-    TreeTuple,
     compare_global,
     degree2_dim,
     degree2_tuple,
@@ -29,7 +28,7 @@ from stabinv.stabilizer import (
     permute_qubits,
     random_code,
 )
-from stabinv.trees import left_chain, right_chain
+from stabinv.trees import TreeTuple, left_chain, right_chain
 
 edge = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 

@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Binary trees, their maximal right paths, and the path matrices.
+"""Binary trees, their maximal right paths, and the prefix matrix.
 
 A degree-r invariant is indexed by one tree per qubit; each tree
-contributes its permutation and two small GF(2) matrices.
+contributes its right paths, whose cycles make its permutation.
 """
 
 from stabinv.gf2 import to_text
 from stabinv.trees import (
     BinaryTree,
     catalan,
-    cycle_form,
     d_matrix,
     enumerate_trees,
     maximal_right_paths,
     permutation_of,
-    r_matrix,
     serialize,
     v_space_dimension,
 )
@@ -36,15 +34,13 @@ ten = BinaryTree(
 )
 print("\n10-node tree:", serialize(ten))
 print("maximal right paths:", maximal_right_paths(ten))
-print("as cycles:", cycle_form(permutation_of(ten)))
+print("permutation (image of 1..10):", permutation_of(ten))
 
-# Column j of the path matrix marks the nodes of path j; its transpose's
-# null space has dimension r - t.  Both matrices are gf2's int rows: bit j
-# of a row is column j, and the column count travels beside them.
-print("path matrix:")
-print(to_text(r_matrix(ten), len(maximal_right_paths(ten))))
+# The r x t path-indicator matrix has disjoint columns, so the null space
+# of its transpose has dimension r - t.
 print("null-space dimension r - t =", v_space_dimension(ten))
 
-# The prefix matrix feeds the sign in the oracle's closed-form sums.
+# The prefix matrix feeds the sign in the oracle's closed-form sums; it is
+# gf2's int rows: bit j of a row is column j.
 print("prefix matrix of the 3-node right chain:")
 print(to_text(d_matrix(enumerate_trees(3)[-1]), 3))

@@ -4,7 +4,8 @@ Output is JSON on stdout (a plain-text table is available with
 --format table where it makes sense).  Exit codes: 0 success or
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
-validate was given a code that fails validation).
+validate was given a code that fails validation).  A sweep over its
+record budget is refused before any work, at the first degree past it.
 
 oracle-check passes on only the limits the user gave; the suite's own
 signature, read from its code object, supplies every default, and a
@@ -23,7 +24,8 @@ the theorem suites' random codes draw from numpy's generator.  So
 validate, invariant --omega, fingerprint and compare up to --rmax 3,
 oracle-check on lemma1 to lemma4, and every usage, parse or invalid-code
 exit run without numpy.  No command loads dataclasses, inspect or
-fractions.
+fractions, and each takes what it runs from the modules, not from the
+package, whose import loads nothing.
 """
 
 from __future__ import annotations

@@ -1,10 +1,23 @@
-"""Shared exception types, and the immutable-record base of the value classes."""
+"""Shared exception types, the capped sum that budgets project with, and
+the immutable-record base of the value classes."""
 
 from operator import attrgetter
 
 
 class BudgetError(RuntimeError):
     """An operation would exceed a configured size budget."""
+
+
+def capped_sum(terms, budget: int) -> int:
+    """The sum of the terms, added in order, or the first partial sum past
+    the budget: a projection over budget stops there, and takes no term
+    after it."""
+    total = 0
+    for term in terms:
+        total += term
+        if total > budget:
+            break
+    return total
 
 
 class ParseError(ValueError):

@@ -25,13 +25,12 @@ import json
 import operator
 
 from . import trees as trees_mod
-from .errors import BudgetError, Frozen
+from .errors import BudgetError, Frozen, capped_sum
 from .gf2 import kernel_basis, rank, to_dense
 from .stabilizer import GeneratorMatrix, qubit_rows
 from .trees import (
     BinaryTree,
     TreeTuple,
-    all_tuples,
     attach_singleton_root,
     catalan,
     delete_singleton,
@@ -226,10 +225,6 @@ class Fingerprint(Frozen):
         return json.dumps(self.to_payload(), indent=2)
 
 
-def record_count(n: int, r_max: int) -> int:
-    return sum(catalan(r) ** n for r in range(2, r_max + 1))
-
-
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
     2..r_max in canonical order.  A degree-2 record is degree2_dim of the
@@ -240,7 +235,7 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
         raise ValueError("need at least one qubit")
-    total = record_count(gen.n, r_max)
+    total = capped_sum((catalan(r) ** gen.n for r in range(2, r_max + 1)), max_records)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
     slots = [(serialize(tree), tree == right_chain(2)) for tree in enumerate_trees(2)]

@@ -30,7 +30,7 @@ import itertools
 import operator
 from functools import cache, cached_property, reduce
 
-from .errors import BudgetError, Frozen
+from .errors import BudgetError, Frozen, capped_sum
 from .gf2 import to_text
 from .stabilizer import (
     AdjacencyMatrix,
@@ -621,9 +621,11 @@ class GraphTupleSpaces(TupleSpaces):
 # before any work, and runs nothing over MAX_SUITE_CHECKS.
 
 
-def _over_budget(name: str, projected: int) -> dict | None:
-    """The "skipped" report of a suite whose projected check count
-    exceeds MAX_SUITE_CHECKS, else None."""
+def _over_budget(name: str, counts) -> dict | None:
+    """The "skipped" report of a suite whose check counts, one per size in
+    run order, add up past MAX_SUITE_CHECKS, else None.  The count the
+    report gives is the partial sum at which the projection stopped."""
+    projected = capped_sum(counts, MAX_SUITE_CHECKS)
     if projected <= MAX_SUITE_CHECKS:
         return None
     warning = f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
@@ -659,9 +661,9 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     if max_n < 1:
         return _result(name, 0, [], ["max_n below 1; nothing to check"])
     sizes = [n for n in range(1, max_n + 1) if (1 << n) <= max_dim]
-    warnings = [f"skipped n={n}: 2^{n} over budget" for n in range(len(sizes) + 1, max_n + 1)]
-    if skipped := _over_budget(name, sum(1 << (n * (n - 1) // 2) for n in sizes)):
+    if skipped := _over_budget(name, (1 << (n * (n - 1) // 2) for n in sizes)):
         return skipped
+    warnings = [f"skipped n={n}: 2^{n} over budget" for n in range(len(sizes) + 1, max_n + 1)]
     checks = 0
     failures = []
     for n in sizes:
@@ -680,7 +682,7 @@ def suite_lemma2(max_r: int = 3) -> dict:
     name = "lemma2"
     if max_r < 1:
         return _result(name, 0, [], ["max_r below 1; nothing to check"])
-    if skipped := _over_budget(name, sum(catalan(r) << (2 * r) for r in range(1, max_r + 1))):
+    if skipped := _over_budget(name, (catalan(r) << (2 * r) for r in range(1, max_r + 1))):
         return skipped
     checks = 0
     failures = []
@@ -719,8 +721,8 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
         return _result(name, 0, [], ["limits below 1; nothing to check"])
     sizes, warnings = _dense_sizes(max_n, range(1, max_r + 1), max_dim)
     # every graph on n qubits against every tuple of n trees on r nodes
-    projected = sum((1 << (n * (n - 1) // 2)) * catalan(r) ** n for n in sizes for r in sizes[n])
-    if skipped := _over_budget(name, projected):
+    counts = ((1 << (n * (n - 1) // 2)) * catalan(r) ** n for n in sizes for r in sizes[n])
+    if skipped := _over_budget(name, counts):
         return skipped
     checks = 0
     failures = []
@@ -752,12 +754,12 @@ def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])
     # every graph on n qubits against every tuple of n trees on r nodes
-    projected = sum(
+    counts = (
         (1 << (n * (n - 1) // 2)) * catalan(r) ** n
         for n in range(1, max_n + 1)
         for r in range(1, max_r + 1)
     )
-    if skipped := _over_budget(name, projected):
+    if skipped := _over_budget(name, counts):
         return skipped
     checks = 0
     failures = []
@@ -788,8 +790,8 @@ def suite_theorem1(
         return _result(name, 0, [], ["limits too small; nothing to check"])
     sizes, warnings = _dense_sizes(max_n, range(2, max_r + 1), max_dim)
     # codes_per_k codes for each k = 0..n against every tuple
-    projected = sum((n + 1) * codes_per_k * catalan(r) ** n for n in sizes for r in sizes[n])
-    if skipped := _over_budget(name, projected):
+    counts = ((n + 1) * codes_per_k * catalan(r) ** n for n in sizes for r in sizes[n])
+    if skipped := _over_budget(name, counts):
         return skipped
     checks = 0
     failures = []
@@ -845,19 +847,17 @@ def suite_theorem2(
     name = "theorem2"
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])
-    sizes = [
-        (n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1) for k in range(n + 1)
-    ]
-    warnings = [
-        f"skipped n={n}, r={r}, k={k}: 2^{r * k} over budget"
-        for n, r, k in sizes if (1 << (r * k)) > MAX_ENUM
-    ]
-    sizes = [(n, r, k) for n, r, k in sizes if (1 << (r * k)) <= MAX_ENUM]
-    if skipped := _over_budget(name, sum(codes_per_k * catalan(r) ** n for n, r, _ in sizes)):
+
+    def sizes(fit: bool):  # the (n, r, k) in run order whose point table fits MAX_ENUM, or not
+        return ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
+                for k in range(n + 1) if ((1 << (r * k)) <= MAX_ENUM) == fit)
+
+    if skipped := _over_budget(name, (codes_per_k * catalan(r) ** n for n, r, _ in sizes(True))):
         return skipped
+    warnings = [f"skipped n={n}, r={r}, k={k}: 2^{r * k} over budget" for n, r, k in sizes(False)]
     checks = 0
     failures = []
-    for n, r, k in sizes:
+    for n, r, k in sizes(True):
         for c in range(codes_per_k):
             gen = random_code(n, k, seed=(seed, n, k, c))
             spaces = TupleSpaces(gen, r)

@@ -46,7 +46,8 @@ def serialize(tree: BinaryTree) -> str:
 
 
 def parse(text: str) -> BinaryTree:
-    """Inverse of :func:`serialize`; labels are re-derived from preorder."""
+    """Inverse of :func:`serialize`; labels are re-derived from preorder,
+    so parse(serialize(t)) == t exactly when t is labelled in preorder."""
     text = text.strip()
     left: list[int] = []
     right: list[int] = []
@@ -78,28 +79,6 @@ def parse(text: str) -> BinaryTree:
     if pos != len(text):
         fail("trailing characters")
     return BinaryTree(tuple(left), tuple(right))
-
-
-def is_canonical(tree: BinaryTree) -> bool:
-    """Check that labels 1..r coincide with the preorder traversal."""
-    r = tree.r
-    seen = []
-
-    def visit(v: int):
-        seen.append(v)
-        if tree.left[v - 1]:
-            visit(tree.left[v - 1])
-        if tree.right[v - 1]:
-            visit(tree.right[v - 1])
-
-    children = [c for c in tree.left + tree.right if c]
-    if len(set(children)) != len(children):
-        return False
-    roots = set(range(1, r + 1)) - set(children)
-    if roots != {1}:
-        return False
-    visit(1)
-    return seen == list(range(1, r + 1))
 
 
 def catalan(r: int) -> int:
@@ -206,34 +185,6 @@ def permutation_of(tree: BinaryTree) -> tuple[int, ...]:
             image[a - 1] = b
         image[p[-1] - 1] = p[0]
     return tuple(image)
-
-
-def cycle_form(image: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cycle presentation of an image array, smallest start first."""
-    seen: set[int] = set()
-    cycles = []
-    for v in range(1, len(image) + 1):
-        if v in seen:
-            continue
-        cyc = [v]
-        seen.add(v)
-        w = image[v - 1]
-        while w != v:
-            cyc.append(w)
-            seen.add(w)
-            w = image[w - 1]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
-def r_matrix(tree: BinaryTree) -> tuple[int, ...]:
-    """r x t path-indicator matrix as r int rows (see gf2): column j marks
-    the nodes of path j, so bit j of row v - 1 is set when node v is on it."""
-    rows = [0] * tree.r
-    for j, p in enumerate(maximal_right_paths(tree)):
-        for v in p:
-            rows[v - 1] |= 1 << j
-    return tuple(rows)
 
 
 def d_matrix(tree: BinaryTree) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ import numpy as np
 
 from stabinv import oracle
 from stabinv.invariants import (
-    TreeTuple,
     degree2_dim,
     degree2_tuple,
     invariant_dim,
@@ -25,6 +24,7 @@ from stabinv.stabilizer import (
 )
 from stabinv.trees import (
     BinaryTree,
+    TreeTuple,
     catalan,
     enumerate_trees,
     maximal_right_paths,

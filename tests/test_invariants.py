@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabinv import invariants, theorem2_dim
+from stabinv import invariants
 from stabinv.errors import BudgetError, InvalidCodeError
 from stabinv.gf2 import from_dense, rank, to_dense
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
-    TreeTuple,
-    all_tuples,
     compare_global,
     degree2_dim,
     degree2_tuple,
@@ -28,7 +26,7 @@ from stabinv.invariants import (
     uniform_tuple,
     _sweep,
 )
-from stabinv.oracle import MAX_ENUM
+from stabinv.oracle import MAX_ENUM, theorem2_dim
 from stabinv.stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
@@ -40,7 +38,14 @@ from stabinv.stabilizer import (
     random_code,
     restrict_to,
 )
-from stabinv.trees import enumerate_trees, left_chain, right_chain, serialize
+from stabinv.trees import (
+    TreeTuple,
+    all_tuples,
+    enumerate_trees,
+    left_chain,
+    right_chain,
+    serialize,
+)
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 

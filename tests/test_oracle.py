@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 
 from stabinv import cli, invariants, oracle
-from stabinv.errors import BudgetError, InvalidCodeError
+from stabinv.errors import BudgetError, InvalidCodeError, capped_sum
 from stabinv.gf2 import rank, reduced_echelon, to_dense, to_text, transpose
 from stabinv.invariants import (
-    TreeTuple,
-    all_tuples,
     identity_tuple,
     invariant_dim,
     parse_tuple,
@@ -52,6 +50,8 @@ from stabinv.stabilizer import (
     random_code,
 )
 from stabinv.trees import (
+    TreeTuple,
+    all_tuples,
     catalan,
     d_matrix,
     enumerate_trees,
@@ -863,18 +863,23 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
 
 
 def test_exhaustive_suites_refuse_work_over_budget():
-    # projected before any work: lemma2 at max_r=7 needs 7,616,356 checks,
-    # lemma4 at max_n=5 needs 2^10 graphs times 5^5 tuples at r=3 alone;
-    # lemma1 at n=7 needs 2^21 graphs, lemma3 at n=12 2^66, theorem2 5^3
-    # codes per k times 42^3 tuples at n=3, r=5 alone (r*k <= 16 fits), and
-    # theorem1 at n=1 40 codes times 208,012 tuples at r=12 alone
+    # projected before any work, in run order, up to the first partial sum
+    # past the budget, so that a limit far past it costs nothing: lemma2
+    # passes it at r=7 (7,616,356 checks), lemma4 at n=5, r=3 (2^10 graphs
+    # times 5^5 tuples), lemma1 and lemma3 (r=1) at n=7's 2^21 graphs,
+    # theorem2 at n=3, r=5, k=2 (5 codes times 42^3 tuples per k) or, by
+    # default max_r, at n=7, r=3, k=1, before it lists its sizes, and
+    # theorem1 at n=1, r=11 (40 codes times 58,786 tuples)
     for report, name, projected in (
         (suite_lemma2(max_r=7), "lemma2", 7616356),
+        (suite_lemma2(max_r=100_000), "lemma2", 7616356),
         (suite_lemma4(max_n=5), "lemma4", 3276020),
+        (suite_lemma4(max_n=200), "lemma4", 3276020),
         (suite_lemma1(max_n=7), "lemma1", 2131019),
-        (suite_lemma3(max_n=12, max_r=1), "lemma3", 73823040345219302475),
-        (suite_theorem2(max_n=3, max_r=5), "theorem2", 1569810),
-        (suite_theorem1(max_n=1, max_r=12), "theorem1", 11620400),
+        (suite_lemma3(max_n=12, max_r=1), "lemma3", 2131019),
+        (suite_theorem2(max_n=3, max_r=5), "theorem2", 1199370),
+        (suite_theorem2(max_n=1000), "theorem2", 1371435),
+        (suite_theorem1(max_n=1, max_r=12), "theorem1", 3299920),
     ):
         assert report == {
             "suite": name,
@@ -885,6 +890,16 @@ def test_exhaustive_suites_refuse_work_over_budget():
                 f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
             ],
         }
+
+
+def test_capped_sum_takes_no_term_past_the_budget():
+    def terms():
+        yield from (3, 4)
+        raise AssertionError("a term after the budget was taken")
+
+    assert capped_sum(terms(), 5) == 7
+    assert capped_sum([1, 2, 2], 5) == 5
+    assert capped_sum([], 0) == 0
 
 
 def test_dense_suites_keep_checks_below_the_budget(monkeypatch):

@@ -12,7 +12,6 @@ import itertools
 import numpy as np
 
 from stabinv.gf2 import to_dense
-from stabinv.invariants import all_tuples
 from stabinv.oracle import (
     Dyadic,
     ExactOperator,
@@ -26,6 +25,7 @@ from stabinv.oracle import (
 )
 from stabinv.stabilizer import all_graphs, random_code
 from stabinv.trees import (
+    all_tuples,
     d_matrix,
     enumerate_trees,
     maximal_right_paths,

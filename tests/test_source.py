@@ -2,11 +2,13 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stabinv"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stabinv"
 
 
 def test_no_assert_statements():
@@ -55,7 +57,7 @@ def all_imports(path: Path) -> set[str]:
     return names
 
 
-def test_only_the_engine_and_the_oracle_load_numpy():
+def test_only_the_engine_loads_numpy():
     # codes, trees, the package, the CLI and the oracle work on Python
     # ints, so that validate, every early exit and the lemma suites start
     # without numpy; the engine loads it only to eliminate a kernel, which
@@ -95,8 +97,8 @@ def test_no_module_loads_dataclasses_inspect_or_fractions():
 
 
 def test_oracle_imports_no_engine_internals():
-    # the oracle may take tuples and the engine's answer from invariants,
-    # never the machinery behind that answer
+    # the oracle may take the engine's answer from invariants, never the
+    # machinery behind that answer; it takes tree tuples from trees
     tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
     imported = {
         alias.name
@@ -104,11 +106,10 @@ def test_oracle_imports_no_engine_internals():
         if isinstance(node, ast.ImportFrom) and node.module == "invariants" and node.level == 1
         for alias in node.names
     }
-    assert imported
-    assert imported <= {"TreeTuple", "all_tuples", "invariant_dim"}
+    assert imported == {"invariant_dim"}
 
 
-def test_only_the_engine_and_the_oracle_call_to_dense():
+def test_only_the_engine_calls_to_dense():
     # codes, graphs and trees hand out int rows; a dense array is made
     # only where numpy eliminates it
     callers = {
@@ -128,7 +129,7 @@ from stabinv.stabilizer import (
     AdjacencyMatrix, GeneratorMatrix, all_graphs, format_code, graph_generator,
     parse_code, permute_qubits, restrict_to, validate,
 )
-from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths, r_matrix
+from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths
 
 codes = [
     GeneratorMatrix([[0, 1], [1, 0], [1, 0], [0, 1]]),
@@ -145,7 +146,7 @@ for gen in codes:
     permute_qubits(gen, list(range(gen.n, 0, -1)))
 for r in range(1, 5):
     for tree in enumerate_trees(r):
-        maximal_right_paths(tree), r_matrix(tree), d_matrix(tree)
+        maximal_right_paths(tree), d_matrix(tree)
 print("numpy" in sys.modules)
 """
 
@@ -161,3 +162,32 @@ def test_codes_graphs_and_trees_never_load_numpy():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def readme_public_api() -> set[tuple[str, str]]:
+    """The (module file, name) pairs that README's "Public API" section
+    lists, one `module.name` per bullet."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return {(f"{m}.py", name) for m, name in re.findall(r"^- `(\w+)\.(\w+)`", section, re.M)}
+
+
+def test_every_public_name_has_a_caller_or_a_stated_reason():
+    # a public top-level def or class is run by other code of the package
+    # (a docstring mention is none), or README lists it as public API with
+    # the reason it stays; so code that only tests or demos use cannot
+    # grow back unnoticed, and README lists no name that is gone
+    defined, users = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (path.name, getattr(top, "name", None))
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined.add(owner)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    users.setdefault(name, set()).add(owner)
+    unused = {d for d in defined if not users.get(d[1], set()) - {d}}
+    listed = readme_public_api()
+    assert unused - listed == set()
+    assert listed - defined == set()

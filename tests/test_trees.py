@@ -8,7 +8,7 @@ import pytest
 
 from stabinv import trees
 from stabinv.errors import Frozen
-from stabinv.gf2 import kernel_basis, rank, to_dense, transpose
+from stabinv.gf2 import to_dense
 from stabinv.invariants import Fingerprint, InvariantRecord
 from stabinv.oracle import Dyadic, IndexPermutation
 from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp
@@ -17,16 +17,13 @@ from stabinv.trees import (
     TreeTuple,
     attach_singleton_root,
     catalan,
-    cycle_form,
     d_matrix,
     delete_singleton,
     enumerate_trees,
-    is_canonical,
     left_chain,
     maximal_right_paths,
     parse,
     permutation_of,
-    r_matrix,
     right_chain,
     serialize,
     singleton_path_nodes,
@@ -69,7 +66,7 @@ def test_enumeration_is_sorted_and_duplicate_free():
 def test_all_enumerated_trees_are_canonical():
     for r in range(1, 7):
         for t in enumerate_trees(r):
-            assert is_canonical(t)
+            assert parse(serialize(t)) == t  # parse labels in preorder
 
 
 def test_serialize_parse_roundtrip():
@@ -85,7 +82,7 @@ def test_parse_rejects_garbage():
 
 
 def test_ten_node_paths():
-    assert is_canonical(TEN_NODE)
+    assert parse(serialize(TEN_NODE)) == TEN_NODE
     assert maximal_right_paths(TEN_NODE) == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
 
 
@@ -114,7 +111,8 @@ def test_paths_partition_and_are_maximal():
 
 
 def test_ten_node_permutation_cycles():
-    assert cycle_form(permutation_of(TEN_NODE)) == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
+    # the cycles are the right paths (1,3,9,10), (2), (4,7,8), (5,6)
+    assert permutation_of(TEN_NODE) == (3, 2, 9, 7, 6, 5, 8, 4, 10, 1)
 
 
 def test_left_chain_gives_identity():
@@ -133,29 +131,10 @@ def test_permutations_distinct():
         assert len(perms) == catalan(r)
 
 
-def test_r_matrix_two_node_trees():
-    assert to_dense(r_matrix(left_chain(2)), 2).tolist() == [[1, 0], [0, 1]]
-    assert to_dense(r_matrix(right_chain(2)), 1).tolist() == [[1], [1]]
-    assert r_matrix(left_chain(2)) == (0b01, 0b10)  # bit j is column j
-
-
-def test_r_matrix_ten_node():
-    rows = r_matrix(TEN_NODE)
-    assert len(rows) == 10 and max(rows).bit_length() == 4
-    mat = to_dense(rows, 4)
-    col = mat[:, 0]
-    assert {i + 1 for i in np.nonzero(col)[0]} == {1, 3, 9, 10}
-
-
-def test_r_matrix_rank_and_kernel():
+def test_v_space_dimension_counts_paths():
     for r in range(1, 7):
         for t in enumerate_trees(r):
-            rows = r_matrix(t)
-            t_paths = cols = len(maximal_right_paths(t))
-            assert len(rows) == r and all(0 < row < 1 << cols for row in rows)
-            assert rank(rows) == t_paths
-            assert len(kernel_basis(transpose(rows, cols), r)) == r - t_paths
-            assert v_space_dimension(t) == r - t_paths
+            assert v_space_dimension(t) == r - len(maximal_right_paths(t))
 
 
 def test_d_matrix_root_column():
@@ -190,7 +169,7 @@ def test_attach_then_delete_roundtrip():
     for r in range(1, 6):
         for t in enumerate_trees(r):
             grown = attach_singleton_root(t)
-            assert is_canonical(grown)
+            assert parse(serialize(grown)) == grown
             assert grown.r == r + 1
             assert 1 in singleton_path_nodes(grown)
             assert delete_singleton(grown, 1) == t
@@ -201,7 +180,7 @@ def test_delete_preserves_other_paths():
         for t in enumerate_trees(r):
             for node in singleton_path_nodes(t):
                 reduced = delete_singleton(t, node)
-                assert is_canonical(reduced)
+                assert parse(serialize(reduced)) == reduced
                 old = {tuple(v - 1 if v > node else v for v in p)
                        for p in maximal_right_paths(t) if p != (node,)}
                 new = set(maximal_right_paths(reduced))
