@@ -210,6 +210,8 @@ def cmd_oracle_check(args) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ParseError(f"suite {args.suite} does not take {flag}")
             kwargs[name] = getattr(args, name)
+    if kwargs.get("seed", 0) < 0:
+        raise ParseError(f"--seed must be at least 0, got {kwargs['seed']}")
     report = suite(**kwargs)
     _emit(report, args)
     if report["status"] == "fail":

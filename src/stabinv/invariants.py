@@ -7,14 +7,13 @@ it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
 
-Each block is built as int rows, from the code's rows and the tree's
-right paths, and made a 0/1 np.uint8 array once for the elimination.
-At degrees 2 and 3 the sweep needs no block: a degree-2 record is the
-dimension of the codewords supported inside the qubits whose tree is the
-right chain, and a degree-3 record is a sum of three such subcode
-dimensions less the dimension of their sum, all ranks of int rows.  So
-numpy loads only when a kernel of degree 4 or more, or one
-invariant_dim, is eliminated.
+The sweep takes its records two ways.  At degrees 2 and 3 it needs no
+block: a record of degree r is a sum of r dimensions of subcodes, the
+codewords supported inside a qubit set, less the dimension of their sum,
+all from ranks of int rows.  From degree 4 on, each block is built as
+int rows, from the code's rows and the tree's right paths, and made a
+0/1 np.uint8 array once for the elimination.  So numpy loads only when a
+kernel of degree 4 or more, or one invariant_dim, is eliminated.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import operator
 
 from . import trees as trees_mod
 from .errors import BudgetError, Frozen, capped_sum
-from .gf2 import kernel_basis, rank, to_dense
-from .stabilizer import GeneratorMatrix, qubit_rows
+from .gf2 import rank, to_dense
+from .stabilizer import GeneratorMatrix, qubit_rows, qubit_subset, subcode_basis
 from .trees import (
     BinaryTree,
     TreeTuple,
@@ -63,9 +62,7 @@ def identity_tuple(n: int, r: int) -> TreeTuple:
 def degree2_tuple(n: int, omega) -> TreeTuple:
     """The degree-2 tuple encoding a qubit subset: the two-node tree with a
     right son at positions in the subset, a left son elsewhere."""
-    omega = set(omega)
-    if omega and not omega <= set(range(1, n + 1)):
-        raise ValueError("omega must be a subset of 1..n")
+    omega = qubit_subset(omega, n)
     return TreeTuple(
         tuple(right_chain(2) if i in omega else left_chain(2) for i in range(1, n + 1))
     )
@@ -116,57 +113,46 @@ def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
 
 
 def degree2_dim(gen: GeneratorMatrix, omega) -> int:
-    """Dimension of the codeword subspace supported inside omega.
-
-    Computed by rank, as the kernel dimension of the stacked qubit
-    subblocks outside omega; agrees with the degree-2 invariant for the
-    tuple encoding omega.
-    """
-    omega = set(omega)
-    if omega and not omega <= set(range(1, gen.n + 1)):
-        raise ValueError("omega must be a subset of 1..n")
-    outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    return gen.k - rank(qubit_rows(gen, outside))
+    """Dimension of the codeword subspace supported inside omega; agrees
+    with the degree-2 invariant for the tuple encoding omega."""
+    return len(subcode_basis(gen, omega))
 
 
-def _subcode_basis(gen: GeneratorMatrix, inside: int) -> tuple[int, ...]:
-    """Coefficient basis of the codewords supported inside the qubits of
-    the bitmask `inside`, bit i - 1 standing for qubit i."""
-    outside = [i for i in range(1, gen.n + 1) if not inside >> (i - 1) & 1]
-    return kernel_basis(qubit_rows(gen, outside), gen.k)
+def _subcode_records(gen: GeneratorMatrix, r: int):
+    """Yield (r, serialized trees, dim) for every tuple of degree r in
+    {2, 3} in canonical order, from subcode dimensions alone.
 
+    For a tuple (T_1, ..., T_n) and a node c in {1, ..., r}, let A_c be
+    the qubits i where c is not a one-node maximal right path of T_i, and
+    C_A the subcode supported inside A.  Then
 
-def _degree3_records(gen: GeneratorMatrix):
-    """Yield (3, serialized trees, dim) for every degree-3 tuple in
-    canonical order, from subcode dimensions alone.
+        dim = dim C_A1 + ... + dim C_Ar - dim(C_A1 + ... + C_Ar).
 
-    For a tuple (T_1, ..., T_n) and a node c in {1, 2, 3}, let A_c be the
-    qubits i where c is not a one-node maximal right path of T_i, and C_A
-    the subcode supported inside A.  Then
-
-        dim = dim C_A1 + dim C_A2 + dim C_A3 - dim(C_A1 + C_A2 + C_A3).
-
-    The kernel holds the coefficient triples (x_1, x_2, x_3) whose sum over
-    each right path p of T_i vanishes on qubit i.  The paths of T_i
-    partition {1, 2, 3}, so x_1 + x_2 + x_3 vanishes on every qubit, and
-    is 0 because the generator matrix has full column rank.  Given that,
-    a one-node path {c} asks that x_c vanish on qubit i; a two-node path
-    asks the same of the node it leaves out, which is a one-node path; the
-    three-node path asks nothing.  So the kernel is the kernel of the map
-    (x_1, x_2, x_3) -> x_1 + x_2 + x_3 from C_A1 x C_A2 x C_A3 onto
-    C_A1 + C_A2 + C_A3.  Each C_A's basis is built once per code, and each
-    dimension once per sorted triple (A1, A2, A3), as the sum is symmetric.
+    The kernel holds the coefficient r-tuples (x_1, ..., x_r) whose sum
+    over each right path p of T_i vanishes on qubit i.  The paths of T_i
+    partition {1, ..., r}, so x_1 + ... + x_r vanishes on every qubit, and
+    is 0 because the generator matrix has full column rank.  Given that, a
+    one-node path {c} asks that x_c vanish on qubit i, and a longer path
+    asks the same of the nodes it leaves out: for r <= 3 none, or one that
+    is a one-node path of T_i.  So the kernel is the kernel of the map
+    (x_1, ..., x_r) -> x_1 + ... + x_r from C_A1 x ... x C_Ar onto their
+    sum.  At r = 2 both A_c are the qubits whose tree is the right chain,
+    and the record is dim C_A.  Each C_A's basis is built once per code
+    and degree, and each dimension once per sorted (A_1, ..., A_r), as the
+    sum is symmetric.
     """
     # one slot per (qubit i + 1, tree): the serialized tree and, for each
     # node c, the tree's share of A_c, bit i or 0
     slots = [
         [
-            (serialize(t), *(0 if c in singleton_path_nodes(t) else 1 << i for c in (1, 2, 3)))
-            for t in enumerate_trees(3)
+            (serialize(t), *((c not in singleton_path_nodes(t)) << i for c in range(1, r + 1)))
+            for t in enumerate_trees(r)
         ]
         for i in range(gen.n)
     ]
-    basis = functools.cache(functools.partial(_subcode_basis, gen))
+    basis = functools.cache(
+        lambda inside: subcode_basis(gen, [i for i in range(1, gen.n + 1) if inside >> (i - 1) & 1])
+    )
     dims: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*slots):
         sers, *columns = zip(*combo)
@@ -174,7 +160,7 @@ def _degree3_records(gen: GeneratorMatrix):
         if key not in dims:
             parts = [basis(inside) for inside in key]
             dims[key] = sum(map(len, parts)) - rank(itertools.chain(*parts))
-        yield 3, sers, dims[key]
+        yield r, sers, dims[key]
 
 
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
@@ -227,9 +213,8 @@ class Fingerprint(Frozen):
 
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for every tree tuple of degree
-    2..r_max in canonical order.  A degree-2 record is degree2_dim of the
-    qubits whose tree is the right chain, and a degree-3 record comes from
-    _degree3_records.  From degree 4 on, each (qubit, tree) block is built
+    2..r_max in canonical order.  Records of degree 2 and 3 come from
+    _subcode_records.  From degree 4 on, each (qubit, tree) block is built
     once per degree and shared by every tuple that uses it."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
@@ -238,12 +223,8 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     total = capped_sum((catalan(r) ** gen.n for r in range(2, r_max + 1)), max_records)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
-    slots = [(serialize(tree), tree == right_chain(2)) for tree in enumerate_trees(2)]
-    for combo in itertools.product(slots, repeat=gen.n):
-        sers, chains = zip(*combo)
-        yield 2, sers, degree2_dim(gen, [i for i, c in enumerate(chains, start=1) if c])
-    if r_max >= 3:
-        yield from _degree3_records(gen)
+    for r in range(2, min(r_max, 3) + 1):
+        yield from _subcode_records(gen, r)
     for r in range(4, r_max + 1):
         slots = [
             [(serialize(tree), _block(gen, i, tree)) for tree in enumerate_trees(r)]

@@ -643,16 +643,24 @@ def _tuple_batches(n: int, r: int, max_dim: int):
         yield batch, [t_pi(tup, max_dim) for tup in batch]
 
 
-def _dense_sizes(max_n: int, degrees: range, max_dim: int) -> tuple[dict, list]:
-    """For each n up to max_n, the degrees r whose dense dimension 2^(n*r)
-    fits max_dim, leaving out an n with none; and one warning per other
-    (n, r)."""
-    sizes = {n: [r for r in degrees if (1 << (n * r)) <= max_dim] for n in range(1, max_n + 1)}
-    warnings = [
-        f"skipped n={n}, r={r}: 2^{n * r} over budget"
-        for n, fits in sizes.items() for r in degrees if r not in fits
-    ]
-    return {n: fits for n, fits in sizes.items() if fits}, warnings
+def _dense_sizes(max_n: int, degrees: range | None, max_dim: int) -> tuple[dict, list]:
+    """For each n up to max_n, the range of degrees r whose dense dimension
+    2^(n*r) fits max_dim, leaving out an n with none; and the warnings, one
+    per n that skips some degrees and one for the n that skip all.  None
+    stands for lemma1's one projector per n; its warnings name n alone."""
+    lo, hi = (degrees.start, degrees.stop - 1) if degrees else (1, 1)
+    bits = max(max_dim, 1).bit_length() - 1  # 2^(n*r) fits when n*r <= bits
+    last = min(max_n, bits // lo)
+    sizes = {n: range(lo, min(hi, bits // n) + 1) for n in range(1, last + 1)}
+    spans = [(n, n, fits.stop, hi) for n, fits in sizes.items() if fits.stop <= hi]
+    spans += [(last + 1, max_n, lo, hi)] if last < max_n else []
+    warnings = []
+    for n0, n1, r0, r1 in spans:
+        where = f"n={n0}" + (f"..{n1}" if n1 > n0 else "")
+        where += (f", r={r0}" + (f"..{r1}" if r1 > r0 else "")) if degrees else ""
+        upper = "" if (n0, r0) == (n1, r1) else f" to 2^{n1 * r1}"
+        warnings.append(f"skipped {where}: 2^{n0 * r0}{upper} over budget")
+    return sizes, warnings
 
 
 def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
@@ -660,10 +668,9 @@ def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     name = "lemma1"
     if max_n < 1:
         return _result(name, 0, [], ["max_n below 1; nothing to check"])
-    sizes = [n for n in range(1, max_n + 1) if (1 << n) <= max_dim]
+    sizes, warnings = _dense_sizes(max_n, None, max_dim)
     if skipped := _over_budget(name, (1 << (n * (n - 1) // 2) for n in sizes)):
         return skipped
-    warnings = [f"skipped n={n}: 2^{n} over budget" for n in range(len(sizes) + 1, max_n + 1)]
     checks = 0
     failures = []
     for n in sizes:

@@ -160,19 +160,30 @@ def code_space(gen: GeneratorMatrix) -> list[tuple[int, ...]]:
     return words
 
 
+def qubit_subset(omega, n: int) -> set[int]:
+    """omega as a set of qubits, each of which must lie in 1..n."""
+    if not (omega := set(omega)) <= set(range(1, n + 1)):
+        raise ValueError("omega must be a subset of 1..n")
+    return omega
+
+
+def subcode_basis(gen: GeneratorMatrix, omega) -> tuple[int, ...]:
+    """Coefficient basis of the codewords supported inside the qubit
+    subset omega: of {x : S_j x = 0 for all j outside omega}, as k-bit
+    ints.  S being full rank, its length is the subcode's dimension."""
+    outside = set(range(1, gen.n + 1)) - qubit_subset(omega, gen.n)
+    return kernel_basis(qubit_rows(gen, sorted(outside)), gen.k)
+
+
 def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
     """Generator matrix of the code traced down to the qubit subset omega.
 
-    Solves for the coefficient space {x : S_j x = 0 for all j outside
-    omega}, maps a basis through S, and drops the coordinate pairs outside
-    omega.  S being full rank makes that map injective, so the result is a
-    valid code on |omega| qubits.
+    Maps the subcode basis of omega through S and drops the coordinate
+    pairs outside omega.  S being full rank makes that map injective, so
+    the result is a valid code on |omega| qubits.
     """
     omega = sorted(set(omega))
-    if omega and not (1 <= omega[0] and omega[-1] <= gen.n):
-        raise ValueError("omega must be a subset of 1..n")
-    outside = [j for j in range(1, gen.n + 1) if j not in omega]
-    basis = kernel_basis(qubit_rows(gen, outside), gen.k)
+    basis = subcode_basis(gen, omega)
     # bit j of row i is coordinate i of the codeword S x_j
     inside = [
         sum(((row & x).bit_count() & 1) << j for j, x in enumerate(basis)) for row in gen.rows

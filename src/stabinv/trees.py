@@ -34,51 +34,51 @@ class BinaryTree(Frozen):
 
 
 def serialize(tree: BinaryTree) -> str:
-    def rec(v: int) -> str:
-        out = "("
-        if tree.left[v - 1]:
-            out += "L" + rec(tree.left[v - 1])
-        if tree.right[v - 1]:
-            out += "R" + rec(tree.right[v - 1])
-        return out + ")"
-
-    return rec(1)
+    out, stack = [], [1]  # text and nodes still to write, the next one last
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            out.append(v)
+        else:
+            left, right = tree.left[v - 1], tree.right[v - 1]
+            stack += [")", *([right, "R"] if right else []), *([left, "L"] if left else []), "("]
+    return "".join(out)
 
 
 def parse(text: str) -> BinaryTree:
     """Inverse of :func:`serialize`; labels are re-derived from preorder,
-    so parse(serialize(t)) == t exactly when t is labelled in preorder."""
+    so parse(serialize(t)) == t exactly when t is labelled in preorder.
+    Neither recurses, so a tree of any depth is read and written."""
     text = text.strip()
-    left: list[int] = []
-    right: list[int] = []
+    left, right = [], []  # each node's sons, 0 when absent
     pos = 0
+    stack: list[list[int]] = []  # open nodes: [label, 0, or 1 after its L, or 2 after its R]
 
     def fail(msg: str):
         raise ValueError(f"bad tree at position {pos}: {msg} in {text!r}")
 
-    def rec() -> int:
-        nonlocal pos
+    while True:
         if pos >= len(text) or text[pos] != "(":
             fail("expected '('")
         pos += 1
-        label = len(left) + 1
         left.append(0)
         right.append(0)
-        if pos < len(text) and text[pos] == "L":
+        if stack:
+            parent, stage = stack[-1]
+            (left if stage == 1 else right)[parent - 1] = len(left)
+        stack.append([len(left), 0])
+        # close open nodes until one takes a son, whose '(' comes next
+        while pos >= len(text) or text[pos] not in "LR"[stack[-1][1]:]:
+            if pos >= len(text) or text[pos] != ")":
+                fail("expected ')'")
             pos += 1
-            left[label - 1] = rec()
-        if pos < len(text) and text[pos] == "R":
-            pos += 1
-            right[label - 1] = rec()
-        if pos >= len(text) or text[pos] != ")":
-            fail("expected ')'")
+            stack.pop()
+            if not stack:
+                if pos != len(text):
+                    fail("trailing characters")
+                return BinaryTree(tuple(left), tuple(right))
+        stack[-1][1] = "LR".index(text[pos]) + 1
         pos += 1
-        return label
-
-    rec()
-    if pos != len(text):
-        fail("trailing characters")
-    return BinaryTree(tuple(left), tuple(right))
 
 
 def catalan(r: int) -> int:
@@ -209,8 +209,7 @@ def v_space_dimension(tree: BinaryTree) -> int:
 
 def singleton_path_nodes(tree: BinaryTree) -> set[int]:
     """Nodes that form a one-node maximal right path."""
-    right_sons = {c for c in tree.right if c}
-    return {v for v in range(1, tree.r + 1) if v not in right_sons and not tree.right[v - 1]}
+    return {p[0] for p in maximal_right_paths(tree) if len(p) == 1}
 
 
 def delete_singleton(tree: BinaryTree, node: int) -> BinaryTree:

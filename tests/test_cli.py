@@ -165,6 +165,18 @@ def test_invariant_omega_sugar_matches_library(capsys, edge2):
         assert payload["dim"] == degree2_dim(gen, omega)
 
 
+def test_invariant_reads_a_tree_of_any_depth(capsys, edge2, tmp_path):
+    # a 1,200-node right chain per qubit, read and written without
+    # recursion; its one right path makes the constraints rank k = 2 of
+    # 1,200 * k columns
+    chain = "(R" * 1199 + "()" + ")" * 1199
+    path = tmp_path / "deep.trees"
+    path.write_text(f"{chain}\n{chain}\n")
+    code, payload = run_json(capsys, "invariant", edge2, "--trees", f"@{path}")
+    assert code == 0
+    assert payload == {"r": 1200, "tuple": f"{chain};{chain}", "dim": 2 * 1200 - 2}
+
+
 def test_invariant_rejects_sweep_spec(capsys, edge2):
     code = cli.main(["invariant", edge2, "--trees", "all:2"])
     capsys.readouterr()
@@ -211,8 +223,8 @@ def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, mo
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(invariants, "_block", work)
-    monkeypatch.setattr(invariants, "degree2_dim", work)
-    monkeypatch.setattr(invariants, "_subcode_basis", work)
+    monkeypatch.setattr(invariants, "_subcode_records", work)
+    monkeypatch.setattr(invariants, "subcode_basis", work)
     code = cli.main(["fingerprint", str(path), "--rmax", "3"])
     err = capsys.readouterr().err
     assert code == 3
@@ -303,6 +315,15 @@ def test_oracle_check_rejects_a_flag_the_suite_does_not_take(capsys, suite, flag
     assert code == 2
     assert captured.out == ""
     assert f"suite {suite} does not take {flag}" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
+def test_oracle_check_rejects_a_negative_seed(capsys, suite):
+    code = cli.main(["oracle-check", "--suite", suite, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "stabinv: parse error: --seed must be at least 0, got -1\n"
 
 
 def test_oracle_check_forwards_every_limit_to_a_kwargs_wrapper(capsys, monkeypatch):

@@ -195,8 +195,8 @@ def test_degree2_matches_tuple_engine():
 
 def test_degree3_matches_tuple_engine():
     # every degree-3 record of the sweep, which takes the subcode-sum
-    # route, against the general elimination, and up to n = 3 against the
-    # oracle's enumeration
+    # route, against the general elimination and the oracle's enumeration
+    # (at most 2^(3k) <= 2^12 points)
     right, left = serialize(right_chain(3)), serialize(left_chain(3))
     for n in range(1, 5):
         for k in range(n + 1):
@@ -208,8 +208,7 @@ def test_degree3_matches_tuple_engine():
                     continue
                 tup = parse_tuple(tuple_id)
                 assert dim == invariant_dim(gen, tup), (n, k, tuple_id)
-                if n <= 3:
-                    assert dim == theorem2_dim(gen, tup), (n, k, tuple_id)
+                assert dim == theorem2_dim(gen, tup), (n, k, tuple_id)
                 # a common one-node path drops to the degree-2 record
                 reduced = reduce_singleton(tup)
                 if reduced is not None:
@@ -222,7 +221,7 @@ def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
     # the record is symmetric in (A1, A2, A3), so the 625 tuples at n = 4
     # need one rank for each of their 150 sorted triples
     gen = random_code(4, 3, (4, 3, 7))
-    expected = list(invariants._degree3_records(gen))
+    expected = list(invariants._subcode_records(gen, 3))
     calls = []
 
     def counted(rows):
@@ -230,8 +229,17 @@ def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
         return rank(rows)
 
     monkeypatch.setattr(invariants, "rank", counted)
-    assert list(invariants._degree3_records(gen)) == expected
+    assert list(invariants._subcode_records(gen, 3)) == expected
     assert (len(expected), len(calls)) == (625, 150)
+
+
+def test_restriction_dimension_is_the_degree2_record():
+    for n in range(1, 5):
+        for k in range(n + 1):
+            gen = random_code(n, k, (n, k, 8))
+            for size in range(n + 1):
+                for omega in itertools.combinations(range(1, n + 1), size):
+                    assert restrict_to(gen, omega).k == degree2_dim(gen, omega), (n, k, omega)
 
 
 def test_degree2_tuple_encoding():
@@ -434,9 +442,10 @@ def test_comparisons_match_brute_force(seed):
 
 
 def count_engine_calls(monkeypatch) -> dict[str, int]:
-    """Count the engine's block builds, kernel eliminations, degree-2
-    ranks and degree-3 subcode bases as they happen."""
-    calls = dict.fromkeys(("_block", "_kernel_dim", "degree2_dim", "_subcode_basis"), 0)
+    """Count the engine's block builds and kernel eliminations, and the
+    subcode bases and ranks of its degree-2 and degree-3 records, as they
+    happen; a rank is taken once per record of distinct subcodes."""
+    calls = dict.fromkeys(("_block", "_kernel_dim", "subcode_basis", "rank"), 0)
 
     def counting(name):
         real = getattr(invariants, name)
@@ -458,17 +467,18 @@ def test_first_difference_stops_early(monkeypatch):
     prod2 = graph_generator(AdjacencyMatrix.empty(2))
     calls = count_engine_calls(monkeypatch)
     assert first_difference(prod2, EDGE2, 4) is not None
-    assert calls["_block"] == calls["_kernel_dim"] == calls["_subcode_basis"] == 0
-    assert 0 < calls["degree2_dim"] < 2 * 2**2
+    assert calls["_block"] == calls["_kernel_dim"] == 0
+    assert 0 < calls["rank"] < 2 * 2**2
 
 
 def test_compare_global_stops_early(monkeypatch):
-    # every relabelling is ruled out by the degree-2 records of both codes
+    # every relabelling is ruled out by the degree-2 records of both codes,
+    # each of which has its own subcode, and no degree-3 record is taken
     prod3 = graph_generator(AdjacencyMatrix.empty(3))
     tri3 = graph_generator(AdjacencyMatrix.complete(3))
     calls = count_engine_calls(monkeypatch)
     assert compare_global(prod3, tri3, 3) is None
-    assert calls == {"_block": 0, "_kernel_dim": 0, "degree2_dim": 2 * 2**3, "_subcode_basis": 0}
+    assert calls == {"_block": 0, "_kernel_dim": 0, "subcode_basis": 2 * 2**3, "rank": 2 * 2**3}
 
 
 @pytest.mark.parametrize(

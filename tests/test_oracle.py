@@ -920,19 +920,36 @@ def test_dense_suites_keep_checks_below_the_budget(monkeypatch):
 def test_dense_suites_run_every_size_that_fits():
     report = suite_theorem1(max_n=3, max_r=2, codes_per_k=2, max_dim=4)
     assert (report["status"], report["checks"]) == ("pass", 8)  # n=1: 2 tuples x 4 codes
-    assert report["warnings"] == [
-        "skipped n=2, r=2: 2^4 over budget",
-        "skipped n=3, r=2: 2^6 over budget",
-    ]
+    assert report["warnings"] == ["skipped n=2..3, r=2: 2^4 to 2^6 over budget"]
     report = suite_lemma3(max_n=3, max_r=3, max_dim=16)
     # n=3, r=1 fits after n=2, r=3 does not
     assert (report["status"], report["checks"]) == ("pass", 8 + 2 * 5 + 8)
     assert report["warnings"] == [
         "skipped n=2, r=3: 2^6 over budget",
-        "skipped n=3, r=2: 2^6 over budget",
-        "skipped n=3, r=3: 2^9 over budget",
+        "skipped n=3, r=2..3: 2^6 to 2^9 over budget",
     ]
     assert suite_lemma1(max_n=2, max_dim=1)["status"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "suite, limits, checks, warnings",
+    [
+        (suite_lemma1, dict(max_n=100000, max_dim=4), 3,
+         ["skipped n=3..100000: 2^3 to 2^100000 over budget"]),
+        (suite_theorem1, dict(max_n=100000, max_r=2, max_dim=4, codes_per_k=1), 4,
+         ["skipped n=2..100000, r=2: 2^4 to 2^200000 over budget"]),
+        (suite_lemma3, dict(max_n=3, max_r=100000, max_dim=16), 40,
+         ["skipped n=1, r=5..100000: 2^5 to 2^100000 over budget",
+          "skipped n=2, r=3..100000: 2^6 to 2^200000 over budget",
+          "skipped n=3, r=2..100000: 2^6 to 2^300000 over budget"]),
+    ],
+)
+def test_dense_suites_warn_once_per_skipped_range(suite, limits, checks, warnings):
+    # one warning per n that skips some degrees and one for the n that skip
+    # every degree, so huge limits cost neither time nor report size
+    report = suite(**limits)
+    assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
+    assert len(warnings) <= limits["max_dim"].bit_length()
 
 
 def test_lemma3_small_graphs():

@@ -75,6 +75,13 @@ def test_serialize_parse_roundtrip():
             assert parse(serialize(t)) == t
 
 
+def test_deep_trees_roundtrip_without_recursion():
+    # far past the interpreter's recursion limit
+    for tree in (right_chain(5000), left_chain(5000)):
+        text = serialize(tree)
+        assert parse(text) == tree and serialize(parse(text)) == text
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "(", "(LL())", "(R()", "(())", "()x"]:
         with pytest.raises(ValueError):
