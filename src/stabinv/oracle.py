@@ -22,6 +22,11 @@ Conventions, fixed once and used consistently:
   cyclic sums below is oriented to match, so that the trace against a
   product operator factorizes through them qubit by qubit.
 * A mask over points is one Python int with bit a set for point a.
+* Traces against r copies of an operator: product_trace contracts any
+  operators over every basis index, for theorem1 and invariant_trace,
+  whose projectors may be mixed.  A graph projector is pure, c * s s^T
+  with every s_x = +-1, so lemma3 factors it once per graph and takes
+  each trace as a popcount over the sign mask of s^(tensor r).
 """
 
 from __future__ import annotations
@@ -315,25 +320,67 @@ def _copy_blocks(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
-    """Index form of the copy-permuting operator for a tree tuple.
-
-    Output bit (copy c, qubit q) of image[a] equals input bit
-    (copy pi_q(c), qubit q) of a, where pi_q is the permutation of the
-    q-th tree.  The image is a bit permutation, so it is built by
-    doubling: setting input bit b sets its one output bit.
-    """
+def _bit_targets(tup: TreeTuple) -> list[int]:
+    """The bit map of the copy permutation: input bit b of a basis index
+    goes to output bit target[b].  Output bit (copy c, qubit q) equals
+    input bit (copy pi_q(c), qubit q), where pi_q is the permutation of
+    the q-th tree."""
     n, r = tup.n, tup.r
-    _check_dim(n * r, max_dim)
     target = [0] * (n * r)
     for q in range(1, n + 1):
         pi = permutation_of(tup.trees[q - 1])
         for c in range(1, r + 1):
             target[(r - pi[c - 1]) * n + (n - q)] = (r - c) * n + (n - q)
+    return target
+
+
+def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
+    """Index form of the copy-permuting operator for a tree tuple.
+
+    image[a] moves the bits of a by _bit_targets.  The image is a bit
+    permutation, so it is built by doubling: setting input bit b sets its
+    one output bit.
+    """
+    _check_dim(tup.n * tup.r, max_dim)
     image = [0]
-    for b in target:
+    for b in _bit_targets(tup):
         image += [a | 1 << b for a in image]
-    return IndexPermutation(n, r, tuple(image))
+    return IndexPermutation(tup.n, tup.r, tuple(image))
+
+
+def _swap_table(m: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """For each pair of index bits p < q of an m-bit basis index, the
+    masked swap (delta, sel) that trades them in a mask over the indices:
+    sel marks the indices with bit p set and bit q clear, which trade
+    places with the indices delta = 2^q - 2^p above them."""
+    bits = _bit_masks(m)
+    return {(p, q): ((1 << q) - (1 << p), bits[p] & ~bits[q]) for q in range(m) for p in range(q)}
+
+
+def _mask_swaps(target: list[int], table: dict) -> list[tuple[int, int]]:
+    """Masked index-bit swaps from table, _swap_table(len(target)), at
+    most len(target) - 1 of them, that take a mask M over the basis
+    indices to M∘g, whose bit a is bit image[a] of M for the bit map
+    target.  Swapping index bits p < q of a mask composes its index map
+    with the transposition of p and q, so the map is built up from the
+    identity one position at a time.
+    """
+    current = list(range(len(target)))
+    swaps = []
+    for p, want in enumerate(target):
+        if current[p] != want:
+            q = current.index(want, p + 1)
+            current[p], current[q] = want, current[p]
+            swaps.append(table[p, q])
+    return swaps
+
+
+def _permuted(mask: int, swaps) -> int:
+    """mask with each masked index-bit swap of _mask_swaps applied."""
+    for delta, sel in swaps:
+        t = ((mask >> delta) ^ mask) & sel
+        mask ^= t ^ (t << delta)
+    return mask
 
 
 def invariant_trace(
@@ -383,6 +430,69 @@ def product_trace(perms, ops) -> list[Dyadic]:
             terms = map(operator.mul, terms, map(table.__getitem__, entries))
         traces.append(Dyadic(*_gaussian(sum(terms), w, r), scale))
     return traces
+
+
+def _sign_factor(rho: ExactOperator) -> tuple[Dyadic, int] | None:
+    """rho as c * s s^T with c = rho[0, 0] and every s_x = +-1, checked
+    on every entry: c, and the 2^m-bit mask of the x with s_x = -1.  None
+    when rho has no such form.
+
+    s is read off column 0, where rho[x, 0] = c * s_x; then row x must be
+    s_x times row 0, and row 0 must be c * s.
+    """
+    dim = rho.dim
+    c = (rho.re[0], rho.im[0])
+    if c == (0, 0):
+        return None
+    minus = (-c[0], -c[1])
+    signs = 0
+    for x in range(dim):
+        entry = (rho.re[x * dim], rho.im[x * dim])
+        if entry == minus:
+            signs |= 1 << x
+        elif entry != c:
+            return None
+    # rows[b] is row 0 times (-1)^b, as (re, im) entry tuples
+    rows = [
+        tuple(tuple(-v if signs >> y & 1 else v for y in range(dim)) for v in part)
+        for part in (c, minus)
+    ]
+    for x in range(dim):
+        re, im = rows[signs >> x & 1]
+        row = slice(x * dim, (x + 1) * dim)
+        if rho.re[row] != re or rho.im[row] != im:
+            return None
+    return Dyadic(*c, rho.scale), signs
+
+
+def _tensor_signs(signs: int, m: int, r: int) -> int:
+    """The sign mask of s^(tensor r) over all 2^(m*r) basis indices, from
+    the 2^m-bit mask of s: bit a is set where an odd number of copy blocks
+    of a have s = -1.  Built as text, most significant index first, with
+    each step writing every index's bit as a block for one more copy."""
+    width = 1 << m
+    plus = format(signs, f"0{width}b")
+    blocks = {ord("0"): plus, ord("1"): format(signs ^ ((1 << width) - 1), f"0{width}b")}
+    text = plus
+    for _ in range(r - 1):
+        text = text.translate(blocks)
+    return int(text, 2)
+
+
+def _sign_traces(c: Dyadic, signs: int, m: int, r: int, swap_lists):
+    """The trace of each copy permutation, given by its _mask_swaps,
+    against rho^(tensor r) for rho = c * s s^T on m qubits.
+
+    The trace is the sum over every basis index a of c^r S(image[a]) S(a),
+    S the signs of s^(tensor r): c^r (2^(m*r) - 2 popcount(S∘g XOR S)).
+    """
+    re, im = 1, 0
+    for _ in range(r):
+        re, im = re * c.re - im * c.im, re * c.im + im * c.re
+    mask = _tensor_signs(signs, m, r)
+    for swaps in swap_lists:
+        total = (1 << (m * r)) - 2 * (_permuted(mask, swaps) ^ mask).bit_count()
+        yield Dyadic(total * re, total * im, r * c.scale)
 
 
 def _gaussian(total: int, w: int, r: int) -> tuple[int, int]:
@@ -593,18 +703,22 @@ class GraphTupleSpaces(TupleSpaces):
         graph = to_text(self.adj.rows, self.adj.n)
         return {"element": element, "graph": graph, "tuple": tup.id()}
 
-    def lemma3_failure(self, tup: TreeTuple, trace: Dyadic, norm: int) -> dict | None:
+    def lemma3_failure(self, tup: TreeTuple, trace: Dyadic | None, norm: int) -> dict | None:
         """None if the signed tuple-space sum reproduces the exact trace
         and equals the plain cardinality of the space, else a mismatch record.
 
         trace is the exact trace of the graph projector against t_pi(tup),
-        kept as text when it is not real.  norm is the cardinality of the
-        edgeless graph's tuple space: its projector (|+><+|)^n is a pure
-        product state, whose r-fold power every copy permutation fixes, so
-        its trace is 1 and norm is its ratio of signed sum to trace.
+        kept as text when it is not real, or None when the projector has
+        no c * s s^T form, which the record marks as "factors": false.
+        norm is the cardinality of the edgeless graph's tuple space: its
+        projector (|+><+|)^n is a pure product state, whose r-fold power
+        every copy permutation fixes, so its trace is 1 and norm is its
+        ratio of signed sum to trace.
         """
         s, card = self.signed_sum(tup)
-        if trace.im or trace.re * norm != s << trace.scale:
+        if trace is None:
+            detail = {"factors": False}
+        elif trace.im or trace.re * norm != s << trace.scale:
             text = str(trace.as_fraction() if trace.im == 0 else trace)
             detail = {"trace": text, "normalization": str(norm)}
         elif s != card:
@@ -704,24 +818,19 @@ def suite_lemma2(max_r: int = 3) -> dict:
     return _result(name, checks, failures)
 
 
-def _graph_passes(n: int):
-    """All graphs on n vertices in order, in passes whose projectors hold
-    at most MAX_ENUM entries together (one graph when a projector is
-    larger): one pass up to n = 4."""
-    per = max(1, MAX_ENUM >> (2 * n))
-    graphs = all_graphs(n)
-    while batch := list(itertools.islice(graphs, per)):
-        yield batch
-
-
 def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
-    Graphs are taken one pass at a time: each graph's projector is built
-    once per n, and its tuple spaces once per (n, r).  In a pass each
-    tuple's t_pi image is made once, one batch of tuples at a time, and
-    every graph's traces against that batch are taken before the next.
-    The edgeless graph's tuple-space cardinalities normalize every trace.
+    A graph state has amplitudes +-2^(-n/2), so each graph's projector,
+    built once per n, is factored exactly as c * s s^T with every entry
+    checked (_sign_factor); a projector with no such form fails each of
+    its checks.  Each trace against t_pi(tup) is then one popcount over
+    all 2^(n*r) basis indices of the sign mask of s^(tensor r) and its
+    image under the copy permutation's index-bit swaps (_sign_traces),
+    made once per (n, r, tuple) from t_pi's bit map.  The trace never
+    uses the per-qubit factorization or the tuple-space sum that the
+    lemma checks.  The edgeless graph's tuple-space cardinalities
+    normalize every trace.
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -734,24 +843,24 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
     checks = 0
     failures = []
     for n, degrees in sizes.items():
-        empty = {r: TupleSpaces(graph_generator(AdjacencyMatrix.empty(n)), r) for r in degrees}
-        found = {r: [] for r in degrees}  # reported graph by graph within each r
-        for graphs in _graph_passes(n):
-            rhos = [rho_from_code(graph_generator(adj), max_dim=max_dim) for adj in graphs]
-            for r in degrees:
-                spaces = [GraphTupleSpaces(adj, r) for adj in graphs]
-                pass_found = [[] for _ in graphs]
-                for tuples, perms in _tuple_batches(n, r, max_dim):
-                    norms = [empty[r].space(tup).bit_count() for tup in tuples]
-                    for graph_spaces, rho, graph_failures in zip(spaces, rhos, pass_found):
-                        traces = product_trace(perms, [rho] * r)
-                        for tup, trace, norm in zip(tuples, traces, norms):
-                            checks += 1
-                            bad = graph_spaces.lemma3_failure(tup, trace, norm)
-                            if bad is not None:
-                                graph_failures.append(bad)
-                found[r].extend(itertools.chain.from_iterable(pass_found))
-        failures.extend(itertools.chain.from_iterable(found.values()))
+        factored = [
+            (adj, _sign_factor(rho_from_code(graph_generator(adj), max_dim=max_dim)))
+            for adj in all_graphs(n)
+        ]
+        for r in degrees:
+            tuples = list(all_tuples(n, r))
+            empty = TupleSpaces(graph_generator(AdjacencyMatrix.empty(n)), r)
+            norms = [empty.space(tup).bit_count() for tup in tuples]
+            table = _swap_table(n * r)
+            swaps = [_mask_swaps(_bit_targets(tup), table) for tup in tuples]
+            for adj, factor in factored:
+                spaces = GraphTupleSpaces(adj, r)
+                traces = _sign_traces(*factor, n, r, swaps) if factor else itertools.repeat(None)
+                for tup, trace, norm in zip(tuples, traces, norms):
+                    checks += 1
+                    bad = spaces.lemma3_failure(tup, trace, norm)
+                    if bad is not None:
+                        failures.append(bad)
     return _result(name, checks, failures, warnings)
 
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -399,6 +400,56 @@ def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
     assert product_trace([], ops) == []
     with pytest.raises(ValueError):
         product_trace([t_pi(identity_tuple(3, 3)), t_pi(identity_tuple(1, 3))], ops)
+
+
+def test_sign_traces_match_the_dense_contraction():
+    # every graph projector with n <= 3 factors as c * s s^T, also when
+    # scaled by 2 or by i, and its trace from the sign mask equals
+    # product_trace against every tuple with r <= 3
+    for n, r in itertools.product((1, 2, 3), repeat=2):
+        tuples = list(all_tuples(n, r))
+        perms = [t_pi(tup) for tup in tuples]
+        table = oracle._swap_table(n * r)
+        swaps = [oracle._mask_swaps(oracle._bit_targets(tup), table) for tup in tuples]
+        assert all(len(s) < n * r for s in swaps)
+        for adj in all_graphs(n):
+            rho = rho_from_code(graph_generator(adj))
+            for op in (rho, scaled(rho, 2), scaled(rho, 0, 1)):
+                c, signs = oracle._sign_factor(op)
+                assert c == Dyadic(op.re[0], op.im[0], op.scale)
+                assert signs & 1 == 0 and signs < 1 << (1 << n)
+                traces = list(oracle._sign_traces(c, signs, n, r, swaps))
+                assert traces == [product_trace([perm], [op] * r)[0] for perm in perms]
+
+
+def test_mask_swaps_permute_indices_as_t_pi():
+    # bit a of the swapped mask is bit image[a] of the mask, for every
+    # tuple with n * r <= 9 and a seeded random mask each
+    rng = random.Random(9)
+    for n in range(1, 10):
+        for r in range(1, 9 // n + 1):
+            dim = 1 << (n * r)
+            table = oracle._swap_table(n * r)
+            for tup in all_tuples(n, r):
+                mask = rng.getrandbits(dim)
+                moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), table))
+                low_first = format(mask, f"0{dim}b")[::-1]  # character a is bit a
+                expected = "".join(map(low_first.__getitem__, t_pi(tup).image))
+                assert format(moved, f"0{dim}b")[::-1] == expected, tup.id()
+
+
+def test_sign_factor_checks_every_entry():
+    # one changed entry anywhere, a zero corner or a non-symmetric sign
+    # pattern leaves no c * s s^T form
+    rho = rho_from_code(graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)])))
+    assert oracle._sign_factor(rho) is not None
+    for i in range(16):
+        for re, im in ((-rho.re[i], rho.im[i]), (rho.re[i], 1)):
+            entries = list(rho.re), list(rho.im)
+            entries[0][i], entries[1][i] = re, im
+            assert oracle._sign_factor(ExactOperator(2, *entries, rho.scale)) is None, i
+    assert oracle._sign_factor(ExactOperator(1, [0, 1, 1, 1], [0] * 4)) is None
+    assert oracle._sign_factor(ExactOperator(1, [1, 1, -1, -1], [0] * 4)) is None
 
 
 def test_products_stay_exact_past_int64():
@@ -810,7 +861,8 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
     # lemma3 with every graph but the edgeless one doubled, and theorem1
     # with one projector scaled by 3 and one by 2, so that both reports
     # carry failures of each kind; a TRACE_CHUNK of 2 entries holds one
-    # t_pi image per batch and must leave every report as it was
+    # t_pi image per theorem1 batch and must leave every report as it was
+    # (lemma3 takes no images)
     edgeless = {graph_generator(AdjacencyMatrix.empty(n)).rows for n in (1, 2, 3)}
     factors = {
         random_code(2, 1, seed=(0, 2, 1, 0)).rows: 3,
@@ -843,17 +895,6 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
     batched = {name: run() for name, run in runs.items()}
     assert set(stacks) == {1}
     assert batched == whole
-    # lemma3 again with every graph a pass of its own
-    passes = []
-
-    def one_graph(n):
-        for adj in all_graphs(n):
-            passes.append(n)
-            yield [adj]
-
-    monkeypatch.setattr(oracle, "_graph_passes", one_graph)
-    assert runs["lemma3"]() == whole["lemma3"]
-    assert passes == [1] + [2] * 2 + [3] * 8
     assert whole["lemma3"]["checks"] == 1 * 3 + 2 * 5 + 8 * 9
     assert len(whole["lemma3"]["failures"]) == 1 * 5 + 7 * 9  # every other graph
     assert whole["theorem1"]["checks"] == 4 * 7 + 6 * 29
@@ -1021,13 +1062,31 @@ def test_lemma3_reports_a_trace_that_is_not_real(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["failures"] == report["failures"]
 
 
-def test_lemma3_takes_graphs_in_passes():
-    # a pass keeps its projectors within MAX_ENUM entries: every graph of
-    # n <= 4 in one pass, n = 5 in 16 passes of 64, all in enumeration order
-    for n in range(1, 6):
-        passes = list(oracle._graph_passes(n))
-        assert [adj.rows for p in passes for adj in p] == [adj.rows for adj in all_graphs(n)]
-        assert [len(p) for p in passes] == ([1 << n * (n - 1) // 2] if n <= 4 else [64] * 16)
+def test_lemma3_reports_a_projector_that_does_not_factor(monkeypatch):
+    # one flipped entry of the one-edge projector on 2 qubits leaves no
+    # c * s s^T form: each of that graph's checks is a failure that says
+    # so, the check count is unchanged, and the other graphs still pass
+    edge = AdjacencyMatrix.from_edges(2, [(1, 2)])
+    target = graph_generator(edge).rows
+    exact = oracle.rho_from_code
+
+    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
+        rho = exact(gen, signs, max_dim)
+        if gen.rows != target:
+            return rho
+        re = list(rho.re)
+        re[6] = -re[6]  # entry [1, 2]
+        return ExactOperator(rho.m, re, rho.im, rho.scale)
+
+    checks = suite_lemma3(max_n=2, max_r=2)["checks"]
+    monkeypatch.setattr(oracle, "rho_from_code", planted)
+    report = suite_lemma3(max_n=2, max_r=2)
+    assert (report["status"], report["checks"]) == ("fail", checks)
+    tuples = [tup.id() for r in (1, 2) for tup in all_tuples(2, r)]
+    assert [(f["graph"], f["tuple"], f["factors"]) for f in report["failures"]] == [
+        (to_text(edge.rows, edge.n), t, False) for t in tuples
+    ]
+    assert all(set(f) == {"graph", "tuple", "signed_sum", "factors"} for f in report["failures"])
 
 
 def test_lemma3_identity_tuple_counts():
