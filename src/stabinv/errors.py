@@ -41,16 +41,16 @@ class InvalidCodeError(ValueError):
 
 
 class Frozen:
-    """An immutable record of the fields its class names in __slots__ but
-    "__dict__" (room for functools.cached_property), set once, by position
-    or keyword, through this __init__, which a class that checks them calls
-    last.  Equal when type and fields are; shown as Name(field=value, ...)."""
+    """An immutable record of the fields its class names in __slots__, set
+    once, by position or keyword, through this __init__, which a class
+    that checks them calls last.  Equal when type and fields are; shown as
+    Name(field=value, ...)."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields += tuple(f for f in cls.__dict__.get("__slots__", ()) if f != "__dict__")
+        cls._fields += tuple(cls.__dict__.get("__slots__", ()))
         cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):

@@ -22,18 +22,21 @@ Conventions, fixed once and used consistently:
   cyclic sums below is oriented to match, so that the trace against a
   product operator factorizes through them qubit by qubit.
 * A mask over points is one Python int with bit a set for point a.
-* Traces against r copies of an operator: product_trace contracts any
-  operators over every basis index, for theorem1 and invariant_trace,
-  whose projectors may be mixed.  A graph projector is pure, c * s s^T
-  with every s_x = +-1, so lemma3 factors it once per graph and takes
-  each trace as a popcount over the sign mask of s^(tensor r).
+* Traces against r copies of an operator take the copy permutation from
+  one index-bit map, _bit_targets.  product_trace contracts any
+  operators over every basis index through the dense entry tables made
+  from it, for theorem1 and invariant_trace, whose projectors may be
+  mixed.  A graph projector is pure, c * s s^T with every s_x = +-1, so
+  lemma3 factors it once per graph and takes each trace as a popcount
+  over the sign mask of s^(tensor r), moved by masked swaps made from
+  the same map.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import cache, cached_property, reduce
+from functools import reduce
 
 from .errors import BudgetError, Frozen, capped_sum
 from .gf2 import to_text
@@ -60,7 +63,7 @@ DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
 # Largest projected check count of any suite.
 MAX_SUITE_CHECKS = 1 << 20
 MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
-# Index entries one batch of t_pi images holds.
+# Index entries one batch of entry tables holds per copy.
 TRACE_CHUNK = 1 << 12
 
 
@@ -278,53 +281,12 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     return ExactOperator(n, acc, [0] * (dim * dim), n)
 
 
-class IndexPermutation(Frozen):
-    """Permutation of the 2^(n*r) computational basis indices realizing a
-    qubit-wise permutation of tensor copies."""
-
-    __slots__ = ("n", "r", "image", "__dict__")
-
-    def __init__(self, n: int, r: int, image: tuple[int, ...]):
-        image = tuple(map(operator.index, image))
-        if sorted(image) != list(range(1 << (n * r))):
-            raise ValueError("image is not a bijection")
-        super().__init__(n, r, image)
-
-    @property
-    def dim(self) -> int:
-        return 1 << (self.n * self.r)
-
-    @cached_property
-    def entries(self) -> tuple[list[int], ...]:
-        """For each copy c, the flat index of the entry of copy c's
-        operator that each basis index a meets in the trace: its row is
-        copy c's block of image[a], its column copy c's block of a.  Made
-        on first use, then kept."""
-        return tuple(
-            list(map(operator.or_, map(rows.__getitem__, self.image), cols))
-            for rows, cols in _copy_blocks(self.n, self.r)
-        )
-
-
-@cache
-def _copy_blocks(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each copy c, copy c's block of every basis index a, as the row
-    part (shifted up by n) and as the column part of a flat entry index."""
-    mask = (1 << n) - 1
-    return tuple(
-        (
-            tuple((a >> s & mask) << n for a in range(1 << (n * r))),
-            tuple(a >> s & mask for a in range(1 << (n * r))),
-        )
-        for s in range(n * (r - 1), -1, -n)
-    )
-
-
 def _bit_targets(tup: TreeTuple) -> list[int]:
     """The bit map of the copy permutation: input bit b of a basis index
     goes to output bit target[b].  Output bit (copy c, qubit q) equals
     input bit (copy pi_q(c), qubit q), where pi_q is the permutation of
-    the q-th tree."""
+    the q-th tree.  The dense entry tables and lemma3's masked swaps are
+    both taken from this map."""
     n, r = tup.n, tup.r
     target = [0] * (n * r)
     for q in range(1, n + 1):
@@ -334,18 +296,21 @@ def _bit_targets(tup: TreeTuple) -> list[int]:
     return target
 
 
-def t_pi(tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM) -> IndexPermutation:
-    """Index form of the copy-permuting operator for a tree tuple.
-
-    image[a] moves the bits of a by _bit_targets.  The image is a bit
-    permutation, so it is built by doubling: setting input bit b sets its
-    one output bit.
-    """
-    _check_dim(tup.n * tup.r, max_dim)
-    image = [0]
-    for b in _bit_targets(tup):
-        image += [a | 1 << b for a in image]
-    return IndexPermutation(tup.n, tup.r, tuple(image))
+def _entry_tables(tup: TreeTuple) -> list[list[int]]:
+    """For each copy c, the flat index of the entry of copy c's operator
+    that each basis index a meets in the trace: its row is copy c's block
+    of a with its bits moved by _bit_targets, its column copy c's block
+    of a.  Input bit b sets one row bit and one column bit, of the copies
+    that hold its target and b, so each table is built by doubling."""
+    n, r = tup.n, tup.r
+    tables = [[0] for _ in range(r)]
+    for b, t in enumerate(_bit_targets(tup)):
+        steps = [0] * r
+        steps[r - 1 - t // n] |= 1 << (n + t % n)
+        steps[r - 1 - b // n] |= 1 << (b % n)
+        for table, step in zip(tables, steps):
+            table += [e | step for e in table]
+    return tables
 
 
 def _swap_table(m: int) -> dict[tuple[int, int], tuple[int, int]]:
@@ -394,12 +359,12 @@ def invariant_trace(
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
     _check_dim(gen.n * tup.r, max_dim)
     rho = rho_from_code(gen, max_dim=max_dim)
-    return product_trace([t_pi(tup, max_dim=max_dim)], [rho] * tup.r)[0]
+    return product_trace([_entry_tables(tup)], [rho] * tup.r)[0]
 
 
-def product_trace(perms, ops) -> list[Dyadic]:
-    """Trace of each permutation operator in perms against
-    op_1 (x) ... (x) op_r, all permutations of the same n and r.
+def product_trace(tables, ops) -> list[Dyadic]:
+    """Trace of each copy permutation, given by its _entry_tables, against
+    op_1 (x) ... (x) op_r on n qubits each.
 
     The tensor product is never materialized: each of the 2^(n*r) basis
     indices multiplies one entry of each copy's operator, and the
@@ -408,26 +373,28 @@ def product_trace(perms, ops) -> list[Dyadic]:
     with i^j; w is wide enough that every coefficient of the sum reads
     back exactly.
     """
-    perms, ops = list(perms), list(ops)
-    if not perms:
+    tables, ops = list(tables), list(ops)
+    if not tables:
         return []
-    n, r = perms[0].n, perms[0].r
-    if any((p.n, p.r) != (n, r) for p in perms) or len(ops) != r or any(op.m != n for op in ops):
-        raise ValueError("need permutations of one n and r, and r operators on n qubits each")
+    r = len(ops)
+    dim = 1 << (ops[0].m * r) if ops else 0
+    if any(op.m != ops[0].m for op in ops) or any(
+        len(entries) != r or any(len(index) != dim for index in entries) for entries in tables
+    ):
+        raise ValueError("need r operators on n qubits each, and r tables of 2^(n*r) entries")
     # no coefficient exceeds 2^(n*r) times the product of each copy's
     # largest |re| + |im|, bounded in turn by twice its largest part
-    bound = perms[0].dim
+    bound = dim
     for op in ops:
         bound *= 2 * max(map(abs, op.re + op.im))
     w = bound.bit_length() + 1
     packed = [[a + (b << w) for a, b in zip(op.re, op.im)] for op in ops]
     scale = sum(op.scale for op in ops)
     traces = []
-    for perm in perms:
-        index = perm.entries
-        terms = map(packed[0].__getitem__, index[0])
-        for table, entries in zip(packed[1:], index[1:]):
-            terms = map(operator.mul, terms, map(table.__getitem__, entries))
+    for entries in tables:
+        terms = map(packed[0].__getitem__, entries[0])
+        for values, index in zip(packed[1:], entries[1:]):
+            terms = map(operator.mul, terms, map(values.__getitem__, index))
         traces.append(Dyadic(*_gaussian(sum(terms), w, r), scale))
     return traces
 
@@ -590,7 +557,7 @@ class TupleSpaces:
     the engine's Kronecker stack; BudgetError when 2^(k*r) > MAX_ENUM.
     A point is a k x r bit matrix X, column j the coefficient vector of
     codeword S X_j of copy j; point a holds X[i, j] (from 1) at bit
-    (r - j) * k + (k - i), as t_pi lays out qubits when k = n.
+    (r - j) * k + (k - i), as _bit_targets lays out qubits when k = n.
 
     The masks are bit-sliced: one mask per entry X[i, j], and words[l][j]
     marks where row l of S X_j (0-based) is 1, the XOR of the X[i, j] with
@@ -707,9 +674,10 @@ class GraphTupleSpaces(TupleSpaces):
         """None if the signed tuple-space sum reproduces the exact trace
         and equals the plain cardinality of the space, else a mismatch record.
 
-        trace is the exact trace of the graph projector against t_pi(tup),
-        kept as text when it is not real, or None when the projector has
-        no c * s s^T form, which the record marks as "factors": false.
+        trace is the exact trace of the graph projector against the copy
+        permutation of tup, kept as text when it is not real, or None when
+        the projector has no c * s s^T form, which the record marks as
+        "factors": false.
         norm is the cardinality of the edgeless graph's tuple space: its
         projector (|+><+|)^n is a pure product state, whose r-fold power
         every copy permutation fixes, so its trace is 1 and norm is its
@@ -746,15 +714,15 @@ def _over_budget(name: str, counts) -> dict | None:
     return _result(name, 0, [], [warning])
 
 
-def _tuple_batches(n: int, r: int, max_dim: int):
+def _tuple_batches(n: int, r: int):
     """The tuples of n trees on r nodes in canonical order, in batches
-    whose t_pi images hold TRACE_CHUNK index entries (one image when an
-    image is larger), each batch with its images; one batch's images are
-    built at a time."""
+    whose entry tables hold TRACE_CHUNK index entries per copy (one tuple
+    when its tables are larger), each batch with its entry tables; one
+    batch's tables are built at a time."""
     per = max(1, TRACE_CHUNK >> (n * r))
     tuples = all_tuples(n, r)
     while batch := list(itertools.islice(tuples, per)):
-        yield batch, [t_pi(tup, max_dim) for tup in batch]
+        yield batch, [_entry_tables(tup) for tup in batch]
 
 
 def _dense_sizes(max_n: int, degrees: range | None, max_dim: int) -> tuple[dict, list]:
@@ -824,13 +792,13 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
     A graph state has amplitudes +-2^(-n/2), so each graph's projector,
     built once per n, is factored exactly as c * s s^T with every entry
     checked (_sign_factor); a projector with no such form fails each of
-    its checks.  Each trace against t_pi(tup) is then one popcount over
-    all 2^(n*r) basis indices of the sign mask of s^(tensor r) and its
-    image under the copy permutation's index-bit swaps (_sign_traces),
-    made once per (n, r, tuple) from t_pi's bit map.  The trace never
-    uses the per-qubit factorization or the tuple-space sum that the
-    lemma checks.  The edgeless graph's tuple-space cardinalities
-    normalize every trace.
+    its checks.  Each trace against a tuple's copy permutation is then one
+    popcount over all 2^(n*r) basis indices of the sign mask of
+    s^(tensor r) and its image under the permutation's index-bit swaps
+    (_sign_traces), made once per (n, r, tuple) from _bit_targets.  The
+    trace never uses the per-qubit factorization or the tuple-space sum
+    that the lemma checks.  The tuple-space cardinalities of the edgeless
+    graph, which all_graphs yields first, normalize every trace.
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -849,12 +817,13 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
         ]
         for r in degrees:
             tuples = list(all_tuples(n, r))
-            empty = TupleSpaces(graph_generator(AdjacencyMatrix.empty(n)), r)
-            norms = [empty.space(tup).bit_count() for tup in tuples]
             table = _swap_table(n * r)
             swaps = [_mask_swaps(_bit_targets(tup), table) for tup in tuples]
+            norms = None
             for adj, factor in factored:
                 spaces = GraphTupleSpaces(adj, r)
+                if not any(adj.rows):
+                    norms = [spaces.space(tup).bit_count() for tup in tuples]
                 traces = _sign_traces(*factor, n, r, swaps) if factor else itertools.repeat(None)
                 for tup, trace, norm in zip(tuples, traces, norms):
                     checks += 1
@@ -919,10 +888,10 @@ def suite_theorem1(
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in degrees:
-            for tuples, perms in _tuple_batches(n, r, max_dim):
+            for tuples, tables in _tuple_batches(n, r):
                 offsets = [  # [code][tuple]
                     [_offset(gen, tup, trace)
-                     for tup, trace in zip(tuples, product_trace(perms, [rho] * r))]
+                     for tup, trace in zip(tuples, product_trace(tables, [rho] * r))]
                     for gen, rho in zip(codes, rhos)
                 ]
                 for t, tup in enumerate(tuples):

@@ -23,7 +23,6 @@ from stabinv.oracle import (
     Dyadic,
     ExactOperator,
     GraphTupleSpaces,
-    IndexPermutation,
     TupleSpaces,
     closed_form_table,
     cyclic_sum_table,
@@ -32,7 +31,6 @@ from stabinv.oracle import (
     product_trace,
     rho_from_code,
     rho_graph_formula,
-    t_pi,
     suite_lemma1,
     suite_lemma2,
     suite_lemma3,
@@ -61,6 +59,7 @@ from stabinv.trees import (
     permutation_of,
     right_chain,
 )
+from test_oracle_reference import ref_t_pi
 
 ONE = Dyadic(1, 0, 0)
 
@@ -213,9 +212,8 @@ def test_rho_sign_flips_change_operator_not_traces():
         flipped = rho_from_code(gen, signs=signs)
         assert flipped.same_as(rho) == (signs == (1,) * k)
         assert flipped.trace() == ONE
-        tup = random_tuple(n, 2, rng)
-        perm = t_pi(tup)
-        assert product_trace([perm], [rho] * 2) == product_trace([perm], [flipped] * 2)
+        tables = oracle._entry_tables(random_tuple(n, 2, rng))
+        assert product_trace([tables], [rho] * 2) == product_trace([tables], [flipped] * 2)
 
 
 def test_rho_matches_group_sum_definition():
@@ -317,23 +315,20 @@ def test_one_edge_graph_state_is_pure():
 
 
 def test_t_pi_identity():
-    perm = t_pi(identity_tuple(2, 2))
-    assert perm.image == tuple(range(16))
+    # each copy meets the diagonal entry of its own block of the index
+    tables = oracle._entry_tables(identity_tuple(2, 2))
+    assert tables == [[(a >> s & 3) * 5 for a in range(16)] for s in (2, 0)]
 
 
 def test_t_pi_transposition_involution():
-    perm = t_pi(uniform_tuple(right_chain(2), 2))
-    img = perm.image
-    assert [img[a] for a in img] == list(range(16))
-    assert img != tuple(range(16))
-
-
-def test_index_permutation_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        IndexPermutation(1, 1, np.zeros(4, dtype=np.int64))
-    with pytest.raises(ValueError, match="^image is not a bijection$"):
-        IndexPermutation(1, 2, np.array([0, 1, 1, 3]))
-    assert IndexPermutation(1, 2, np.array([0, 2, 1, 3])).dim == 4
+    # two copies swapped on both qubits: each copy's row is the other
+    # copy's column, so swapping twice is the identity
+    tables = oracle._entry_tables(uniform_tuple(right_chain(2), 2))
+    assert [t >> 2 for t in tables[0]] == [t & 3 for t in tables[1]]
+    assert [t >> 2 for t in tables[1]] == [t & 3 for t in tables[0]]
+    assert tables != oracle._entry_tables(identity_tuple(2, 2))
+    # one qubit: 2^(n*r) = 4 entries per copy
+    assert oracle._entry_tables(uniform_tuple(right_chain(2), 1)) == [[0, 2, 1, 3], [0, 1, 2, 3]]
 
 
 def test_trace_splits_over_qubits():
@@ -345,11 +340,12 @@ def test_trace_splits_over_qubits():
     tau = functools.cache(tau_op)
 
     def splits(tup):
-        perm = t_pi(tup)
+        entries = oracle._entry_tables(tup)
         tables = [cyclic_sum_table(permutation_of(tree)) for tree in tup.trees]
 
         def check(u, v):  # r x n bit arrays
-            (lhs,) = product_trace([perm], [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)])
+            ops = [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)]
+            (lhs,) = product_trace([entries], ops)
             rhs = math.prod(table_entry(table, u[:, q], v[:, q]) for q, table in enumerate(tables))
             return lhs == Dyadic(rhs, 0, 0)
 
@@ -375,31 +371,35 @@ def test_trace_splits_over_qubits():
 
 def test_product_trace_of_identity_counts_fixed_points():
     # one qubit, two copies swapped: the trace of SWAP is 2
-    perm = t_pi(uniform_tuple(right_chain(2), 1))
+    tables = oracle._entry_tables(uniform_tuple(right_chain(2), 1))
     ident = ExactOperator.identity(1)
-    assert product_trace([perm], [ident, ident]) == [Dyadic(2, 0, 0)]
+    assert product_trace([tables], [ident, ident]) == [Dyadic(2, 0, 0)]
 
 
 def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
     # every tuple of one (n, r) in one call gives each tuple's own trace,
-    # and a second call, which reuses each image's entry lists, the same;
-    # TRACE_CHUNK sizes only the suites' batches of images, so half an
-    # image leaves every trace as it was; each copy gets its own signed
-    # projector
+    # and a second call on the same entry tables the same; TRACE_CHUNK
+    # sizes only the suites' batches of tables, so half a tuple's tables
+    # leaves every trace as it was; each copy gets its own signed projector
     rng = np.random.default_rng(40)
     for n, r in ((1, 3), (2, 2), (3, 3)):
         gen = random_code(n, n, (n, r, 40))
         ops = [rho_from_code(gen, signs=rng.choice((1, -1), n)) for _ in range(r)]
-        perms = [t_pi(tup) for tup in all_tuples(n, r)]
-        alone = [product_trace([perm], ops)[0] for perm in perms]
-        assert product_trace(perms, ops) == alone
-        assert product_trace(perms, ops) == alone
+        tables = [oracle._entry_tables(tup) for tup in all_tuples(n, r)]
+        alone = [product_trace([entries], ops)[0] for entries in tables]
+        assert product_trace(tables, ops) == alone
+        assert product_trace(tables, ops) == alone
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "TRACE_CHUNK", perms[0].dim // 2)
-            assert product_trace(perms, ops) == alone
+            patch.setattr(oracle, "TRACE_CHUNK", len(tables[0][0]) // 2)
+            assert product_trace(tables, ops) == alone
     assert product_trace([], ops) == []
+    # tables of another n, or another count of operators
     with pytest.raises(ValueError):
-        product_trace([t_pi(identity_tuple(3, 3)), t_pi(identity_tuple(1, 3))], ops)
+        product_trace([tables[0], oracle._entry_tables(identity_tuple(1, 3))], ops)
+    with pytest.raises(ValueError):
+        product_trace(tables, ops[:2])
+    with pytest.raises(ValueError):
+        product_trace(tables, [])
 
 
 def test_sign_traces_match_the_dense_contraction():
@@ -408,7 +408,7 @@ def test_sign_traces_match_the_dense_contraction():
     # product_trace against every tuple with r <= 3
     for n, r in itertools.product((1, 2, 3), repeat=2):
         tuples = list(all_tuples(n, r))
-        perms = [t_pi(tup) for tup in tuples]
+        tables = [oracle._entry_tables(tup) for tup in tuples]
         table = oracle._swap_table(n * r)
         swaps = [oracle._mask_swaps(oracle._bit_targets(tup), table) for tup in tuples]
         assert all(len(s) < n * r for s in swaps)
@@ -419,12 +419,13 @@ def test_sign_traces_match_the_dense_contraction():
                 assert c == Dyadic(op.re[0], op.im[0], op.scale)
                 assert signs & 1 == 0 and signs < 1 << (1 << n)
                 traces = list(oracle._sign_traces(c, signs, n, r, swaps))
-                assert traces == [product_trace([perm], [op] * r)[0] for perm in perms]
+                assert traces == [product_trace([entries], [op] * r)[0] for entries in tables]
 
 
 def test_mask_swaps_permute_indices_as_t_pi():
-    # bit a of the swapped mask is bit image[a] of the mask, for every
-    # tuple with n * r <= 9 and a seeded random mask each
+    # bit a of the swapped mask is bit image[a] of the mask, image the
+    # numpy reference's, for every tuple with n * r <= 9 and a seeded
+    # random mask each
     rng = random.Random(9)
     for n in range(1, 10):
         for r in range(1, 9 // n + 1):
@@ -434,7 +435,7 @@ def test_mask_swaps_permute_indices_as_t_pi():
                 mask = rng.getrandbits(dim)
                 moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), table))
                 low_first = format(mask, f"0{dim}b")[::-1]  # character a is bit a
-                expected = "".join(map(low_first.__getitem__, t_pi(tup).image))
+                expected = "".join(map(low_first.__getitem__, ref_t_pi(tup)))
                 assert format(moved, f"0{dim}b")[::-1] == expected, tup.id()
 
 
@@ -456,8 +457,8 @@ def test_products_stay_exact_past_int64():
     # entries near 2^40: the trace is near 2^82 and the product's entries
     # near 2^81, where int64 would wrap; Python ints keep them exact
     big = ExactOperator(1, [(1 << 40) + 1] * 4, [0] * 4)
-    perm = t_pi(identity_tuple(1, 2))
-    (trace,) = product_trace([perm], [big, big])
+    tables = oracle._entry_tables(identity_tuple(1, 2))
+    (trace,) = product_trace([tables], [big, big])
     assert trace == Dyadic(4 * ((1 << 40) + 1) ** 2, 0, 0)
     assert trace.re.bit_length() - 1 == 82
     square = big @ big
@@ -466,10 +467,10 @@ def test_products_stay_exact_past_int64():
     # entries 2^40 (1 - i): each copy's trace is 2^41 (1 - i), and their
     # product -2^83 i
     skew = ExactOperator(1, [1 << 40] * 4, [-(1 << 40)] * 4)
-    assert product_trace([perm], [skew, skew]) == [Dyadic(0, -(1 << 83), 0)]
+    assert product_trace([tables], [skew, skew]) == [Dyadic(0, -(1 << 83), 0)]
     # entries 2^29 (1 - i), as before
     near = ExactOperator(1, [1 << 29] * 4, [-(1 << 29)] * 4)
-    assert product_trace([perm], [near, near]) == [Dyadic(0, -(1 << 61), 0)]
+    assert product_trace([tables], [near, near]) == [Dyadic(0, -(1 << 61), 0)]
     square = near @ near
     assert not any(square.re) and square.im == (-(1 << 60),) * 4
 
@@ -861,8 +862,8 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
     # lemma3 with every graph but the edgeless one doubled, and theorem1
     # with one projector scaled by 3 and one by 2, so that both reports
     # carry failures of each kind; a TRACE_CHUNK of 2 entries holds one
-    # t_pi image per theorem1 batch and must leave every report as it was
-    # (lemma3 takes no images)
+    # tuple's entry tables per theorem1 batch and must leave every report
+    # as it was (lemma3 takes no entry tables)
     edgeless = {graph_generator(AdjacencyMatrix.empty(n)).rows for n in (1, 2, 3)}
     factors = {
         random_code(2, 1, seed=(0, 2, 1, 0)).rows: 3,
@@ -878,9 +879,9 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
             return rho if gen.rows in edgeless else scaled(rho, 2)
         return scaled(rho, factors.get(gen.rows, 1))
 
-    def counted(perms, ops):
-        stacks.append(len(perms))
-        return exact_trace(perms, ops)
+    def counted(tables, ops):
+        stacks.append(len(tables))
+        return exact_trace(tables, ops)
 
     monkeypatch.setattr(oracle, "rho_from_code", planted)
     monkeypatch.setattr(oracle, "product_trace", counted)
@@ -889,7 +890,7 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
         "theorem1": lambda: suite_theorem1(max_n=2, max_r=3, codes_per_k=2),
     }
     whole = {name: run() for name, run in runs.items()}
-    assert max(stacks) == 25  # all n=2, r=3 images in one batch
+    assert max(stacks) == 25  # all n=2, r=3 tuples in one batch
     stacks.clear()
     monkeypatch.setattr(oracle, "TRACE_CHUNK", 2)
     batched = {name: run() for name, run in runs.items()}

@@ -17,11 +17,11 @@ from stabinv.oracle import (
     ExactOperator,
     GraphTupleSpaces,
     TupleSpaces,
+    _entry_tables,
     closed_form_table,
     cyclic_sum_table,
     product_trace,
     rho_from_code,
-    t_pi,
 )
 from stabinv.stabilizer import all_graphs, random_code
 from stabinv.trees import (
@@ -73,15 +73,25 @@ def ref_t_pi(tup):
     return image
 
 
-def ref_trace(image, ops, n, r, scale):
-    """The contraction over all indices at once, ops as (re, im) arrays."""
+def ref_tables(image, n, r):
+    """For each copy, the flat entry index of its operator that each basis
+    index meets: row from copy c's block of the image, column from copy
+    c's block of the index."""
     mask = (1 << n) - 1
     idx = np.arange(len(image), dtype=np.int64)
-    acc_re, acc_im = np.ones(len(image), dtype=np.int64), np.zeros(len(image), dtype=np.int64)
-    for c, (ore, oim) in enumerate(ops):
-        shift = n * (r - 1 - c)
-        rows, cols = (image >> shift) & mask, (idx >> shift) & mask
-        fre, fim = ore[rows, cols], oim[rows, cols]
+    return [
+        ((image >> shift) & mask) << n | (idx >> shift) & mask
+        for shift in range(n * (r - 1), -1, -n)
+    ]
+
+
+def ref_trace(tables, ops, scale):
+    """The contraction over all indices at once, ops as flat (re, im)
+    arrays."""
+    size = len(tables[0])
+    acc_re, acc_im = np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+    for index, (ore, oim) in zip(tables, ops):
+        fre, fim = ore[index], oim[index]
         acc_re, acc_im = acc_re * fre - acc_im * fim, acc_re * fim + acc_im * fre
     return Dyadic(int(acc_re.sum()), int(acc_im.sum()), scale)
 
@@ -160,10 +170,12 @@ def test_traces_match_the_numpy_reference():
     traces = complex_traces = 0
     for n, r in SIZES:
         tuples = list(all_tuples(n, r))
-        perms = [t_pi(tup) for tup in tuples]
-        images = [ref_t_pi(tup) for tup in tuples]
-        for perm, image in zip(perms, images):
-            assert perm.image == tuple(image)
+        tables = [_entry_tables(tup) for tup in tuples]
+        expected_tables = [ref_tables(ref_t_pi(tup), n, r) for tup in tuples]
+        for tup, mine, ref in zip(tuples, tables, expected_tables):
+            assert len(mine) == r, tup.id()
+            for c, (entries, index) in enumerate(zip(mine, ref)):
+                assert entries == index.tolist(), (tup.id(), c)
         stacks = [
             [rho_from_code(gen, signs=random_signs(gen, rng)) for _ in range(r)]
             for gen in codes(n, 51)
@@ -173,11 +185,10 @@ def test_traces_match_the_numpy_reference():
             for _ in range(2)
         ]
         for ops in stacks:
-            dense = [(np.array(op.re).reshape(1 << n, -1), np.array(op.im).reshape(1 << n, -1))
-                     for op in ops]
+            flat = [(np.array(op.re), np.array(op.im)) for op in ops]
             scale = sum(op.scale for op in ops)
-            expected = [ref_trace(image, dense, n, r, scale) for image in images]
-            assert product_trace(perms, ops) == expected, (n, r)
+            expected = [ref_trace(ref, flat, scale) for ref in expected_tables]
+            assert product_trace(tables, ops) == expected, (n, r)
             traces += len(expected)
             complex_traces += sum(t.im != 0 for t in expected)
     assert traces == sum((2 * n + 4) * len(tuples) for n, r in SIZES

@@ -122,6 +122,21 @@ def test_only_the_engine_calls_to_dense():
     assert callers == {"invariants.py"}
 
 
+def test_one_owner_lays_out_the_copy_permutation():
+    # the oracle reads a tree's copy permutation in _bit_targets, which
+    # lays out T_pi's index bits for both the dense entry tables and
+    # lemma3's masked swaps, and in suite_lemma2, whose cyclic sums act
+    # on one tree at a time; no other place may lay out those bits again
+    users = {
+        getattr(top, "name", None)
+        for top in ast.parse((SRC / "oracle.py").read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == "permutation_of"
+    }
+    assert users == {"_bit_targets", "suite_lemma2"}
+
+
 # Works with codes, graphs and trees, then prints whether numpy was imported.
 ROWS_ONLY = """
 import sys

@@ -10,7 +10,7 @@ from stabinv import trees
 from stabinv.errors import Frozen
 from stabinv.gf2 import to_dense
 from stabinv.invariants import Fingerprint, InvariantRecord
-from stabinv.oracle import Dyadic, IndexPermutation
+from stabinv.oracle import Dyadic
 from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp
 from stabinv.trees import (
     BinaryTree,
@@ -210,7 +210,6 @@ RECORDS = [
     (InvariantRecord, (2, "(L());(R())", 1)),
     (Fingerprint, (1, 2, ())),
     (Dyadic, (3, -1, 2)),
-    (IndexPermutation, (1, 1, (1, 0))),
     (LocalCliffordOp, ((((0, 1), (1, 0)),),)),
 ]
 
@@ -252,14 +251,10 @@ def test_record_repr_and_validation():
     for bad in (
         lambda: TreeTuple(()),
         lambda: TreeTuple((left_chain(2), left_chain(3))),
-        lambda: IndexPermutation(1, 1, (0, 0)),
         lambda: LocalCliffordOp((((1, 1), (1, 1)),)),
     ):
         with pytest.raises(ValueError):
             bad()
-    # a cached property is kept beside the fields, which stay frozen
-    perm = IndexPermutation(1, 2, (0, 2, 1, 3))
-    assert perm.entries is perm.entries and "entries" in vars(perm)
     # codes and graphs compare as matrices
     gen, same = GeneratorMatrix([[0], [1]]), GeneratorMatrix.from_rows((0, 1), 1)
     assert gen == same and hash(gen) == hash(same) and gen != GeneratorMatrix.from_rows((1, 0), 1)
