@@ -23,9 +23,9 @@ Conventions, fixed once and used consistently:
   product operator factorizes through them qubit by qubit.
 * A mask over points is one Python int with bit a set for point a.
 * Traces against r copies of an operator take the copy permutation from
-  one index-bit map, _bit_targets.  product_trace contracts any
-  operators over every basis index through the dense entry tables made
-  from it, for theorem1 and invariant_trace, whose projectors may be
+  one index-bit map, _bit_targets.  product_trace contracts one tuple's
+  dense entry tables, made from it, with any r operators over every basis
+  index, for theorem1 and invariant_trace, whose projectors may be
   mixed.  A graph projector is pure, c * s s^T with every s_x = +-1, so
   lemma3 factors it once per graph and takes each trace as a popcount
   over the sign mask of s^(tensor r), moved by masked swaps made from
@@ -35,6 +35,7 @@ Conventions, fixed once and used consistently:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from functools import reduce
 
@@ -63,8 +64,6 @@ DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
 # Largest projected check count of any suite.
 MAX_SUITE_CHECKS = 1 << 20
 MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
-# Index entries one batch of entry tables holds per copy.
-TRACE_CHUNK = 1 << 12
 
 
 class Dyadic(Frozen):
@@ -359,44 +358,37 @@ def invariant_trace(
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
     _check_dim(gen.n * tup.r, max_dim)
     rho = rho_from_code(gen, max_dim=max_dim)
-    return product_trace([_entry_tables(tup)], [rho] * tup.r)[0]
+    return product_trace(_entry_tables(tup), [rho] * tup.r)
 
 
-def product_trace(tables, ops) -> list[Dyadic]:
-    """Trace of each copy permutation, given by its _entry_tables, against
+def product_trace(tables, ops) -> Dyadic:
+    """Trace of one copy permutation, given by its _entry_tables, against
     op_1 (x) ... (x) op_r on n qubits each.
 
     The tensor product is never materialized: each of the 2^(n*r) basis
     indices multiplies one entry of each copy's operator, and the
-    products are summed.  Each entry is packed as re + im * 2^w, so a
-    product of r entries is a polynomial in 2^w whose coefficient j goes
-    with i^j; w is wide enough that every coefficient of the sum reads
-    back exactly.
+    products are summed.  Each distinct operator, passed for one copy or
+    for several, is packed once as re + im * 2^w, so a product of r
+    entries is a polynomial in 2^w whose coefficient j goes with i^j; w
+    is wide enough that every coefficient of the sum reads back exactly.
     """
-    tables, ops = list(tables), list(ops)
-    if not tables:
-        return []
+    ops = list(ops)
     r = len(ops)
     dim = 1 << (ops[0].m * r) if ops else 0
-    if any(op.m != ops[0].m for op in ops) or any(
-        len(entries) != r or any(len(index) != dim for index in entries) for entries in tables
+    if not ops or any(op.m != ops[0].m for op in ops) or len(tables) != r or any(
+        len(index) != dim for index in tables
     ):
         raise ValueError("need r operators on n qubits each, and r tables of 2^(n*r) entries")
     # no coefficient exceeds 2^(n*r) times the product of each copy's
-    # largest |re| + |im|, bounded in turn by twice its largest part
-    bound = dim
-    for op in ops:
-        bound *= 2 * max(map(abs, op.re + op.im))
-    w = bound.bit_length() + 1
-    packed = [[a + (b << w) for a, b in zip(op.re, op.im)] for op in ops]
-    scale = sum(op.scale for op in ops)
-    traces = []
-    for entries in tables:
-        terms = map(packed[0].__getitem__, entries[0])
-        for values, index in zip(packed[1:], entries[1:]):
-            terms = map(operator.mul, terms, map(values.__getitem__, index))
-        traces.append(Dyadic(*_gaussian(sum(terms), w, r), scale))
-    return traces
+    # largest |re| + |im|, bounded in turn by twice its largest part;
+    # an ExactOperator hashes by identity
+    largest = {op: 2 * max(map(abs, op.re + op.im)) for op in dict.fromkeys(ops)}
+    w = (dim * math.prod(map(largest.__getitem__, ops))).bit_length() + 1
+    packed = {op: [a + (b << w) for a, b in zip(op.re, op.im)] for op in largest}
+    terms = map(packed[ops[0]].__getitem__, tables[0])
+    for op, index in zip(ops[1:], tables[1:]):
+        terms = map(operator.mul, terms, map(packed[op].__getitem__, index))
+    return Dyadic(*_gaussian(sum(terms), w, r), sum(op.scale for op in ops))
 
 
 def _sign_factor(rho: ExactOperator) -> tuple[Dyadic, int] | None:
@@ -404,32 +396,20 @@ def _sign_factor(rho: ExactOperator) -> tuple[Dyadic, int] | None:
     on every entry: c, and the 2^m-bit mask of the x with s_x = -1.  None
     when rho has no such form.
 
-    s is read off column 0, where rho[x, 0] = c * s_x; then row x must be
-    s_x times row 0, and row 0 must be c * s.
+    s is read off column 0, where rho[x, 0] = c * s_x; then every entry
+    [x, y] must be c * s_x * s_y.
     """
     dim = rho.dim
     c = (rho.re[0], rho.im[0])
     if c == (0, 0):
         return None
-    minus = (-c[0], -c[1])
-    signs = 0
-    for x in range(dim):
-        entry = (rho.re[x * dim], rho.im[x * dim])
-        if entry == minus:
-            signs |= 1 << x
-        elif entry != c:
+    s = [1 if (rho.re[x * dim], rho.im[x * dim]) == c else -1 for x in range(dim)]
+    for part, value in zip((rho.re, rho.im), c):
+        rows = {1: [value * sy for sy in s]}  # row x is rows[s_x]
+        rows[-1] = [-v for v in rows[1]]
+        if part != tuple(itertools.chain.from_iterable(map(rows.__getitem__, s))):
             return None
-    # rows[b] is row 0 times (-1)^b, as (re, im) entry tuples
-    rows = [
-        tuple(tuple(-v if signs >> y & 1 else v for y in range(dim)) for v in part)
-        for part in (c, minus)
-    ]
-    for x in range(dim):
-        re, im = rows[signs >> x & 1]
-        row = slice(x * dim, (x + 1) * dim)
-        if rho.re[row] != re or rho.im[row] != im:
-            return None
-    return Dyadic(*c, rho.scale), signs
+    return Dyadic(*c, rho.scale), sum(1 << x for x, sx in enumerate(s) if sx < 0)
 
 
 def _tensor_signs(signs: int, m: int, r: int) -> int:
@@ -714,17 +694,6 @@ def _over_budget(name: str, counts) -> dict | None:
     return _result(name, 0, [], [warning])
 
 
-def _tuple_batches(n: int, r: int):
-    """The tuples of n trees on r nodes in canonical order, in batches
-    whose entry tables hold TRACE_CHUNK index entries per copy (one tuple
-    when its tables are larger), each batch with its entry tables; one
-    batch's tables are built at a time."""
-    per = max(1, TRACE_CHUNK >> (n * r))
-    tuples = all_tuples(n, r)
-    while batch := list(itertools.islice(tuples, per)):
-        yield batch, [_entry_tables(tup) for tup in batch]
-
-
 def _dense_sizes(max_n: int, degrees: range | None, max_dim: int) -> tuple[dict, list]:
     """For each n up to max_n, the range of degrees r whose dense dimension
     2^(n*r) fits max_dim, leaving out an n with none; and the warnings, one
@@ -888,22 +857,22 @@ def suite_theorem1(
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in degrees:
-            for tuples, tables in _tuple_batches(n, r):
-                offsets = [  # [code][tuple]
-                    [_offset(gen, tup, trace)
-                     for tup, trace in zip(tuples, product_trace(tables, [rho] * r))]
+            for tup in all_tuples(n, r):
+                tables = _entry_tables(tup)
+                offsets = [
+                    _offset(gen, tup, product_trace(tables, [rho] * r))
                     for gen, rho in zip(codes, rhos)
                 ]
-                for t, tup in enumerate(tuples):
-                    column = [o[t] for o in offsets]
-                    expected = next((z for z in column if isinstance(z, int)), None)
-                    for gen, z in zip(codes, column):
-                        checks += 1
-                        record = {"n": n, "tuple": tup.id(), "k": gen.k}
-                        if isinstance(z, Dyadic):
-                            failures.append(record | {"trace": str(z)})
-                        elif z != expected:
-                            failures.append(record | {"offset": z, "expected": expected})
+                expected = next((z for z in offsets if isinstance(z, int)), None)
+                checks += len(offsets)
+                for gen, z in zip(codes, offsets):
+                    if isinstance(z, Dyadic):
+                        detail = {"trace": str(z)}
+                    elif z != expected:
+                        detail = {"offset": z, "expected": expected}
+                    else:
+                        continue
+                    failures.append({"n": n, "tuple": tup.id(), "k": gen.k} | detail)
     return _result(name, checks, failures, warnings)
 
 
@@ -933,16 +902,17 @@ def suite_theorem2(
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])
 
-    def sizes(fit: bool):  # the (n, r, k) in run order whose point table fits MAX_ENUM, or not
-        return ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
-                for k in range(n + 1) if ((1 << (r * k)) <= MAX_ENUM) == fit)
+    bits = MAX_ENUM.bit_length() - 1  # 2^(r*k) points fit when r*k <= bits
 
-    if skipped := _over_budget(name, (codes_per_k * catalan(r) ** n for n, r, _ in sizes(True))):
+    def sizes():  # the (n, r, k) in run order whose point table fits MAX_ENUM
+        return ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
+                for k in range(min(n, bits // r) + 1))
+
+    if skipped := _over_budget(name, (codes_per_k * catalan(r) ** n for n, r, _ in sizes())):
         return skipped
-    warnings = [f"skipped n={n}, r={r}, k={k}: 2^{r * k} over budget" for n, r, k in sizes(False)]
     checks = 0
     failures = []
-    for n, r, k in sizes(True):
+    for n, r, k in sizes():
         for c in range(codes_per_k):
             gen = random_code(n, k, seed=(seed, n, k, c))
             spaces = TupleSpaces(gen, r)
@@ -954,7 +924,24 @@ def suite_theorem2(
                     failures.append({
                         "n": n, "k": k, "tuple": tup.id(), "kernel": lhs, "enumeration": rhs,
                     })
-    return _result(name, checks, failures, warnings)
+    return _result(name, checks, failures, _enum_warnings(max_n, max_r, bits))
+
+
+def _enum_warnings(max_n: int, max_r: int, bits: int) -> list[str]:
+    """theorem2's warnings for the (n, r, k) whose 2^(r*k) points exceed
+    2^bits: at degree r <= bits, every k from bits // r + 1 to n, one
+    warning per degree; at every larger degree, every k from 1 to n, all
+    in one warning."""
+    spans = [(r, r, bits // r + 1) for r in range(1, min(max_r, bits) + 1) if bits // r < max_n]
+    spans += [(bits + 1, max_r, 1)] if max_r > bits else []
+    warnings = []
+    for r0, r1, k0 in spans:  # n and k run from k0, n up to max_n and k up to n
+        many = max_n > k0
+        where = f"n={k0}" + (f"..{max_n}" if many else "") + f", r={r0}"
+        where += (f"..{r1}" if r1 > r0 else "") + f", k={k0}" + ("..n" if many else "")
+        upper = f" to 2^{r1 * max_n}" if many or r1 > r0 else ""
+        warnings.append(f"skipped {where}: 2^{r0 * k0}{upper} over budget")
+    return warnings
 
 
 def _result(name: str, checks: int, failures: list, warnings: list | None = None) -> dict:

@@ -213,7 +213,7 @@ def test_rho_sign_flips_change_operator_not_traces():
         assert flipped.same_as(rho) == (signs == (1,) * k)
         assert flipped.trace() == ONE
         tables = oracle._entry_tables(random_tuple(n, 2, rng))
-        assert product_trace([tables], [rho] * 2) == product_trace([tables], [flipped] * 2)
+        assert product_trace(tables, [rho] * 2) == product_trace(tables, [flipped] * 2)
 
 
 def test_rho_matches_group_sum_definition():
@@ -345,7 +345,7 @@ def test_trace_splits_over_qubits():
 
         def check(u, v):  # r x n bit arrays
             ops = [tau(tuple(u[c]), tuple(v[c])) for c in range(tup.r)]
-            (lhs,) = product_trace([entries], ops)
+            lhs = product_trace(entries, ops)
             rhs = math.prod(table_entry(table, u[:, q], v[:, q]) for q, table in enumerate(tables))
             return lhs == Dyadic(rhs, 0, 0)
 
@@ -373,33 +373,37 @@ def test_product_trace_of_identity_counts_fixed_points():
     # one qubit, two copies swapped: the trace of SWAP is 2
     tables = oracle._entry_tables(uniform_tuple(right_chain(2), 1))
     ident = ExactOperator.identity(1)
-    assert product_trace([tables], [ident, ident]) == [Dyadic(2, 0, 0)]
+    assert product_trace(tables, [ident, ident]) == Dyadic(2, 0, 0)
 
 
-def test_product_trace_contracts_a_stack_in_chunks(monkeypatch):
-    # every tuple of one (n, r) in one call gives each tuple's own trace,
-    # and a second call on the same entry tables the same; TRACE_CHUNK
-    # sizes only the suites' batches of tables, so half a tuple's tables
-    # leaves every trace as it was; each copy gets its own signed projector
+def test_product_trace_of_a_shared_operator_equals_distinct_copies():
+    # each copy gets its own signed projector, and each tuple's trace is
+    # the same on a second call with the same entry tables; one operator
+    # passed for every copy, packed once, gives the trace of r equal but
+    # distinct operators, and so does one operator passed for some copies
     rng = np.random.default_rng(40)
     for n, r in ((1, 3), (2, 2), (3, 3)):
         gen = random_code(n, n, (n, r, 40))
         ops = [rho_from_code(gen, signs=rng.choice((1, -1), n)) for _ in range(r)]
-        tables = [oracle._entry_tables(tup) for tup in all_tuples(n, r)]
-        alone = [product_trace([entries], ops)[0] for entries in tables]
-        assert product_trace(tables, ops) == alone
-        assert product_trace(tables, ops) == alone
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "TRACE_CHUNK", len(tables[0][0]) // 2)
-            assert product_trace(tables, ops) == alone
-    assert product_trace([], ops) == []
-    # tables of another n, or another count of operators
+        copies = [ExactOperator(n, ops[0].re, ops[0].im, ops[0].scale) for _ in range(r)]
+        for tup in all_tuples(n, r):
+            tables = oracle._entry_tables(tup)
+            assert product_trace(tables, ops) == product_trace(tables, ops)
+            assert product_trace(tables, [ops[0]] * r) == product_trace(tables, copies)
+            mixed = [ops[0]] * (r - 1) + ops[-1:]
+            assert product_trace(tables, mixed) == product_trace(tables, copies[:-1] + ops[-1:])
+    # tables of another n, another count of operators or of tables, or
+    # operators on different n
     with pytest.raises(ValueError):
-        product_trace([tables[0], oracle._entry_tables(identity_tuple(1, 3))], ops)
+        product_trace(oracle._entry_tables(identity_tuple(1, 3)), ops)
     with pytest.raises(ValueError):
         product_trace(tables, ops[:2])
     with pytest.raises(ValueError):
         product_trace(tables, [])
+    with pytest.raises(ValueError):
+        product_trace(tables[:2], ops)
+    with pytest.raises(ValueError):
+        product_trace(tables, ops[:2] + [ExactOperator.identity(1)])
 
 
 def test_sign_traces_match_the_dense_contraction():
@@ -419,7 +423,7 @@ def test_sign_traces_match_the_dense_contraction():
                 assert c == Dyadic(op.re[0], op.im[0], op.scale)
                 assert signs & 1 == 0 and signs < 1 << (1 << n)
                 traces = list(oracle._sign_traces(c, signs, n, r, swaps))
-                assert traces == [product_trace([entries], [op] * r)[0] for entries in tables]
+                assert traces == [product_trace(entries, [op] * r) for entries in tables]
 
 
 def test_mask_swaps_permute_indices_as_t_pi():
@@ -451,6 +455,17 @@ def test_sign_factor_checks_every_entry():
             assert oracle._sign_factor(ExactOperator(2, *entries, rho.scale)) is None, i
     assert oracle._sign_factor(ExactOperator(1, [0, 1, 1, 1], [0] * 4)) is None
     assert oracle._sign_factor(ExactOperator(1, [1, 1, -1, -1], [0] * 4)) is None
+    # the same for every entry of every graph projector with n <= 3
+    for n in (1, 2, 3):
+        for adj in all_graphs(n):
+            rho = rho_from_code(graph_generator(adj))
+            assert oracle._sign_factor(rho) is not None
+            for i in range(1 << (2 * n)):
+                for re, im in ((-rho.re[i], rho.im[i]), (rho.re[i], 1)):
+                    entries = list(rho.re), list(rho.im)
+                    entries[0][i], entries[1][i] = re, im
+                    changed = ExactOperator(n, *entries, rho.scale)
+                    assert oracle._sign_factor(changed) is None, (to_text(adj.rows, n), i)
 
 
 def test_products_stay_exact_past_int64():
@@ -458,7 +473,7 @@ def test_products_stay_exact_past_int64():
     # near 2^81, where int64 would wrap; Python ints keep them exact
     big = ExactOperator(1, [(1 << 40) + 1] * 4, [0] * 4)
     tables = oracle._entry_tables(identity_tuple(1, 2))
-    (trace,) = product_trace([tables], [big, big])
+    trace = product_trace(tables, [big, big])
     assert trace == Dyadic(4 * ((1 << 40) + 1) ** 2, 0, 0)
     assert trace.re.bit_length() - 1 == 82
     square = big @ big
@@ -467,10 +482,10 @@ def test_products_stay_exact_past_int64():
     # entries 2^40 (1 - i): each copy's trace is 2^41 (1 - i), and their
     # product -2^83 i
     skew = ExactOperator(1, [1 << 40] * 4, [-(1 << 40)] * 4)
-    assert product_trace([tables], [skew, skew]) == [Dyadic(0, -(1 << 83), 0)]
+    assert product_trace(tables, [skew, skew]) == Dyadic(0, -(1 << 83), 0)
     # entries 2^29 (1 - i), as before
     near = ExactOperator(1, [1 << 29] * 4, [-(1 << 29)] * 4)
-    assert product_trace([tables], [near, near]) == [Dyadic(0, -(1 << 61), 0)]
+    assert product_trace(tables, [near, near]) == Dyadic(0, -(1 << 61), 0)
     square = near @ near
     assert not any(square.re) and square.im == (-(1 << 60),) * 4
 
@@ -858,20 +873,16 @@ def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
-def test_dense_suites_contract_images_in_batches(monkeypatch):
+def test_dense_suites_report_planted_faults_of_each_kind(monkeypatch):
     # lemma3 with every graph but the edgeless one doubled, and theorem1
     # with one projector scaled by 3 and one by 2, so that both reports
-    # carry failures of each kind; a TRACE_CHUNK of 2 entries holds one
-    # tuple's entry tables per theorem1 batch and must leave every report
-    # as it was (lemma3 takes no entry tables)
+    # carry failures of each kind
     edgeless = {graph_generator(AdjacencyMatrix.empty(n)).rows for n in (1, 2, 3)}
     factors = {
         random_code(2, 1, seed=(0, 2, 1, 0)).rows: 3,
         random_code(2, 2, seed=(0, 2, 2, 1)).rows: 2,
     }
     exact_rho = oracle.rho_from_code
-    exact_trace = oracle.product_trace
-    stacks = []
 
     def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
         rho = exact_rho(gen, signs, max_dim)
@@ -879,27 +890,13 @@ def test_dense_suites_contract_images_in_batches(monkeypatch):
             return rho if gen.rows in edgeless else scaled(rho, 2)
         return scaled(rho, factors.get(gen.rows, 1))
 
-    def counted(tables, ops):
-        stacks.append(len(tables))
-        return exact_trace(tables, ops)
-
     monkeypatch.setattr(oracle, "rho_from_code", planted)
-    monkeypatch.setattr(oracle, "product_trace", counted)
-    runs = {
-        "lemma3": lambda: suite_lemma3(max_n=3, max_r=2),
-        "theorem1": lambda: suite_theorem1(max_n=2, max_r=3, codes_per_k=2),
-    }
-    whole = {name: run() for name, run in runs.items()}
-    assert max(stacks) == 25  # all n=2, r=3 tuples in one batch
-    stacks.clear()
-    monkeypatch.setattr(oracle, "TRACE_CHUNK", 2)
-    batched = {name: run() for name, run in runs.items()}
-    assert set(stacks) == {1}
-    assert batched == whole
-    assert whole["lemma3"]["checks"] == 1 * 3 + 2 * 5 + 8 * 9
-    assert len(whole["lemma3"]["failures"]) == 1 * 5 + 7 * 9  # every other graph
-    assert whole["theorem1"]["checks"] == 4 * 7 + 6 * 29
-    assert {tuple(f) for f in whole["theorem1"]["failures"]} == {
+    lemma3 = suite_lemma3(max_n=3, max_r=2)
+    assert lemma3["checks"] == 1 * 3 + 2 * 5 + 8 * 9
+    assert len(lemma3["failures"]) == 1 * 5 + 7 * 9  # every other graph
+    theorem1 = suite_theorem1(max_n=2, max_r=3, codes_per_k=2)
+    assert theorem1["checks"] == 4 * 7 + 6 * 29
+    assert {tuple(f) for f in theorem1["failures"]} == {
         ("n", "tuple", "k", "trace"), ("n", "tuple", "k", "offset", "expected")
     }
 
@@ -992,6 +989,34 @@ def test_dense_suites_warn_once_per_skipped_range(suite, limits, checks, warning
     report = suite(**limits)
     assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
     assert len(warnings) <= limits["max_dim"].bit_length()
+
+
+@pytest.mark.parametrize(
+    "limits, warnings",
+    [
+        (dict(max_n=3, max_r=2),
+         ["skipped n=3, r=1, k=3: 2^3 over budget",
+          "skipped n=2..3, r=2, k=2..n: 2^4 to 2^6 over budget"]),
+        (dict(max_n=2, max_r=4),
+         ["skipped n=2, r=2, k=2: 2^4 over budget",
+          "skipped n=1..2, r=3..4, k=1..n: 2^3 to 2^8 over budget"]),
+    ],
+)
+def test_theorem2_warns_once_per_skipped_degree(monkeypatch, limits, warnings):
+    # with 4 points to a table, k = 3 is skipped at r = 1, k >= 2 at r = 2
+    # and k >= 1 at every r >= 3: one warning per degree up to log2 4 and
+    # one for every larger degree; the check count is every fitting
+    # (n, r, k) with one code against every tuple
+    monkeypatch.setattr(oracle, "MAX_ENUM", 4)
+    report = suite_theorem2(codes_per_k=1, **limits)
+    checks = sum(
+        catalan(r) ** n
+        for n in range(1, limits["max_n"] + 1)
+        for r in range(1, limits["max_r"] + 1)
+        for k in range(n + 1)
+        if r * k <= 2
+    )
+    assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
 
 
 def test_lemma3_small_graphs():

@@ -188,7 +188,7 @@ def test_traces_match_the_numpy_reference():
             flat = [(np.array(op.re), np.array(op.im)) for op in ops]
             scale = sum(op.scale for op in ops)
             expected = [ref_trace(ref, flat, scale) for ref in expected_tables]
-            assert product_trace(tables, ops) == expected, (n, r)
+            assert [product_trace(entries, ops) for entries in tables] == expected, (n, r)
             traces += len(expected)
             complex_traces += sum(t.im != 0 for t in expected)
     assert traces == sum((2 * n + 4) * len(tuples) for n, r in SIZES

@@ -187,22 +187,40 @@ def readme_public_api() -> set[tuple[str, str]]:
     return {(f"{m}.py", name) for m, name in re.findall(r"^- `(\w+)\.(\w+)`", section, re.M)}
 
 
+def top_level_names(top: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def's or class's name,
+    or the names an assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else []
+    targets += [top.target] if isinstance(top, ast.AnnAssign) else []
+    return [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+
+
 def test_every_public_name_has_a_caller_or_a_stated_reason():
     # a public top-level def or class is run by other code of the package
     # (a docstring mention is none), or README lists it as public API with
     # the reason it stays; so code that only tests or demos use cannot
-    # grow back unnoticed, and README lists no name that is gone
-    defined, users = set(), {}
+    # grow back unnoticed, and README lists no name that is gone.  A
+    # private top-level def or class and every module-level constant must
+    # be read by other code of the package, whatever README says, so that
+    # no helper or tunable outlives its last reader; dunders are exempt
+    public, must_read, users = set(), set(), {}
     for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = (path.name, getattr(top, "name", None))
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
-                defined.add(owner)
+        for i, top in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            owner = (path.name, i)
+            for name in top_level_names(top):
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                is_public = isinstance(top, (ast.FunctionDef, ast.ClassDef)) and name[0] != "_"
+                (public if is_public else must_read).add((path.name, name, owner))
             for node in ast.walk(top):
-                if isinstance(node, (ast.Name, ast.Attribute)):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                     name = node.id if isinstance(node, ast.Name) else node.attr
                     users.setdefault(name, set()).add(owner)
-    unused = {d for d in defined if not users.get(d[1], set()) - {d}}
+    unused = {(path, name) for path, name, owner in public if not users.get(name, set()) - {owner}}
+    unread = {(path, name) for path, name, owner in must_read if not users.get(name, set()) - {owner}}
     listed = readme_public_api()
     assert unused - listed == set()
-    assert listed - defined == set()
+    assert listed - {(path, name) for path, name, _ in public} == set()
+    assert unread == set()
