@@ -5,9 +5,9 @@ The oracle builds every Pauli and tau operator from one entry rule,
 (tau_(u,v))[x, y] = (-1)^(u.x) [x + y = v], as flat lists of
 Gaussian-integer entries held in Python ints, which never overflow,
 evaluates the defining trace of each invariant exactly, and checks that
-its log2 differs from the binary kernel dimension by a constant that
-depends only on the tree tuple (never on the code).  It runs without
-numpy.
+its log2 exceeds the binary kernel dimension by t - n*r, where t counts
+the maximal right paths of the tuple's trees (so never by the code).  It
+runs without numpy.
 """
 
 from stabinv import oracle

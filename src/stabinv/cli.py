@@ -19,13 +19,13 @@ report's status, not only the exit code, to tell a pass from a skip.
 The engine and the oracle are imported by the commands that use them,
 and of the suites only theorem1 and theorem2 import the engine.  The
 oracle works on Python ints and never loads numpy; the engine loads it
-only to eliminate a kernel of degree 4 or more or a --trees tuple's, and
-the theorem suites' random codes draw from numpy's generator.  So
-validate, invariant --omega, fingerprint and compare up to --rmax 3,
-oracle-check on lemma1 to lemma4, and every usage, parse or invalid-code
-exit run without numpy.  No command loads dataclasses, inspect or
-fractions, and each takes what it runs from the modules, not from the
-package, whose import loads nothing.
+only to eliminate a kernel of degree 4 or more, single tuple or sweep,
+and the theorem suites' random codes draw from numpy's generator.  So
+validate, invariant below degree 4, fingerprint and compare up to --rmax
+3, oracle-check on lemma1 to lemma4, and every usage, parse or
+invalid-code exit run without numpy.  No command loads dataclasses,
+inspect or fractions, and each takes what it runs from the modules, not
+from the package, whose import loads nothing.
 """
 
 from __future__ import annotations

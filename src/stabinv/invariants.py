@@ -7,13 +7,13 @@ it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
 
-The sweep takes its records two ways.  At degrees 2 and 3 it needs no
-block: a record of degree r is a sum of r dimensions of subcodes, the
-codewords supported inside a qubit set, less the dimension of their sum,
-all from ranks of int rows.  From degree 4 on, each block is built as
-int rows, from the code's rows and the tree's right paths, and made a
-0/1 np.uint8 array once for the elimination.  So numpy loads only when a
-kernel of degree 4 or more, or one invariant_dim, is eliminated.
+Every record, of one tuple or of a sweep, comes from one routine.  At
+degrees up to 3 it needs no block: a record of degree r is a sum of r
+dimensions of subcodes, the codewords supported inside a qubit set, less
+the dimension of their sum, all from ranks of int rows.  From degree 4
+on, each block is built as int rows, from the code's rows and the tree's
+right paths, and made a 0/1 np.uint8 array once for the elimination.  So
+numpy loads only when a record of degree 4 or more is computed.
 """
 
 from __future__ import annotations
@@ -109,7 +109,8 @@ def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
     """Kernel dimension of the stacked Kronecker matrix."""
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    return _kernel_dim([_block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)])
+    ((_, dim),) = _records(gen, [[tree] for tree in tup.trees])
+    return dim
 
 
 def degree2_dim(gen: GeneratorMatrix, omega) -> int:
@@ -118,13 +119,16 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
     return len(subcode_basis(gen, omega))
 
 
-def _subcode_records(gen: GeneratorMatrix, r: int):
-    """Yield (r, serialized trees, dim) for every tuple of degree r in
-    {2, 3} in canonical order, from subcode dimensions alone.
+def _records(gen: GeneratorMatrix, choices):
+    """Yield (serialized trees, dim) for every tree tuple with qubit i's
+    tree drawn from choices[i - 1], in itertools.product order; all trees
+    have r nodes.  From degree 4 on, each (qubit, tree) block is built
+    once per call and shared by every tuple that uses it.
 
-    For a tuple (T_1, ..., T_n) and a node c in {1, ..., r}, let A_c be
-    the qubits i where c is not a one-node maximal right path of T_i, and
-    C_A the subcode supported inside A.  Then
+    Up to degree 3 no block is built.  For a tuple (T_1, ..., T_n) and a
+    node c in {1, ..., r}, let A_c be the qubits i where c is not a
+    one-node maximal right path of T_i, and C_A the subcode supported
+    inside A.  Then
 
         dim = dim C_A1 + ... + dim C_Ar - dim(C_A1 + ... + C_Ar).
 
@@ -136,19 +140,30 @@ def _subcode_records(gen: GeneratorMatrix, r: int):
     asks the same of the nodes it leaves out: for r <= 3 none, or one that
     is a one-node path of T_i.  So the kernel is the kernel of the map
     (x_1, ..., x_r) -> x_1 + ... + x_r from C_A1 x ... x C_Ar onto their
-    sum.  At r = 2 both A_c are the qubits whose tree is the right chain,
-    and the record is dim C_A.  Each C_A's basis is built once per code
-    and degree, and each dimension once per sorted (A_1, ..., A_r), as the
-    sum is symmetric.
+    sum.  At r = 1 the one node is a one-node path of every tree, A_1 is
+    empty and the record is 0.  At r = 2 both A_c are the qubits whose
+    tree is the right chain, and the record is dim C_A.  Each C_A's basis
+    is built once per call, and each dimension once per sorted
+    (A_1, ..., A_r), as the sum is symmetric.
     """
+    r = choices[0][0].r
+    if r >= 4:
+        slots = [
+            [(serialize(tree), _block(gen, i, tree)) for tree in trees]
+            for i, trees in enumerate(choices, start=1)
+        ]
+        for combo in itertools.product(*slots):
+            sers, blocks = zip(*combo)
+            yield sers, _kernel_dim(blocks)
+        return
     # one slot per (qubit i + 1, tree): the serialized tree and, for each
     # node c, the tree's share of A_c, bit i or 0
     slots = [
         [
             (serialize(t), *((c not in singleton_path_nodes(t)) << i for c in range(1, r + 1)))
-            for t in enumerate_trees(r)
+            for t in trees
         ]
-        for i in range(gen.n)
+        for i, trees in enumerate(choices)
     ]
     basis = functools.cache(
         lambda inside: subcode_basis(gen, [i for i in range(1, gen.n + 1) if inside >> (i - 1) & 1])
@@ -160,7 +175,7 @@ def _subcode_records(gen: GeneratorMatrix, r: int):
         if key not in dims:
             parts = [basis(inside) for inside in key]
             dims[key] = sum(map(len, parts)) - rank(itertools.chain(*parts))
-        yield r, sers, dims[key]
+        yield sers, dims[key]
 
 
 def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
@@ -211,11 +226,8 @@ class Fingerprint(Frozen):
         return json.dumps(self.to_payload(), indent=2)
 
 
-def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
-    """Yield (r, serialized trees, dim) for every tree tuple of degree
-    2..r_max in canonical order.  Records of degree 2 and 3 come from
-    _subcode_records.  From degree 4 on, each (qubit, tree) block is built
-    once per degree and shared by every tuple that uses it."""
+def _degrees(gen: GeneratorMatrix, r_max: int, max_records: int) -> range:
+    """The degrees 2..r_max of a sweep, once its records fit max_records."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     if gen.n == 0:
@@ -223,16 +235,14 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     total = capped_sum((catalan(r) ** gen.n for r in range(2, r_max + 1)), max_records)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
-    for r in range(2, min(r_max, 3) + 1):
-        yield from _subcode_records(gen, r)
-    for r in range(4, r_max + 1):
-        slots = [
-            [(serialize(tree), _block(gen, i, tree)) for tree in enumerate_trees(r)]
-            for i in range(1, gen.n + 1)
-        ]
-        for combo in itertools.product(*slots):
-            sers, blocks = zip(*combo)
-            yield r, sers, _kernel_dim(blocks)
+    return range(2, r_max + 1)
+
+
+def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
+    """Yield (r, serialized trees, dim) for each tuple of degree 2..r_max, in order."""
+    for r in _degrees(gen, r_max, max_records):
+        for sers, dim in _records(gen, [enumerate_trees(r)] * gen.n):
+            yield r, sers, dim
 
 
 def fingerprint(
@@ -286,31 +296,24 @@ def compare_global(
     n = gen1.n
     if n > MAX_GLOBAL_QUBITS:
         raise BudgetError(f"global comparison limited to {MAX_GLOBAL_QUBITS} qubits")
+    degrees = _degrees(gen1, r_max, max_records)
     # candidates in itertools.permutations order; each maps record positions
     # of the first code onto tree slots of the second, so it is the inverse
     # of the relabelling returned.  Each comes with its getter, which takes
     # the first code's trees to the second code's key in one call (tuple
-    # for n = 1, where itemgetter would return the bare tree).  sers1,
-    # dims1 and dims2 hold the current degree.
+    # for n = 1, where itemgetter would return the bare tree)
     alive = [
         (p, operator.itemgetter(*p) if n > 1 else tuple)
         for p in itertools.permutations(range(n))
     ]
-    sers1, dims1, dims2 = [], [], {}
-    for (r, s1, dim1), (_, s2, dim2) in zip(
-        _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
-    ):
-        sers1.append(s1)
-        dims1.append(dim1)
-        dims2[s2] = dim2
-        if len(dims2) < catalan(r) ** n:
-            continue
-        lookup = dims2.__getitem__
+    for r in degrees:
+        choices = [enumerate_trees(r)] * n
+        sers1, dims1 = zip(*_records(gen1, choices))
+        lookup = dict(_records(gen2, choices)).__getitem__
         alive = [
             (p, get) for p, get in alive
             if all(map(operator.eq, dims1, map(lookup, map(get, sers1))))
         ]
         if not alive:
             return None
-        sers1, dims1, dims2 = [], [], {}
     return tuple(alive[0][0].index(i) + 1 for i in range(n))

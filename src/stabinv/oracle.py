@@ -837,8 +837,8 @@ def suite_theorem1(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> dict:
     """The central certification: log2 of the exact trace minus the binary
-    kernel dimension is the same for every code, once n and the tree tuple
-    are fixed."""
+    kernel dimension is t - n*r for every code, where t counts the maximal
+    right paths of the tuple's trees."""
     name = "theorem1"
     if max_n < 1 or max_r < 2:
         return _result(name, 0, [], ["limits too small; nothing to check"])
@@ -859,13 +859,10 @@ def suite_theorem1(
         for r in degrees:
             for tup in all_tuples(n, r):
                 tables = _entry_tables(tup)
-                offsets = [
-                    _offset(gen, tup, product_trace(tables, [rho] * r))
-                    for gen, rho in zip(codes, rhos)
-                ]
-                expected = next((z for z in offsets if isinstance(z, int)), None)
-                checks += len(offsets)
-                for gen, z in zip(codes, offsets):
+                expected = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
+                checks += len(codes)
+                for gen, rho in zip(codes, rhos):
+                    z = _offset(gen, tup, product_trace(tables, [rho] * r))
                     if isinstance(z, Dyadic):
                         detail = {"trace": str(z)}
                     elif z != expected:

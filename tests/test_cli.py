@@ -223,7 +223,7 @@ def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, mo
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(invariants, "_block", work)
-    monkeypatch.setattr(invariants, "_subcode_records", work)
+    monkeypatch.setattr(invariants, "_records", work)
     monkeypatch.setattr(invariants, "subcode_basis", work)
     code = cli.main(["fingerprint", str(path), "--rmax", "3"])
     err = capsys.readouterr().err
@@ -453,16 +453,18 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     # degree-2 and degree-3 records are ranks of int rows, so a sweep that
-    # stops at degree 3 needs no elimination in numpy; the oracle works on
-    # Python ints, so the lemma suites never load it, and it imports the
-    # engine only inside the theorem suites.  No child loads dataclasses,
-    # inspect (which numpy brings) or fractions.
+    # stops at degree 3, or one tuple below degree 4, needs no elimination
+    # in numpy; the oracle works on Python ints, so the lemma suites never
+    # load it, and it imports the engine only inside the theorem suites.
+    # No child loads dataclasses, inspect (which numpy brings) or fractions.
     cases = [
         (["validate", "ok"], 0),
         (["validate", "violation"], 1),
         (["fingerprint", "malformed", "--rmax", "2"], 2),
         (["fingerprint", "violation", "--rmax", "2"], 4),
         (["invariant", "ok", "--omega", "1"], 0),
+        (["invariant", "ok", "--trees", "(L());(R())"], 0),
+        (["invariant", "ok", "--trees", "(L()R());(L(R()))"], 0),
         (["fingerprint", "ok", "--rmax", "3"], 0),
         (["compare", "ok", "prod", "--rmax", "3"], 1),
         (["compare", "ok", "prod", "--rmax", "3", "--global"], 1),
@@ -484,6 +486,7 @@ def test_validate_and_early_exits_never_load_numpy(tmp_path):
     # the probe does see numpy (which imports inspect) once a degree-4
     # kernel is eliminated
     for argv in (
+        ["invariant", "ok", "--trees", "(L()R(L()));(L(L())R())"],
         ["fingerprint", "ok", "--rmax", "4"],
         ["compare", "ok", "ok", "--rmax", "4"],
     ):

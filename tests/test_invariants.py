@@ -1,5 +1,6 @@
 """Tests for the binary invariant engines."""
 
+import hashlib
 import itertools
 import json
 
@@ -166,6 +167,13 @@ def test_degree2_full_and_empty():
         assert degree2_dim(gen, set()) == 0
 
 
+def eliminated_dim(gen, tup) -> int:
+    """The record by elimination of the stacked blocks, which the engine
+    itself does only from degree 4 on."""
+    blocks = [invariants._block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)]
+    return invariants._kernel_dim(blocks)
+
+
 def test_degree2_matches_tuple_engine():
     # every degree-2 record of the sweep, which takes the subcode route,
     # against the general elimination and the oracle's enumeration
@@ -180,7 +188,8 @@ def test_degree2_matches_tuple_engine():
                     omega = {i for i, t in enumerate(tup.trees, start=1) if t == right_chain(2)}
                     assert tup == degree2_tuple(n, omega)
                     assert rec.dim == degree2_dim(gen, omega)
-                    assert rec.dim == invariant_dim(gen, tup) == theorem2_dim(gen, tup)
+                    assert rec.dim == eliminated_dim(gen, tup) == theorem2_dim(gen, tup)
+                    assert rec.dim == invariant_dim(gen, tup)
     # for a graph state the record is |omega| minus the cut-rank of omega
     chain = serialize(right_chain(2))
     for n in range(1, 6):
@@ -207,7 +216,7 @@ def test_degree3_matches_tuple_engine():
                 if r != 3:
                     continue
                 tup = parse_tuple(tuple_id)
-                assert dim == invariant_dim(gen, tup), (n, k, tuple_id)
+                assert dim == eliminated_dim(gen, tup) == invariant_dim(gen, tup), (n, k, tuple_id)
                 assert dim == theorem2_dim(gen, tup), (n, k, tuple_id)
                 # a common one-node path drops to the degree-2 record
                 reduced = reduce_singleton(tup)
@@ -221,7 +230,7 @@ def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
     # the record is symmetric in (A1, A2, A3), so the 625 tuples at n = 4
     # need one rank for each of their 150 sorted triples
     gen = random_code(4, 3, (4, 3, 7))
-    expected = list(invariants._subcode_records(gen, 3))
+    expected = list(invariants._records(gen, [enumerate_trees(3)] * 4))
     calls = []
 
     def counted(rows):
@@ -229,7 +238,7 @@ def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
         return rank(rows)
 
     monkeypatch.setattr(invariants, "rank", counted)
-    assert list(invariants._subcode_records(gen, 3)) == expected
+    assert list(invariants._records(gen, [enumerate_trees(3)] * 4)) == expected
     assert (len(expected), len(calls)) == (625, 150)
 
 
@@ -396,16 +405,15 @@ def test_compare_global_filters_above_degree_2(monkeypatch):
     def dims(r, i, j):
         return int(i == j) if r == 2 else int((i, j) == (0, 1))
 
-    def stream(swapped):
-        for r in (2, 3):
-            names = [serialize(t) for t in enumerate_trees(r)]
-            for i, j in itertools.product(range(len(names)), repeat=2):
-                yield r, (names[i], names[j]), dims(r, j, i) if swapped else dims(r, i, j)
+    def records(gen, choices):
+        r = choices[0][0].r
+        names = [serialize(t) for t in enumerate_trees(r)]
+        assert choices == [enumerate_trees(r)] * 2
+        for i, j in itertools.product(range(len(names)), repeat=2):
+            yield (names[i], names[j]), dims(r, j, i) if gen is gen2 else dims(r, i, j)
 
     gen1, gen2 = random_code(2, 1, 21), random_code(2, 1, 22)
-    monkeypatch.setattr(
-        invariants, "_sweep", lambda gen, r_max, max_records: stream(gen is gen2)
-    )
+    monkeypatch.setattr(invariants, "_records", records)
     assert compare_global(gen1, gen2, 3) == (2, 1)
 
 
@@ -544,6 +552,19 @@ def test_fingerprint_json_roundtrip():
     payload = json.loads(fp.to_json())
     assert payload == fp.to_payload()
     assert list(payload) == ["n", "r_max", "records"]
+
+
+def test_fingerprint_json_bytes_are_pinned():
+    # the exact JSON of two fixed codes' fingerprints, so that a change to
+    # the engine cannot change a record, the record order or the layout:
+    # random_code(2, 1, 3) at degrees 2-5, and random_code(3, 1, 5) at
+    # degrees 2-4, a degree-4 sweep at n = 3
+    for rows, r_max, digest in (
+        ((1, 0, 0, 1), 5, "3b00a9a35615131e2a7c0f174c9cb966cffab6950d6ea5c5af4a74733c0eba1a"),
+        ((1, 1, 1, 1, 0, 1), 4, "47381ffbc3cd451c299e1d1a6fcb4c8ec298ee303a64e367731b308e324e2de3"),
+    ):
+        text = fingerprint(GeneratorMatrix.from_rows(rows, 1), r_max).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (rows, r_max)
 
 
 def test_all_tuples_order_and_count():

@@ -58,6 +58,7 @@ from stabinv.trees import (
     maximal_right_paths,
     permutation_of,
     right_chain,
+    serialize,
 )
 from test_oracle_reference import ref_t_pi
 
@@ -846,6 +847,44 @@ def test_theorem2_reports_a_planted_fault(monkeypatch):
     assert (report["status"], report["checks"]) == ("fail", checks)
     assert checks == 5 * (2 * 1 + 2 * 2 + 3 * 1 + 3 * 4)  # codes x tuples, n, r <= 2
     assert report["failures"] == expected
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        lambda gen, r, sers: sers.count(serialize(right_chain(r))),
+        lambda gen, r, sers: int(r == 3 and gen.k == gen.n),
+    ],
+    ids=["one_per_right_chain", "degree3_of_k_equal_n"],
+)
+def test_theorem1_reports_a_planted_per_tuple_fault(monkeypatch, extra):
+    # theorem1 checks each offset against (right paths of the tuple) - n*r,
+    # so it reports a fault that moves the offsets of every code of a
+    # tuple alike, +1 on the record per right-chain tree, as well as one
+    # that moves some codes only, +1 on the degree-3 records of k = n codes
+    exact = invariants._records
+
+    def planted(gen, choices):
+        r = choices[0][0].r
+        for sers, dim in exact(gen, choices):
+            yield sers, dim + extra(gen, r, sers)
+
+    expected = []
+    for n in (1, 2):
+        codes = [random_code(n, k, seed=(0, n, k, c)) for k in range(n + 1) for c in range(2)]
+        for r in (2, 3):
+            for tup in all_tuples(n, r):
+                closed = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
+                sers = tuple(map(serialize, tup.trees))
+                expected += [
+                    {"n": n, "tuple": tup.id(), "k": gen.k, "offset": closed - e, "expected": closed}
+                    for gen in codes
+                    if (e := extra(gen, r, sers))
+                ]
+    monkeypatch.setattr(invariants, "_records", planted)
+    report = suite_theorem1(max_n=2, max_r=3, codes_per_k=2)
+    assert (report["status"], report["checks"]) == ("fail", 4 * (2 + 5) + 6 * (4 + 25))
+    assert report["failures"] == expected != []
 
 
 @pytest.mark.parametrize("k", [1, 0])

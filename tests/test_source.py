@@ -137,6 +137,24 @@ def test_one_owner_lays_out_the_copy_permutation():
     assert users == {"_bit_targets", "suite_lemma2"}
 
 
+def test_one_owner_computes_a_record():
+    # every record, of one tuple or of a sweep, comes from _records: only
+    # it builds blocks, eliminates them or takes ranks, and only it and
+    # degree2_dim read subcode bases, so no second route can grow back
+    readers = {name: set() for name in ("_block", "_kernel_dim", "rank", "subcode_basis")}
+    for top in ast.parse((SRC / "invariants.py").read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                readers.get(name, set()).add(getattr(top, "name", None))
+    assert readers == {
+        "_block": {"_records"},
+        "_kernel_dim": {"_records"},
+        "rank": {"_records"},
+        "subcode_basis": {"_records", "degree2_dim"},
+    }
+
+
 # Works with codes, graphs and trees, then prints whether numpy was imported.
 ROWS_ONLY = """
 import sys
