@@ -11,9 +11,10 @@ keeps an XOR basis with distinct leading bits.
 
 import random
 
-from stabinv.gf2 import from_dense, kernel_basis, rank, reduced_echelon, to_text, transpose
+from stabinv.gf2 import kernel_basis, rank, reduced_echelon, to_text, transpose
 
-m, cols = from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+# rows 110, 011 and 101, column 0 first, so row 110 is the int 0b011
+m, cols = (0b011, 0b110, 0b101), 3
 print("matrix:")
 print(to_text(m, cols))
 print("as int rows:", m)

@@ -4,8 +4,8 @@
 A code is a 2n x k full-rank matrix over GF(2) whose columns pairwise
 commute under the symplectic product; graph states are the special case
 [theta; I] for an adjacency matrix theta.  A GeneratorMatrix is always
-such a code: other bits are refused where the code is made.  It holds
-its 2n rows as ints, bit l of a row for generator l + 1.
+such a code: its constructor takes the 2n rows as ints, bit l of a row
+for generator l + 1, and refuses bits that are no code.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from stabinv.stabilizer import (
     same_code_space,
     support,
     symplectic_product,
-    validate,
 )
 
 # A Bell-pair-like graph code: two vertices joined by an edge.
@@ -35,17 +34,17 @@ print("generator matrix (columns = generators):")
 print(to_text(gen.rows, gen.k))
 print("as int rows:", gen.rows)
 print("as Pauli strings:", gen.pauli_strings())
-print("its bits validate:", validate([[0, 1], [1, 0], [1, 0], [0, 1]]) is None)
+print("the same rows make the same code:", GeneratorMatrix(gen.rows, gen.k) == gen)
 
 # The symplectic product detects (anti)commutation: X and Z on the same
-# qubit anticommute, so together they are no code.  validate names the
-# violation of a bit matrix; the constructor refuses it.
+# qubit anticommute, so together they are no code.  The constructor
+# refuses such bits and names the first violated property.
 print("X1 vs Z1:", symplectic_product([0, 1], [1, 0]))
-x1_z1 = [[0, 1], [0, 0], [1, 0], [0, 0]]  # columns X1 and Z1 on 2 qubits
-print("X1 and Z1 as generators:", validate(x1_z1))
+x1_z1 = (0b10, 0b00, 0b01, 0b00)  # generators X1 (bit 0) and Z1 (bit 1) on 2 qubits
 try:
-    GeneratorMatrix(x1_z1)
+    GeneratorMatrix(x1_z1, 2)
 except InvalidCodeError as exc:
+    print("X1 and Z1 as generators:", exc.violation)
     print("refused:", exc)
 
 # Codewords and supports.

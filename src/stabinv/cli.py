@@ -1,7 +1,8 @@
 """Command-line surface: stabinv {validate,invariant,fingerprint,compare,oracle-check}.
 
-Output is JSON on stdout (a plain-text table is available with
---format table where it makes sense).  Exit codes: 0 success or
+Every command but oracle-check takes its code file (compare two) as a
+required positional argument.  Output is JSON on stdout, or a plain-text
+table with --format table where it makes sense.  Exit codes: 0 success or
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
 validate was given a code that fails validation).  A sweep over its
@@ -10,11 +11,11 @@ record budget is refused before any work, at the first degree past it.
 oracle-check passes on only the limits the user gave; the suite's own
 signature, read from its code object, supplies every default, and a
 limit it does not take is a parse error.  --max-tuples is passed on the
-same way.  A suite that ran no check (limits below 1, every size over
---max-dim, or a projected check count over the suite budget) reports
-status "skipped" and exits 0, as a pass does: it found no
-counterexample, and its warnings say why.  A script must read the
-report's status, not only the exit code, to tell a pass from a skip.
+same way, and a negative one is a parse error.  A suite that ran no
+check (limits below 1, every size over --max-dim, or a projected check
+count over the suite budget) reports status "skipped" and exits 0, as a
+pass does: it found no counterexample, and its warnings say why.  Only
+the report's status, not the exit code, tells a pass from a skip.
 
 The engine and the oracle are imported by the commands that use them,
 and of the suites only theorem1 and theorem2 import the engine.  The
@@ -65,14 +66,6 @@ def _read_code(path: str) -> stabilizer.GeneratorMatrix:
     return gen
 
 
-def _code_path(args) -> str:
-    # the code file may come positionally or through --code
-    path = args.code_flag or args.code_pos
-    if not path or (args.code_flag and args.code_pos):
-        raise ParseError("give the code file once, positionally or with --code")
-    return path
-
-
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "json") == "table":
         lines = [f"{key}: {payload[key]}" for key in payload if key != "records"]
@@ -104,7 +97,7 @@ def _parse_omega(text: str, n: int) -> set[int]:
 
 def cmd_validate(args) -> int:
     try:
-        gen = _read_code(_code_path(args))
+        gen = _read_code(args.code)
         shape, violation = (2 * gen.n, gen.k), None
     except InvalidCodeError as exc:
         shape, violation = exc.shape, exc.violation
@@ -133,11 +126,13 @@ def _read_tuple(spec: str):
 
 def _budget(args) -> dict:
     """The record budget, when the user gave one; else the engine's default."""
+    if getattr(args, "max_tuples", 0) < 0:
+        raise ParseError(f"--max-tuples must be at least 0, got {args.max_tuples}")
     return {"max_records": args.max_tuples} if hasattr(args, "max_tuples") else {}
 
 
 def cmd_invariant(args) -> int:
-    gen = _read_code(_code_path(args))
+    gen = _read_code(args.code)
     from . import invariants
 
     if (args.trees is None) == (args.omega is None):
@@ -159,7 +154,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    gen = _read_code(_code_path(args))
+    gen = _read_code(args.code)
     from . import invariants
 
     fp = invariants.fingerprint(gen, args.rmax, **_budget(args))
@@ -228,11 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, code_args=1):
         if code_args == 1:
-            p.add_argument("code_pos", nargs="?", metavar="code",
-                           help="code file ('n k' + bit rows, or 'pauli' + strings)")
-            p.add_argument("--code", dest="code_flag", metavar="FILE",
-                           help="alternative to the positional code file")
-        elif code_args == 2:
+            p.add_argument("code", help="code file ('n k' + bit rows, or 'pauli' + strings)")
+        else:
             p.add_argument("code_a", help="first code file")
             p.add_argument("code_b", help="second code file")
         p.add_argument("--format", choices=("json", "table"), default="json",

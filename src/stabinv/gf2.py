@@ -6,28 +6,12 @@ where the rows alone cannot tell it.  Zero-dimensional matrices (no rows
 or no columns) are first-class citizens; they show up as trivial codes
 and empty constraint stacks.
 
-`from_dense` and `to_dense` convert at the boundary to 2-d 0/1 arrays;
-only `to_dense` loads numpy, and only when it is called.  Every function
-here is pure: it never writes to its argument.
+`to_dense` makes a 2-d 0/1 array for the engine's elimination; it loads
+numpy, and only when it is called.  Every function here is pure: it
+never writes to its argument.
 """
 
 from __future__ import annotations
-
-
-def from_dense(a) -> tuple[tuple[int, ...], int]:
-    """The int rows and the column count of a 2-d integer array-like,
-    reduced mod 2.  A numpy array keeps its column count even with no rows."""
-    shape = getattr(a, "shape", None)
-    if shape is not None and len(shape) != 2:
-        raise ValueError(f"need a 2-d matrix, got {len(shape)} dimensions")
-    try:
-        dense = [[int(v) & 1 for v in row] for row in a]
-    except TypeError:
-        raise ValueError("need a 2-d matrix of integers") from None
-    cols = shape[1] if shape is not None else len(dense[0]) if dense else 0
-    if any(len(row) != cols for row in dense):
-        raise ValueError("rows of a matrix need equal lengths")
-    return tuple(sum(v << c for c, v in enumerate(row)) for row in dense), cols
 
 
 def to_dense(rows, cols: int):

@@ -7,13 +7,14 @@ it counts, on a log scale, the r-tuples of codewords whose per-path sums
 are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
 
-Every record, of one tuple or of a sweep, comes from one routine.  At
-degrees up to 3 it needs no block: a record of degree r is a sum of r
-dimensions of subcodes, the codewords supported inside a qubit set, less
-the dimension of their sum, all from ranks of int rows.  From degree 4
-on, each block is built as int rows, from the code's rows and the tree's
-right paths, and made a 0/1 np.uint8 array once for the elimination.  So
-numpy loads only when a record of degree 4 or more is computed.
+Every record, of one tuple or of a sweep (records, which the theorem
+suites certify), comes from one routine.  At degrees up to 3 it needs no
+block: a record of degree r is a sum of r dimensions of subcodes, the
+codewords supported inside a qubit set, less the dimension of their sum,
+all from ranks of int rows.  From degree 4 on, each block is built as
+int rows, from the code's rows and the tree's right paths, and made a
+0/1 np.uint8 array once for the elimination.  So numpy loads only when a
+record of degree 4 or more is computed.
 """
 
 from __future__ import annotations
@@ -226,12 +227,18 @@ class Fingerprint(Frozen):
         return json.dumps(self.to_payload(), indent=2)
 
 
+def records(gen: GeneratorMatrix, r: int):
+    """Yield (serialized trees, dim) for every tree tuple of degree r, in
+    canonical order: the records of degree r that fingerprint prints."""
+    if gen.n == 0:
+        raise ValueError("need at least one qubit")
+    return _records(gen, [enumerate_trees(r)] * gen.n)
+
+
 def _degrees(gen: GeneratorMatrix, r_max: int, max_records: int) -> range:
     """The degrees 2..r_max of a sweep, once its records fit max_records."""
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    if gen.n == 0:
-        raise ValueError("need at least one qubit")
     total = capped_sum((catalan(r) ** gen.n for r in range(2, r_max + 1)), max_records)
     if total > max_records:
         raise BudgetError(f"{total} records exceed budget {max_records}")
@@ -241,7 +248,7 @@ def _degrees(gen: GeneratorMatrix, r_max: int, max_records: int) -> range:
 def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
     """Yield (r, serialized trees, dim) for each tuple of degree 2..r_max, in order."""
     for r in _degrees(gen, r_max, max_records):
-        for sers, dim in _records(gen, [enumerate_trees(r)] * gen.n):
+        for sers, dim in records(gen, r):
             yield r, sers, dim
 
 
@@ -307,9 +314,8 @@ def compare_global(
         for p in itertools.permutations(range(n))
     ]
     for r in degrees:
-        choices = [enumerate_trees(r)] * n
-        sers1, dims1 = zip(*_records(gen1, choices))
-        lookup = dict(_records(gen2, choices)).__getitem__
+        sers1, dims1 = zip(*records(gen1, r))
+        lookup = dict(records(gen2, r)).__getitem__
         alive = [
             (p, get) for p, get in alive
             if all(map(operator.eq, dims1, map(lookup, map(get, sers1))))

@@ -838,7 +838,10 @@ def suite_theorem1(
 ) -> dict:
     """The central certification: log2 of the exact trace minus the binary
     kernel dimension is t - n*r for every code, where t counts the maximal
-    right paths of the tuple's trees."""
+    right paths of the tuple's trees, and the dimension is the code's
+    record that fingerprint prints, which must be of the tuple's trees."""
+    from .invariants import records
+
     name = "theorem1"
     if max_n < 1 or max_r < 2:
         return _result(name, 0, [], ["limits too small; nothing to check"])
@@ -857,32 +860,26 @@ def suite_theorem1(
         ]
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in degrees:
-            for tup in all_tuples(n, r):
+            streams = [records(gen, r) for gen in codes]
+            for tup, *recs in zip(all_tuples(n, r), *streams, strict=True):
                 tables = _entry_tables(tup)
                 expected = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
                 checks += len(codes)
-                for gen, rho in zip(codes, rhos):
-                    z = _offset(gen, tup, product_trace(tables, [rho] * r))
-                    if isinstance(z, Dyadic):
-                        detail = {"trace": str(z)}
-                    elif z != expected:
-                        detail = {"offset": z, "expected": expected}
+                for gen, rho, (sers, dim) in zip(codes, rhos, recs):
+                    trace = product_trace(tables, [rho] * r)
+                    try:
+                        offset = trace.log2() - dim
+                    except ValueError:
+                        detail = {"trace": str(trace)}
                     else:
-                        continue
+                        if (record := ";".join(sers)) != tup.id():
+                            detail = {"record": record}
+                        elif offset != expected:
+                            detail = {"offset": offset, "expected": expected}
+                        else:
+                            continue
                     failures.append({"n": n, "tuple": tup.id(), "k": gen.k} | detail)
     return _result(name, checks, failures, warnings)
-
-
-def _offset(gen: GeneratorMatrix, tup: TreeTuple, trace: Dyadic) -> int | Dyadic:
-    """log2 of the trace minus the kernel dimension, or the trace itself
-    when it is not a positive real power of 2."""
-    from .invariants import invariant_dim
-
-    try:
-        log = trace.log2()
-    except ValueError:
-        return trace
-    return log - invariant_dim(gen, tup)
 
 
 def suite_theorem2(
@@ -892,8 +889,9 @@ def suite_theorem2(
     seed: int = 0,
 ) -> dict:
     """Kernel dimension vs. direct enumeration of constrained codeword
-    tuples, exhaustively over tree tuples, one point table per code and r."""
-    from .invariants import invariant_dim
+    tuples, exhaustively over tree tuples, one point table per code and r;
+    the dimension is the code's record that fingerprint prints."""
+    from .invariants import records
 
     name = "theorem2"
     if max_n < 1 or max_r < 1:
@@ -913,11 +911,12 @@ def suite_theorem2(
         for c in range(codes_per_k):
             gen = random_code(n, k, seed=(seed, n, k, c))
             spaces = TupleSpaces(gen, r)
-            for tup in all_tuples(n, r):
+            for tup, (sers, lhs) in zip(all_tuples(n, r), records(gen, r), strict=True):
                 checks += 1
-                lhs = invariant_dim(gen, tup)
                 rhs = spaces.dim(tup)
-                if lhs != rhs:
+                if (record := ";".join(sers)) != tup.id():
+                    failures.append({"n": n, "k": k, "tuple": tup.id(), "record": record})
+                elif lhs != rhs:
                     failures.append({
                         "n": n, "k": k, "tuple": tup.id(), "kernel": lhs, "enumeration": rhs,
                     })

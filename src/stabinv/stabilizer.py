@@ -6,23 +6,24 @@ satisfying S^T P S = 0 for the symplectic form P = [[0, I], [I, 0]].
 Generator phases are not represented; they do not affect the local
 equivalence class, and the dense oracle fixes its own +1 convention.
 
-Codes and graphs are held as Python-int rows (see gf2) and hand out
-nothing else; nothing here loads numpy but random_code.
+Codes and graphs are made from Python-int rows (see gf2) by their
+constructors and hand out nothing else; only random_code loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import Frozen, InvalidCodeError, ParseError
-from .gf2 import from_dense, kernel_basis, rank, to_text, transpose
+from .gf2 import kernel_basis, rank, to_text, transpose
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
 
 
 def _check_rows(rows, bits: int) -> tuple[int, ...]:
-    rows = tuple(int(row) for row in rows)
+    rows = tuple(map(operator.index, rows))
     if any(row >> bits for row in rows):
         raise ValueError(f"rows must be ints in [0, 2^{bits})")
     return rows
@@ -31,38 +32,27 @@ def _check_rows(rows, bits: int) -> tuple[int, ...]:
 class GeneratorMatrix(Frozen):
     """A valid stabilizer code as its 2n x k binary generator matrix.
 
-    Held as 2n int rows of k bits: bit l of row i is entry (i, l), so bit
-    l belongs to generator l + 1.  The constructor takes any 2-d integer
-    array-like and reduces it mod 2; from_rows takes int rows.  Bits that
-    are no valid code raise InvalidCodeError naming the first violation,
-    so every instance is a valid code.  Instances are immutable and can
-    be shared freely; == compares matrices, same_code_space codes.
+    Made from 2n int rows of k bits, bit l of row i being entry (i, l), so
+    bit l belongs to generator l + 1.  A row that is no int raises TypeError
+    (a 0/1 matrix is refused, not reduced mod 2), one outside [0, 2^k)
+    ValueError, and bits that are no code InvalidCodeError with the first
+    violated property, in order: "bad-shape" (an odd row count, or k > n),
+    "not-full-rank", "not-self-orthogonal" (two anticommuting columns).
+    Every instance is a valid code; == compares matrices, same_code_space codes.
     """
 
     __slots__ = ("rows", "k")
 
-    def __init__(self, matrix):
-        self._fill(*from_dense(matrix))
-
-    @classmethod
-    def from_rows(cls, rows, k: int) -> "GeneratorMatrix":
-        """The code with these 2n int rows of k bits each."""
-        gen = cls.__new__(cls)
-        gen._fill(_check_rows(rows, k), k)
-        return gen
-
-    def _fill(self, rows: tuple[int, ...], k: int) -> None:
+    def __init__(self, rows, k: int):
+        rows = _check_rows(rows, k)
         violation = _violation(rows, k)
         if violation is not None:
             raise InvalidCodeError(violation, (len(rows), k))
-        Frozen.__init__(self, rows, k)
+        super().__init__(rows, k)
 
     @property
     def n(self) -> int:
         return len(self.rows) // 2
-
-    def __repr__(self) -> str:
-        return f"GeneratorMatrix.from_rows({self.rows}, k={self.k})"
 
     @classmethod
     def from_pauli_strings(cls, strings) -> "GeneratorMatrix":
@@ -71,7 +61,7 @@ class GeneratorMatrix(Frozen):
         if not strings:
             raise ValueError("need n from at least one Pauli string")
         n = len(strings[0])
-        return cls.from_rows(transpose([_pauli_column(s, n) for s in strings], 2 * n), len(strings))
+        return cls(transpose([_pauli_column(s, n) for s in strings], 2 * n), len(strings))
 
     def pauli_strings(self) -> list[str]:
         z, x = self.rows[: self.n], self.rows[self.n :]
@@ -109,17 +99,6 @@ def _violation(rows: tuple[int, ...], k: int) -> str | None:
         if ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1:
             return "not-self-orthogonal"
     return None
-
-
-def validate(matrix) -> str | None:
-    """Return None if a 2n x k bit matrix is a valid code, else the first
-    violated property.
-
-    Violations, checked in order: "bad-shape" (an odd row count, or
-    k > n), "not-full-rank", "not-self-orthogonal" (some pair of columns
-    has symplectic product 1).
-    """
-    return _violation(*from_dense(matrix))
 
 
 def _bits(v) -> list[int]:
@@ -189,42 +168,27 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
         sum(((row & x).bit_count() & 1) << j for j, x in enumerate(basis)) for row in gen.rows
     ]
     rows = [inside[i - 1] for i in omega] + [inside[gen.n + i - 1] for i in omega]
-    return GeneratorMatrix.from_rows(rows, len(basis))
+    return GeneratorMatrix(rows, len(basis))
 
 
 class AdjacencyMatrix(Frozen):
     """Symmetric zero-diagonal n x n matrix of a simple graph, held like a
-    generator matrix: n int rows, bit j of row i the entry (i, j)."""
+    generator matrix: n int rows, bit j of row i the entry (i, j).  The
+    constructor refuses rows as a code's does, and a graph that is not simple."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, theta):
-        rows, cols = from_dense(theta)
-        if len(rows) != cols:
-            raise ValueError("adjacency matrix must be square")
-        self._fill(rows)
-
-    @classmethod
-    def from_rows(cls, rows) -> "AdjacencyMatrix":
-        """The graph with these n int rows of n bits each."""
-        rows = tuple(rows)
-        adj = cls.__new__(cls)
-        adj._fill(_check_rows(rows, len(rows)))
-        return adj
-
-    def _fill(self, rows: tuple[int, ...]) -> None:
+    def __init__(self, rows):
+        rows = _check_rows(rows, len(rows))
         if transpose(rows, len(rows)) != rows:
             raise ValueError("adjacency matrix must be symmetric")
         if any((row >> i) & 1 for i, row in enumerate(rows)):
             raise ValueError("adjacency matrix must have a zero diagonal")
-        Frozen.__init__(self, rows)
+        super().__init__(rows)
 
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def __repr__(self) -> str:
-        return f"AdjacencyMatrix.from_rows({self.rows})"
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AdjacencyMatrix":
@@ -236,15 +200,15 @@ class AdjacencyMatrix(Frozen):
                 raise ValueError("no loops in a simple graph")
             rows[a - 1] |= 1 << (b - 1)
             rows[b - 1] |= 1 << (a - 1)
-        return cls.from_rows(rows)
+        return cls(rows)
 
     @classmethod
     def empty(cls, n: int) -> "AdjacencyMatrix":
-        return cls.from_rows([0] * n)
+        return cls([0] * n)
 
     @classmethod
     def complete(cls, n: int) -> "AdjacencyMatrix":
-        return cls.from_rows([((1 << n) - 1) ^ (1 << i) for i in range(n)])
+        return cls([((1 << n) - 1) ^ (1 << i) for i in range(n)])
 
     @classmethod
     def random(cls, n: int, rng) -> "AdjacencyMatrix":
@@ -256,7 +220,7 @@ class AdjacencyMatrix(Frozen):
                 if rng.integers(0, 2):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-        return cls.from_rows(rows)
+        return cls(rows)
 
 
 def all_graphs(n: int):
@@ -269,7 +233,7 @@ def all_graphs(n: int):
 
 def graph_generator(adj: AdjacencyMatrix) -> GeneratorMatrix:
     """The generator matrix [theta; I] of a graph state; always valid."""
-    return GeneratorMatrix.from_rows(adj.rows + tuple(1 << i for i in range(adj.n)), adj.n)
+    return GeneratorMatrix(adj.rows + tuple(1 << i for i in range(adj.n)), adj.n)
 
 
 # The 6 invertible 2x2 matrices over GF(2), in a fixed order.
@@ -329,7 +293,7 @@ def apply_local_clifford(op: LocalCliffordOp, gen: GeneratorMatrix) -> Generator
     for ((a, b), (c, d)), z, x in zip(op.blocks, gen.rows[:n], gen.rows[n:]):
         z_rows.append((a * z) ^ (b * x))
         x_rows.append((c * z) ^ (d * x))
-    return GeneratorMatrix.from_rows(z_rows + x_rows, gen.k)
+    return GeneratorMatrix(z_rows + x_rows, gen.k)
 
 
 def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
@@ -337,7 +301,7 @@ def permute_qubits(gen: GeneratorMatrix, perm) -> GeneratorMatrix:
     perm = list(perm)
     if sorted(perm) != list(range(1, gen.n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    return GeneratorMatrix.from_rows(qubit_rows(gen, perm), gen.k)
+    return GeneratorMatrix(qubit_rows(gen, perm), gen.k)
 
 
 def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
@@ -360,7 +324,7 @@ def random_code(n: int, k: int, seed) -> GeneratorMatrix:
     rng = np.random.default_rng(seed)
     adj = AdjacencyMatrix.random(n, rng)
     low = (1 << k) - 1
-    gen = GeneratorMatrix.from_rows([row & low for row in graph_generator(adj).rows], k)
+    gen = GeneratorMatrix([row & low for row in graph_generator(adj).rows], k)
     return apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
 
 
@@ -390,7 +354,7 @@ def parse_code(text: str) -> GeneratorMatrix:
                 cols.append(_pauli_column(ln.upper(), n))
             except ValueError as exc:
                 raise ParseError(str(exc), line=no) from exc
-        return GeneratorMatrix.from_rows(transpose(cols, 2 * n), len(cols))
+        return GeneratorMatrix(transpose(cols, 2 * n), len(cols))
     parts = header.split()
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError(f"expected header 'n k', got {header!r}", line=header_no)
@@ -404,7 +368,7 @@ def parse_code(text: str) -> GeneratorMatrix:
             raise ParseError(f"expected {k} bits, got {ln!r}", line=no)
     # column c is character c, so the reversed row reads as the int row
     rows = [int(ln[::-1], 2) for _, ln in body] if k else [0] * (2 * n)
-    return GeneratorMatrix.from_rows(rows, k)
+    return GeneratorMatrix(rows, k)
 
 
 def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:

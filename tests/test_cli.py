@@ -213,6 +213,15 @@ def test_fingerprint_budget_exit(capsys, edge2):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["fingerprint", "compare"])
+def test_negative_max_tuples_is_a_parse_error(capsys, edge2, command):
+    codes = [edge2] * (2 if command == "compare" else 1)
+    code = cli.main([command, *codes, "--rmax", "2", "--max-tuples", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "stabinv: parse error: --max-tuples must be at least 0, got -1\n"
+
+
 def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, monkeypatch):
     # no --max-tuples: the engine's own default applies, and n=8 at
     # --rmax 3 (2^8 + 5^8 = 390,881 records) is over it
@@ -405,12 +414,13 @@ def test_table_format(capsys, edge2):
     assert "status: ok" in out
 
 
-def test_code_flag_alias(capsys, edge2):
-    code, payload = run_json(capsys, "fingerprint", "--code", edge2, "--rmax", "2")
-    assert code == 0
-    assert payload["n"] == 2
-    assert cli.main(["fingerprint", "--rmax", "2"]) == 2  # no code given
-    capsys.readouterr()
+def test_code_file_is_one_positional(capsys, edge2):
+    # a missing code file, or one given through --code, is a usage error
+    for argv in (["fingerprint", "--rmax", "2"], ["fingerprint", "--code", edge2, "--rmax", "2"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_trees_from_file(capsys, edge2, tmp_path):

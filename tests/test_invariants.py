@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from stabinv import invariants
 from stabinv.errors import BudgetError, InvalidCodeError
-from stabinv.gf2 import from_dense, rank, to_dense
+from stabinv.gf2 import rank, to_dense
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
     compare_global,
@@ -49,6 +49,11 @@ from stabinv.trees import (
 )
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
+
+
+def rows_of(a) -> list[int]:
+    """The int rows of a 2-d 0/1 array-like: bit c of a row is column c."""
+    return [sum(int(v) << c for c, v in enumerate(row)) for row in a]
 
 
 def random_tuple(n, r, rng) -> TreeTuple:
@@ -226,11 +231,22 @@ def test_degree3_matches_tuple_engine():
             assert records[3, ";".join([left] * n)] == 0
 
 
+def test_invariant_dim_is_the_sweep_record():
+    # invariant --trees takes one tuple's record by itself, and the theorem
+    # suites certify the sweep's records: both must agree, here at degree 4,
+    # where each is eliminated from the blocks
+    for k in range(3):
+        gen = random_code(2, k, (2, 4, k))
+        assert [(tup.id(), invariant_dim(gen, tup)) for tup in all_tuples(2, 4)] == [
+            (";".join(sers), dim) for sers, dim in invariants.records(gen, 4)
+        ]
+
+
 def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
     # the record is symmetric in (A1, A2, A3), so the 625 tuples at n = 4
     # need one rank for each of their 150 sorted triples
     gen = random_code(4, 3, (4, 3, 7))
-    expected = list(invariants._records(gen, [enumerate_trees(3)] * 4))
+    expected = list(invariants.records(gen, 3))
     calls = []
 
     def counted(rows):
@@ -238,7 +254,7 @@ def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
         return rank(rows)
 
     monkeypatch.setattr(invariants, "rank", counted)
-    assert list(invariants._records(gen, [enumerate_trees(3)] * 4)) == expected
+    assert list(invariants.records(gen, 3)) == expected
     assert (len(expected), len(calls)) == (625, 150)
 
 
@@ -390,6 +406,15 @@ def test_compare_global_distinguishes():
     assert compare_global(prod3, tri3, 2) is None
 
 
+def test_a_code_on_no_qubits_has_no_records():
+    empty = GeneratorMatrix((), 0)
+    for sweep in (lambda: invariants.records(empty, 2), lambda: fingerprint(empty, 3),
+                  lambda: first_difference(empty, empty, 3),
+                  lambda: compare_global(empty, empty, 3)):
+        with pytest.raises(ValueError, match="^need at least one qubit$"):
+            sweep()
+
+
 def test_compare_global_guards():
     with pytest.raises(ValueError):
         compare_global(EDGE2, random_code(3, 1, 18), 2)
@@ -527,9 +552,9 @@ def test_generator_basis_change_invariance():
         gen = random_code(n, k, (trial, 21))
         while True:
             basis = rng.integers(0, 2, size=(k, k), dtype=np.uint8)
-            if rank(from_dense(basis)[0]) == k:
+            if rank(rows_of(basis)) == k:
                 break
-        other = GeneratorMatrix(to_dense(gen.rows, gen.k) @ basis)
+        other = GeneratorMatrix(rows_of(to_dense(gen.rows, gen.k) @ basis % 2), k)
         tup = random_tuple(n, int(rng.integers(2, 4)), rng)
         assert invariant_dim(gen, tup) == invariant_dim(other, tup)
 
@@ -563,7 +588,7 @@ def test_fingerprint_json_bytes_are_pinned():
         ((1, 0, 0, 1), 5, "3b00a9a35615131e2a7c0f174c9cb966cffab6950d6ea5c5af4a74733c0eba1a"),
         ((1, 1, 1, 1, 0, 1), 4, "47381ffbc3cd451c299e1d1a6fcb4c8ec298ee303a64e367731b308e324e2de3"),
     ):
-        text = fingerprint(GeneratorMatrix.from_rows(rows, 1), r_max).to_json()
+        text = fingerprint(GeneratorMatrix(rows, 1), r_max).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (rows, r_max)
 
 

@@ -175,14 +175,14 @@ def test_operator_budget():
 
 
 def test_rho_trivial_code_is_maximally_mixed():
-    gen = GeneratorMatrix(np.zeros((4, 0), dtype=np.uint8))
+    gen = GeneratorMatrix([0, 0, 0, 0], 0)
     rho = rho_from_code(gen)
     assert rho.same_as(ExactOperator(2, ExactOperator.identity(2).re,
                                      ExactOperator.identity(2).im, 2))
 
 
 def test_rho_plus_state():
-    gen = GeneratorMatrix([[0], [1]])  # X stabilizer
+    gen = GeneratorMatrix([0, 1], 1)  # X stabilizer
     rho = rho_from_code(gen)
     assert rho.scale == 1
     assert rho.re == (1, 1, 1, 1)
@@ -257,7 +257,7 @@ def all_codes(n: int):
     def extend(basis, start):
         echelon, _ = reduced_echelon(basis)
         if set(echelon) == set(basis):
-            yield GeneratorMatrix.from_rows(transpose(basis, 2 * n), len(basis))
+            yield GeneratorMatrix(transpose(basis, 2 * n), len(basis))
         for w in range(start, 1 << 2 * n):
             if rank([*basis, w]) > len(basis) and all(orthogonal(w, b) for b in basis):
                 yield from extend([*basis, w], w + 1)
@@ -786,6 +786,7 @@ def test_lemma_suites_never_call_the_engine(monkeypatch):
         raise AssertionError("the oracle called the engine")
 
     for module, name in (
+        (invariants, "records"),
         (invariants, "invariant_dim"),
         (oracle, "theorem2_dim"),
         (invariants, "_kernel_dim"),
@@ -831,6 +832,7 @@ def test_theorem2_reports_a_planted_fault(monkeypatch):
     # one per code of its size, must be reported
     target = parse_tuple("(L());(R())")
     exact = invariants.invariant_dim
+    exact_records = invariants._records
     codes = [random_code(2, k, seed=(0, 2, k, c)) for k in range(3) for c in range(5)]
     expected = [
         {"n": 2, "k": gen.k, "tuple": target.id(),
@@ -839,10 +841,11 @@ def test_theorem2_reports_a_planted_fault(monkeypatch):
     ]
     checks = suite_theorem2(max_n=2, max_r=2)["checks"]
 
-    def planted(gen, tup):
-        return exact(gen, tup) + (tup.id() == target.id())
+    def planted(gen, choices):
+        for sers, dim in exact_records(gen, choices):
+            yield sers, dim + (";".join(sers) == target.id())
 
-    monkeypatch.setattr(invariants, "invariant_dim", planted)
+    monkeypatch.setattr(invariants, "_records", planted)
     report = suite_theorem2(max_n=2, max_r=2)
     assert (report["status"], report["checks"]) == ("fail", checks)
     assert checks == 5 * (2 * 1 + 2 * 2 + 3 * 1 + 3 * 4)  # codes x tuples, n, r <= 2
@@ -885,6 +888,56 @@ def test_theorem1_reports_a_planted_per_tuple_fault(monkeypatch, extra):
     report = suite_theorem1(max_n=2, max_r=3, codes_per_k=2)
     assert (report["status"], report["checks"]) == ("fail", 4 * (2 + 5) + 6 * (4 + 25))
     assert report["failures"] == expected != []
+
+
+def test_theorem_suites_report_a_fault_only_a_sweep_shows(monkeypatch):
+    # each record of a call but its first takes the dim of the record before
+    # it, so invariant_dim, one tuple per call, stays exact: the suites see
+    # the fault because they read the records that fingerprint prints
+    exact = invariants._records
+
+    def planted(gen, choices):
+        previous = None
+        for sers, dim in exact(gen, choices):
+            yield sers, dim if previous is None else previous
+            previous = dim
+
+    monkeypatch.setattr(invariants, "_records", planted)
+    gen = random_code(2, 1, seed=(0, 2, 1, 0))
+    assert [invariant_dim(gen, tup) for tup in all_tuples(2, 3)] == [
+        oracle.theorem2_dim(gen, tup) for tup in all_tuples(2, 3)
+    ]
+    reports = suite_theorem1(max_n=2, max_r=3), suite_theorem2(max_n=2, max_r=3)
+    assert [(r["status"], r["checks"], len(r["failures"])) for r in reports] == [
+        ("fail", 2020, 594), ("fail", 530, 145)
+    ]
+
+
+def test_theorem_suites_report_a_record_of_other_trees(monkeypatch):
+    # each call's records in reverse order: every record of a tuple that is
+    # not its own reverse carries another tuple's trees, a failure of its
+    # own kind, whatever its dim
+    exact = invariants._records
+    monkeypatch.setattr(invariants, "_records", lambda gen, choices: [*exact(gen, choices)][::-1])
+    expected = []
+    for n in (1, 2):
+        for r in (1, 2):
+            tuples = list(all_tuples(n, r))
+            expected += [
+                {"n": n, "k": k, "tuple": t.id(), "record": u.id()}
+                for k in range(n + 1)
+                for _ in range(5)
+                for t, u in zip(tuples, tuples[::-1])
+                if t != u
+            ]
+    report = suite_theorem2(max_n=2, max_r=2)
+    assert (report["status"], report["failures"]) == ("fail", expected)
+    report = suite_theorem1(max_n=1, max_r=2, codes_per_k=1)
+    assert report["failures"] == [
+        {"n": 1, "tuple": t, "k": k, "record": u}
+        for t, u in (("(L())", "(R())"), ("(R())", "(L())"))
+        for k in (0, 1)
+    ]
 
 
 @pytest.mark.parametrize("k", [1, 0])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from stabinv import oracle
 from stabinv.errors import InvalidCodeError, ParseError
-from stabinv.gf2 import from_dense, rank, to_dense
+from stabinv.gf2 import rank, to_dense
 from stabinv.stabilizer import (
     INVERTIBLE_2X2,
     AdjacencyMatrix,
@@ -29,10 +29,24 @@ from stabinv.stabilizer import (
     same_code_space,
     support,
     symplectic_product,
-    validate,
 )
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
+
+
+def rows_of(a) -> list[int]:
+    """The int rows of a 2-d 0/1 array-like: bit c of a row is column c."""
+    return [sum(int(v) << c for c, v in enumerate(row)) for row in a]
+
+
+def violation_of(m) -> str | None:
+    """The first violation the constructor raises on a 2-d 0/1 array, or
+    None when it builds a code."""
+    try:
+        GeneratorMatrix(rows_of(m), np.shape(m)[1])
+    except InvalidCodeError as exc:
+        return exc.violation
+    return None
 
 
 def test_graph_generators_validate():
@@ -40,14 +54,14 @@ def test_graph_generators_validate():
     for n in range(1, 6):
         adj = AdjacencyMatrix.random(n, rng)
         matrix = np.vstack([to_dense(adj.rows, n), np.eye(n, dtype=np.uint8)])
-        assert validate(matrix) is None
         gen = graph_generator(adj)
+        assert GeneratorMatrix(rows_of(matrix), n) == gen
         assert np.array_equal(to_dense(gen.rows, gen.k), matrix)
 
 
 def test_duplicate_columns_not_full_rank():
     col = [0, 1, 1, 0]
-    assert validate(np.array([col, col]).T) == "not-full-rank"
+    assert violation_of(np.array([col, col]).T) == "not-full-rank"
 
 
 def test_anticommuting_pair_not_self_orthogonal():
@@ -55,12 +69,12 @@ def test_anticommuting_pair_not_self_orthogonal():
     x1 = [0, 0, 1, 0]
     z1 = [1, 0, 0, 0]
     assert symplectic_product(x1, z1) == 1
-    assert validate(np.array([x1, z1]).T) == "not-self-orthogonal"
+    assert violation_of(np.array([x1, z1]).T) == "not-self-orthogonal"
 
 
 def test_too_many_generators_bad_shape():
-    assert validate(np.eye(2, dtype=np.uint8)) == "bad-shape"  # n=1, k=2
-    assert validate(np.zeros((3, 1), dtype=np.uint8)) == "bad-shape"  # odd rows
+    assert violation_of(np.eye(2, dtype=np.uint8)) == "bad-shape"  # n=1, k=2
+    assert violation_of(np.zeros((3, 1), dtype=np.uint8)) == "bad-shape"  # odd rows
 
 
 # X and Z on one qubit; XX twice; X and Z on qubit 1 of two
@@ -85,10 +99,9 @@ def test_invalid_bits_never_become_a_code(route, violation):
     strings = INVALID[violation]
     matrix = bits_of(strings)
     rows, k = len(matrix), len(matrix[0])
-    assert validate(matrix) == violation
     bit_rows = "".join("".join(map(str, row)) + "\n" for row in matrix)
     make = {
-        "GeneratorMatrix": lambda: GeneratorMatrix(matrix),
+        "GeneratorMatrix": lambda: GeneratorMatrix(rows_of(matrix), k),
         "from_pauli_strings": lambda: GeneratorMatrix.from_pauli_strings(strings),
         "bits": lambda: parse_code(f"# c\n\n{rows // 2} {k}\n{bit_rows}"),
         "pauli": lambda: parse_code("# c\npauli\n" + "\n".join(strings) + "\n"),
@@ -152,14 +165,13 @@ def bit_matrices(draw):
 @given(m=bit_matrices())
 def test_int_row_validate_agrees_with_numpy(m):
     violation = numpy_violation(m)
-    assert validate(m) == violation
     if violation is None:
-        gen = GeneratorMatrix(m)
+        gen = GeneratorMatrix(rows_of(m), m.shape[1])
         assert np.array_equal(to_dense(gen.rows, gen.k), m)
         assert (2 * gen.n, gen.k) == m.shape
     else:
         with pytest.raises(InvalidCodeError, match=f"^invalid code: {violation}$") as info:
-            GeneratorMatrix(m)
+            GeneratorMatrix(rows_of(m), m.shape[1])
         assert (info.value.violation, info.value.shape) == (violation, m.shape)
 
 
@@ -196,18 +208,18 @@ def test_qubit_subblock_graph_structure():
     gen = graph_generator(adj)
     for j in range(1, 4):
         z_row, x_row = qubit_rows(gen, [j])
-        assert z_row == from_dense(to_dense(adj.rows, 3)[[j - 1]])[0][0]
+        assert [z_row] == rows_of(to_dense(adj.rows, 3)[[j - 1]])
         assert x_row == 1 << (j - 1)  # generator j is the only one with X on qubit j
 
 
 def test_qubit_subblock_trivial_code():
-    gen = GeneratorMatrix(np.zeros((4, 0), dtype=np.uint8))
+    gen = GeneratorMatrix([0, 0, 0, 0], 0)
     assert (gen.rows, gen.k) == ((0, 0, 0, 0), 0)
     assert qubit_rows(gen, [2]) == (0, 0)
 
 
 def test_qubit_subblock_single_qubit():
-    gen = GeneratorMatrix([[0], [1]])
+    gen = GeneratorMatrix([0, 1], 1)
     assert qubit_rows(gen, [1]) == (0, 1)
 
 
@@ -267,27 +279,35 @@ def test_graph_generator_examples():
 
 def test_adjacency_rejects_asymmetry_and_loops():
     with pytest.raises(ValueError):
-        AdjacencyMatrix([[0, 1], [0, 0]])
+        AdjacencyMatrix([0b10, 0b00])
     with pytest.raises(ValueError):
-        AdjacencyMatrix([[1, 0], [0, 0]])
+        AdjacencyMatrix([0b01, 0b00])
 
 
-def test_from_rows_matches_the_dense_constructor():
+def test_constructors_take_int_rows_only():
     for seed in range(10):
         gen = random_code(4, seed % 5, seed)
         dense = to_dense(gen.rows, gen.k)
-        assert GeneratorMatrix(dense).rows == gen.rows
-        again = GeneratorMatrix.from_rows(gen.rows, gen.k)
-        assert np.array_equal(to_dense(again.rows, again.k), dense)
+        again = GeneratorMatrix(rows_of(dense), gen.k)
+        assert again == gen and np.array_equal(to_dense(again.rows, again.k), dense)
     adj = AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])
     assert adj.rows == (0b010, 0b101, 0b010)
-    assert AdjacencyMatrix(to_dense(adj.rows, adj.n)).rows == adj.rows
+    assert AdjacencyMatrix(rows_of(to_dense(adj.rows, adj.n))) == adj
+    # a 0/1 matrix is no int rows, and no entry is reduced mod 2: the bits
+    # that once made the X code and the edge graph build nothing
+    with pytest.raises(TypeError):
+        GeneratorMatrix([[2], [1]])
+    for bad in (lambda: GeneratorMatrix([[2], [1]], 1),
+                lambda: GeneratorMatrix(["1", "0"], 1),
+                lambda: AdjacencyMatrix([[0, 3], [-1, 0]])):
+        with pytest.raises(TypeError):
+            bad()
     # rows wider than the matrix, and graphs that are not simple, are refused
-    for bad in (lambda: GeneratorMatrix.from_rows([2, 0], 1),
-                lambda: GeneratorMatrix.from_rows([-1, 0], 1),
-                lambda: AdjacencyMatrix.from_rows([0b1000, 0, 0]),
-                lambda: AdjacencyMatrix.from_rows([0b10, 0b00]),
-                lambda: AdjacencyMatrix.from_rows([0b01, 0b00])):
+    for bad in (lambda: GeneratorMatrix([2, 1], 1),
+                lambda: GeneratorMatrix([-1, 0], 1),
+                lambda: AdjacencyMatrix([0b1000, 0, 0]),
+                lambda: AdjacencyMatrix([0b10, 0b00]),
+                lambda: AdjacencyMatrix([0b01, 0b00])):
         with pytest.raises(ValueError):
             bad()
 
@@ -311,7 +331,7 @@ def test_identity_clifford_fixes_code():
 
 
 def test_swap_block_exchanges_roles():
-    gen = GeneratorMatrix([[0], [1]])  # X generator
+    gen = GeneratorMatrix([0, 1], 1)  # X generator
     op = LocalCliffordOp((((0, 1), (1, 0)),))
     out = apply_local_clifford(op, gen)
     assert to_dense(out.rows, out.k).tolist() == [[1], [0]]  # now Z
@@ -345,9 +365,9 @@ def test_full_rank_column_subsets_validate():
         gen = random_code(n, n, (trial, 5))
         for size in range(n + 1):
             for pick in itertools.combinations(range(n), size):
-                sub = to_dense(gen.rows, gen.k)[:, list(pick)]
-                if rank(from_dense(sub)[0]) == size:
-                    assert validate(sub) is None
+                sub = rows_of(to_dense(gen.rows, gen.k)[:, list(pick)])
+                if rank(sub) == size:
+                    assert GeneratorMatrix(sub, size).k == size
 
 
 def test_random_code_deterministic():
@@ -379,9 +399,9 @@ def test_same_code_space_ignores_change_of_basis():
     # right-multiply by an invertible change of basis: same column space
     while True:
         basis = rng.integers(0, 2, size=(3, 3), dtype=np.uint8)
-        if rank(from_dense(basis)[0]) == 3:
+        if rank(rows_of(basis)) == 3:
             break
-    other = GeneratorMatrix(to_dense(gen.rows, gen.k) @ basis)
+    other = GeneratorMatrix(rows_of(to_dense(gen.rows, gen.k) @ basis % 2), 3)
     assert same_code_space(gen, other)
 
 

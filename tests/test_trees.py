@@ -256,8 +256,8 @@ def test_record_repr_and_validation():
         with pytest.raises(ValueError):
             bad()
     # codes and graphs compare as matrices
-    gen, same = GeneratorMatrix([[0], [1]]), GeneratorMatrix.from_rows((0, 1), 1)
-    assert gen == same and hash(gen) == hash(same) and gen != GeneratorMatrix.from_rows((1, 0), 1)
+    gen, same = GeneratorMatrix([0, 1], 1), GeneratorMatrix((0, 1), 1)
+    assert gen == same and hash(gen) == hash(same) and gen != GeneratorMatrix((1, 0), 1)
     assert copy.deepcopy(gen) == gen == pickle.loads(pickle.dumps(gen))
     empty = AdjacencyMatrix.empty(2)
-    assert empty == AdjacencyMatrix.from_rows((0, 0)) and empty != AdjacencyMatrix.complete(2)
+    assert empty == AdjacencyMatrix((0, 0)) and empty != AdjacencyMatrix.complete(2)
