@@ -5,13 +5,13 @@ Everything downstream (codes, invariants) reduces to ranks and kernels of
 matrices over the two-element field, so this is the workhorse.  A matrix
 is a sequence of Python ints, one per row, with bit c of a row holding
 column c; the column count travels beside the rows.  One elimination
-routine, reduced_echelon, serves the echelon form and the kernel; rank
-keeps an XOR basis with distinct leading bits.
+routine, an XOR basis with distinct leading bits, serves both: its size is
+the rank, and brought to reduced row-echelon form it gives the kernel.
 """
 
 import random
 
-from stabinv.gf2 import kernel_basis, rank, reduced_echelon, to_text, transpose
+from stabinv.gf2 import kernel_basis, rank, to_text, transpose
 
 # rows 110, 011 and 101, column 0 first, so row 110 is the int 0b011
 m, cols = (0b011, 0b110, 0b101), 3
@@ -20,13 +20,10 @@ print(to_text(m, cols))
 print("as int rows:", m)
 print("rank:", rank(m))  # rows sum to zero mod 2, so rank < 3
 
-# The reduced echelon form and its pivot columns, from column 0 up.
-echelon, pivots = reduced_echelon(m)
-print("reduced echelon form, pivots", pivots)
-print(to_text(echelon, cols))
-
-# Each kernel vector is a cols-bit int x; a row times x is the parity of
-# row & x, and every row times every kernel vector vanishes.
+# Each kernel vector is a cols-bit int x, one per free column of the
+# reduced echelon form: here column 2, the only column in the span of the
+# columns to its left.  A row times x is the parity of row & x, and every
+# row times every kernel vector vanishes.
 basis = kernel_basis(m, cols)
 print("kernel basis vectors:", [to_text([x], cols) for x in basis])
 print("M x == 0:", not any((row & x).bit_count() % 2 for row in m for x in basis))

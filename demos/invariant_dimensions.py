@@ -7,6 +7,7 @@ records, so the sweep works as an equivalence screen.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -58,12 +59,14 @@ twin = apply_local_clifford(LocalCliffordOp.random(2, rng), edge)
 print("LC twin indistinguishable:", first_difference(edge, twin, 3) is None)
 
 # The 3-vertex path and triangle graphs are in the same class; the product
-# state is not (its single-qubit reductions are pure).
+# state is not (its single-qubit reductions are pure).  A difference comes
+# back as the row `stabinv compare` prints: the record's degree and tuple,
+# and each code's dimension.
 path3 = graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)]))
 tri3 = graph_generator(AdjacencyMatrix.complete(3))
 print("path vs triangle:", first_difference(path3, tri3, 2))
 prod2 = graph_generator(AdjacencyMatrix.empty(2))
-print("product vs edge:", first_difference(prod2, edge, 2))
+print("product vs edge:", json.dumps(first_difference(prod2, edge, 2)))
 
 # Global comparison also searches over qubit relabellings, dropping those
 # that each degree's records rule out.

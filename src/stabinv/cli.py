@@ -149,7 +149,7 @@ def cmd_invariant(args) -> int:
         if tup.n != gen.n:
             raise ParseError(f"tuple has {tup.n} trees but the code has {gen.n} qubits")
         dim = invariants.invariant_dim(gen, tup)
-    _emit(invariants.InvariantRecord(tup.r, tup.id(), dim).to_payload(), args)
+    _emit({"r": tup.r, "tuple": tup.id(), "dim": dim}, args)
     return EXIT_OK
 
 
@@ -157,8 +157,7 @@ def cmd_fingerprint(args) -> int:
     gen = _read_code(args.code)
     from . import invariants
 
-    fp = invariants.fingerprint(gen, args.rmax, **_budget(args))
-    _emit(fp.to_payload(), args)
+    _emit(invariants.fingerprint(gen, args.rmax, **_budget(args)), args)
     return EXIT_OK
 
 
@@ -176,12 +175,7 @@ def cmd_compare(args) -> int:
     else:
         diff = invariants.first_difference(gen_a, gen_b, args.rmax, **_budget(args))
         same = diff is None
-        detail = {}
-        if not same:
-            rec_a, rec_b = diff
-            detail["first_difference"] = {
-                "r": rec_a.r, "tuple": rec_a.tuple_id, "dim_a": rec_a.dim, "dim_b": rec_b.dim
-            }
+        detail = {} if same else {"first_difference": diff}
     verdict = f"indistinguishable at r <= {args.rmax}" if same else "distinguished"
     _emit({"verdict": verdict, **detail}, args)
     return EXIT_OK if same else EXIT_DISTINGUISHED

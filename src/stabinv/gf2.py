@@ -29,33 +29,9 @@ def transpose(rows, cols: int) -> tuple[int, ...]:
     )
 
 
-def reduced_echelon(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row-echelon form of a GF(2) matrix and its pivot columns.
-
-    Pivots are searched from column 0 up; within a column the first row
-    at or below the current one with that bit set is chosen, so the result
-    is deterministic.
-    """
-    m = list(rows)
-    pivots: list[int] = []
-    for c in range(max((row.bit_length() for row in m), default=0)):
-        r = len(pivots)
-        if r == len(m):
-            break
-        bit = 1 << c
-        p = next((i for i in range(r, len(m)) if m[i] & bit), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        for i in range(len(m)):
-            if i != r and m[i] & bit:
-                m[i] ^= m[r]
-        pivots.append(c)
-    return tuple(m), tuple(pivots)
-
-
-def rank(rows) -> int:
-    """GF(2) rank: the size of an XOR basis with distinct leading bits."""
+def _xor_basis(rows) -> dict[int, int]:
+    """An XOR basis of the rows' span, each row keyed by its leading bit,
+    its bit_length, which is no other row's."""
     basis: dict[int, int] = {}
     for row in rows:
         while row:
@@ -64,19 +40,36 @@ def rank(rows) -> int:
                 basis[lead] = row
                 break
             row ^= basis[lead]
-    return len(basis)
+    return basis
+
+
+def rank(rows) -> int:
+    """GF(2) rank: the size of an XOR basis with distinct leading bits."""
+    return len(_xor_basis(rows))
 
 
 def kernel_basis(rows, cols: int) -> tuple[int, ...]:
     """Basis of {x : a x = 0}, each vector a cols-bit int.
 
-    Basis vectors follow the standard free-column construction in
-    ascending free-column order, so the output is deterministic.
+    The XOR basis is brought to reduced row-echelon form: each row's
+    lowest set bit is its pivot, and no other row has it.  That form is
+    unique, so the basis vectors, one per free column in ascending order,
+    are too.
     """
-    echelon, pivots = reduced_echelon(rows)
-    free = [c for c in range(cols) if c not in pivots]
+    echelon: dict[int, int] = {}  # pivot bit -> row
+    for row in _xor_basis(rows).values():
+        for pivot, other in echelon.items():
+            if row & pivot:
+                row ^= other
+        lead = row & -row
+        for pivot, other in echelon.items():
+            if other & lead:
+                echelon[pivot] = other ^ row
+        echelon[lead] = row
     return tuple(
-        (1 << f) | sum(((echelon[i] >> f) & 1) << p for i, p in enumerate(pivots)) for f in free
+        (1 << f) | sum(pivot for pivot, row in echelon.items() if row >> f & 1)
+        for f in range(cols)
+        if (1 << f) not in echelon
     )
 
 

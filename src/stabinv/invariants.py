@@ -15,17 +15,21 @@ all from ranks of int rows.  From degree 4 on, each block is built as
 int rows, from the code's rows and the tree's right paths, and made a
 0/1 np.uint8 array once for the elimination.  So numpy loads only when a
 record of degree 4 or more is computed.
+
+Records leave the engine as the JSON rows the CLI prints: `fingerprint`
+returns the {"n", "r_max", "records": [{"r", "tuple", "dim"}, ...]}
+payload, and `first_difference` None or the {"r", "tuple", "dim_a",
+"dim_b"} row of the first record two codes differ on.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 
 from . import trees as trees_mod
-from .errors import BudgetError, Frozen, capped_sum
+from .errors import BudgetError, capped_sum
 from .gf2 import rank, to_dense
 from .stabilizer import GeneratorMatrix, qubit_rows, qubit_subset, subcode_basis
 from .trees import (
@@ -204,27 +208,17 @@ def pad_degree(tup: TreeTuple) -> TreeTuple:
     return TreeTuple(tuple(attach_singleton_root(t) for t in tup.trees))
 
 
-class InvariantRecord(Frozen):
-    __slots__ = ("r", "tuple_id", "dim")
+class _Row(dict):
+    """A row as printed, whose keys also read as attributes, tuple as
+    tuple_id: perfbench's reference test reads fingerprint rows so."""
 
-    def to_payload(self) -> dict:
-        return {"r": self.r, "tuple": self.tuple_id, "dim": self.dim}
+    __slots__ = ()
 
-
-class Fingerprint(Frozen):
-    """All invariant dimensions of one code for degrees 2..r_max."""
-
-    __slots__ = ("n", "r_max", "records")
-
-    def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "r_max": self.r_max,
-            "records": [rec.to_payload() for rec in self.records],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2)
+    def __getattr__(self, name):
+        try:
+            return self["tuple" if name == "tuple_id" else name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def records(gen: GeneratorMatrix, r: int):
@@ -254,13 +248,14 @@ def _sweep(gen: GeneratorMatrix, r_max: int, max_records: int):
 
 def fingerprint(
     gen: GeneratorMatrix, r_max: int, max_records: int = DEFAULT_MAX_RECORDS
-) -> Fingerprint:
-    """Invariant dimensions for every tree tuple of degree 2..r_max,
-    in canonical order."""
-    records = tuple(
-        InvariantRecord(r, ";".join(sers), dim) for r, sers, dim in _sweep(gen, r_max, max_records)
-    )
-    return Fingerprint(gen.n, r_max, records)
+) -> dict:
+    """The payload `stabinv fingerprint` prints: n, r_max and the row
+    {"r", "tuple", "dim"} of every tree tuple of degree 2..r_max, in
+    canonical order."""
+    rows = [
+        _Row(r=r, tuple=";".join(sers), dim=dim) for r, sers, dim in _sweep(gen, r_max, max_records)
+    ]
+    return _Row(n=gen.n, r_max=r_max, records=rows)
 
 
 def first_difference(
@@ -268,18 +263,18 @@ def first_difference(
     gen2: GeneratorMatrix,
     r_max: int,
     max_records: int = DEFAULT_MAX_RECORDS,
-):
-    """None if the codes agree on every record of degree 2..r_max; otherwise
-    the first differing pair of records.  Both codes are swept side by side,
-    and no record after the first difference is computed."""
+) -> dict | None:
+    """None if the codes agree on every record of degree 2..r_max;
+    otherwise the first record they differ on, as `stabinv compare` prints
+    it: {"r", "tuple", "dim_a", "dim_b"}.  Both codes are swept side by
+    side, and no record after the first difference is computed."""
     if gen1.n != gen2.n:
         raise ValueError("codes have different lengths")
-    for (r, sers, dim1), (_, _, dim2) in zip(
+    for (r, sers, dim_a), (_, _, dim_b) in zip(
         _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
     ):
-        if dim1 != dim2:
-            tuple_id = ";".join(sers)
-            return InvariantRecord(r, tuple_id, dim1), InvariantRecord(r, tuple_id, dim2)
+        if dim_a != dim_b:
+            return {"r": r, "tuple": ";".join(sers), "dim_a": dim_a, "dim_b": dim_b}
     return None
 
 

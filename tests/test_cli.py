@@ -1,6 +1,7 @@
 """End-to-end tests of the stabinv command-line interface."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,13 @@ import pytest
 
 from stabinv import cli, invariants, oracle
 from stabinv.invariants import degree2_dim
-from stabinv.stabilizer import AdjacencyMatrix, format_code, graph_generator, parse_code
+from stabinv.stabilizer import (
+    AdjacencyMatrix,
+    GeneratorMatrix,
+    format_code,
+    graph_generator,
+    parse_code,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -285,6 +292,41 @@ def test_compare_global_permuted_pair(capsys, tmp_path):
     code, payload = run_json(capsys, "compare", str(a), str(b), "--rmax", "2", "--global")
     assert code == 0
     assert sorted(payload["permutation"]) == [1, 2, 3]
+
+
+# Three n = 3, k = 2 codes by their int rows: A, an unrelated B, and A
+# with its qubits relabelled.
+PINNED_CODES = {"a": (3, 1, 3, 2, 3, 0), "b": (3, 2, 0, 2, 3, 0), "image": (3, 3, 1, 0, 2, 3)}
+
+
+@pytest.fixture
+def pinned(tmp_path):
+    for name, rows in PINNED_CODES.items():
+        (tmp_path / f"{name}.code").write_text(format_code(GeneratorMatrix(rows, 2)))
+    return {name: str(tmp_path / f"{name}.code") for name in PINNED_CODES}
+
+
+def test_compare_payloads_are_pinned(capsys, pinned):
+    # the exact bytes of a plain compare's first difference and of a
+    # --global match, so that neither payload's keys, order or layout moves
+    for argv, exit_code, digest in (
+        (("b",), 1, "c73c5bea7ca6d503b3561c6e9e22ac0881fdb3d7a7475eb57f7bc6d6e8dc32eb"),
+        (("image", "--global"), 0, "e9d1ac470a3f46b801d2a508ee4fe9b83dcc7a3bef3f5500b9d6ae7acba63ad3"),
+    ):
+        other, *flags = argv
+        code, out = run(capsys, "compare", pinned["a"], pinned[other], "--rmax", "3", *flags)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_invariant_prints_its_fingerprint_row(capsys, pinned):
+    # a single tuple's record, at degrees 2 to 4, is the row fingerprint prints
+    code, payload = run_json(capsys, "fingerprint", pinned["a"], "--rmax", "4")
+    assert code == 0
+    rows = payload["records"]
+    assert {row["r"] for row in rows[::41]} == {2, 3, 4}
+    for row in rows[::41]:
+        assert run_json(capsys, "invariant", pinned["a"], "--trees", row["tuple"]) == (0, row)
 
 
 def test_compare_length_mismatch(capsys, edge2, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from stabinv.gf2 import (
     kernel_basis,
     rank,
-    reduced_echelon,
     to_dense,
     to_text,
     transpose,
@@ -103,37 +102,34 @@ def test_rank_matches_span_enumeration():
         assert rank(m) == span_size_rank(m)
 
 
-def test_reduced_echelon_matches_brute_force():
-    """Against the defining properties: the pivots are the columns that
-    are not in the span of the columns to their left, each pivot column is
-    a unit vector, and the row space is unchanged."""
+def test_kernel_basis_matches_free_column_construction():
+    """Against the defining properties: the free columns are those in the
+    span of the columns to their left, and the vector of free column f has
+    f set and every other free column clear, in ascending f.  A kernel
+    vector is fixed by its free entries, so this pins the basis bit for
+    bit."""
     rng = random.Random(13)
     shapes = [(0, 0), (0, 3), (3, 0), (4, 66), (6, 100)]
     shapes += [random_shape(rng, 6, 8) for _ in range(30)]
     for rows, cols in shapes:
         m = random_matrix(rng, rows, cols)
-        echelon, pivots = reduced_echelon(m)
-        assert len(echelon) == rows
-        assert all(0 <= row < 1 << cols for row in echelon)
 
         def left_of(c):  # the columns 0..c-1
             return [row & ((1 << c) - 1) for row in m]
 
-        expected = tuple(
-            c for c in range(cols) if span_size_rank(left_of(c + 1)) > span_size_rank(left_of(c))
-        )
-        assert pivots == expected
-        for i, c in enumerate(pivots):
-            assert [(row >> c) & 1 for row in echelon] == [int(j == i) for j in range(rows)]
-        assert not any(echelon[len(pivots) :])
-        assert span_size_rank(m + list(echelon)) == len(pivots)
+        free = [
+            c for c in range(cols) if span_size_rank(left_of(c + 1)) == span_size_rank(left_of(c))
+        ]
+        basis = kernel_basis(m, cols)
+        mask = sum(1 << f for f in free)
+        assert [x & mask for x in basis] == [1 << f for f in free]
+        assert not any(parity(row & x) for row in m for x in basis)
 
 
-def test_reduced_echelon_leaves_input_alone():
+def test_kernel_basis_leaves_input_alone():
     m = [0b10, 0b11]  # rows [0, 1] and [1, 1]
-    echelon, pivots = reduced_echelon(m)
-    assert pivots == (0, 1)
-    assert echelon == (0b01, 0b10)
+    assert kernel_basis(m, 3) == (0b100,)
+    assert rank(m) == 2
     assert m == [0b10, 0b11]
 
 

@@ -117,11 +117,11 @@ def test_invariant_dim_matches_reference(data, gen, r):
 @settings(max_examples=15, deadline=None, database=None)
 @given(gen=codes(), r_max=st.integers(2, 3))
 def test_fingerprint_records_match_reference(gen, r_max):
-    fp = fingerprint(gen, r_max)
+    rows = fingerprint(gen, r_max)["records"]
     expected = [(r, tup) for r in range(2, r_max + 1) for tup in all_tuples(gen.n, r)]
-    assert [(rec.r, rec.tuple_id) for rec in fp.records] == [(r, t.id()) for r, t in expected]
-    for rec, (_, tup) in zip(fp.records, expected):
-        assert rec.dim == reference_dim(gen, tup)
+    assert [(row["r"], row["tuple"]) for row in rows] == [(r, t.id()) for r, t in expected]
+    for row, (_, tup) in zip(rows, expected):
+        assert row["dim"] == reference_dim(gen, tup)
 
 
 def test_identity_tuple_dim_zero():
@@ -186,25 +186,25 @@ def test_degree2_matches_tuple_engine():
         for k in range(n + 1):
             for trial in range(2):
                 gen = random_code(n, k, (trial, n, k, 6))
-                records = fingerprint(gen, 2).records
-                assert len(records) == 2**n
-                for rec in records:
-                    tup = parse_tuple(rec.tuple_id)
+                rows = fingerprint(gen, 2)["records"]
+                assert len(rows) == 2**n
+                for row in rows:
+                    tup = parse_tuple(row["tuple"])
                     omega = {i for i, t in enumerate(tup.trees, start=1) if t == right_chain(2)}
                     assert tup == degree2_tuple(n, omega)
-                    assert rec.dim == degree2_dim(gen, omega)
-                    assert rec.dim == eliminated_dim(gen, tup) == theorem2_dim(gen, tup)
-                    assert rec.dim == invariant_dim(gen, tup)
+                    assert row["dim"] == degree2_dim(gen, omega)
+                    assert row["dim"] == eliminated_dim(gen, tup) == theorem2_dim(gen, tup)
+                    assert row["dim"] == invariant_dim(gen, tup)
     # for a graph state the record is |omega| minus the cut-rank of omega
     chain = serialize(right_chain(2))
     for n in range(1, 6):
         for adj in all_graphs(n):
-            for rec in fingerprint(graph_generator(adj), 2).records:
-                omega = [i for i, ser in enumerate(rec.tuple_id.split(";")) if ser == chain]
+            for row in fingerprint(graph_generator(adj), 2)["records"]:
+                omega = [i for i, ser in enumerate(row["tuple"].split(";")) if ser == chain]
                 outside = [j for j in range(n) if j not in omega]
                 cut = [sum(((adj.rows[i] >> j) & 1) << c for c, j in enumerate(outside))
                        for i in omega]
-                assert rec.dim == len(omega) - rank(cut), (adj.rows, rec)
+                assert row["dim"] == len(omega) - rank(cut), (adj.rows, row)
 
 
 def test_degree3_matches_tuple_engine():
@@ -215,7 +215,7 @@ def test_degree3_matches_tuple_engine():
     for n in range(1, 5):
         for k in range(n + 1):
             gen = random_code(n, k, (n, k, 7))
-            records = {(rec.r, rec.tuple_id): rec.dim for rec in fingerprint(gen, 3).records}
+            records = {(row["r"], row["tuple"]): row["dim"] for row in fingerprint(gen, 3)["records"]}
             assert len(records) == 2**n + 5**n
             for (r, tuple_id), dim in records.items():
                 if r != 3:
@@ -337,11 +337,11 @@ def test_reduce_not_applicable():
 
 def test_fingerprint_record_counts():
     gen1 = random_code(1, 1, 12)
-    assert len(fingerprint(gen1, 2).records) == 2
+    assert len(fingerprint(gen1, 2)["records"]) == 2
     gen2 = random_code(2, 1, 13)
-    fp = fingerprint(gen2, 3)
-    assert len(fp.records) == 29  # 2^2 + 5^2
-    ids = [(rec.r, rec.tuple_id) for rec in fp.records]
+    rows = fingerprint(gen2, 3)["records"]
+    assert len(rows) == 29  # 2^2 + 5^2
+    ids = [(row["r"], row["tuple"]) for row in rows]
     assert ids == sorted(ids)
 
 
@@ -381,14 +381,14 @@ def test_product_vs_entangled_distinguished():
     fp_edge = fingerprint(EDGE2, 2)
     diff = first_difference(prod2, EDGE2, 2)
     assert diff is not None
-    rec_a, rec_b = diff
-    assert rec_a.r == 2
-    assert {rec_a.dim, rec_b.dim} == {0, 1}
+    assert list(diff) == ["r", "tuple", "dim_a", "dim_b"]
+    assert diff["r"] == 2
+    assert {diff["dim_a"], diff["dim_b"]} == {0, 1}
     # the singleton-omega records disagree: dim 1 for the product state,
     # dim 0 for the entangled pair
-    by_id = {rec.tuple_id: rec.dim for rec in fp_prod.records}
+    by_id = {row["tuple"]: row["dim"] for row in fp_prod["records"]}
     assert by_id[degree2_tuple(2, {1}).id()] == 1
-    by_id = {rec.tuple_id: rec.dim for rec in fp_edge.records}
+    by_id = {row["tuple"]: row["dim"] for row in fp_edge["records"]}
     assert by_id[degree2_tuple(2, {1}).id()] == 0
 
 
@@ -443,17 +443,21 @@ def test_compare_global_filters_above_degree_2(monkeypatch):
 
 
 def brute_first_difference(gen1, gen2, r_max):
-    pairs = zip(fingerprint(gen1, r_max).records, fingerprint(gen2, r_max).records)
-    return next(((a, b) for a, b in pairs if a != b), None)
+    pairs = zip(fingerprint(gen1, r_max)["records"], fingerprint(gen2, r_max)["records"])
+    return next(
+        ({"r": a["r"], "tuple": a["tuple"], "dim_a": a["dim"], "dim_b": b["dim"]}
+         for a, b in pairs if a != b),
+        None,
+    )
 
 
 def brute_compare_global(gen1, gen2, r_max):
     # compare_global searches itertools.permutations of the record
     # positions, each the inverse of the qubit relabelling it returns
-    records = fingerprint(gen1, r_max).records
+    records = fingerprint(gen1, r_max)["records"]
     for perm in itertools.permutations(range(gen1.n)):
         relabel = tuple(perm.index(i) + 1 for i in range(gen1.n))
-        if fingerprint(permute_qubits(gen2, relabel), r_max).records == records:
+        if fingerprint(permute_qubits(gen2, relabel), r_max)["records"] == records:
             return relabel
     return None
 
@@ -573,22 +577,23 @@ def test_simultaneous_qubit_permutation_invariance():
 
 
 def test_fingerprint_json_roundtrip():
-    fp = fingerprint(EDGE2, 2)
-    payload = json.loads(fp.to_json())
-    assert payload == fp.to_payload()
+    payload = fingerprint(EDGE2, 2)
+    assert json.loads(json.dumps(payload)) == payload
     assert list(payload) == ["n", "r_max", "records"]
+    assert [list(row) for row in payload["records"]] == [["r", "tuple", "dim"]] * 4
 
 
 def test_fingerprint_json_bytes_are_pinned():
-    # the exact JSON of two fixed codes' fingerprints, so that a change to
+    # the exact JSON of three fixed codes' fingerprints, so that a change to
     # the engine cannot change a record, the record order or the layout:
-    # random_code(2, 1, 3) at degrees 2-5, and random_code(3, 1, 5) at
-    # degrees 2-4, a degree-4 sweep at n = 3
-    for rows, r_max, digest in (
-        ((1, 0, 0, 1), 5, "3b00a9a35615131e2a7c0f174c9cb966cffab6950d6ea5c5af4a74733c0eba1a"),
-        ((1, 1, 1, 1, 0, 1), 4, "47381ffbc3cd451c299e1d1a6fcb4c8ec298ee303a64e367731b308e324e2de3"),
+    # random_code(2, 1, 3) at degrees 2-5, and random_code(3, 1, 5) and
+    # random_code(3, 2, 7) at degrees 2-4, degree-4 sweeps at n = 3
+    for rows, k, r_max, digest in (
+        ((1, 0, 0, 1), 1, 5, "3b00a9a35615131e2a7c0f174c9cb966cffab6950d6ea5c5af4a74733c0eba1a"),
+        ((1, 1, 1, 1, 0, 1), 1, 4, "47381ffbc3cd451c299e1d1a6fcb4c8ec298ee303a64e367731b308e324e2de3"),
+        ((3, 1, 3, 2, 3, 0), 2, 4, "6b84842f0ad03fbc9e30a0d77f49da085f185eeb3bce7f85c00274e848d792f5"),
     ):
-        text = fingerprint(GeneratorMatrix(rows, 1), r_max).to_json()
+        text = json.dumps(fingerprint(GeneratorMatrix(rows, k), r_max), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (rows, r_max)
 
 

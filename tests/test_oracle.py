@@ -11,7 +11,7 @@ import pytest
 
 from stabinv import cli, invariants, oracle
 from stabinv.errors import BudgetError, InvalidCodeError, capped_sum
-from stabinv.gf2 import rank, reduced_echelon, to_dense, to_text, transpose
+from stabinv.gf2 import rank, to_dense, to_text, transpose
 from stabinv.invariants import (
     identity_tuple,
     invariant_dim,
@@ -255,8 +255,9 @@ def all_codes(n: int):
         return bin((a & ((1 << n) - 1)) & (b >> n) ^ (a >> n) & b).count("1") % 2 == 0
 
     def extend(basis, start):
-        echelon, _ = reduced_echelon(basis)
-        if set(echelon) == set(basis):
+        # the basis is its own reduced row-echelon form: no vector has the
+        # lowest set bit of another
+        if all(a == b or not a & b & -b for a in basis for b in basis):
             yield GeneratorMatrix(transpose(basis, 2 * n), len(basis))
         for w in range(start, 1 << 2 * n):
             if rank([*basis, w]) > len(basis) and all(orthogonal(w, b) for b in basis):

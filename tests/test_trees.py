@@ -9,7 +9,6 @@ import pytest
 from stabinv import trees
 from stabinv.errors import Frozen
 from stabinv.gf2 import to_dense
-from stabinv.invariants import Fingerprint, InvariantRecord
 from stabinv.oracle import Dyadic
 from stabinv.stabilizer import AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp
 from stabinv.trees import (
@@ -207,8 +206,6 @@ def test_cached_enumeration_returns_same_objects():
 RECORDS = [
     (BinaryTree, ((2, 0), (0, 0))),
     (TreeTuple, ((left_chain(2), right_chain(2)),)),
-    (InvariantRecord, (2, "(L());(R())", 1)),
-    (Fingerprint, (1, 2, ())),
     (Dyadic, (3, -1, 2)),
     (LocalCliffordOp, ((((0, 1), (1, 0)),),)),
 ]
@@ -245,7 +242,6 @@ def test_records_are_immutable_values(cls, values):
 
 
 def test_record_repr_and_validation():
-    assert repr(InvariantRecord(2, "(L())", 1)) == "InvariantRecord(r=2, tuple_id='(L())', dim=1)"
     assert repr(Dyadic(re=4, im=2, scale=1)) == "Dyadic(re=2, im=1, scale=0)"
     assert repr(TreeTuple((right_chain(2),))) == "TreeTuple('(R())')"
     for bad in (
