@@ -8,7 +8,7 @@ such a code: its constructor takes the 2n rows as ints, bit l of a row
 for generator l + 1, and refuses bits that are no code.
 """
 
-import numpy as np
+import random
 
 from stabinv.errors import InvalidCodeError
 from stabinv.gf2 import to_text
@@ -57,15 +57,17 @@ reduced = restrict_to(gen, {1})
 print("restricted to {1}: n =", reduced.n, " k =", reduced.k)
 
 # Local Clifford operations act per qubit by invertible 2x2 blocks and
-# never change validity or the invariants.
-rng = np.random.default_rng(1)
+# never change validity or the invariants; random ones draw from a
+# random.Random, one block per qubit.
+rng = random.Random(1)
 op = LocalCliffordOp.random(2, rng)
 moved = apply_local_clifford(op, gen)
 print("after a random local Clifford:", moved.pauli_strings())
 back = apply_local_clifford(op.inverse(), moved)
 print("inverse restores the code space:", same_code_space(back, gen))
 
-# Seeded random codes for experiments; k = 0 is the trivial code.
+# Seeded random codes for experiments; k = 0 is the trivial code.  An int
+# or a tuple of ints seeds the same code in every process.
 sample = random_code(3, 2, seed=7)
 print("random [[3, 2]] code:\n" + format_code(sample), end="")
 print("reproducible:", random_code(3, 2, seed=7).rows == sample.rows)

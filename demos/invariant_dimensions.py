@@ -8,8 +8,7 @@ records, so the sweep works as an equivalence screen.
 
 import itertools
 import json
-
-import numpy as np
+import random
 
 from stabinv.invariants import (
     compare_global,
@@ -25,9 +24,11 @@ from stabinv.stabilizer import (
     AdjacencyMatrix,
     LocalCliffordOp,
     apply_local_clifford,
+    code_space,
     graph_generator,
     permute_qubits,
     random_code,
+    support,
 )
 from stabinv.trees import TreeTuple, left_chain, right_chain
 
@@ -39,12 +40,13 @@ print("identity tuple dim:", invariant_dim(edge, identity_tuple(2, 3)))
 print("full swap dim:", invariant_dim(edge, degree2_tuple(2, {1, 2})))
 
 # Degree-2 invariants measure codeword subspaces supported inside a qubit
-# subset; both engines agree.
+# subset: 2^dim codewords of the code lie inside omega.
 for size in range(3):
     for omega in itertools.combinations((1, 2), size):
         d = degree2_dim(edge, omega)
-        assert d == invariant_dim(edge, degree2_tuple(2, omega))
-        print(f"omega={set(omega) or set()}: dim {d}")
+        inside = [w for w in code_space(edge) if support(w) <= set(omega)]
+        assert len(inside) == 1 << d
+        print(f"omega={set(omega) or set()}: dim {d}, {len(inside)} codewords inside")
 
 # Padding a fresh singleton path or removing a shared one never moves the
 # dimension.
@@ -54,7 +56,7 @@ print("pad then reduce round-trips:", reduce_singleton(pad_degree(tup)) == tup)
 
 # Comparing two codes walks both sweeps of records side by side and stops
 # at the first record that differs; local Clifford images have none.
-rng = np.random.default_rng(3)
+rng = random.Random(3)
 twin = apply_local_clifford(LocalCliffordOp.random(2, rng), edge)
 print("LC twin indistinguishable:", first_difference(edge, twin, 3) is None)
 

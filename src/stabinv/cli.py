@@ -19,14 +19,14 @@ the report's status, not the exit code, tells a pass from a skip.
 
 The engine and the oracle are imported by the commands that use them,
 and of the suites only theorem1 and theorem2 import the engine.  The
-oracle works on Python ints and never loads numpy; the engine loads it
-only to eliminate a kernel of degree 4 or more, single tuple or sweep,
-and the theorem suites' random codes draw from numpy's generator.  So
-validate, invariant below degree 4, fingerprint and compare up to --rmax
-3, oracle-check on lemma1 to lemma4, and every usage, parse or
-invalid-code exit run without numpy.  No command loads dataclasses,
-inspect or fractions, and each takes what it runs from the modules, not
-from the package, whose import loads nothing.
+oracle works on Python ints, and the theorem suites' random codes draw
+from random.Random; numpy loads only when the engine eliminates a kernel
+of degree 4 or more, single tuple or sweep.  So validate, invariant
+below degree 4, fingerprint and compare up to --rmax 3, oracle-check on
+lemma1 to lemma4 and on theorem1 and theorem2 up to --max-r 3, and every
+usage, parse or invalid-code exit run without numpy.  No command loads
+dataclasses, inspect or fractions, and each takes what it runs from the
+modules, not from the package, whose import loads nothing.
 """
 
 from __future__ import annotations
@@ -114,13 +114,12 @@ def cmd_validate(args) -> int:
 
 def _read_tuple(spec: str):
     """Tree tuple from an inline 'a;b;c' spec or a '@file' with one
-    serialized tree per line."""
-    from . import invariants, trees
+    serialized tree per line, both read by invariants.parse_tuple."""
+    from . import invariants
 
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        return trees.TreeTuple(tuple(trees.parse(ln) for ln in lines))
+            spec = ";".join(ln.strip() for ln in fh)
     return invariants.parse_tuple(spec)
 
 

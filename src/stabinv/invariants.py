@@ -119,9 +119,9 @@ def invariant_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
 
 
 def degree2_dim(gen: GeneratorMatrix, omega) -> int:
-    """Dimension of the codeword subspace supported inside omega; agrees
-    with the degree-2 invariant for the tuple encoding omega."""
-    return len(subcode_basis(gen, omega))
+    """Dimension of the codeword subspace supported inside omega: the
+    record of the degree-2 tuple encoding omega."""
+    return invariant_dim(gen, degree2_tuple(gen.n, omega))
 
 
 def _records(gen: GeneratorMatrix, choices):

@@ -312,22 +312,15 @@ def _entry_tables(tup: TreeTuple) -> list[list[int]]:
     return tables
 
 
-def _swap_table(m: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """For each pair of index bits p < q of an m-bit basis index, the
-    masked swap (delta, sel) that trades them in a mask over the indices:
-    sel marks the indices with bit p set and bit q clear, which trade
-    places with the indices delta = 2^q - 2^p above them."""
-    bits = _bit_masks(m)
-    return {(p, q): ((1 << q) - (1 << p), bits[p] & ~bits[q]) for q in range(m) for p in range(q)}
-
-
-def _mask_swaps(target: list[int], table: dict) -> list[tuple[int, int]]:
-    """Masked index-bit swaps from table, _swap_table(len(target)), at
-    most len(target) - 1 of them, that take a mask M over the basis
-    indices to M∘g, whose bit a is bit image[a] of M for the bit map
-    target.  Swapping index bits p < q of a mask composes its index map
-    with the transposition of p and q, so the map is built up from the
-    identity one position at a time.
+def _mask_swaps(target: list[int], bits: list[int]) -> list[tuple[int, int]]:
+    """Masked index-bit swaps, at most len(target) - 1 of them, that take
+    a mask M over the basis indices to M∘g, whose bit a is bit image[a]
+    of M for the bit map target; bits is _bit_masks(len(target)).
+    Swapping index bits p < q of a mask composes its index map with the
+    transposition of p and q, so the map is built up from the identity
+    one position at a time.  Each swap is (delta, sel): sel marks the
+    indices with bit p set and bit q clear, which trade places with the
+    indices delta = 2^q - 2^p above them.
     """
     current = list(range(len(target)))
     swaps = []
@@ -335,7 +328,7 @@ def _mask_swaps(target: list[int], table: dict) -> list[tuple[int, int]]:
         if current[p] != want:
             q = current.index(want, p + 1)
             current[p], current[q] = want, current[p]
-            swaps.append(table[p, q])
+            swaps.append(((1 << q) - (1 << p), bits[p] & ~bits[q]))
     return swaps
 
 
@@ -525,10 +518,17 @@ def _xor(masks) -> int:
 
 def _bit_masks(m: int) -> list[int]:
     """For each bit b of an m-bit point, the mask of the 2^m points with
-    bit b set: blocks of h = 2^b points, alternately clear and set, which
-    is the all-ones mask divided by 2^h + 1, shifted up by h."""
-    full = (1 << (1 << m)) - 1
-    return [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(m)]
+    bit b set: blocks of h = 2^b points, alternately clear and set, built
+    by doubling one clear-then-set pair of blocks up to 2^m bits."""
+    masks = []
+    for b in range(m):
+        h = 1 << b
+        mask, width = ((1 << h) - 1) << h, 2 * h
+        while width < 1 << m:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
 
 
 class TupleSpaces:
@@ -786,8 +786,8 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
         ]
         for r in degrees:
             tuples = list(all_tuples(n, r))
-            table = _swap_table(n * r)
-            swaps = [_mask_swaps(_bit_targets(tup), table) for tup in tuples]
+            bits = _bit_masks(n * r)
+            swaps = [_mask_swaps(_bit_targets(tup), bits) for tup in tuples]
             norms = None
             for adj, factor in factored:
                 spaces = GraphTupleSpaces(adj, r)

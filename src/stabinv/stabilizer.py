@@ -7,13 +7,16 @@ Generator phases are not represented; they do not affect the local
 equivalence class, and the dense oracle fixes its own +1 convention.
 
 Codes and graphs are made from Python-int rows (see gf2) by their
-constructors and hand out nothing else; only random_code loads numpy.
+constructors and hand out nothing else.  Random codes, graphs and local
+Cliffords draw from the standard library's random.Random, so no function
+here loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import random
 
 from .errors import Frozen, InvalidCodeError, ParseError
 from .gf2 import kernel_basis, rank, to_text, transpose
@@ -211,13 +214,13 @@ class AdjacencyMatrix(Frozen):
         return cls([((1 << n) - 1) ^ (1 << i) for i in range(n)])
 
     @classmethod
-    def random(cls, n: int, rng) -> "AdjacencyMatrix":
-        """One fair coin per vertex pair from a numpy Generator, pairs in
+    def random(cls, n: int, rng: random.Random) -> "AdjacencyMatrix":
+        """One fair coin per vertex pair, rng.getrandbits(1), pairs in
         row-major order."""
         rows = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                if rng.integers(0, 2):
+                if rng.getrandbits(1):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         return cls(rows)
@@ -266,10 +269,9 @@ class LocalCliffordOp(Frozen):
         return cls((((1, 0), (0, 1)),) * n)
 
     @classmethod
-    def random(cls, n: int, rng) -> "LocalCliffordOp":
-        """One block per qubit, drawn from a numpy Generator."""
-        picks = rng.integers(0, len(INVERTIBLE_2X2), size=n)
-        return cls(tuple(INVERTIBLE_2X2[int(p)] for p in picks))
+    def random(cls, n: int, rng: random.Random) -> "LocalCliffordOp":
+        """One block per qubit, rng.choice(INVERTIBLE_2X2), qubit 1 first."""
+        return cls(tuple(rng.choice(INVERTIBLE_2X2) for _ in range(n)))
 
     def inverse(self) -> "LocalCliffordOp":
         inv = []
@@ -315,13 +317,12 @@ def same_code_space(a: GeneratorMatrix, b: GeneratorMatrix) -> bool:
 
 def random_code(n: int, k: int, seed) -> GeneratorMatrix:
     """Deterministic random valid code: a local-Clifford image of the
-    first k generators of a random graph code, drawn from numpy's
-    default_rng(seed)."""
-    import numpy as np
-
+    first k generators of a random graph code, drawn from a random.Random
+    seeded with repr(seed), so an int or a tuple of ints gives the same
+    code in every process, whatever PYTHONHASHSEED is."""
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(repr(seed))
     adj = AdjacencyMatrix.random(n, rng)
     low = (1 << k) - 1
     gen = GeneratorMatrix([row & low for row in graph_generator(adj).rows], k)

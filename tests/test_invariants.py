@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def rows_of(a) -> list[int]:
 
 def random_tuple(n, r, rng) -> TreeTuple:
     pool = enumerate_trees(r)
-    return TreeTuple(tuple(pool[int(i)] for i in rng.integers(0, len(pool), n)))
+    return TreeTuple(tuple(rng.choices(pool, k=n)))
 
 
 def test_tree_tuple_validation():
@@ -153,11 +154,11 @@ def test_qubit_count_mismatch():
 
 
 def test_dim_bounds():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for trial in range(20):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(2, 4))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(2, 4)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 4))
         dim = invariant_dim(gen, random_tuple(n, r, rng))
         assert 0 <= dim <= r * k
@@ -277,11 +278,11 @@ def test_degree2_tuple_encoding():
 
 
 def test_theorem2_matches_kernel_engine():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for trial in range(10):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 4))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(1, 4)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 7))
         tup = random_tuple(n, r, rng)
         assert theorem2_dim(gen, tup) == invariant_dim(gen, tup)
@@ -300,20 +301,20 @@ def test_theorem2_budget():
 
 
 def test_reduce_pad_roundtrip():
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     for trial in range(30):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 4))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(1, 4)
         tup = random_tuple(n, r, rng)
         assert reduce_singleton(pad_degree(tup)) == tup
 
 
 def test_pad_and_reduce_preserve_dim():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for trial in range(30):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(2, 4))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(2, 4)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 11))
         tup = random_tuple(n, r, rng)
         assert invariant_dim(gen, pad_degree(tup)) == invariant_dim(gen, tup)
@@ -352,10 +353,10 @@ def test_fingerprint_budget():
 
 
 def test_fingerprint_lc_invariant():
-    rng = np.random.default_rng(15)
+    rng = random.Random(15)
     for trial in range(6):
-        n = int(rng.integers(1, 4))
-        gen = random_code(n, int(rng.integers(0, n + 1)), (trial, 15))
+        n = rng.randrange(1, 4)
+        gen = random_code(n, rng.randrange(0, n + 1), (trial, 15))
         twin = apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
         assert first_difference(gen, twin, 2) is None
 
@@ -466,12 +467,12 @@ def brute_compare_global(gen1, gen2, r_max):
 def test_comparisons_match_brute_force(seed):
     # k >= 1: every relabelling of a k = 0 code matches, so the order in
     # which they are searched would go untested
-    rng = np.random.default_rng((28, seed))
+    rng = random.Random(repr((28, seed)))
     n, r_max = 1 + seed % 4, 2 + seed // 4
-    gen = random_code(n, int(rng.integers(1, n + 1)), (seed, 28))
-    shuffled = permute_qubits(gen, tuple(int(p) for p in rng.permutation(n) + 1))
+    gen = random_code(n, rng.randrange(1, n + 1), (seed, 28))
+    shuffled = permute_qubits(gen, tuple(rng.sample(range(1, n + 1), n)))
     image = apply_local_clifford(LocalCliffordOp.random(n, rng), shuffled)
-    other = random_code(n, int(rng.integers(1, n + 1)), (seed, 29))
+    other = random_code(n, rng.randrange(1, n + 1), (seed, 29))
     for gen2 in (image, other):
         assert first_difference(gen, gen2, r_max) == brute_first_difference(gen, gen2, r_max)
         assert compare_global(gen, gen2, r_max) == brute_compare_global(gen, gen2, r_max)
@@ -549,27 +550,27 @@ def test_entry_points_reject_invalid_code(entry):
 
 
 def test_generator_basis_change_invariance():
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for trial in range(15):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, n + 1))
+        n = rng.randrange(1, 4)
+        k = rng.randrange(1, n + 1)
         gen = random_code(n, k, (trial, 21))
         while True:
-            basis = rng.integers(0, 2, size=(k, k), dtype=np.uint8)
+            basis = np.array([[rng.getrandbits(1) for _ in range(k)] for _ in range(k)], dtype=np.uint8)
             if rank(rows_of(basis)) == k:
                 break
         other = GeneratorMatrix(rows_of(to_dense(gen.rows, gen.k) @ basis % 2), k)
-        tup = random_tuple(n, int(rng.integers(2, 4)), rng)
+        tup = random_tuple(n, rng.randrange(2, 4), rng)
         assert invariant_dim(gen, tup) == invariant_dim(other, tup)
 
 
 def test_simultaneous_qubit_permutation_invariance():
-    rng = np.random.default_rng(22)
+    rng = random.Random(22)
     for trial in range(15):
-        n = int(rng.integers(2, 5))
-        gen = random_code(n, int(rng.integers(0, n + 1)), (trial, 22))
-        tup = random_tuple(n, int(rng.integers(2, 4)), rng)
-        perm = tuple(int(p) for p in rng.permutation(n) + 1)
+        n = rng.randrange(2, 5)
+        gen = random_code(n, rng.randrange(0, n + 1), (trial, 22))
+        tup = random_tuple(n, rng.randrange(2, 4), rng)
+        perm = tuple(rng.sample(range(1, n + 1), n))
         permuted_tup = TreeTuple(tuple(tup.trees[p - 1] for p in perm))
         assert invariant_dim(gen, tup) == invariant_dim(
             permute_qubits(gen, perm), permuted_tup

@@ -67,7 +67,7 @@ ONE = Dyadic(1, 0, 0)
 
 def random_tuple(n, r, rng) -> TreeTuple:
     pool = enumerate_trees(r)
-    return TreeTuple(tuple(pool[int(i)] for i in rng.integers(0, len(pool), n)))
+    return TreeTuple(tuple(rng.choices(pool, k=n)))
 
 
 def table_index(bits) -> int:
@@ -203,12 +203,12 @@ def test_rho_purity_scaling():
 
 
 def test_rho_sign_flips_change_operator_not_traces():
-    rng = np.random.default_rng(2)
+    rng = random.Random(2)
     for trial in range(10):
-        n = int(rng.integers(1, 3))
-        k = int(rng.integers(1, n + 1))
+        n = rng.randrange(1, 3)
+        k = rng.randrange(1, n + 1)
         gen = random_code(n, k, (trial, 32))
-        signs = tuple(int(s) for s in rng.choice((1, -1), k))
+        signs = tuple(rng.choices((1, -1), k=k))
         rho = rho_from_code(gen)
         flipped = rho_from_code(gen, signs=signs)
         assert flipped.same_as(rho) == (signs == (1,) * k)
@@ -363,10 +363,10 @@ def test_trace_splits_over_qubits():
                     assert check(u, v), (tup.id(), bits)
                     choices += 1
     assert choices == 5300
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(30):
-        n, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        u, v = rng.integers(0, 2, (2, r, n))
+        n, r = rng.randrange(1, 4), rng.randrange(1, 4)
+        u, v = np.array([rng.getrandbits(1) for _ in range(2 * r * n)]).reshape(2, r, n)
         tup = random_tuple(n, r, rng)
         assert splits(tup)(u, v), (tup.id(), u, v)
 
@@ -415,8 +415,8 @@ def test_sign_traces_match_the_dense_contraction():
     for n, r in itertools.product((1, 2, 3), repeat=2):
         tuples = list(all_tuples(n, r))
         tables = [oracle._entry_tables(tup) for tup in tuples]
-        table = oracle._swap_table(n * r)
-        swaps = [oracle._mask_swaps(oracle._bit_targets(tup), table) for tup in tuples]
+        bits = oracle._bit_masks(n * r)
+        swaps = [oracle._mask_swaps(oracle._bit_targets(tup), bits) for tup in tuples]
         assert all(len(s) < n * r for s in swaps)
         for adj in all_graphs(n):
             rho = rho_from_code(graph_generator(adj))
@@ -428,6 +428,15 @@ def test_sign_traces_match_the_dense_contraction():
                 assert traces == [product_trace(entries, [op] * r) for entries in tables]
 
 
+def test_bit_masks_match_the_division_formula():
+    # blocks of 2^b clear then 2^b set points are the all-ones mask over
+    # 2^m points divided by 2^(2^b) + 1, shifted up by 2^b
+    for m in range(13):
+        full = (1 << (1 << m)) - 1
+        expected = [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(m)]
+        assert oracle._bit_masks(m) == expected, m
+
+
 def test_mask_swaps_permute_indices_as_t_pi():
     # bit a of the swapped mask is bit image[a] of the mask, image the
     # numpy reference's, for every tuple with n * r <= 9 and a seeded
@@ -436,10 +445,10 @@ def test_mask_swaps_permute_indices_as_t_pi():
     for n in range(1, 10):
         for r in range(1, 9 // n + 1):
             dim = 1 << (n * r)
-            table = oracle._swap_table(n * r)
+            bits = oracle._bit_masks(n * r)
             for tup in all_tuples(n, r):
                 mask = rng.getrandbits(dim)
-                moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), table))
+                moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), bits))
                 low_first = format(mask, f"0{dim}b")[::-1]  # character a is bit a
                 expected = "".join(map(low_first.__getitem__, ref_t_pi(tup)))
                 assert format(moved, f"0{dim}b")[::-1] == expected, tup.id()
@@ -532,11 +541,11 @@ def test_trace_full_swap_is_purity():
 def test_trace_offset_matches_path_counts():
     # measured offset of log2(trace) over the kernel dimension equals
     # (total number of right paths) - n*r for every code
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for trial in range(20):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(2, 4))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(2, 4)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 35))
         tup = random_tuple(n, r, rng)
         offset = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
@@ -562,13 +571,13 @@ def test_trace_budget():
 
 
 def test_trace_invariant_under_local_clifford():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for trial in range(10):
-        n = int(rng.integers(1, 3))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 3)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 37))
         twin = apply_local_clifford(LocalCliffordOp.random(n, rng), gen)
-        tup = random_tuple(n, int(rng.integers(2, 4)), rng)
+        tup = random_tuple(n, rng.randrange(2, 4), rng)
         assert invariant_trace(gen, tup) == invariant_trace(twin, tup)
 
 
@@ -687,10 +696,10 @@ def test_tuple_spaces_are_closed_under_xor():
 
 def test_tuple_space_matches_kernel_dimension():
     # log2 |space| is the engine's kernel dimension
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for trial in range(10):
-        n = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 4))
+        n = rng.randrange(1, 4)
+        r = rng.randrange(1, 4)
         adj = AdjacencyMatrix.random(n, rng)
         tup = random_tuple(n, r, rng)
         size = GraphTupleSpaces(adj, r).space(tup).bit_count()
@@ -748,7 +757,7 @@ def test_lemma4_small_graphs():
 
 
 def test_lemma4_empty_graph_any_tuple():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for r in (1, 2, 3):
         tup = random_tuple(3, r, rng)
         assert GraphTupleSpaces(AdjacencyMatrix.empty(3), r).lemma4_failure(tup) is None
@@ -910,7 +919,7 @@ def test_theorem_suites_report_a_fault_only_a_sweep_shows(monkeypatch):
     ]
     reports = suite_theorem1(max_n=2, max_r=3), suite_theorem2(max_n=2, max_r=3)
     assert [(r["status"], r["checks"], len(r["failures"])) for r in reports] == [
-        ("fail", 2020, 594), ("fail", 530, 145)
+        ("fail", 2020, 532), ("fail", 530, 122)
     ]
 
 

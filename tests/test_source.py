@@ -58,27 +58,26 @@ def all_imports(path: Path) -> set[str]:
 
 
 def test_only_the_engine_loads_numpy():
-    # codes, trees, the package, the CLI and the oracle work on Python
-    # ints, so that validate, every early exit and the lemma suites start
-    # without numpy; the engine loads it only to eliminate a kernel, which
-    # degree-2 and degree-3 records never need, and the oracle nowhere
-    sources = sorted(SRC.glob("*.py"))
-    loaders = {
-        path.name
-        for path in sources
-        if "numpy" in module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-    }
+    # codes, random draws, trees, the package, the CLI and the oracle work
+    # on Python ints, so that validate, every early exit, the lemma suites
+    # and the theorem suites below degree 4 start without numpy; it loads
+    # only where the engine eliminates a kernel, which degree-2 and
+    # degree-3 records never need: in _kernel_dim and in to_dense, which
+    # makes the blocks it eliminates
+    loaders, importers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "numpy" in module_level_imports(tree):
+            loaders.add(path.name)
+        importers |= {
+            f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "numpy" in module_level_imports(ast.Module(body=func.body, type_ignores=[]))
+        }
     assert loaders == set()
+    assert importers == {"gf2.to_dense", "invariants._kernel_dim"}
     assert "fractions" in all_imports(SRC / "oracle.py")
-    assert "numpy" not in all_imports(SRC / "oracle.py")
-    tree = ast.parse((SRC / "invariants.py").read_text(encoding="utf-8"))
-    importers = {
-        func.name
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "numpy" in module_level_imports(ast.Module(body=func.body, type_ignores=[]))
-    }
-    assert importers == {"_kernel_dim"}
 
 
 def test_no_module_loads_dataclasses_inspect_or_fractions():
@@ -138,9 +137,9 @@ def test_one_owner_lays_out_the_copy_permutation():
 
 
 def test_one_owner_computes_a_record():
-    # every record, of one tuple or of a sweep, comes from _records: only
-    # it builds blocks, eliminates them or takes ranks, and only it and
-    # degree2_dim read subcode bases, so no second route can grow back
+    # every record, of one tuple, of a qubit subset or of a sweep, comes
+    # from _records: only it builds blocks, eliminates them, takes ranks
+    # or reads subcode bases, so no second route can grow back
     readers = {name: set() for name in ("_block", "_kernel_dim", "rank", "subcode_basis")}
     for top in ast.parse((SRC / "invariants.py").read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
@@ -151,16 +150,18 @@ def test_one_owner_computes_a_record():
         "_block": {"_records"},
         "_kernel_dim": {"_records"},
         "rank": {"_records"},
-        "subcode_basis": {"_records", "degree2_dim"},
+        "subcode_basis": {"_records"},
     }
 
 
-# Works with codes, graphs and trees, then prints whether numpy was imported.
+# Works with codes, graphs and trees, random ones too, then prints whether
+# numpy was imported.
 ROWS_ONLY = """
+import random
 import sys
 from stabinv.stabilizer import (
-    AdjacencyMatrix, GeneratorMatrix, all_graphs, format_code, graph_generator,
-    parse_code, permute_qubits, restrict_to,
+    AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp, all_graphs, apply_local_clifford,
+    format_code, graph_generator, parse_code, permute_qubits, random_code, restrict_to,
 )
 from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths
 
@@ -171,6 +172,10 @@ codes = [
     graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])),
 ]
 codes += [graph_generator(adj) for adj in all_graphs(3)]
+codes += [random_code(4, k, (k, 4)) for k in range(1, 5)]
+rng = random.Random(0)
+graph = graph_generator(AdjacencyMatrix.random(4, rng))
+codes.append(apply_local_clifford(LocalCliffordOp.random(4, rng), graph))
 for gen in codes:
     for fmt in ("bits", "pauli"):
         assert parse_code(format_code(gen, fmt)).n == gen.n

@@ -2,6 +2,11 @@
 Clifford action."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from stabinv.stabilizer import (
     symplectic_product,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 
 
@@ -50,7 +56,7 @@ def violation_of(m) -> str | None:
 
 
 def test_graph_generators_validate():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     for n in range(1, 6):
         adj = AdjacencyMatrix.random(n, rng)
         matrix = np.vstack([to_dense(adj.rows, n), np.eye(n, dtype=np.uint8)])
@@ -338,10 +344,10 @@ def test_swap_block_exchanges_roles():
 
 
 def test_clifford_preserves_validity():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for trial in range(25):
-        n = int(rng.integers(1, 5))
-        k = int(rng.integers(0, n + 1))
+        n = rng.randrange(1, 5)
+        k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 3))
         op = LocalCliffordOp.random(n, rng)
         out = apply_local_clifford(op, gen)  # built, so a valid code
@@ -349,10 +355,10 @@ def test_clifford_preserves_validity():
 
 
 def test_clifford_inverse_restores_space():
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     for trial in range(25):
-        n = int(rng.integers(1, 5))
-        gen = random_code(n, int(rng.integers(0, n + 1)), (trial, 4))
+        n = rng.randrange(1, 5)
+        gen = random_code(n, rng.randrange(0, n + 1), (trial, 4))
         op = LocalCliffordOp.random(n, rng)
         back = apply_local_clifford(op.inverse(), apply_local_clifford(op, gen))
         assert same_code_space(back, gen)
@@ -376,6 +382,29 @@ def test_random_code_deterministic():
     c = random_code(4, 2, 124)
     assert np.array_equal(to_dense(a.rows, a.k), to_dense(b.rows, b.k))
     assert not np.array_equal(to_dense(c.rows, c.k), to_dense(a.rows, a.k))
+
+
+def test_random_code_is_the_same_in_every_process():
+    # the generator is seeded from repr(seed), which no hash randomisation
+    # enters, so an int and a tuple seed each give one code in any child
+    script = (
+        "from stabinv.stabilizer import random_code\n"
+        "print([random_code(5, 3, seed).rows for seed in (7, (0, 5, 3, 1))])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    expected = f"{[random_code(5, 3, seed).rows for seed in (7, (0, 5, 3, 1))]}\n"
+    assert outputs == [expected, expected]
 
 
 def test_random_code_trivial_and_full():
