@@ -1,8 +1,9 @@
 """Command-line surface: stabinv {validate,invariant,fingerprint,compare,oracle-check}.
 
 Every command but oracle-check takes its code file (compare two) as a
-required positional argument.  Output is JSON on stdout, or a plain-text
-table with --format table where it makes sense.  Exit codes: 0 success or
+required positional argument.  Each command returns its payload and exit
+code, and main alone prints the payload, as one indented JSON document on
+stdout; diagnostics go to stderr.  Exit codes: 0 success or
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
 validate was given a code that fails validation).  A sweep over its
@@ -66,22 +67,6 @@ def _read_code(path: str) -> stabilizer.GeneratorMatrix:
     return gen
 
 
-def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "json") == "table":
-        lines = [f"{key}: {payload[key]}" for key in payload if key != "records"]
-        for rec in payload.get("records", []):
-            lines.append(f"  r={rec['r']} dim={rec['dim']} tuple={rec['tuple']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_omega(text: str, n: int) -> set[int]:
     text = text.strip()
     if not text or text == "-":
@@ -95,7 +80,7 @@ def _parse_omega(text: str, n: int) -> set[int]:
     return omega
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, int]:
     try:
         gen = _read_code(args.code)
         shape, violation = (2 * gen.n, gen.k), None
@@ -108,8 +93,7 @@ def cmd_validate(args) -> int:
     }
     if violation is not None:
         payload["violation"] = violation
-    _emit(payload, args)
-    return EXIT_OK if violation is None else EXIT_DISTINGUISHED
+    return payload, EXIT_OK if violation is None else EXIT_DISTINGUISHED
 
 
 def _read_tuple(spec: str):
@@ -130,7 +114,7 @@ def _budget(args) -> dict:
     return {"max_records": args.max_tuples} if hasattr(args, "max_tuples") else {}
 
 
-def cmd_invariant(args) -> int:
+def cmd_invariant(args) -> tuple[dict, int]:
     gen = _read_code(args.code)
     from . import invariants
 
@@ -141,26 +125,21 @@ def cmd_invariant(args) -> int:
         tup = invariants.degree2_tuple(gen.n, omega)
         dim = invariants.degree2_dim(gen, omega)
     else:
-        if args.trees.startswith("all:"):
-            raise ParseError("'all:r' is a sweep spec; this command takes a single "
-                             "tuple (use 'fingerprint' for sweeps)")
         tup = _read_tuple(args.trees)
         if tup.n != gen.n:
             raise ParseError(f"tuple has {tup.n} trees but the code has {gen.n} qubits")
         dim = invariants.invariant_dim(gen, tup)
-    _emit({"r": tup.r, "tuple": tup.id(), "dim": dim}, args)
-    return EXIT_OK
+    return {"r": tup.r, "tuple": tup.id(), "dim": dim}, EXIT_OK
 
 
-def cmd_fingerprint(args) -> int:
+def cmd_fingerprint(args) -> tuple[dict, int]:
     gen = _read_code(args.code)
     from . import invariants
 
-    _emit(invariants.fingerprint(gen, args.rmax, **_budget(args)), args)
-    return EXIT_OK
+    return invariants.fingerprint(gen, args.rmax, **_budget(args)), EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[dict, int]:
     gen_a = _read_code(args.code_a)
     gen_b = _read_code(args.code_b)
     if gen_a.n != gen_b.n:
@@ -176,11 +155,10 @@ def cmd_compare(args) -> int:
         same = diff is None
         detail = {} if same else {"first_difference": diff}
     verdict = f"indistinguishable at r <= {args.rmax}" if same else "distinguished"
-    _emit({"verdict": verdict, **detail}, args)
-    return EXIT_OK if same else EXIT_DISTINGUISHED
+    return {"verdict": verdict, **detail}, EXIT_OK if same else EXIT_DISTINGUISHED
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args) -> tuple[dict, int]:
     from . import oracle
 
     suite = oracle.SUITES[args.suite]
@@ -201,10 +179,7 @@ def cmd_oracle_check(args) -> int:
     if kwargs.get("seed", 0) < 0:
         raise ParseError(f"--seed must be at least 0, got {kwargs['seed']}")
     report = suite(**kwargs)
-    _emit(report, args)
-    if report["status"] == "fail":
-        return EXIT_DISTINGUISHED
-    return EXIT_OK
+    return report, EXIT_DISTINGUISHED if report["status"] == "fail" else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,36 +189,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, code_args=1):
-        if code_args == 1:
-            p.add_argument("code", help="code file ('n k' + bit rows, or 'pauli' + strings)")
-        else:
-            p.add_argument("code_a", help="first code file")
-            p.add_argument("code_b", help="second code file")
-        p.add_argument("--format", choices=("json", "table"), default="json",
-                       help="output format (default json)")
-        p.add_argument("--out", help="write output to this file instead of stdout")
+    code_help = "code file ('n k' + bit rows, or 'pauli' + strings)"
 
     p = sub.add_parser("validate", help="check shape, rank and self-orthogonality")
-    common(p)
+    p.add_argument("code", help=code_help)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariant", help="kernel dimension for one tree tuple")
-    common(p)
+    p.add_argument("code", help=code_help)
     p.add_argument("--trees", help="semicolon-joined serialized trees, one per qubit")
     p.add_argument("--omega", help="degree-2 sugar: comma-separated qubit subset "
                                    "(empty or '-' for the empty set)")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("fingerprint", help="all invariant dimensions up to a degree")
-    common(p)
+    p.add_argument("code", help=code_help)
     p.add_argument("--rmax", type=int, required=True, help="largest degree (>= 2)")
     p.add_argument("--max-tuples", type=int, default=argparse.SUPPRESS,
                    help="record budget for the sweep (default: the engine's)")
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("compare", help="screen two codes for local equivalence")
-    common(p, code_args=2)
+    p.add_argument("code_a", help="first code file")
+    p.add_argument("code_b", help="second code file")
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--max-tuples", type=int, default=argparse.SUPPRESS,
                    help="record budget for each code's sweep (default: the engine's)")
@@ -261,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the random codes (default: the suite's)")
     p.add_argument("--max-dim", type=int, default=argparse.SUPPRESS,
                    help="dense dimension cap (default: the suite's)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -272,7 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
     except ParseError as exc:
         print(f"stabinv: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -288,6 +254,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"stabinv: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return code
 
 
 if __name__ == "__main__":

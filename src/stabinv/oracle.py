@@ -25,11 +25,12 @@ Conventions, fixed once and used consistently:
 * Traces against r copies of an operator take the copy permutation from
   one index-bit map, _bit_targets.  product_trace contracts one tuple's
   dense entry tables, made from it, with any r operators over every basis
-  index, for theorem1 and invariant_trace, whose projectors may be
-  mixed.  A graph projector is pure, c * s s^T with every s_x = +-1, so
-  lemma3 factors it once per graph and takes each trace as a popcount
-  over the sign mask of s^(tensor r), moved by masked swaps made from
-  the same map.
+  index, for invariant_trace, whose projectors may be mixed; theorem1
+  packs each projector once per degree and contracts every tuple with
+  the same private helper.  A graph projector is pure, c * s s^T with
+  every s_x = +-1, so lemma3 factors it once per graph and takes each
+  trace as a popcount over the sign mask of s^(tensor r), moved by
+  masked swaps made from the same map.
 """
 
 from __future__ import annotations
@@ -372,16 +373,29 @@ def product_trace(tables, ops) -> Dyadic:
         len(index) != dim for index in tables
     ):
         raise ValueError("need r operators on n qubits each, and r tables of 2^(n*r) entries")
-    # no coefficient exceeds 2^(n*r) times the product of each copy's
-    # largest |re| + |im|, bounded in turn by twice its largest part;
-    # an ExactOperator hashes by identity
+    return _contract(tables, *_pack(ops))
+
+
+def _pack(ops) -> tuple[int, list[list[int]], int]:
+    """r operators on n qubits each, packed for _contract: the width w,
+    each copy's entries as re + im * 2^w, and the summed scale.  No
+    coefficient exceeds 2^(n*r) times the product of each copy's largest
+    |re| + |im|, bounded in turn by twice its largest part.  Each distinct
+    operator is packed once; an ExactOperator hashes by identity."""
     largest = {op: 2 * max(map(abs, op.re + op.im)) for op in dict.fromkeys(ops)}
+    dim = 1 << (ops[0].m * len(ops))
     w = (dim * math.prod(map(largest.__getitem__, ops))).bit_length() + 1
     packed = {op: [a + (b << w) for a, b in zip(op.re, op.im)] for op in largest}
-    terms = map(packed[ops[0]].__getitem__, tables[0])
-    for op, index in zip(ops[1:], tables[1:]):
-        terms = map(operator.mul, terms, map(packed[op].__getitem__, index))
-    return Dyadic(*_gaussian(sum(terms), w, r), sum(op.scale for op in ops))
+    return w, [packed[op] for op in ops], sum(op.scale for op in ops)
+
+
+def _contract(tables, w: int, entries, scale: int) -> Dyadic:
+    """The trace product_trace describes, from _pack's packed operators:
+    each basis index multiplies one packed entry of each copy."""
+    terms = map(entries[0].__getitem__, tables[0])
+    for packed, index in zip(entries[1:], tables[1:]):
+        terms = map(operator.mul, terms, map(packed.__getitem__, index))
+    return Dyadic(*_gaussian(sum(terms), w, len(entries)), scale)
 
 
 def _sign_factor(rho: ExactOperator) -> tuple[Dyadic, int] | None:
@@ -861,12 +875,15 @@ def suite_theorem1(
         rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
         for r in degrees:
             streams = [records(gen, r) for gen in codes]
+            # the packing width depends on r, so each projector is packed
+            # once per degree and shared by all of its tuples
+            packs = [_pack([rho] * r) for rho in rhos]
             for tup, *recs in zip(all_tuples(n, r), *streams, strict=True):
                 tables = _entry_tables(tup)
                 expected = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
                 checks += len(codes)
-                for gen, rho, (sers, dim) in zip(codes, rhos, recs):
-                    trace = product_trace(tables, [rho] * r)
+                for gen, pack, (sers, dim) in zip(codes, packs, recs):
+                    trace = _contract(tables, *pack)
                     try:
                         offset = trace.log2() - dim
                     except ValueError:

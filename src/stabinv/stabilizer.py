@@ -57,15 +57,6 @@ class GeneratorMatrix(Frozen):
     def n(self) -> int:
         return len(self.rows) // 2
 
-    @classmethod
-    def from_pauli_strings(cls, strings) -> "GeneratorMatrix":
-        """Build from k Pauli strings of uniform length n, e.g. ["XZ", "ZX"]."""
-        strings = [s.strip().upper() for s in strings]
-        if not strings:
-            raise ValueError("need n from at least one Pauli string")
-        n = len(strings[0])
-        return cls(transpose([_pauli_column(s, n) for s in strings], 2 * n), len(strings))
-
     def pauli_strings(self) -> list[str]:
         z, x = self.rows[: self.n], self.rows[self.n :]
         return [

@@ -138,7 +138,7 @@ def test_os_error_exit_code(capsys, edge2, tmp_path):
     # a directory where a file is wanted is a usage error, not a traceback
     for argv in (
         ["validate", str(tmp_path)],
-        ["fingerprint", edge2, "--rmax", "2", "--out", str(tmp_path)],
+        ["invariant", edge2, "--trees", f"@{tmp_path}"],
     ):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -258,14 +258,6 @@ def test_huge_rmax_is_refused_at_the_degree_that_passes_the_budget(capsys, edge2
     err = capsys.readouterr().err
     assert code == 3
     assert err == "stabinv: budget exceeded: 203454 records exceed budget 200000\n"
-
-
-def test_fingerprint_out_file(capsys, edge2, tmp_path):
-    out = tmp_path / "fp.json"
-    code = cli.main(["fingerprint", edge2, "--rmax", "2", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert json.loads(out.read_text())["r_max"] == 2
 
 
 def test_compare_self_indistinguishable(capsys, edge2):
@@ -444,16 +436,41 @@ def test_oracle_check_deterministic(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{edge2}"],
+        ["invariant", "{edge2}", "--trees", "(L());(R())"],
+        ["invariant", "{edge2}", "--omega", "1"],
+        ["fingerprint", "{edge2}", "--rmax", "2"],
+        ["compare", "{edge2}", "{prod2}", "--rmax", "2"],
+        ["compare", "{edge2}", "{edge2}", "--rmax", "2", "--global"],
+        ["oracle-check", "--suite", "lemma1", "--max-n", "2"],
+    ],
+    ids=["validate", "invariant-trees", "invariant-omega", "fingerprint", "compare",
+         "compare-global", "oracle-check"],
+)
+def test_every_command_prints_one_indented_json_document(capsys, edge2, prod2, tmp_path, argv):
+    # stdout is the payload as main writes it, and nothing else; no flag
+    # picks another format or another destination
+    argv = [arg.format(edge2=edge2, prod2=prod2) for arg in argv]
+    cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+    assert captured.err == ""
+    for flag in (["--format", "table"], ["--format", "json"], ["--out", str(tmp_path / "f")]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + flag)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag[0] in captured.err
+    assert not (tmp_path / "f").exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["fingerprint"])  # missing required file and --rmax
     assert info.value.code == 2
-
-
-def test_table_format(capsys, edge2):
-    code, out = run(capsys, "validate", edge2, "--format", "table")
-    assert code == 0
-    assert "status: ok" in out
 
 
 def test_code_file_is_one_positional(capsys, edge2):

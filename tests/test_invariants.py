@@ -36,6 +36,7 @@ from stabinv.stabilizer import (
     all_graphs,
     apply_local_clifford,
     graph_generator,
+    parse_code,
     permute_qubits,
     random_code,
     restrict_to,
@@ -545,8 +546,8 @@ def test_compare_global_stops_early(monkeypatch):
 def test_entry_points_reject_invalid_code(entry):
     # the invalid code stops where it is made, so it never reaches the entry
     with pytest.raises(InvalidCodeError, match="^invalid code: not-self-orthogonal$"):
-        entry(GeneratorMatrix.from_pauli_strings(["XX", "ZI"]))
-    entry(GeneratorMatrix.from_pauli_strings(["XX", "ZZ"]))
+        entry(parse_code("pauli\nXX\nZI\n"))
+    entry(parse_code("pauli\nXX\nZZ\n"))
 
 
 def test_generator_basis_change_invariance():

@@ -46,6 +46,7 @@ from stabinv.stabilizer import (
     all_graphs,
     apply_local_clifford,
     graph_generator,
+    parse_code,
     random_code,
 )
 from stabinv.trees import (
@@ -560,8 +561,8 @@ def test_trace_offset_matches_path_counts():
 def test_oracle_rejects_invalid_code(entry):
     # the invalid code stops where it is made, so it never reaches the entry
     with pytest.raises(InvalidCodeError, match="^invalid code: not-self-orthogonal$"):
-        entry(GeneratorMatrix.from_pauli_strings(["XX", "ZI"]))
-    entry(GeneratorMatrix.from_pauli_strings(["XX", "ZZ"]))
+        entry(parse_code("pauli\nXX\nZI\n"))
+    entry(parse_code("pauli\nXX\nZZ\n"))
 
 
 def test_trace_budget():

@@ -121,6 +121,20 @@ def test_only_the_engine_calls_to_dense():
     assert callers == {"invariants.py"}
 
 
+def test_only_main_writes_to_stdout():
+    # each command returns its payload and exit code, and main alone
+    # prints it as JSON on stdout; no other code of the CLI may print or
+    # touch a standard stream
+    writers = {
+        getattr(top, "name", None)
+        for top in ast.parse((SRC / "cli.py").read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__"))
+    }
+    assert writers == {"main"}
+
+
 def test_one_owner_lays_out_the_copy_permutation():
     # the oracle reads a tree's copy permutation in _bit_targets, which
     # lays out T_pi's index bits for both the dense entry tables and
@@ -167,7 +181,7 @@ from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths
 
 codes = [
     GeneratorMatrix((0b10, 0b01, 0b01, 0b10), 2),
-    GeneratorMatrix.from_pauli_strings(["XZI", "ZXZ", "IZX"]),
+    parse_code("pauli\\nXZI\\nZXZ\\nIZX\\n"),
     GeneratorMatrix((0, 0, 1, 1), 1),
     graph_generator(AdjacencyMatrix.from_edges(3, [(1, 2), (2, 3)])),
 ]

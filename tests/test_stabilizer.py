@@ -99,7 +99,7 @@ def bits_of(strings):
 
 
 @pytest.mark.parametrize("violation", sorted(INVALID))
-@pytest.mark.parametrize("route", ["GeneratorMatrix", "from_pauli_strings", "bits", "pauli"])
+@pytest.mark.parametrize("route", ["GeneratorMatrix", "bits", "pauli"])
 def test_invalid_bits_never_become_a_code(route, violation):
     # every way outside input becomes a code refuses it, comments and all
     strings = INVALID[violation]
@@ -108,7 +108,6 @@ def test_invalid_bits_never_become_a_code(route, violation):
     bit_rows = "".join("".join(map(str, row)) + "\n" for row in matrix)
     make = {
         "GeneratorMatrix": lambda: GeneratorMatrix(rows_of(matrix), k),
-        "from_pauli_strings": lambda: GeneratorMatrix.from_pauli_strings(strings),
         "bits": lambda: parse_code(f"# c\n\n{rows // 2} {k}\n{bit_rows}"),
         "pauli": lambda: parse_code("# c\npauli\n" + "\n".join(strings) + "\n"),
     }[route]
@@ -435,11 +434,11 @@ def test_same_code_space_ignores_change_of_basis():
 
 
 def test_pauli_string_roundtrip():
-    gen = GeneratorMatrix.from_pauli_strings(["XZ", "ZY"])
+    gen = parse_code("pauli\nXZ\nZY\n")
     assert gen.pauli_strings() == ["XZ", "ZY"]
     assert (gen.n, gen.k) == (2, 2)
-    with pytest.raises(ValueError):
-        GeneratorMatrix.from_pauli_strings(["XQ"])
+    with pytest.raises(ParseError, match="^line 3: bad Pauli letter 'Q' in 'XQ'$"):
+        parse_code("pauli\nXZ\nXQ\n")
 
 
 def test_code_file_roundtrip_bits():
