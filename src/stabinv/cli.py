@@ -6,8 +6,10 @@ code, and main alone prints the payload, as one indented JSON document on
 stdout; diagnostics go to stderr.  Exit codes: 0 success or
 pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
-validate was given a code that fails validation).  A sweep over its
-record budget is refused before any work, at the first degree past it.
+validate was given a code that fails validation), 5 internal error (any
+other exception, a fault of the program rather than an answer: one line
+on stderr, nothing on stdout).  A sweep over its record budget is
+refused before any work, at the first degree past it.
 
 oracle-check passes on only the limits the user gave; the suite's own
 signature, read from its code object, supplies every default, and a
@@ -44,6 +46,7 @@ EXIT_DISTINGUISHED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 # the keys of oracle.SUITES, known here without importing the oracle
 SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "theorem2")
@@ -239,6 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
+        text = json.dumps(payload, indent=2) + "\n"
     except ParseError as exc:
         print(f"stabinv: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -254,7 +258,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"stabinv: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    except Exception as exc:  # no answer: exit 1 would read as one
+        print(f"stabinv: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(text)
     return code
 
 

@@ -29,8 +29,19 @@ Conventions, fixed once and used consistently:
   packs each projector once per degree and contracts every tuple with
   the same private helper.  A graph projector is pure, c * s s^T with
   every s_x = +-1, so lemma3 factors it once per graph and takes each
-  trace as a popcount over the sign mask of s^(tensor r), moved by
-  masked swaps made from the same map.
+  trace as a popcount over all 2^(n*r) indices of the sign mask of
+  s^(tensor r) against its image under the copy permutation.  The image
+  is made in the depth-first walk over the tuples that the tuple spaces
+  take: level q applies the masked swaps of qubit q's tree, made once
+  per (qubit, tree) from qubit q's slice of the same map, so one
+  prefix's image serves every tuple that extends it.  Moving the mask
+  one qubit at a time composes the permutation; it does not factor the
+  trace, which lemma 3 checks against a product over qubits:
+  s^(tensor r) of an entangled graph state is no such product, and no
+  per-qubit factor of a trace is ever formed.
+* The tuple-space suites walk all_tuples(n, r) depth first (_walk):
+  each level folds one (qubit, tree) mask into its prefix, and a tuple
+  or a trace is built only for a failure's record.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from .trees import (
     enumerate_trees,
     maximal_right_paths,
     permutation_of,
+    serialize,
     v_space_dimension,
 )
 
@@ -281,18 +293,26 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     return ExactOperator(n, acc, [0] * (dim * dim), n)
 
 
+def _qubit_bits(q: int, n: int, r: int) -> range:
+    """The index bits of qubit q (from 1) in a basis index of r copies of
+    n qubits: entry r - c is the bit of copy c.  Copy 1 is the most
+    significant block, and qubit 1 the top bit of each block."""
+    return range(n - q, n * r, n)
+
+
 def _bit_targets(tup: TreeTuple) -> list[int]:
     """The bit map of the copy permutation: input bit b of a basis index
     goes to output bit target[b].  Output bit (copy c, qubit q) equals
     input bit (copy pi_q(c), qubit q), where pi_q is the permutation of
-    the q-th tree.  The dense entry tables and lemma3's masked swaps are
-    both taken from this map."""
+    the q-th tree, so qubit q's slice of the map, at _qubit_bits(q), is
+    made from its tree alone.  The dense entry tables and lemma3's
+    per-qubit masked swaps are both taken from this map."""
     n, r = tup.n, tup.r
     target = [0] * (n * r)
-    for q in range(1, n + 1):
-        pi = permutation_of(tup.trees[q - 1])
-        for c in range(1, r + 1):
-            target[(r - pi[c - 1]) * n + (n - q)] = (r - c) * n + (n - q)
+    for q, tree in enumerate(tup.trees, start=1):
+        at = _qubit_bits(q, n, r)
+        for c, p in enumerate(permutation_of(tree), start=1):
+            target[at[r - p]] = at[r - c]
     return target
 
 
@@ -313,15 +333,27 @@ def _entry_tables(tup: TreeTuple) -> list[list[int]]:
     return tables
 
 
-def _mask_swaps(target: list[int], bits: list[int]) -> list[tuple[int, int]]:
+def _swap_table(bits: list[int], n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The masked swap (delta, sel) of each pair of index bits p < q of
+    one qubit, bits = _bit_masks(n * r): sel marks the indices with bit p
+    set and bit q clear, which trade places with the indices
+    delta = 2^q - 2^p above them.  A copy permutation moves each index bit
+    within its qubit, so no other pair is ever swapped.  Made once per
+    degree, so that every swap list shares its masks."""
+    return {
+        (p, q): ((1 << q) - (1 << p), bits[p] & ~bits[q])
+        for q in range(len(bits))
+        for p in range(q % n, q, n)
+    }
+
+
+def _mask_swaps(target: list[int], table) -> list[tuple[int, int]]:
     """Masked index-bit swaps, at most len(target) - 1 of them, that take
     a mask M over the basis indices to M∘g, whose bit a is bit image[a]
-    of M for the bit map target; bits is _bit_masks(len(target)).
+    of M for the bit map target; each is an entry of table, _swap_table's.
     Swapping index bits p < q of a mask composes its index map with the
     transposition of p and q, so the map is built up from the identity
-    one position at a time.  Each swap is (delta, sel): sel marks the
-    indices with bit p set and bit q clear, which trade places with the
-    indices delta = 2^q - 2^p above them.
+    one position at a time.
     """
     current = list(range(len(target)))
     swaps = []
@@ -329,7 +361,7 @@ def _mask_swaps(target: list[int], bits: list[int]) -> list[tuple[int, int]]:
         if current[p] != want:
             q = current.index(want, p + 1)
             current[p], current[q] = want, current[p]
-            swaps.append(((1 << q) - (1 << p), bits[p] & ~bits[q]))
+            swaps.append(table[p, q])
     return swaps
 
 
@@ -433,20 +465,45 @@ def _tensor_signs(signs: int, m: int, r: int) -> int:
     return int(text, 2)
 
 
-def _sign_traces(c: Dyadic, signs: int, m: int, r: int, swap_lists):
-    """The trace of each copy permutation, given by its _mask_swaps,
-    against rho^(tensor r) for rho = c * s s^T on m qubits.
+def _qubit_swaps(degree: _Degree, n: int) -> list[list[list[tuple[int, int]]]]:
+    """For each qubit q and each tree of the degree, the masked swaps
+    that move qubit q's index bits as the tree's copy permutation does and
+    fix every other bit: _mask_swaps of the map that is the identity but
+    on qubit q's slice of _bit_targets' map, the slice any tuple with that
+    tree at qubit q has.  Made once per (qubit, tree), and shared by every
+    graph and tuple of the degree."""
+    r, size = degree.r, n * degree.r
+    table = _swap_table(degree.bits, n)
+    columns = [[] for _ in range(n)]
+    for tree in degree.trees:
+        target = _bit_targets(TreeTuple((tree,) * n))
+        for q, column in enumerate(columns, start=1):
+            own = list(range(size))
+            for b in _qubit_bits(q, n, r):
+                own[b] = target[b]
+            column.append(_mask_swaps(own, table))
+    return columns
+
+
+def _walked_traces(c: Dyadic, signs: int, m: int, r: int, swaps):
+    """The trace against rho^(tensor r), rho = c * s s^T on m qubits, of
+    the copy permutation of every tuple of all_tuples(m, r), in that
+    order, as (re, im) over 2^(r * c.scale); swaps is _qubit_swaps'.
 
     The trace is the sum over every basis index a of c^r S(image[a]) S(a),
     S the signs of s^(tensor r): c^r (2^(m*r) - 2 popcount(S∘g XOR S)).
+    The qubits' index bits are disjoint, so g is the product of one
+    permutation per qubit, and _walk applies qubit q's swaps at level q:
+    each prefix's S∘g serves every tuple that extends it.
     """
     re, im = 1, 0
     for _ in range(r):
         re, im = re * c.re - im * c.im, re * c.im + im * c.re
     mask = _tensor_signs(signs, m, r)
-    for swaps in swap_lists:
-        total = (1 << (m * r)) - 2 * (_permuted(mask, swaps) ^ mask).bit_count()
-        yield Dyadic(total * re, total * im, r * c.scale)
+    full = 1 << (m * r)
+    for moved in _walk(swaps, mask, _permuted):
+        total = full - 2 * (moved ^ mask).bit_count()
+        yield total * re, total * im
 
 
 def _gaussian(total: int, w: int, r: int) -> tuple[int, int]:
@@ -545,28 +602,76 @@ def _bit_masks(m: int) -> list[int]:
     return masks
 
 
+def _walk(columns, value, op):
+    """op(... op(op(value, e_1), e_2) ..., e_n) for every choice of one
+    entry e_i of each column i, in itertools.product order, the last
+    column fastest.  The walk is depth first: each entry is folded into
+    its prefix once, the prefix serves every choice that extends it, and
+    one value per level is held, never one per choice."""
+    head, *rest = columns
+    if not rest:
+        return map(op, itertools.repeat(value), head)
+    return itertools.chain.from_iterable(_walk(rest, op(value, e), op) for e in head)
+
+
+def _nth_tuple(i: int, n: int, trees) -> TreeTuple:
+    """Tuple i of all_tuples(n, r), from 0, for trees = enumerate_trees(r):
+    i written in base len(trees), qubit n's tree the last digit."""
+    picked = []
+    for _ in range(n):
+        i, t = divmod(i, len(trees))
+        picked.append(trees[t])
+    return TreeTuple(tuple(picked[::-1]))
+
+
+def _log2_size(space: int) -> int:
+    """log2 of the number of points of a tuple space mask."""
+    count = space.bit_count()
+    if count & (count - 1):
+        raise RuntimeError(f"{count} solutions do not form a linear space")
+    return count.bit_length() - 1
+
+
+class _Degree:
+    """The tree data that the tuple spaces of degree r over m-bit points
+    read: the trees in enumerate_trees order, their right paths and prefix
+    rows, and _bit_masks(m).  A suite makes it once per size and passes it
+    to every code's spaces; nothing keeps it across suite calls."""
+
+    __slots__ = ("r", "trees", "paths", "prefix", "bits")
+
+    def __init__(self, r: int, m: int):
+        self.r = r
+        self.trees = enumerate_trees(r)
+        self.paths = [maximal_right_paths(tree) for tree in self.trees]
+        self.prefix = [d_matrix(tree) for tree in self.trees]
+        self.bits = _bit_masks(m)
+
+
 class TupleSpaces:
     """Every tuple space of one code at degree r, as masks over all 2^(k*r)
     coefficient points, built from the path decompositions rather than
     the engine's Kronecker stack; BudgetError when 2^(k*r) > MAX_ENUM.
     A point is a k x r bit matrix X, column j the coefficient vector of
     codeword S X_j of copy j; point a holds X[i, j] (from 1) at bit
-    (r - j) * k + (k - i), as _bit_targets lays out qubits when k = n.
+    (r - j) * k + (k - i), _qubit_bits(i, k, r)[r - j], as _bit_targets
+    lays out qubits when k = n.
 
     The masks are bit-sliced: one mask per entry X[i, j], and words[l][j]
     marks where row l of S X_j (0-based) is 1, the XOR of the X[i, j] with
     S[l, i] = 1.  member[i][tree] marks where rows i and n + i of S X,
     summed over each right path of the tree, are 0: codeword path sums
     vanish at qubit i (0-based).  A tuple's space is the AND of its n
-    masks, and its log2 size the invariant dimension.
+    masks, and its log2 size the invariant dimension.  degree, when given,
+    is the suite's _Degree(r, k * r).
     """
 
-    def __init__(self, gen: GeneratorMatrix, r: int):
+    def __init__(self, gen: GeneratorMatrix, r: int, degree: _Degree | None = None):
         n, k = gen.n, gen.k
         if 1 << (k * r) > MAX_ENUM:
             raise BudgetError(f"enumerating 2^{k * r} points exceeds budget {MAX_ENUM}")
-        bits = _bit_masks(k * r)
-        x = [[bits[(r - 1 - j) * k + (k - 1 - i)] for j in range(r)] for i in range(k)]
+        self.degree = degree = degree or _Degree(r, k * r)
+        x = [[degree.bits[b] for b in reversed(_qubit_bits(i, k, r))] for i in range(1, k + 1)]
         self.gen, self.r = gen, r
         self.full = (1 << (1 << (k * r))) - 1
         self.words = [
@@ -576,9 +681,9 @@ class TupleSpaces:
         self.member = []
         for z, xs in zip(self.words[:n], self.words[n:]):  # qubit i's z and x rows
             member = {}
-            for tree in enumerate_trees(r):
+            for tree, paths in zip(degree.trees, degree.paths):
                 nonzero = 0
-                for p in maximal_right_paths(tree):
+                for p in paths:
                     nonzero |= _xor(z[j - 1] for j in p) | _xor(xs[j - 1] for j in p)
                 member[tree] = self.full ^ nonzero
             self.member.append(member)
@@ -589,12 +694,14 @@ class TupleSpaces:
             raise ValueError("code and tuple sizes differ")
         return reduce(operator.and_, [m[t] for m, t in zip(self.member, tup.trees)])
 
+    def walk(self):
+        """space(tup) for every tup of all_tuples(n, r), in that order, by
+        one _walk over the member masks in tree order."""
+        return _walk([m.values() for m in self.member], self.full, operator.and_)
+
     def dim(self, tup: TreeTuple) -> int:
         """log2 of the size of the tuple space of tup."""
-        count = self.space(tup).bit_count()
-        if count & (count - 1):
-            raise RuntimeError(f"{count} solutions do not form a linear space")
-        return count.bit_length() - 1
+        return _log2_size(self.space(tup))
 
 
 def theorem2_dim(gen: GeneratorMatrix, tup: TreeTuple) -> int:
@@ -614,8 +721,8 @@ class GraphTupleSpaces(TupleSpaces):
     the graph-only part Tr X^T L X is 1, L the strict lower triangle of theta.
     """
 
-    def __init__(self, adj: AdjacencyMatrix, r: int):
-        super().__init__(graph_generator(adj), r)
+    def __init__(self, adj: AdjacencyMatrix, r: int, degree: _Degree | None = None):
+        super().__init__(graph_generator(adj), r, degree)
         n = adj.n
         s, x = self.words[:n], self.words[n:]  # theta_i . X_(.,j) and X[i, j]
         self.adj = adj
@@ -627,14 +734,14 @@ class GraphTupleSpaces(TupleSpaces):
             for j in range(r)
         )
         # (X_(i,.) D)_j is the XOR of X[i, c] over the rows c of D with bit j
-        prefix = {tree: d_matrix(tree) for tree in enumerate_trees(r)}
+        prefix = list(zip(self.degree.trees, self.degree.prefix))
         self.term = [
             {
                 tree: _xor(
                     _xor(xc for xc, row in zip(xi, d) if row >> j & 1) & sj
                     for j, sj in enumerate(si)
                 )
-                for tree, d in prefix.items()
+                for tree, d in prefix
             }
             for xi, si in zip(x, s)
         ]
@@ -644,6 +751,11 @@ class GraphTupleSpaces(TupleSpaces):
         of points where the quadratic form is 1."""
         q = _xor(f[t] for f, t in zip(self.term, tup.trees)) ^ self.base
         return self.space(tup), q
+
+    def forms(self):
+        """The form mask of of(tup) for every tup of all_tuples(n, r), in
+        that order, by one _walk over the term masks in tree order."""
+        return _walk([f.values() for f in self.term], self.base, operator.xor)
 
     def signed_sum(self, tup: TreeTuple) -> tuple[int, int]:
         """The sum of (-1)^Q over the tuple space, and its cardinality."""
@@ -775,13 +887,18 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
     A graph state has amplitudes +-2^(-n/2), so each graph's projector,
     built once per n, is factored exactly as c * s s^T with every entry
     checked (_sign_factor); a projector with no such form fails each of
-    its checks.  Each trace against a tuple's copy permutation is then one
-    popcount over all 2^(n*r) basis indices of the sign mask of
-    s^(tensor r) and its image under the permutation's index-bit swaps
-    (_sign_traces), made once per (n, r, tuple) from _bit_targets.  The
-    trace never uses the per-qubit factorization or the tuple-space sum
-    that the lemma checks.  The tuple-space cardinalities of the edgeless
-    graph, which all_graphs yields first, normalize every trace.
+    its checks.  The traces of all tuples come from one walk
+    (_walked_traces): level q moves the sign mask of s^(tensor r) by the
+    masked swaps of qubit q's tree, made once per (qubit, tree) from
+    _bit_targets (_qubit_swaps), and each trace is one popcount over all
+    2^(n*r) basis indices.  The walk composes the copy permutation qubit
+    by qubit but never factors a trace per qubit, as the lemma's signed
+    sum does: s^(tensor r) of an entangled graph state is no product over
+    qubits.  It runs in step with the walk over the graph's tuple spaces
+    and forms, and reads neither.  The tuple-space cardinalities of the
+    edgeless graph, which all_graphs yields first, normalize every trace.
+    A tuple and an exact trace are built only for a failure's record,
+    which lemma3_failure makes.
     """
     name = "lemma3"
     if max_n < 1 or max_r < 1:
@@ -799,25 +916,35 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
             for adj in all_graphs(n)
         ]
         for r in degrees:
-            tuples = list(all_tuples(n, r))
-            bits = _bit_masks(n * r)
-            swaps = [_mask_swaps(_bit_targets(tup), bits) for tup in tuples]
+            degree = _Degree(r, n * r)
+            swaps = _qubit_swaps(degree, n)
             norms = None
             for adj, factor in factored:
-                spaces = GraphTupleSpaces(adj, r)
+                spaces = GraphTupleSpaces(adj, r, degree)
                 if not any(adj.rows):
-                    norms = [spaces.space(tup).bit_count() for tup in tuples]
-                traces = _sign_traces(*factor, n, r, swaps) if factor else itertools.repeat(None)
-                for tup, trace, norm in zip(tuples, traces, norms):
+                    norms = [space.bit_count() for space in spaces.walk()]
+                if factor:
+                    traces, scale = _walked_traces(*factor, n, r, swaps), r * factor[0].scale
+                else:
+                    traces, scale = itertools.repeat(None), 0
+                walked = zip(spaces.walk(), spaces.forms(), traces, norms)
+                for i, (space, q, trace, norm) in enumerate(walked):
                     checks += 1
-                    bad = spaces.lemma3_failure(tup, trace, norm)
-                    if bad is not None:
-                        failures.append(bad)
+                    # lemma3_failure's test: a real trace, scaled by norm,
+                    # equal to the signed sum, which equals the cardinality
+                    if trace and not trace[1] and not space & q:
+                        if trace[0] * norm == space.bit_count() << scale:
+                            continue
+                    tup = _nth_tuple(i, n, degree.trees)
+                    if found := spaces.lemma3_failure(tup, trace and Dyadic(*trace, scale), norm):
+                        failures.append(found)
     return _result(name, checks, failures, warnings)
 
 
 def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
-    """The graph quadratic form vanishes on every tuple space."""
+    """The graph quadratic form vanishes on every tuple space: one walk
+    per graph and degree over its spaces and forms, which builds a tuple
+    only for a failure's record, made by lemma4_failure."""
     name = "lemma4"
     if max_n < 1 or max_r < 1:
         return _result(name, 0, [], ["limits below 1; nothing to check"])
@@ -833,13 +960,13 @@ def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     failures = []
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
+            degree = _Degree(r, n * r)
             for adj in all_graphs(n):
-                spaces = GraphTupleSpaces(adj, r)
-                for tup in all_tuples(n, r):
+                spaces = GraphTupleSpaces(adj, r, degree)
+                for i, bad in enumerate(map(operator.and_, spaces.walk(), spaces.forms())):
                     checks += 1
-                    bad = spaces.lemma4_failure(tup)
-                    if bad is not None:
-                        failures.append(bad)
+                    if bad and (found := spaces.lemma4_failure(_nth_tuple(i, n, degree.trees))):
+                        failures.append(found)
     return _result(name, checks, failures)
 
 
@@ -925,17 +1052,23 @@ def suite_theorem2(
     checks = 0
     failures = []
     for n, r, k in sizes():
+        degree = _Degree(r, k * r)
+        names = [serialize(tree) for tree in degree.trees]
         for c in range(codes_per_k):
             gen = random_code(n, k, seed=(seed, n, k, c))
-            spaces = TupleSpaces(gen, r)
-            for tup, (sers, lhs) in zip(all_tuples(n, r), records(gen, r), strict=True):
+            spaces = TupleSpaces(gen, r, degree)
+            walked = zip(itertools.product(names, repeat=n), spaces.walk(), records(gen, r),
+                         strict=True)
+            for trees, space, (sers, lhs) in walked:
                 checks += 1
-                rhs = spaces.dim(tup)
-                if (record := ";".join(sers)) != tup.id():
-                    failures.append({"n": n, "k": k, "tuple": tup.id(), "record": record})
+                rhs = _log2_size(space)
+                if tuple(sers) != trees:
+                    failures.append({
+                        "n": n, "k": k, "tuple": ";".join(trees), "record": ";".join(sers),
+                    })
                 elif lhs != rhs:
                     failures.append({
-                        "n": n, "k": k, "tuple": tup.id(), "kernel": lhs, "enumeration": rhs,
+                        "n": n, "k": k, "tuple": ";".join(trees), "kernel": lhs, "enumeration": rhs,
                     })
     return _result(name, checks, failures, _enum_warnings(max_n, max_r, bits))
 

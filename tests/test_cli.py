@@ -467,6 +467,51 @@ def test_every_command_prints_one_indented_json_document(capsys, edge2, prod2, t
     assert not (tmp_path / "f").exists()
 
 
+def planted_fault(*args, **kwargs):
+    raise RuntimeError("planted fault")
+
+
+@pytest.mark.parametrize(
+    "argv, fault, exit_code",
+    [
+        (["validate", "{edge2}"], None, 0),
+        (["oracle-check", "--suite", "theorem1", "--max-n", "0"], None, 0),
+        (["validate", "{bad}"], None, 1),
+        (["compare", "{edge2}", "{prod2}", "--rmax", "2"], None, 1),
+        (["invariant", "{edge2}"], None, 2),
+        (["fingerprint", "{edge2}", "--rmax", "3", "--max-tuples", "5"], None, 3),
+        (["fingerprint", "{bad}", "--rmax", "2"], None, 4),
+        (["fingerprint", "{edge2}", "--rmax", "2"], (invariants, "fingerprint"), 5),
+        (["oracle-check", "--suite", "theorem2", "--max-n", "1"], (oracle, "_log2_size"), 5),
+        (["oracle-check", "--suite", "lemma4", "--max-n", "1"], (oracle, "_walk"), 5),
+    ],
+    ids=["ok", "skipped", "violation", "distinguished", "usage", "budget", "invalid",
+         "engine-fault", "theorem2-fault", "lemma4-fault"],
+)
+def test_every_exit_path_gives_its_code(
+    capsys, monkeypatch, tmp_path, edge2, prod2, argv, fault, exit_code
+):
+    # each documented exit gives its own code; an answer (0 or 1) prints
+    # one JSON document and nothing on stderr, every other exit prints
+    # one line on stderr and nothing on stdout, and an exception no other
+    # code names is an internal error (5), never a traceback read as 1
+    bad = tmp_path / "bad.code"
+    bad.write_text(BAD_PAIR_TEXT)
+    argv = [arg.format(edge2=edge2, prod2=prod2, bad=bad) for arg in argv]
+    if fault is not None:
+        monkeypatch.setattr(*fault, planted_fault)
+    assert cli.main(argv) == exit_code
+    captured = capsys.readouterr()
+    if exit_code < 2:
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("stabinv: ") and captured.err.count("\n") == 1
+    if exit_code == 5:
+        assert captured.err == "stabinv: internal error: RuntimeError('planted fault')\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["fingerprint"])  # missing required file and --rmax

@@ -411,22 +411,72 @@ def test_product_trace_of_a_shared_operator_equals_distinct_copies():
 
 def test_sign_traces_match_the_dense_contraction():
     # every graph projector with n <= 3 factors as c * s s^T, also when
-    # scaled by 2 or by i, and its trace from the sign mask equals
-    # product_trace against every tuple with r <= 3
+    # scaled by 2 or by i, and its trace from the walked sign mask equals
+    # product_trace against every tuple with r <= 3, in all_tuples order
     for n, r in itertools.product((1, 2, 3), repeat=2):
-        tuples = list(all_tuples(n, r))
-        tables = [oracle._entry_tables(tup) for tup in tuples]
-        bits = oracle._bit_masks(n * r)
-        swaps = [oracle._mask_swaps(oracle._bit_targets(tup), bits) for tup in tuples]
-        assert all(len(s) < n * r for s in swaps)
+        tables = [oracle._entry_tables(tup) for tup in all_tuples(n, r)]
+        swaps = oracle._qubit_swaps(oracle._Degree(r, n * r), n)
+        assert all(len(s) < r for column in swaps for s in column)
         for adj in all_graphs(n):
             rho = rho_from_code(graph_generator(adj))
             for op in (rho, scaled(rho, 2), scaled(rho, 0, 1)):
                 c, signs = oracle._sign_factor(op)
                 assert c == Dyadic(op.re[0], op.im[0], op.scale)
                 assert signs & 1 == 0 and signs < 1 << (1 << n)
-                traces = list(oracle._sign_traces(c, signs, n, r, swaps))
+                walked = oracle._walked_traces(c, signs, n, r, swaps)
+                traces = [Dyadic(re, im, r * c.scale) for re, im in walked]
                 assert traces == [product_trace(entries, [op] * r) for entries in tables]
+
+
+def test_walked_traces_match_the_dense_route():
+    # lemma3's traces, walked qubit by qubit, equal invariant_trace on
+    # every tuple with n * r <= 9: every graph up to n = 3, and one seeded
+    # random graph on each larger n
+    rng = random.Random(31)
+    for n in range(1, 10):
+        graphs = all_graphs(n) if n <= 3 else [AdjacencyMatrix.random(n, rng)]
+        for r in range(1, 9 // n + 1):
+            swaps = oracle._qubit_swaps(oracle._Degree(r, n * r), n)
+            for adj in graphs:
+                gen = graph_generator(adj)
+                c, signs = oracle._sign_factor(rho_from_code(gen))
+                walked = oracle._walked_traces(c, signs, n, r, swaps)
+                traces = [Dyadic(re, im, r * c.scale) for re, im in walked]
+                assert traces == [invariant_trace(gen, tup) for tup in all_tuples(n, r)], (n, r)
+
+
+def test_graph_walks_match_the_per_tuple_spaces():
+    # the walk over spaces and forms yields of(tup) for every tuple, in
+    # all_tuples order: every graph with n <= 3 and r <= 3, and with n = 4
+    # at r = 2
+    sizes = [*itertools.product((1, 2, 3), repeat=2), (4, 2)]
+    for n, r in sizes:
+        for adj in all_graphs(n):
+            spaces = GraphTupleSpaces(adj, r)
+            walked = list(zip(spaces.walk(), spaces.forms(), strict=True))
+            assert walked == [spaces.of(tup) for tup in all_tuples(n, r)], (n, r)
+
+
+def test_code_walks_match_the_per_tuple_spaces():
+    # two random codes per k, for every n <= 3 and r <= 3: the walk yields
+    # space(tup) for every tuple, in all_tuples order, and a shared degree
+    # gives the same masks as a private one
+    for n, r in itertools.product((1, 2, 3), repeat=2):
+        for k in range(n + 1):
+            degree = oracle._Degree(r, k * r)
+            for c in range(2):
+                gen = random_code(n, k, seed=(31, n, k, c))
+                spaces = TupleSpaces(gen, r)
+                walked = list(spaces.walk())
+                assert walked == [spaces.space(tup) for tup in all_tuples(n, r)], (n, k, r)
+                assert list(TupleSpaces(gen, r, degree).walk()) == walked
+
+
+def test_nth_tuple_counts_in_all_tuples_order():
+    for n, r in itertools.product((1, 2, 3), (1, 2, 3)):
+        trees = enumerate_trees(r)
+        tuples = list(all_tuples(n, r))
+        assert [oracle._nth_tuple(i, n, trees) for i in range(len(tuples))] == tuples
 
 
 def test_bit_masks_match_the_division_formula():
@@ -446,10 +496,10 @@ def test_mask_swaps_permute_indices_as_t_pi():
     for n in range(1, 10):
         for r in range(1, 9 // n + 1):
             dim = 1 << (n * r)
-            bits = oracle._bit_masks(n * r)
+            table = oracle._swap_table(oracle._bit_masks(n * r), n)
             for tup in all_tuples(n, r):
                 mask = rng.getrandbits(dim)
-                moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), bits))
+                moved = oracle._permuted(mask, oracle._mask_swaps(oracle._bit_targets(tup), table))
                 low_first = format(mask, f"0{dim}b")[::-1]  # character a is bit a
                 expected = "".join(map(low_first.__getitem__, ref_t_pi(tup)))
                 assert format(moved, f"0{dim}b")[::-1] == expected, tup.id()
