@@ -24,7 +24,6 @@ from stabinv.stabilizer import AdjacencyMatrix, graph_generator, random_code
 from stabinv.trees import (
     all_tuples,
     enumerate_trees,
-    maximal_right_paths,
     permutation_of,
     right_chain,
 )
@@ -63,7 +62,7 @@ for tup in list(all_tuples(2, 3))[:5]:
         for k in (0, 1, 2):
             g = random_code(2, k, seed=(seed, k))
             offsets.add(invariant_trace(g, tup).log2() - invariant_dim(g, tup))
-    predicted = sum(len(maximal_right_paths(t)) for t in tup.trees) - 2 * tup.r
+    predicted = sum(len(t.paths) for t in tup.trees) - 2 * tup.r
     print(f"tuple {tup.id()}: offsets {offsets}, path-count formula {predicted}")
 
 # The packaged suites run these identities wholesale (also available as

@@ -2,7 +2,9 @@
 """Binary trees, their maximal right paths, and the prefix matrix.
 
 A degree-r invariant is indexed by one tree per qubit; each tree
-contributes its right paths, whose cycles make its permutation.
+contributes its right paths, whose cycles make its permutation.  A tree
+is held as those paths: they are a non-crossing partition of its nodes,
+and each such partition is the paths of exactly one tree.
 """
 
 from stabinv.gf2 import to_text
@@ -11,7 +13,6 @@ from stabinv.trees import (
     catalan,
     d_matrix,
     enumerate_trees,
-    maximal_right_paths,
     permutation_of,
     serialize,
     v_space_dimension,
@@ -26,14 +27,12 @@ for r in range(1, 7):
 for t in enumerate_trees(2):
     print(serialize(t), "->", permutation_of(t))
 
-# A 10-node example.  Node labels follow the root/left/right traversal,
-# so serialization determines the labelling.
-ten = BinaryTree(
-    left=(2, 0, 4, 5, 0, 0, 0, 0, 0, 0),
-    right=(3, 0, 9, 7, 6, 0, 8, 0, 10, 0),
-)
+# A 10-node example, built from its maximal right paths.  Node labels
+# follow the root/left/right traversal, so the paths determine the tree
+# and its text.
+ten = BinaryTree(((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6)))
 print("\n10-node tree:", serialize(ten))
-print("maximal right paths:", maximal_right_paths(ten))
+print("maximal right paths:", ten.paths)
 print("permutation (image of 1..10):", permutation_of(ten))
 
 # The r x t path-indicator matrix has disjoint columns, so the null space

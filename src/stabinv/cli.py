@@ -8,7 +8,8 @@ pass/indistinguishable, 1 violation or distinguishing record, 2 usage or
 parse error, 3 budget exceeded, 4 invalid code (a command other than
 validate was given a code that fails validation), 5 internal error (any
 other exception, a fault of the program rather than an answer: one line
-on stderr, nothing on stdout).  A sweep over its record budget is
+on stderr, nothing on stdout), 6 skipped (an oracle-check suite ran no
+check; its report is printed).  A sweep over its record budget is
 refused before any work, at the first degree past it.
 
 oracle-check passes on only the limits the user gave; the suite's own
@@ -16,9 +17,10 @@ signature, read from its code object, supplies every default, and a
 limit it does not take is a parse error.  --max-tuples is passed on the
 same way, and a negative one is a parse error.  A suite that ran no
 check (limits below 1, every size over --max-dim, or a projected check
-count over the suite budget) reports status "skipped" and exits 0, as a
-pass does: it found no counterexample, and its warnings say why.  Only
-the report's status, not the exit code, tells a pass from a skip.
+count over the suite budget) reports status "skipped" and exits 6: it
+certified nothing, and its warnings say why.  A pass that skipped some
+sizes exits 0, since every size that fit was checked and its warnings
+name the rest.
 
 The engine and the oracle are imported by the commands that use them,
 and of the suites only theorem1 and theorem2 import the engine.  The
@@ -47,6 +49,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INVALID = 4
 EXIT_INTERNAL = 5
+EXIT_SKIPPED = 6
 
 # the keys of oracle.SUITES, known here without importing the oracle
 SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "lemma4", "theorem1", "theorem2")
@@ -182,7 +185,8 @@ def cmd_oracle_check(args) -> tuple[dict, int]:
     if kwargs.get("seed", 0) < 0:
         raise ParseError(f"--seed must be at least 0, got {kwargs['seed']}")
     report = suite(**kwargs)
-    return report, EXIT_DISTINGUISHED if report["status"] == "fail" else EXIT_OK
+    codes = {"pass": EXIT_OK, "fail": EXIT_DISTINGUISHED, "skipped": EXIT_SKIPPED}
+    return report, codes[report["status"]]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,7 +40,6 @@ from .trees import (
     delete_singleton,
     enumerate_trees,
     left_chain,
-    maximal_right_paths,
     right_chain,
     serialize,
     singleton_path_nodes,
@@ -80,7 +79,7 @@ def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree):
     k = gen.k
     rows = [
         sum(row << (c - 1) * k for c in p)
-        for p in maximal_right_paths(tree)
+        for p in tree.paths
         for row in qubit_rows(gen, [i])
     ]
     return to_dense(rows, tree.r * k)

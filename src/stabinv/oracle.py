@@ -67,7 +67,6 @@ from .trees import (
     catalan,
     d_matrix,
     enumerate_trees,
-    maximal_right_paths,
     permutation_of,
     serialize,
     v_space_dimension,
@@ -564,7 +563,7 @@ def closed_form_table(tree: BinaryTree) -> list[int]:
     """
     r = tree.r
     size = 1 << r
-    paths = [_node_mask(p, r) for p in maximal_right_paths(tree)]
+    paths = [_node_mask(p, r) for p in tree.paths]
     in_paths = [all((w & p).bit_count() % 2 == 0 for p in paths) for w in range(size)]
     # the prefix matrix D as table-index bits, one row per node; the sign
     # is (-1)^(v^T D u), and dv[v] is v^T D
@@ -634,16 +633,15 @@ def _log2_size(space: int) -> int:
 
 class _Degree:
     """The tree data that the tuple spaces of degree r over m-bit points
-    read: the trees in enumerate_trees order, their right paths and prefix
-    rows, and _bit_masks(m).  A suite makes it once per size and passes it
-    to every code's spaces; nothing keeps it across suite calls."""
+    read: the trees in enumerate_trees order, their prefix rows, and
+    _bit_masks(m).  A suite makes it once per size and passes it to every
+    code's spaces; nothing keeps it across suite calls."""
 
-    __slots__ = ("r", "trees", "paths", "prefix", "bits")
+    __slots__ = ("r", "trees", "prefix", "bits")
 
     def __init__(self, r: int, m: int):
         self.r = r
         self.trees = enumerate_trees(r)
-        self.paths = [maximal_right_paths(tree) for tree in self.trees]
         self.prefix = [d_matrix(tree) for tree in self.trees]
         self.bits = _bit_masks(m)
 
@@ -681,9 +679,9 @@ class TupleSpaces:
         self.member = []
         for z, xs in zip(self.words[:n], self.words[n:]):  # qubit i's z and x rows
             member = {}
-            for tree, paths in zip(degree.trees, degree.paths):
+            for tree in degree.trees:
                 nonzero = 0
-                for p in paths:
+                for p in tree.paths:
                     nonzero |= _xor(z[j - 1] for j in p) | _xor(xs[j - 1] for j in p)
                 member[tree] = self.full ^ nonzero
             self.member.append(member)
@@ -1007,7 +1005,7 @@ def suite_theorem1(
             packs = [_pack([rho] * r) for rho in rhos]
             for tup, *recs in zip(all_tuples(n, r), *streams, strict=True):
                 tables = _entry_tables(tup)
-                expected = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
+                expected = sum(len(t.paths) for t in tup.trees) - n * r
                 checks += len(codes)
                 for gen, pack, (sers, dim) in zip(codes, packs, recs):
                     trace = _contract(tables, *pack)

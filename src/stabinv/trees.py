@@ -1,47 +1,87 @@
-"""Canonically labelled ordered binary trees, their right-path data, and tree tuples.
+"""Ordered binary trees, held as their maximal right paths, and tree tuples.
 
 Nodes carry the labels 1..r assigned by the traversal root, left subtree,
-right subtree, so a tree's structure determines its labelling.  The
-serialized form is a balanced-parenthesis string with 'L'/'R' child
-markers, e.g. "(L()R(R()))"; all trees on r nodes serialize to the same
-length, which makes lexicographic ordering unambiguous.
+right subtree.  A maximal right path starts at a node that is nobody's
+right son and follows right sons to a node without one.  The paths
+determine the tree, and everything the invariants read of a tree is a
+function of them, so a BinaryTree holds its paths and nothing else.  Sons
+appear only in the serialized form, a balanced-parenthesis string with
+'L'/'R' child markers, e.g. "(L()R(R()))", which parse reads and
+serialize writes; all trees on r nodes serialize to the same length,
+which makes lexicographic ordering unambiguous.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .errors import Frozen
 
 
 class BinaryTree(Frozen):
-    """Ordered binary tree on r nodes labelled in preorder.
+    """Ordered binary tree on r nodes labelled in preorder, held as its
+    maximal right paths: each path increasing, the paths ordered by start.
 
-    ``left[i-1]`` / ``right[i-1]`` hold the label of node i's left/right
-    son, or 0 when absent.
+    The paths of the trees on r nodes are exactly the non-crossing
+    partitions of 1..r.  A node's right son is its successor on its path,
+    and the left son of v is v + 1 when v + 1 starts a path, so the paths
+    give the sons.  In preorder each node starts the next path or
+    continues the innermost path still open, and a partition reads so
+    exactly when no two of its paths cross.  The constructor makes that
+    one pass over 1..r and raises ValueError on anything else.
     """
 
-    __slots__ = ("left", "right")
+    __slots__ = ("paths",)
+
+    def __init__(self, paths):
+        paths = tuple(tuple(map(operator.index, p)) for p in paths)  # TypeError on a float
+        if not paths or () in paths:
+            raise ValueError(f"a tree needs at least one node and no empty path, got {paths}")
+        starts = iter(paths)
+        open_paths = []  # (next node, rest) of each path begun and not done, innermost last
+        for v in range(1, sum(map(len, paths)) + 1):
+            if open_paths and open_paths[-1][0] == v:
+                rest = open_paths.pop()[1]
+            else:
+                path = next(starts, ())
+                if path[:1] != (v,):
+                    raise ValueError(
+                        f"node {v} neither starts the next path nor continues"
+                        f" the innermost open one in {paths}"
+                    )
+                rest = iter(path[1:])
+            if (after := next(rest, None)) is not None:
+                open_paths.append((after, rest))
+        super().__init__(paths)
 
     @property
     def r(self) -> int:
-        return len(self.left)
+        return sum(map(len, self.paths))
 
     def __repr__(self) -> str:
         return f"BinaryTree({serialize(self)!r})"
 
 
 def serialize(tree: BinaryTree) -> str:
+    """The tree's text.  Its sons are read off its paths: a path's next
+    node is the right son, and a path's start the left son of the node
+    before it."""
+    left, right = [0] * (tree.r + 1), [0] * (tree.r + 1)  # node v's sons at v, 0 when absent
+    for p in tree.paths:
+        left[p[0] - 1] = p[0]
+        for a, b in zip(p, p[1:]):
+            right[a] = b
     out, stack = [], [1]  # text and nodes still to write, the next one last
     while stack:
         v = stack.pop()
         if isinstance(v, str):
             out.append(v)
         else:
-            left, right = tree.left[v - 1], tree.right[v - 1]
-            stack += [")", *([right, "R"] if right else []), *([left, "L"] if left else []), "("]
+            lson, rson = left[v], right[v]
+            stack += [")", *([rson, "R"] if rson else []), *([lson, "L"] if lson else []), "("]
     return "".join(out)
 
 
@@ -50,9 +90,9 @@ def parse(text: str) -> BinaryTree:
     so parse(serialize(t)) == t exactly when t is labelled in preorder.
     Neither recurses, so a tree of any depth is read and written."""
     text = text.strip()
-    left, right = [], []  # each node's sons, 0 when absent
-    pos = 0
-    stack: list[list[int]] = []  # open nodes: [label, 0, or 1 after its L, or 2 after its R]
+    paths = []  # the maximal right paths begun so far, in start order
+    pos = r = 0
+    stack = []  # open nodes: [their path, 0, or 1 after their L, or 2 after their R]
 
     def fail(msg: str):
         raise ValueError(f"bad tree at position {pos}: {msg} in {text!r}")
@@ -61,12 +101,14 @@ def parse(text: str) -> BinaryTree:
         if pos >= len(text) or text[pos] != "(":
             fail("expected '('")
         pos += 1
-        left.append(0)
-        right.append(0)
-        if stack:
-            parent, stage = stack[-1]
-            (left if stage == 1 else right)[parent - 1] = len(left)
-        stack.append([len(left), 0])
+        r += 1
+        if stack and stack[-1][1] == 2:  # an R son joins its father's path
+            path = stack[-1][0]
+            path.append(r)
+        else:
+            path = [r]
+            paths.append(path)
+        stack.append([path, 0])
         # close open nodes until one takes a son, whose '(' comes next
         while pos >= len(text) or text[pos] not in "LR"[stack[-1][1]:]:
             if pos >= len(text) or text[pos] != ")":
@@ -76,7 +118,7 @@ def parse(text: str) -> BinaryTree:
             if not stack:
                 if pos != len(text):
                     fail("trailing characters")
-                return BinaryTree(tuple(left), tuple(right))
+                return BinaryTree(paths)
         stack[-1][1] = "LR".index(text[pos]) + 1
         pos += 1
 
@@ -144,33 +186,12 @@ def all_tuples(n: int, r: int):
 
 def left_chain(r: int) -> BinaryTree:
     """The tree whose r right paths are all singletons (identity permutation)."""
-    left = tuple(v + 1 if v < r else 0 for v in range(1, r + 1))
-    return BinaryTree(left, (0,) * r)
+    return BinaryTree((v,) for v in range(1, r + 1))
 
 
 def right_chain(r: int) -> BinaryTree:
     """The tree with a single right path (1, 2, ..., r)."""
-    right = tuple(v + 1 if v < r else 0 for v in range(1, r + 1))
-    return BinaryTree((0,) * r, right)
-
-
-def maximal_right_paths(tree: BinaryTree) -> tuple[tuple[int, ...], ...]:
-    """The maximal right paths of a tree, ordered by their start nodes.
-
-    Each path (v0, ..., vs) satisfies: v0 is nobody's right son, each
-    later node is the right son of its predecessor, and vs has no right
-    son.  The paths partition {1, ..., r}, and each one increases.
-    """
-    right_sons = {c for c in tree.right if c}
-    paths = []
-    for start in range(1, tree.r + 1):
-        if start in right_sons:
-            continue
-        path = [start]
-        while tree.right[path[-1] - 1]:
-            path.append(tree.right[path[-1] - 1])
-        paths.append(tuple(path))
-    return tuple(paths)
+    return BinaryTree((range(1, r + 1),))
 
 
 def permutation_of(tree: BinaryTree) -> tuple[int, ...]:
@@ -180,7 +201,7 @@ def permutation_of(tree: BinaryTree) -> tuple[int, ...]:
     a path (v0, ..., vs) the cycle maps v0 -> v1 -> ... -> vs -> v0.
     """
     image = [0] * tree.r
-    for p in maximal_right_paths(tree):
+    for p in tree.paths:
         for a, b in zip(p, p[1:]):
             image[a - 1] = b
         image[p[-1] - 1] = p[0]
@@ -191,7 +212,7 @@ def d_matrix(tree: BinaryTree) -> tuple[int, ...]:
     """r x r prefix matrix as r int rows (see gf2): column j - 1 marks the
     nodes i <= j on j's right path."""
     rows = [0] * tree.r
-    for p in maximal_right_paths(tree):
+    for p in tree.paths:
         for i, v in enumerate(p):
             for j in p[i:]:
                 rows[v - 1] |= 1 << (j - 1)
@@ -204,49 +225,26 @@ def v_space_dimension(tree: BinaryTree) -> int:
     The t indicator columns have disjoint nonzero supports, so the rank is
     t and the null-space dimension is r - t.
     """
-    return tree.r - len(maximal_right_paths(tree))
+    return tree.r - len(tree.paths)
 
 
 def singleton_path_nodes(tree: BinaryTree) -> set[int]:
     """Nodes that form a one-node maximal right path."""
-    return {p[0] for p in maximal_right_paths(tree) if len(p) == 1}
+    return {p[0] for p in tree.paths if len(p) == 1}
 
 
 def delete_singleton(tree: BinaryTree, node: int) -> BinaryTree:
-    """Remove a node that is a one-node right path, relabelling by shift.
-
-    The node's left subtree (if any) takes its place, which preserves
-    both preorder labelling and every other maximal right path.
-    """
-    if node not in singleton_path_nodes(tree):
+    """Remove a node that is a one-node right path, shifting the labels
+    above it down by one.  Every other path keeps its nodes; in the tree,
+    the node's left subtree takes its place."""
+    if (node,) not in tree.paths:
         raise ValueError(f"node {node} is not a singleton right path")
     if tree.r == 1:
         raise ValueError("cannot delete the only node")
-
-    def shift(v: int) -> int:
-        return v - 1 if v > node else v
-
-    promoted = tree.left[node - 1]
-    left = []
-    right = []
-    for v in range(1, tree.r + 1):
-        if v == node:
-            continue
-        lson = tree.left[v - 1]
-        if lson == node:
-            lson = promoted
-        left.append(shift(lson) if lson else 0)
-        rson = tree.right[v - 1]
-        right.append(shift(rson) if rson else 0)
-    return BinaryTree(tuple(left), tuple(right))
+    return BinaryTree(tuple(v - (v > node) for v in p) for p in tree.paths if p != (node,))
 
 
 def attach_singleton_root(tree: BinaryTree) -> BinaryTree:
-    """Add a new root whose left subtree is the old tree.
-
-    The new node has no right son and is nobody's right son, so it forms a
-    fresh one-node right path labelled 1; old labels shift up by one.
-    """
-    left = [2] + [v + 1 if v else 0 for v in tree.left]
-    right = [0] + [v + 1 if v else 0 for v in tree.right]
-    return BinaryTree(tuple(left), tuple(right))
+    """Add a new root whose left subtree is the old tree: a fresh one-node
+    right path labelled 1, with the old labels shifted up by one."""
+    return BinaryTree(((1,), *(tuple(v + 1 for v in p) for p in tree.paths)))

@@ -27,8 +27,10 @@ from stabinv.trees import (
     TreeTuple,
     catalan,
     enumerate_trees,
-    maximal_right_paths,
+    parse,
+    serialize,
 )
+from test_trees import sons
 
 SEED = 2024
 
@@ -154,13 +156,12 @@ def test_criterion_7_local_clifford_invariance():
 def test_criterion_8_combinatorial_counts():
     ok = [len(enumerate_trees(r)) for r in range(1, 7)] == [1, 2, 5, 14, 42, 132]
     two = enumerate_trees(2)
-    ok = ok and {t.right[0] for t in two} == {0, 2}  # left-son and right-son trees
-    ten_node = BinaryTree(
-        left=(2, 0, 4, 5, 0, 0, 0, 0, 0, 0),
-        right=(3, 0, 9, 7, 6, 0, 8, 0, 10, 0),
-    )
-    paths = maximal_right_paths(ten_node)
-    ok = ok and paths == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
+    ok = ok and {sons(serialize(t))[1][0] for t in two} == {0, 2}  # left-son and right-son trees
+    # the sons from the text, the paths from parse, and back
+    text = "(L()R(L(L(R())R(R()))R(R())))"
+    paths = ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
+    ok = ok and sons(text) == ([2, 0, 4, 5, 0, 0, 0, 0, 0, 0], [3, 0, 9, 7, 6, 0, 8, 0, 10, 0])
+    ok = ok and parse(text).paths == paths and serialize(BinaryTree(paths)) == text
     _report(8, "tree counts and the 10-node path decomposition", ok)
 
 

@@ -403,7 +403,7 @@ def test_oracle_check_reads_the_suite_a_wrapper_wraps(capsys, monkeypatch):
 
 def test_oracle_check_zero_limits_skip(capsys):
     code, payload = run_json(capsys, "oracle-check", "--suite", "theorem1", "--max-n", "0")
-    assert code == 0
+    assert code == cli.EXIT_SKIPPED == 6
     assert payload["status"] == "skipped"
     assert payload["warnings"]
 
@@ -413,18 +413,18 @@ def test_oracle_check_budget_skips(capsys):
         capsys, "oracle-check", "--suite", "theorem1",
         "--max-n", "2", "--max-r", "2", "--max-dim", "2",
     )
-    assert code == 0
-    assert payload["status"] in ("pass", "skipped")
-    assert payload["warnings"]  # everything over budget is reported, not failed
+    # no size fits, so no check ran: reported, not failed
+    assert (code, payload["status"]) == (cli.EXIT_SKIPPED, "skipped")
+    assert payload["warnings"] == ["skipped n=1..2, r=2: 2^2 to 2^4 over budget"]
     code, payload = run_json(capsys, "oracle-check", "--suite", "lemma2", "--max-r", "7")
-    assert code == 0
-    assert payload["status"] == "skipped"
+    assert (code, payload["status"]) == (cli.EXIT_SKIPPED, "skipped")
     assert "7616356 checks" in payload["warnings"][0]
     code, payload = run_json(
         capsys, "oracle-check", "--suite", "theorem1", "--max-n", "3", "--max-r", "3",
         "--seed", "1", "--max-dim", "256",
     )
-    assert code == 0
+    # a pass that skipped some sizes: every size that fit was checked
+    assert (code, payload["status"]) == (0, "pass")
     assert payload["warnings"] == ["skipped n=3, r=3: 2^9 over budget"]
 
 
@@ -475,7 +475,7 @@ def planted_fault(*args, **kwargs):
     "argv, fault, exit_code",
     [
         (["validate", "{edge2}"], None, 0),
-        (["oracle-check", "--suite", "theorem1", "--max-n", "0"], None, 0),
+        (["oracle-check", "--suite", "theorem1", "--max-n", "0"], None, 6),
         (["validate", "{bad}"], None, 1),
         (["compare", "{edge2}", "{prod2}", "--rmax", "2"], None, 1),
         (["invariant", "{edge2}"], None, 2),
@@ -484,17 +484,18 @@ def planted_fault(*args, **kwargs):
         (["fingerprint", "{edge2}", "--rmax", "2"], (invariants, "fingerprint"), 5),
         (["oracle-check", "--suite", "theorem2", "--max-n", "1"], (oracle, "_log2_size"), 5),
         (["oracle-check", "--suite", "lemma4", "--max-n", "1"], (oracle, "_walk"), 5),
+        (["oracle-check", "--suite", "lemma1", "--max-n", "4", "--max-dim", "8"], None, 0),
     ],
     ids=["ok", "skipped", "violation", "distinguished", "usage", "budget", "invalid",
-         "engine-fault", "theorem2-fault", "lemma4-fault"],
+         "engine-fault", "theorem2-fault", "lemma4-fault", "pass-with-skips"],
 )
 def test_every_exit_path_gives_its_code(
     capsys, monkeypatch, tmp_path, edge2, prod2, argv, fault, exit_code
 ):
-    # each documented exit gives its own code; an answer (0 or 1) prints
-    # one JSON document and nothing on stderr, every other exit prints
-    # one line on stderr and nothing on stdout, and an exception no other
-    # code names is an internal error (5), never a traceback read as 1
+    # each documented exit gives its own code; an answer (0, 1 or 6)
+    # prints one JSON document and nothing on stderr, every other exit
+    # prints one line on stderr and nothing on stdout, and an exception no
+    # other code names is an internal error (5), never a traceback read as 1
     bad = tmp_path / "bad.code"
     bad.write_text(BAD_PAIR_TEXT)
     argv = [arg.format(edge2=edge2, prod2=prod2, bad=bad) for arg in argv]
@@ -502,7 +503,7 @@ def test_every_exit_path_gives_its_code(
         monkeypatch.setattr(*fault, planted_fault)
     assert cli.main(argv) == exit_code
     captured = capsys.readouterr()
-    if exit_code < 2:
+    if exit_code in (0, 1, 6):
         assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
         assert captured.err == ""
     else:

@@ -49,6 +49,7 @@ from stabinv.trees import (
     right_chain,
     serialize,
 )
+from test_trees import sons
 
 EDGE2 = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 
@@ -81,15 +82,15 @@ def reference_dim(gen, tup) -> int:
     dense = to_dense(gen.rows, gen.k).astype(np.int64)
     blocks = []
     for i, tree in enumerate(tup.trees):
-        right_sons = {c for c in tree.right if c}
+        _, right = sons(serialize(tree))  # not the tree's own paths
         columns = []  # one indicator column per maximal right path
         for start in range(1, tree.r + 1):
-            if start in right_sons:
+            if start in right:
                 continue
             column, v = np.zeros(tree.r, dtype=np.int64), start
             while v:
                 column[v - 1] = 1
-                v = tree.right[v - 1]
+                v = right[v - 1]
             columns.append(column)
         path_matrix = np.array(columns).T  # r x t
         blocks.append(np.kron(path_matrix.T, dense[[i, gen.n + i]]))

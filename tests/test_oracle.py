@@ -56,7 +56,6 @@ from stabinv.trees import (
     d_matrix,
     enumerate_trees,
     left_chain,
-    maximal_right_paths,
     permutation_of,
     right_chain,
     serialize,
@@ -599,7 +598,7 @@ def test_trace_offset_matches_path_counts():
         k = rng.randrange(0, n + 1)
         gen = random_code(n, k, (trial, 35))
         tup = random_tuple(n, r, rng)
-        offset = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
+        offset = sum(len(t.paths) for t in tup.trees) - n * r
         assert invariant_trace(gen, tup).log2() == invariant_dim(gen, tup) + offset
 
 
@@ -682,7 +681,7 @@ def point_matrix(a, n, r):
 def in_paths(theta, x, i, tree):
     """[theta_i; e_i] . sum_(j in p) X_j = 0 for every right path p of tree."""
     n = len(x)
-    for p in maximal_right_paths(tree):
+    for p in tree.paths:
         path_sum = [sum(x[l][j - 1] for j in p) % 2 for l in range(n)]
         if sum(theta[i][l] * path_sum[l] for l in range(n)) % 2 or path_sum[i]:
             return False
@@ -777,7 +776,7 @@ def test_code_membership_rows_match_codeword_path_sums():
                 for tree in enumerate_trees(r):
                     vanish = all(
                         sum(words[j - 1][l] for j in p) % 2 == 0
-                        for p in maximal_right_paths(tree)
+                        for p in tree.paths
                         for l in (i, n + i)
                     )
                     assert bit(spaces.member[i][tree], a) == vanish
@@ -938,7 +937,7 @@ def test_theorem1_reports_a_planted_per_tuple_fault(monkeypatch, extra):
         codes = [random_code(n, k, seed=(0, n, k, c)) for k in range(n + 1) for c in range(2)]
         for r in (2, 3):
             for tup in all_tuples(n, r):
-                closed = sum(len(maximal_right_paths(t)) for t in tup.trees) - n * r
+                closed = sum(len(t.paths) for t in tup.trees) - n * r
                 sers = tuple(map(serialize, tup.trees))
                 expected += [
                     {"n": n, "tuple": tup.id(), "k": gen.k, "offset": closed - e, "expected": closed}

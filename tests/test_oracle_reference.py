@@ -28,7 +28,6 @@ from stabinv.trees import (
     all_tuples,
     d_matrix,
     enumerate_trees,
-    maximal_right_paths,
     permutation_of,
     v_space_dimension,
 )
@@ -112,7 +111,7 @@ def ref_closed(tree):
     r = tree.r
     bits = (np.arange(1 << r, dtype=np.int64)[:, None] >> np.arange(r - 1, -1, -1)) & 1
     in_paths = np.ones(1 << r, dtype=bool)
-    for p in maximal_right_paths(tree):
+    for p in tree.paths:
         in_paths &= bits[:, [c - 1 for c in p]].sum(axis=1) % 2 == 0
     d = to_dense(d_matrix(tree), r).astype(np.int64)
     signs = 1 - 2 * ((bits @ d.T @ bits.T) % 2)
@@ -131,7 +130,7 @@ def ref_words(gen, r):
 def ref_member(words, n, i, tree):
     rows = words[[i, n + i]]
     ok = np.ones(rows.shape[2], dtype=bool)
-    for p in maximal_right_paths(tree):
+    for p in tree.paths:
         ok &= (rows[:, [j - 1 for j in p]].sum(axis=1) % 2 == 0).all(axis=0)
     return ok
 

@@ -177,7 +177,7 @@ from stabinv.stabilizer import (
     AdjacencyMatrix, GeneratorMatrix, LocalCliffordOp, all_graphs, apply_local_clifford,
     format_code, graph_generator, parse_code, permute_qubits, random_code, restrict_to,
 )
-from stabinv.trees import d_matrix, enumerate_trees, maximal_right_paths
+from stabinv.trees import d_matrix, enumerate_trees
 
 codes = [
     GeneratorMatrix((0b10, 0b01, 0b01, 0b10), 2),
@@ -198,7 +198,7 @@ for gen in codes:
     permute_qubits(gen, list(range(gen.n, 0, -1)))
 for r in range(1, 5):
     for tree in enumerate_trees(r):
-        maximal_right_paths(tree), d_matrix(tree)
+        tree.paths, d_matrix(tree)
 print("numpy" in sys.modules)
 """
 

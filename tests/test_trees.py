@@ -1,6 +1,7 @@
 """Tests for tree enumeration, right paths, and the path matrices."""
 
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -20,7 +21,6 @@ from stabinv.trees import (
     delete_singleton,
     enumerate_trees,
     left_chain,
-    maximal_right_paths,
     parse,
     permutation_of,
     right_chain,
@@ -30,10 +30,53 @@ from stabinv.trees import (
 )
 
 # The worked 10-node example: right paths (1,3,9,10), (2), (4,7,8), (5,6).
-TEN_NODE = BinaryTree(
-    left=(2, 0, 4, 5, 0, 0, 0, 0, 0, 0),
-    right=(3, 0, 9, 7, 6, 0, 8, 0, 10, 0),
-)
+TEN_TEXT = "(L()R(L(L(R())R(R()))R(R())))"
+TEN_PATHS = ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
+TEN_NODE = BinaryTree(TEN_PATHS)
+
+
+def sons(text: str) -> tuple[list[int], list[int]]:
+    """Each node's left and right son, 0 when absent, read from a tree's
+    text without trees.parse: nodes are numbered by their '(' in reading
+    order, and a son hangs from the innermost open node by the marker
+    before its '('."""
+    left, right, open_nodes, marker = [], [], [], ""
+    for ch in text:
+        if ch == "(":
+            left.append(0)
+            right.append(0)
+            if open_nodes:
+                (left if marker == "L" else right)[open_nodes[-1] - 1] = len(left)
+            open_nodes.append(len(left))
+        elif ch == ")":
+            open_nodes.pop()
+        else:
+            marker = ch
+    return left, right
+
+
+def set_partitions(r: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of 1..r into blocks, each block increasing and the
+    blocks ordered by their least node: node v joins a block or starts one."""
+    partitions = [[]]
+    for v in range(1, r + 1):
+        partitions = [
+            blocks[:i] + [blocks[i] + [v]] + blocks[i + 1:] if i < len(blocks) else blocks + [[v]]
+            for blocks in partitions
+            for i in range(len(blocks) + 1)
+        ]
+    return [tuple(map(tuple, blocks)) for blocks in partitions]
+
+
+def crosses(partition) -> bool:
+    """Whether some a < b < c < d have a, c in one block and b, d in another:
+    two blocks alternate at least twice in reading order."""
+    block = {v: i for i, p in enumerate(partition) for v in p}
+    for one, two in itertools.combinations(range(len(partition)), 2):
+        seq = [block[v] for v in sorted(block) if block[v] in (one, two)]
+        if sum(a != b for a, b in zip(seq, seq[1:])) >= 3:
+            return True
+    return False
 
 
 def test_counts_match_catalan():
@@ -44,13 +87,13 @@ def test_counts_match_catalan():
 def test_two_trees_on_two_nodes():
     found = enumerate_trees(2)
     assert len(found) == 2
-    assert BinaryTree((2, 0), (0, 0)) in found  # 2 = left son of 1
-    assert BinaryTree((0, 0), (2, 0)) in found  # 2 = right son of 1
+    assert BinaryTree(((1,), (2,))) in found  # 2 = left son of 1
+    assert BinaryTree(((1, 2),)) in found  # 2 = right son of 1
 
 
 def test_single_node_tree():
     (only,) = enumerate_trees(1)
-    assert only == BinaryTree((0,), (0,))
+    assert only == BinaryTree(((1,),))
 
 
 def test_enumeration_is_sorted_and_duplicate_free():
@@ -63,13 +106,14 @@ def test_enumeration_is_sorted_and_duplicate_free():
 
 
 def test_all_enumerated_trees_are_canonical():
-    for r in range(1, 7):
+    # a tree is its paths: rebuilt from them, it is the same tree
+    for r in range(1, 9):
         for t in enumerate_trees(r):
-            assert parse(serialize(t)) == t  # parse labels in preorder
+            assert BinaryTree(t.paths) == t
 
 
 def test_serialize_parse_roundtrip():
-    for r in range(1, 7):
+    for r in range(1, 9):
         for t in enumerate_trees(r):
             assert parse(serialize(t)) == t
 
@@ -88,32 +132,68 @@ def test_parse_rejects_garbage():
 
 
 def test_ten_node_paths():
-    assert parse(serialize(TEN_NODE)) == TEN_NODE
-    assert maximal_right_paths(TEN_NODE) == ((1, 3, 9, 10), (2,), (4, 7, 8), (5, 6))
+    assert serialize(TEN_NODE) == TEN_TEXT and parse(TEN_TEXT) == TEN_NODE
+    assert parse(TEN_TEXT).paths == TEN_PATHS
+    assert sons(TEN_TEXT) == ([2, 0, 4, 5, 0, 0, 0, 0, 0, 0], [3, 0, 9, 7, 6, 0, 8, 0, 10, 0])
 
 
 def test_single_node_path():
-    assert maximal_right_paths(left_chain(1)) == ((1,),)
+    assert left_chain(1).paths == ((1,),)
 
 
 def test_right_chain_single_path():
-    assert maximal_right_paths(right_chain(3)) == ((1, 2, 3),)
+    assert right_chain(3).paths == ((1, 2, 3),)
 
 
 def test_paths_partition_and_are_maximal():
+    # the sons come from the text, so parse's paths are checked against them
     for r in range(1, 8):
         for t in enumerate_trees(r):
-            paths = maximal_right_paths(t)
+            _, right = sons(serialize(t))
+            paths = parse(serialize(t)).paths
             covered = [v for p in paths for v in p]
             assert sorted(covered) == list(range(1, r + 1))
-            right_sons = {c for c in t.right if c}
             for p in paths:
-                assert p[0] not in right_sons
-                assert t.right[p[-1] - 1] == 0
+                assert p[0] not in right
+                assert right[p[-1] - 1] == 0
                 for a, b in zip(p, p[1:]):
-                    assert t.right[a - 1] == b
+                    assert right[a - 1] == b
             starts = [p[0] for p in paths]
             assert starts == sorted(starts)
+
+
+def test_trees_are_the_non_crossing_partitions():
+    # the constructor accepts a set partition exactly when it does not
+    # cross, and the trees on r nodes have every such partition as paths
+    counts = []
+    for r in range(1, 9):
+        partitions = set_partitions(r)
+        non_crossing = {p for p in partitions if not crosses(p)}
+        assert {t.paths for t in enumerate_trees(r)} == non_crossing
+        for p in partitions:
+            if p in non_crossing:
+                assert BinaryTree(p).paths == p
+            else:
+                with pytest.raises(ValueError):
+                    BinaryTree(p)
+        counts.append((len(partitions), len(non_crossing)))
+    assert counts[-1] == (4140, 1430)
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [((1,), (3,)), ((1, 2), (2,)), ((2, 1),), ((2,), (1,)), ((1, 3), (2, 4)), (), ((1,), ())],
+    ids=["gap", "repeated", "decreasing", "starts-unordered", "crossing", "no-paths", "empty-path"],
+)
+def test_constructor_refuses_non_trees(paths):
+    with pytest.raises(ValueError):
+        BinaryTree(paths)
+
+
+def test_constructor_refuses_non_integer_nodes():
+    # 1.0 == 1, but a float label is no node
+    with pytest.raises(TypeError):
+        BinaryTree(((1.0, 2.0),))
 
 
 def test_ten_node_permutation_cycles():
@@ -140,7 +220,7 @@ def test_permutations_distinct():
 def test_v_space_dimension_counts_paths():
     for r in range(1, 7):
         for t in enumerate_trees(r):
-            assert v_space_dimension(t) == r - len(maximal_right_paths(t))
+            assert v_space_dimension(t) == r - len(t.paths)
 
 
 def test_d_matrix_root_column():
@@ -188,8 +268,8 @@ def test_delete_preserves_other_paths():
                 reduced = delete_singleton(t, node)
                 assert parse(serialize(reduced)) == reduced
                 old = {tuple(v - 1 if v > node else v for v in p)
-                       for p in maximal_right_paths(t) if p != (node,)}
-                new = set(maximal_right_paths(reduced))
+                       for p in t.paths if p != (node,)}
+                new = set(reduced.paths)
                 assert old == new
 
 
@@ -204,7 +284,7 @@ def test_cached_enumeration_returns_same_objects():
 
 # One instance of each record class, by its fields in order.
 RECORDS = [
-    (BinaryTree, ((2, 0), (0, 0))),
+    (BinaryTree, (((1,), (2,)),)),
     (TreeTuple, ((left_chain(2), right_chain(2)),)),
     (Dyadic, (3, -1, 2)),
     (LocalCliffordOp, ((((0, 1), (1, 0)),),)),
