@@ -16,11 +16,11 @@ oracle-check passes on only the limits the user gave; the suite's own
 signature, read from its code object, supplies every default, and a
 limit it does not take is a parse error.  --max-tuples is passed on the
 same way, and a negative one is a parse error.  A suite that ran no
-check (limits below 1, every size over --max-dim, or a projected check
-count over the suite budget) reports status "skipped" and exits 6: it
-certified nothing, and its warnings say why.  A pass that skipped some
-sizes exits 0, since every size that fit was checked and its warnings
-name the rest.
+check (no size within its limits, every size over a cap of the oracle,
+or a projected check count over the suite budget) reports status
+"skipped" and exits 6: it certified nothing, and its warning says why.
+A pass that skipped some sizes exits 0, since every size that fit was
+checked and its warning states the cap that left the rest out.
 
 The engine and the oracle are imported by the commands that use them,
 and of the suites only theorem1 and theorem2 import the engine.  The
@@ -176,7 +176,7 @@ def cmd_oracle_check(args) -> tuple[dict, int]:
     params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
     forwards = bool(code.co_flags & 0x08)  # CO_VARKEYWORDS
     kwargs = {}
-    for name in ("max_n", "max_r", "seed", "max_dim"):
+    for name in ("max_n", "max_r", "seed"):
         if hasattr(args, name):
             if name not in params and not forwards:
                 flag = "--" + name.replace("_", "-")
@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest degree (default: the suite's)")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="seed of the random codes (default: the suite's)")
-    p.add_argument("--max-dim", type=int, default=argparse.SUPPRESS,
-                   help="dense dimension cap (default: the suite's)")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

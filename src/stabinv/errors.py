@@ -1,5 +1,5 @@
-"""Shared exception types, the capped sum that budgets project with, and
-the immutable-record base of the value classes."""
+"""Shared exception types, the capped sum that the record budget
+projects with, and the immutable-record base of the value classes."""
 
 from operator import attrgetter
 

@@ -3,7 +3,7 @@
 Everything here is integer arithmetic on Python ints, which cannot
 overflow: operators are flat lists of Gaussian integers over an explicit
 power-of-2 denominator, so every identity is checked exactly.  Only the
-dense dimension is budgeted (max_dim).  This module exists to certify the
+dense dimension is budgeted (MAX_DIM).  This module exists to certify the
 GF(2) engines at desk scale, not to simulate anything large, and it loads
 no numpy.
 
@@ -51,7 +51,7 @@ import math
 import operator
 from functools import reduce
 
-from .errors import BudgetError, Frozen, capped_sum
+from .errors import BudgetError, Frozen
 from .gf2 import to_text
 from .stabilizer import (
     AdjacencyMatrix,
@@ -72,7 +72,7 @@ from .trees import (
     v_space_dimension,
 )
 
-DEFAULT_MAX_DIM = 4096  # dense dimension 2^(n*r); n*r <= 12 by default
+MAX_DIM = 4096  # largest dense dimension 2^(n*r): n*r <= 12
 # Largest projected check count of any suite.
 MAX_SUITE_CHECKS = 1 << 20
 MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
@@ -167,9 +167,9 @@ class ExactOperator:
         return f"ExactOperator(m={self.m}, scale={self.scale})"
 
 
-def _check_dim(m: int, max_dim: int):
-    if 1 << m > max_dim:
-        raise BudgetError(f"dense dimension 2^{m} exceeds budget {max_dim}")
+def _check_dim(m: int):
+    if 1 << m > MAX_DIM:
+        raise BudgetError(f"dense dimension 2^{m} exceeds budget {MAX_DIM}")
 
 
 def _signs(u: int, size: int) -> list[int]:
@@ -208,33 +208,31 @@ def _phase(u: int, v: int) -> tuple[int, int]:
     return _MINUS_I_POWERS[(u & v).bit_count() % 4]
 
 
-def _bit_pair(u, v, max_dim: int) -> tuple[int, int, int]:
+def _bit_pair(u, v) -> tuple[int, int, int]:
     """Bit rows u and v, one bit per qubit, as (n, u, v) with qubit 1 the
     top bit of each int."""
     if len(u) != len(v):
         raise ValueError("u and v must have equal length")
-    _check_dim(len(u), max_dim)
+    _check_dim(len(u))
     return len(u), _top_first(u), _top_first(v)
 
 
-def pauli_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
+def pauli_op(u, v) -> ExactOperator:
     """The Pauli operator with z-part u and x-part v: (-i)^(u.v) tau_(u,v),
     so that u = v = 1 on one qubit gives sigma_y."""
-    n, u, v = _bit_pair(u, v, max_dim)
+    n, u, v = _bit_pair(u, v)
     t = _tau_entries(u, v, n)
     c, s = _phase(u, v)
     return ExactOperator(n, [c * e for e in t], [s * e for e in t])
 
 
-def tau_op(u, v, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
+def tau_op(u, v) -> ExactOperator:
     """The real Pauli variant tau_(u,v) on len(u) qubits."""
-    n, u, v = _bit_pair(u, v, max_dim)
+    n, u, v = _bit_pair(u, v)
     return ExactOperator(n, _tau_entries(u, v, n), [0] * (1 << (2 * n)))
 
 
-def rho_from_code(
-    gen: GeneratorMatrix, signs=None, max_dim: int = DEFAULT_MAX_DIM
-) -> ExactOperator:
+def rho_from_code(gen: GeneratorMatrix, signs=None) -> ExactOperator:
     """The code's normalized projector 2^-n (I + s_1 g_1) ... (I + s_k g_k)
     for the k generator Paulis g_j, each with sign s_j = +1 or the sign
     provided; expanded, it is 2^-n times the sum of the group they generate.
@@ -247,7 +245,7 @@ def rho_from_code(
     stays a sum of at most 2^k units.
     """
     n, k = gen.n, gen.k
-    _check_dim(n, max_dim)
+    _check_dim(n)
     signs = (1,) * k if signs is None else tuple(signs)
     if len(signs) != k or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +-1, one per generator")
@@ -269,7 +267,7 @@ def rho_from_code(
     return ExactOperator(n, re, im, n)
 
 
-def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> ExactOperator:
+def rho_graph_formula(adj: AdjacencyMatrix) -> ExactOperator:
     """Graph-state projector as a signed sum of tau operators.
 
     2^-n times the sum over x of (-1)^(x^T U x) tau_(theta x, x), U the
@@ -277,7 +275,7 @@ def rho_graph_formula(adj: AdjacencyMatrix, max_dim: int = DEFAULT_MAX_DIM) -> E
     generator matrix [theta; I].
     """
     n = adj.n
-    _check_dim(n, max_dim)
+    _check_dim(n)
     dim = 1 << n
     # row i of theta, and its part past column i, with qubit 1 the top bit
     theta = [_top_first((row >> j) & 1 for j in range(n)) for row in adj.rows]
@@ -372,17 +370,15 @@ def _permuted(mask: int, swaps) -> int:
     return mask
 
 
-def invariant_trace(
-    gen: GeneratorMatrix, tup: TreeTuple, max_dim: int = DEFAULT_MAX_DIM
-) -> Dyadic:
+def invariant_trace(gen: GeneratorMatrix, tup: TreeTuple) -> Dyadic:
     """Exact trace of the copy-permuting operator against rho^(tensor r).
 
     For valid codes the value is a real, positive power of 2.
     """
     if tup.n != gen.n:
         raise ValueError(f"tuple is for {tup.n} qubits, code has {gen.n}")
-    _check_dim(gen.n * tup.r, max_dim)
-    rho = rho_from_code(gen, max_dim=max_dim)
+    _check_dim(gen.n * tup.r)
+    rho = rho_from_code(gen)
     return product_trace(_entry_tables(tup), [rho] * tup.r)
 
 
@@ -803,55 +799,56 @@ class GraphTupleSpaces(TupleSpaces):
 
 # -- certification suites ----------------------------------------------------
 #
-# Every suite projects its check count, over the sizes its budgets admit,
-# before any work, and runs nothing over MAX_SUITE_CHECKS.
+# Every suite lists the sizes its caps admit, in run order, and _plan
+# projects their check count before any work: nothing runs over
+# MAX_SUITE_CHECKS.
 
 
-def _over_budget(name: str, counts) -> dict | None:
-    """The "skipped" report of a suite whose check counts, one per size in
-    run order, add up past MAX_SUITE_CHECKS, else None.  The count the
-    report gives is the partial sum at which the projection stopped."""
-    projected = capped_sum(counts, MAX_SUITE_CHECKS)
-    if projected <= MAX_SUITE_CHECKS:
-        return None
-    warning = f"{name} projects {projected} checks, over the budget of {MAX_SUITE_CHECKS}"
-    return _result(name, 0, [], [warning])
+def _cap(limit: int, what: str, largest: int) -> tuple[int, str | None]:
+    """log2 of a power-of-2 cap, and the warning that states its rule,
+    "skipped every size whose <what> over <limit>", when largest, the
+    largest exponent within a suite's limits, is over it; else None."""
+    bits = limit.bit_length() - 1
+    return bits, f"skipped every size whose {what} over {limit}" if largest > bits else None
 
 
-def _dense_sizes(max_n: int, degrees: range | None, max_dim: int) -> tuple[dict, list]:
-    """For each n up to max_n, the range of degrees r whose dense dimension
-    2^(n*r) fits max_dim, leaving out an n with none; and the warnings, one
-    per n that skips some degrees and one for the n that skip all.  None
-    stands for lemma1's one projector per n; its warnings name n alone."""
-    lo, hi = (degrees.start, degrees.stop - 1) if degrees else (1, 1)
-    bits = max(max_dim, 1).bit_length() - 1  # 2^(n*r) fits when n*r <= bits
-    last = min(max_n, bits // lo)
-    sizes = {n: range(lo, min(hi, bits // n) + 1) for n in range(1, last + 1)}
-    spans = [(n, n, fits.stop, hi) for n, fits in sizes.items() if fits.stop <= hi]
-    spans += [(last + 1, max_n, lo, hi)] if last < max_n else []
-    warnings = []
-    for n0, n1, r0, r1 in spans:
-        where = f"n={n0}" + (f"..{n1}" if n1 > n0 else "")
-        where += (f", r={r0}" + (f"..{r1}" if r1 > r0 else "")) if degrees else ""
-        upper = "" if (n0, r0) == (n1, r1) else f" to 2^{n1 * r1}"
-        warnings.append(f"skipped {where}: 2^{n0 * r0}{upper} over budget")
-    return sizes, warnings
+def _plan(name: str, sizes, checks, rule: str | None) -> tuple[list, list[str]]:
+    """The sizes a suite runs, and its warnings.  sizes are the tuples its
+    caps admit, in run order, checks(*size) the check count of one, and
+    rule the warning of a cap that left sizes out, or None.
+
+    The counts are added in run order, and at the first partial sum past
+    MAX_SUITE_CHECKS no size runs: the one warning gives that sum, and no
+    size after it is taken.  With no size and no rule, the one warning
+    says that no size is within the limits."""
+    planned, total = [], 0
+    for size in sizes:
+        total += checks(*size)
+        if total > MAX_SUITE_CHECKS:
+            return [], [f"{name} projects {total} checks, over the budget of {MAX_SUITE_CHECKS}"]
+        planned.append(size)
+    if rule is None and not planned:
+        rule = "no size within the limits"
+    return planned, [rule] if rule else []
 
 
-def suite_lemma1(max_n: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
+def _graph_checks(n: int, r: int) -> int:
+    """Every graph on n qubits against every tuple of n trees on r nodes."""
+    return (1 << (n * (n - 1) // 2)) * catalan(r) ** n
+
+
+def suite_lemma1(max_n: int = 3) -> dict:
     """Graph projector from the tau-sum formula vs. from the generator group."""
     name = "lemma1"
-    if max_n < 1:
-        return _result(name, 0, [], ["max_n below 1; nothing to check"])
-    sizes, warnings = _dense_sizes(max_n, None, max_dim)
-    if skipped := _over_budget(name, (1 << (n * (n - 1) // 2) for n in sizes)):
-        return skipped
+    bits, rule = _cap(MAX_DIM, "dense dimension 2^n is", max_n)
+    sizes = ((n,) for n in range(1, min(max_n, bits) + 1))
+    sizes, warnings = _plan(name, sizes, lambda n: 1 << (n * (n - 1) // 2), rule)
     checks = 0
     failures = []
-    for n in sizes:
+    for (n,) in sizes:
         for adj in all_graphs(n):
-            lhs = rho_graph_formula(adj, max_dim)
-            rhs = rho_from_code(graph_generator(adj), max_dim=max_dim)
+            lhs = rho_graph_formula(adj)
+            rhs = rho_from_code(graph_generator(adj))
             checks += 1
             if not lhs.same_as(rhs):
                 failures.append({"graph": to_text(adj.rows, n)})
@@ -862,13 +859,11 @@ def suite_lemma2(max_r: int = 3) -> dict:
     """Closed form of the tau cyclic sum, exhaustively over trees and bits:
     one check per tree and pair of bit vectors."""
     name = "lemma2"
-    if max_r < 1:
-        return _result(name, 0, [], ["max_r below 1; nothing to check"])
-    if skipped := _over_budget(name, (catalan(r) << (2 * r) for r in range(1, max_r + 1))):
-        return skipped
+    sizes = ((r,) for r in range(1, max_r + 1))
+    sizes, warnings = _plan(name, sizes, lambda r: catalan(r) << (2 * r), None)
     checks = 0
     failures = []
-    for r in range(1, max_r + 1):
+    for (r,) in sizes:
         for tree in enumerate_trees(r):
             checks += 1 << (2 * r)
             pairs = zip(cyclic_sum_table(permutation_of(tree)), closed_form_table(tree))
@@ -876,10 +871,10 @@ def suite_lemma2(max_r: int = 3) -> dict:
                 if a != b:
                     u, v = divmod(i, 1 << r)
                     failures.append({"tree": repr(tree), "u": _bits(u, r), "v": _bits(v, r)})
-    return _result(name, checks, failures)
+    return _result(name, checks, failures, warnings)
 
 
-def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM) -> dict:
+def suite_lemma3(max_n: int = 3, max_r: int = 3) -> dict:
     """Signed tuple-space sums against exact traces, every graph and tuple.
 
     A graph state has amplitudes +-2^(-n/2), so each graph's projector,
@@ -899,21 +894,18 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3, max_dim: int = DEFAULT_MAX_DIM)
     which lemma3_failure makes.
     """
     name = "lemma3"
-    if max_n < 1 or max_r < 1:
-        return _result(name, 0, [], ["limits below 1; nothing to check"])
-    sizes, warnings = _dense_sizes(max_n, range(1, max_r + 1), max_dim)
-    # every graph on n qubits against every tuple of n trees on r nodes
-    counts = ((1 << (n * (n - 1) // 2)) * catalan(r) ** n for n in sizes for r in sizes[n])
-    if skipped := _over_budget(name, counts):
-        return skipped
+    bits, rule = _cap(MAX_DIM, "dense dimension 2^(n*r) is", max_n * max_r if max_r > 0 else 0)
+    sizes = ((n, r) for n in range(1, min(max_n, bits) + 1)
+             for r in range(1, min(max_r, bits // n) + 1))
+    sizes, warnings = _plan(name, sizes, _graph_checks, rule)
     checks = 0
     failures = []
-    for n, degrees in sizes.items():
+    for n, degrees in itertools.groupby(sizes, operator.itemgetter(0)):
         factored = [
-            (adj, _sign_factor(rho_from_code(graph_generator(adj), max_dim=max_dim)))
+            (adj, _sign_factor(rho_from_code(graph_generator(adj))))
             for adj in all_graphs(n)
         ]
-        for r in degrees:
+        for _, r in degrees:
             degree = _Degree(r, n * r)
             swaps = _qubit_swaps(degree, n)
             norms = None
@@ -944,28 +936,19 @@ def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     per graph and degree over its spaces and forms, which builds a tuple
     only for a failure's record, made by lemma4_failure."""
     name = "lemma4"
-    if max_n < 1 or max_r < 1:
-        return _result(name, 0, [], ["limits below 1; nothing to check"])
-    # every graph on n qubits against every tuple of n trees on r nodes
-    counts = (
-        (1 << (n * (n - 1) // 2)) * catalan(r) ** n
-        for n in range(1, max_n + 1)
-        for r in range(1, max_r + 1)
-    )
-    if skipped := _over_budget(name, counts):
-        return skipped
+    sizes = ((n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)) if max_r > 0 else ()
+    sizes, warnings = _plan(name, sizes, _graph_checks, None)
     checks = 0
     failures = []
-    for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
-            degree = _Degree(r, n * r)
-            for adj in all_graphs(n):
-                spaces = GraphTupleSpaces(adj, r, degree)
-                for i, bad in enumerate(map(operator.and_, spaces.walk(), spaces.forms())):
-                    checks += 1
-                    if bad and (found := spaces.lemma4_failure(_nth_tuple(i, n, degree.trees))):
-                        failures.append(found)
-    return _result(name, checks, failures)
+    for n, r in sizes:
+        degree = _Degree(r, n * r)
+        for adj in all_graphs(n):
+            spaces = GraphTupleSpaces(adj, r, degree)
+            for i, bad in enumerate(map(operator.and_, spaces.walk(), spaces.forms())):
+                checks += 1
+                if bad and (found := spaces.lemma4_failure(_nth_tuple(i, n, degree.trees))):
+                    failures.append(found)
+    return _result(name, checks, failures, warnings)
 
 
 def suite_theorem1(
@@ -973,7 +956,6 @@ def suite_theorem1(
     max_r: int = 3,
     codes_per_k: int = 20,
     seed: int = 0,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> dict:
     """The central certification: log2 of the exact trace minus the binary
     kernel dimension is t - n*r for every code, where t counts the maximal
@@ -982,23 +964,21 @@ def suite_theorem1(
     from .invariants import records
 
     name = "theorem1"
-    if max_n < 1 or max_r < 2:
-        return _result(name, 0, [], ["limits too small; nothing to check"])
-    sizes, warnings = _dense_sizes(max_n, range(2, max_r + 1), max_dim)
+    bits, rule = _cap(MAX_DIM, "dense dimension 2^(n*r) is", max_n * max_r if max_r > 1 else 0)
+    sizes = ((n, r) for n in range(1, min(max_n, bits) + 1)
+             for r in range(2, min(max_r, bits // n) + 1))
     # codes_per_k codes for each k = 0..n against every tuple
-    counts = ((n + 1) * codes_per_k * catalan(r) ** n for n in sizes for r in sizes[n])
-    if skipped := _over_budget(name, counts):
-        return skipped
+    sizes, warnings = _plan(name, sizes, lambda n, r: (n + 1) * codes_per_k * catalan(r) ** n, rule)
     checks = 0
     failures = []
-    for n, degrees in sizes.items():
+    for n, degrees in itertools.groupby(sizes, operator.itemgetter(0)):
         codes = [
             random_code(n, k, seed=(seed, n, k, c))
             for k in range(n + 1)
             for c in range(codes_per_k)
         ]
-        rhos = [rho_from_code(gen, max_dim=max_dim) for gen in codes]
-        for r in degrees:
+        rhos = [rho_from_code(gen) for gen in codes]
+        for _, r in degrees:
             streams = [records(gen, r) for gen in codes]
             # the packing width depends on r, so each projector is packed
             # once per degree and shared by all of its tuples
@@ -1036,20 +1016,13 @@ def suite_theorem2(
     from .invariants import records
 
     name = "theorem2"
-    if max_n < 1 or max_r < 1:
-        return _result(name, 0, [], ["limits below 1; nothing to check"])
-
-    bits = MAX_ENUM.bit_length() - 1  # 2^(r*k) points fit when r*k <= bits
-
-    def sizes():  # the (n, r, k) in run order whose point table fits MAX_ENUM
-        return ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
-                for k in range(min(n, bits // r) + 1))
-
-    if skipped := _over_budget(name, (codes_per_k * catalan(r) ** n for n, r, _ in sizes())):
-        return skipped
+    bits, rule = _cap(MAX_ENUM, "2^(r*k) points are", max_n * max_r if max_r > 0 else 0)
+    sizes = ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
+             for k in range(min(n, bits // r) + 1)) if max_r > 0 else ()
+    sizes, warnings = _plan(name, sizes, lambda n, r, k: codes_per_k * catalan(r) ** n, rule)
     checks = 0
     failures = []
-    for n, r, k in sizes():
+    for n, r, k in sizes:
         degree = _Degree(r, k * r)
         names = [serialize(tree) for tree in degree.trees]
         for c in range(codes_per_k):
@@ -1068,34 +1041,17 @@ def suite_theorem2(
                     failures.append({
                         "n": n, "k": k, "tuple": ";".join(trees), "kernel": lhs, "enumeration": rhs,
                     })
-    return _result(name, checks, failures, _enum_warnings(max_n, max_r, bits))
+    return _result(name, checks, failures, warnings)
 
 
-def _enum_warnings(max_n: int, max_r: int, bits: int) -> list[str]:
-    """theorem2's warnings for the (n, r, k) whose 2^(r*k) points exceed
-    2^bits: at degree r <= bits, every k from bits // r + 1 to n, one
-    warning per degree; at every larger degree, every k from 1 to n, all
-    in one warning."""
-    spans = [(r, r, bits // r + 1) for r in range(1, min(max_r, bits) + 1) if bits // r < max_n]
-    spans += [(bits + 1, max_r, 1)] if max_r > bits else []
-    warnings = []
-    for r0, r1, k0 in spans:  # n and k run from k0, n up to max_n and k up to n
-        many = max_n > k0
-        where = f"n={k0}" + (f"..{max_n}" if many else "") + f", r={r0}"
-        where += (f"..{r1}" if r1 > r0 else "") + f", k={k0}" + ("..n" if many else "")
-        upper = f" to 2^{r1 * max_n}" if many or r1 > r0 else ""
-        warnings.append(f"skipped {where}: 2^{r0 * k0}{upper} over budget")
-    return warnings
-
-
-def _result(name: str, checks: int, failures: list, warnings: list | None = None) -> dict:
+def _result(name: str, checks: int, failures: list, warnings: list) -> dict:
     """A suite report; "skipped" when no check could run."""
     return {
         "suite": name,
         "status": "fail" if failures else "pass" if checks else "skipped",
         "checks": checks,
         "failures": failures,
-        "warnings": warnings or [],
+        "warnings": warnings,
     }
 
 

@@ -364,7 +364,11 @@ def parse_code(text: str) -> GeneratorMatrix:
 
 
 def format_code(gen: GeneratorMatrix, fmt: str = "bits") -> str:
+    """The code as parse_code reads it.  The pauli format gives n only
+    through its generators, so a code with none has only the bits format."""
     if fmt == "pauli":
+        if gen.k == 0:
+            raise ValueError("the pauli format cannot hold a code with no generator")
         return "\n".join(["pauli"] + gen.pauli_strings()) + "\n"
     if fmt != "bits":
         raise ValueError(f"unknown format {fmt!r}")

@@ -353,11 +353,19 @@ def test_oracle_check_suite_defaults(capsys, suite, checks):
      ("lemma4", "--max-dim"), ("theorem2", "--max-dim")],
 )
 def test_oracle_check_rejects_a_flag_the_suite_does_not_take(capsys, suite, flag):
-    code = cli.main(["oracle-check", "--suite", suite, flag, "2"])
+    # a flag another suite takes is a parse error that names the suite;
+    # --max-dim, which no suite takes, is argparse's usage error
+    argv = ["oracle-check", "--suite", suite, flag, "2"]
+    if flag == "--max-dim":
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        code, message = info.value.code, "unrecognized arguments: --max-dim 2"
+    else:
+        code, message = cli.main(argv), f"suite {suite} does not take {flag}"
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"suite {suite} does not take {flag}" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("suite", ["theorem1", "theorem2"])
@@ -378,9 +386,9 @@ def test_oracle_check_forwards_every_limit_to_a_kwargs_wrapper(capsys, monkeypat
 
     monkeypatch.setitem(oracle.SUITES, "lemma1", wrapper)
     code, payload = run_json(capsys, "oracle-check", "--suite", "lemma1", "--max-n", "2",
-                             "--max-r", "3", "--seed", "4", "--max-dim", "16")
+                             "--max-r", "3", "--seed", "4")
     assert (code, payload["status"]) == (0, "pass")
-    assert seen == [{"max_n": 2, "max_r": 3, "seed": 4, "max_dim": 16}]
+    assert seen == [{"max_n": 2, "max_r": 3, "seed": 4}]
 
 
 def test_oracle_check_reads_the_suite_a_wrapper_wraps(capsys, monkeypatch):
@@ -405,27 +413,28 @@ def test_oracle_check_zero_limits_skip(capsys):
     code, payload = run_json(capsys, "oracle-check", "--suite", "theorem1", "--max-n", "0")
     assert code == cli.EXIT_SKIPPED == 6
     assert payload["status"] == "skipped"
-    assert payload["warnings"]
+    assert payload["warnings"] == ["no size within the limits"]
 
 
-def test_oracle_check_budget_skips(capsys):
+def test_oracle_check_budget_skips(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DIM", 2)
     code, payload = run_json(
-        capsys, "oracle-check", "--suite", "theorem1",
-        "--max-n", "2", "--max-r", "2", "--max-dim", "2",
+        capsys, "oracle-check", "--suite", "theorem1", "--max-n", "2", "--max-r", "2",
     )
     # no size fits, so no check ran: reported, not failed
     assert (code, payload["status"]) == (cli.EXIT_SKIPPED, "skipped")
-    assert payload["warnings"] == ["skipped n=1..2, r=2: 2^2 to 2^4 over budget"]
+    assert payload["warnings"] == ["skipped every size whose dense dimension 2^(n*r) is over 2"]
     code, payload = run_json(capsys, "oracle-check", "--suite", "lemma2", "--max-r", "7")
     assert (code, payload["status"]) == (cli.EXIT_SKIPPED, "skipped")
     assert "7616356 checks" in payload["warnings"][0]
+    monkeypatch.setattr(oracle, "MAX_DIM", 256)
     code, payload = run_json(
         capsys, "oracle-check", "--suite", "theorem1", "--max-n", "3", "--max-r", "3",
-        "--seed", "1", "--max-dim", "256",
+        "--seed", "1",
     )
     # a pass that skipped some sizes: every size that fit was checked
     assert (code, payload["status"]) == (0, "pass")
-    assert payload["warnings"] == ["skipped n=3, r=3: 2^9 over budget"]
+    assert payload["warnings"] == ["skipped every size whose dense dimension 2^(n*r) is over 256"]
 
 
 def test_oracle_check_deterministic(capsys):
@@ -484,7 +493,7 @@ def planted_fault(*args, **kwargs):
         (["fingerprint", "{edge2}", "--rmax", "2"], (invariants, "fingerprint"), 5),
         (["oracle-check", "--suite", "theorem2", "--max-n", "1"], (oracle, "_log2_size"), 5),
         (["oracle-check", "--suite", "lemma4", "--max-n", "1"], (oracle, "_walk"), 5),
-        (["oracle-check", "--suite", "lemma1", "--max-n", "4", "--max-dim", "8"], None, 0),
+        (["oracle-check", "--suite", "lemma3", "--max-n", "3", "--max-r", "5"], None, 0),
     ],
     ids=["ok", "skipped", "violation", "distinguished", "usage", "budget", "invalid",
          "engine-fault", "theorem2-fault", "lemma4-fault", "pass-with-skips"],

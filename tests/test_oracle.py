@@ -1,6 +1,7 @@
 """Tests for the exact dense-operator oracle."""
 
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -614,10 +615,11 @@ def test_oracle_rejects_invalid_code(entry):
     entry(parse_code("pauli\nXX\nZZ\n"))
 
 
-def test_trace_budget():
+def test_trace_budget(monkeypatch):
     gen = random_code(3, 1, 36)
-    with pytest.raises(BudgetError):
-        invariant_trace(gen, identity_tuple(3, 3), max_dim=16)
+    monkeypatch.setattr(oracle, "MAX_DIM", 16)
+    with pytest.raises(BudgetError, match="^dense dimension 2\\^9 exceeds budget 16$"):
+        invariant_trace(gen, identity_tuple(3, 3))
 
 
 def test_trace_invariant_under_local_clifford():
@@ -1009,8 +1011,8 @@ def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
     traces = [invariant_trace(target, tup) for tup in all_tuples(2, 2)]
     exact = oracle.rho_from_code
 
-    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
-        rho = exact(gen, signs, max_dim)
+    def planted(gen, signs=None):
+        rho = exact(gen, signs)
         return scaled(rho, 3) if (gen.rows, gen.k) == (target.rows, target.k) else rho
 
     monkeypatch.setattr(oracle, "rho_from_code", planted)
@@ -1036,8 +1038,8 @@ def test_dense_suites_report_planted_faults_of_each_kind(monkeypatch):
     }
     exact_rho = oracle.rho_from_code
 
-    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
-        rho = exact_rho(gen, signs, max_dim)
+    def planted(gen, signs=None):
+        rho = exact_rho(gen, signs)
         if gen.n == gen.k and gen.rows[gen.n :] == tuple(1 << i for i in range(gen.n)):
             return rho if gen.rows in edgeless else scaled(rho, 2)
         return scaled(rho, factors.get(gen.rows, 1))
@@ -1094,71 +1096,72 @@ def test_capped_sum_takes_no_term_past_the_budget():
 
 
 def test_dense_suites_keep_checks_below_the_budget(monkeypatch):
-    # a fault at n=1 must still be reported when n=3 is over budget
+    # a fault at n=1 must still be reported when n=3 is over the cap
     exact = oracle.rho_graph_formula
 
-    def planted(adj, max_dim):
-        rho = exact(adj, max_dim)
+    def planted(adj):
+        rho = exact(adj)
         return scaled(rho, -1) if adj.n == 1 else rho
 
     monkeypatch.setattr(oracle, "rho_graph_formula", planted)
-    report = suite_lemma1(max_n=3, max_dim=4)
+    monkeypatch.setattr(oracle, "MAX_DIM", 4)
+    report = suite_lemma1(max_n=3)
     assert report["status"] == "fail"
     assert report["checks"] == 3
-    assert report["warnings"] == ["skipped n=3: 2^3 over budget"]
+    assert report["warnings"] == ["skipped every size whose dense dimension 2^n is over 4"]
 
 
-def test_dense_suites_run_every_size_that_fits():
-    report = suite_theorem1(max_n=3, max_r=2, codes_per_k=2, max_dim=4)
+def test_dense_suites_run_every_size_that_fits(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_DIM", 4)
+    report = suite_theorem1(max_n=3, max_r=2, codes_per_k=2)
     assert (report["status"], report["checks"]) == ("pass", 8)  # n=1: 2 tuples x 4 codes
-    assert report["warnings"] == ["skipped n=2..3, r=2: 2^4 to 2^6 over budget"]
-    report = suite_lemma3(max_n=3, max_r=3, max_dim=16)
+    assert report["warnings"] == ["skipped every size whose dense dimension 2^(n*r) is over 4"]
+    monkeypatch.setattr(oracle, "MAX_DIM", 16)
+    report = suite_lemma3(max_n=3, max_r=3)
     # n=3, r=1 fits after n=2, r=3 does not
     assert (report["status"], report["checks"]) == ("pass", 8 + 2 * 5 + 8)
-    assert report["warnings"] == [
-        "skipped n=2, r=3: 2^6 over budget",
-        "skipped n=3, r=2..3: 2^6 to 2^9 over budget",
-    ]
-    assert suite_lemma1(max_n=2, max_dim=1)["status"] == "skipped"
+    assert report["warnings"] == ["skipped every size whose dense dimension 2^(n*r) is over 16"]
+    # limits whose largest size meets the cap exactly skip nothing
+    report = suite_lemma3(max_n=2, max_r=2)
+    assert (report["status"], report["checks"], report["warnings"]) == ("pass", 3 + 2 * 5, [])
+    monkeypatch.setattr(oracle, "MAX_DIM", 1)
+    report = suite_lemma1(max_n=2)
+    assert (report["status"], report["checks"]) == ("skipped", 0)
+    assert report["warnings"] == ["skipped every size whose dense dimension 2^n is over 1"]
 
 
 @pytest.mark.parametrize(
     "suite, limits, checks, warnings",
     [
-        (suite_lemma1, dict(max_n=100000, max_dim=4), 3,
-         ["skipped n=3..100000: 2^3 to 2^100000 over budget"]),
-        (suite_theorem1, dict(max_n=100000, max_r=2, max_dim=4, codes_per_k=1), 4,
-         ["skipped n=2..100000, r=2: 2^4 to 2^200000 over budget"]),
-        (suite_lemma3, dict(max_n=3, max_r=100000, max_dim=16), 40,
-         ["skipped n=1, r=5..100000: 2^5 to 2^100000 over budget",
-          "skipped n=2, r=3..100000: 2^6 to 2^200000 over budget",
-          "skipped n=3, r=2..100000: 2^6 to 2^300000 over budget"]),
+        (suite_lemma1, (4, dict(max_n=100000)), 3,
+         ["skipped every size whose dense dimension 2^n is over 4"]),
+        (suite_theorem1, (4, dict(max_n=100000, max_r=2, codes_per_k=1)), 4,
+         ["skipped every size whose dense dimension 2^(n*r) is over 4"]),
+        (suite_lemma3, (16, dict(max_n=3, max_r=100000)), 40,
+         ["skipped every size whose dense dimension 2^(n*r) is over 16"]),
     ],
 )
-def test_dense_suites_warn_once_per_skipped_range(suite, limits, checks, warnings):
-    # one warning per n that skips some degrees and one for the n that skip
-    # every degree, so huge limits cost neither time nor report size
-    report = suite(**limits)
+def test_dense_suites_warn_once_per_skipped_range(monkeypatch, suite, limits, checks, warnings):
+    # limits is the dense cap and the suite's limits: one warning states
+    # the cap's rule, whatever sizes it skips, so huge limits cost neither
+    # time nor report size
+    max_dim, kwargs = limits
+    monkeypatch.setattr(oracle, "MAX_DIM", max_dim)
+    report = suite(**kwargs)
     assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
-    assert len(warnings) <= limits["max_dim"].bit_length()
 
 
 @pytest.mark.parametrize(
     "limits, warnings",
     [
-        (dict(max_n=3, max_r=2),
-         ["skipped n=3, r=1, k=3: 2^3 over budget",
-          "skipped n=2..3, r=2, k=2..n: 2^4 to 2^6 over budget"]),
-        (dict(max_n=2, max_r=4),
-         ["skipped n=2, r=2, k=2: 2^4 over budget",
-          "skipped n=1..2, r=3..4, k=1..n: 2^3 to 2^8 over budget"]),
+        (dict(max_n=3, max_r=2), ["skipped every size whose 2^(r*k) points are over 4"]),
+        (dict(max_n=2, max_r=4), ["skipped every size whose 2^(r*k) points are over 4"]),
     ],
 )
 def test_theorem2_warns_once_per_skipped_degree(monkeypatch, limits, warnings):
     # with 4 points to a table, k = 3 is skipped at r = 1, k >= 2 at r = 2
-    # and k >= 1 at every r >= 3: one warning per degree up to log2 4 and
-    # one for every larger degree; the check count is every fitting
-    # (n, r, k) with one code against every tuple
+    # and k >= 1 at every r >= 3, all under one warning; the check count is
+    # every fitting (n, r, k) with one code against every tuple
     monkeypatch.setattr(oracle, "MAX_ENUM", 4)
     report = suite_theorem2(codes_per_k=1, **limits)
     checks = sum(
@@ -1169,6 +1172,24 @@ def test_theorem2_warns_once_per_skipped_degree(monkeypatch, limits, warnings):
         if r * k <= 2
     )
     assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
+
+
+@pytest.mark.parametrize("name", list(oracle.SUITES))
+def test_every_suite_skips_at_zero_limits(name):
+    # a zero limit leaves no size, whatever the other limit is: neither a
+    # fault nor a cap, so one warning says so, nothing runs, and planning
+    # never walks the other limit's range
+    suite = oracle.SUITES[name]
+    params = [p for p in ("max_n", "max_r") if p in inspect.signature(suite).parameters]
+    zero = dict.fromkeys(params, 0)
+    for limits in [zero] + [zero | {p: 10**9} for p in params if len(params) > 1]:
+        assert suite(**limits) == {
+            "suite": name,
+            "status": "skipped",
+            "checks": 0,
+            "failures": [],
+            "warnings": ["no size within the limits"],
+        }
 
 
 def test_lemma3_small_graphs():
@@ -1198,8 +1219,8 @@ def test_lemma3_reports_a_planted_fault(monkeypatch):
     target = graph_generator(edge).rows
     exact = oracle.rho_from_code
 
-    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
-        rho = exact(gen, signs, max_dim)
+    def planted(gen, signs=None):
+        rho = exact(gen, signs)
         return scaled(rho, 2) if gen.rows == target else rho
 
     checks = suite_lemma3(max_n=2, max_r=2)["checks"]
@@ -1226,8 +1247,8 @@ def test_lemma3_reports_a_trace_that_is_not_real(monkeypatch, capsys):
             expected.append((to_text(edge.rows, edge.n), tup.id(), text))
     exact = oracle.rho_from_code
 
-    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
-        rho = exact(gen, signs, max_dim)
+    def planted(gen, signs=None):
+        rho = exact(gen, signs)
         return scaled(rho, 0, 1) if gen.rows == target else rho
 
     monkeypatch.setattr(oracle, "rho_from_code", planted)
@@ -1248,8 +1269,8 @@ def test_lemma3_reports_a_projector_that_does_not_factor(monkeypatch):
     target = graph_generator(edge).rows
     exact = oracle.rho_from_code
 
-    def planted(gen, signs=None, max_dim=oracle.DEFAULT_MAX_DIM):
-        rho = exact(gen, signs, max_dim)
+    def planted(gen, signs=None):
+        rho = exact(gen, signs)
         if gen.rows != target:
             return rho
         re = list(rho.re)

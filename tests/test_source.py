@@ -168,6 +168,35 @@ def test_one_owner_computes_a_record():
     }
 
 
+def test_one_owner_sizes_a_suite():
+    # every suite is sized by _plan: only it reads the check budget, the
+    # oracle projects no count of its own, and the dense cap is the
+    # constant MAX_DIM, which no caller passes in
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    readers = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "MAX_SUITE_CHECKS"
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"_plan"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "capped_sum" not in imported
+    params = {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        for arg in node.args.args + node.args.kwonlyargs
+    }
+    assert "max_n" in params and "max_dim" not in params
+
+
 # Works with codes, graphs and trees, random ones too, then prints whether
 # numpy was imported.
 ROWS_ONLY = """

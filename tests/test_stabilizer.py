@@ -455,6 +455,20 @@ def test_code_file_roundtrip_pauli():
     assert same_code_space(back, EDGE2)
 
 
+def test_code_file_roundtrip_every_k():
+    # both formats give back the same code; the pauli format, which has
+    # no n of its own, refuses a code with no generator
+    for n in range(4):
+        for k in range(n + 1):
+            gen = random_code(n, k, (n, k))
+            assert parse_code(format_code(gen, "bits")) == gen
+            if k:
+                assert parse_code(format_code(gen, "pauli")) == gen
+            else:
+                with pytest.raises(ValueError, match="^the pauli format cannot hold"):
+                    format_code(gen, "pauli")
+
+
 def test_parse_code_errors():
     with pytest.raises(ParseError):
         parse_code("")
