@@ -17,8 +17,6 @@ from stabinv.invariants import (
     first_difference,
     identity_tuple,
     invariant_dim,
-    pad_degree,
-    reduce_singleton,
 )
 from stabinv.stabilizer import (
     AdjacencyMatrix,
@@ -30,7 +28,7 @@ from stabinv.stabilizer import (
     random_code,
     support,
 )
-from stabinv.trees import TreeTuple, left_chain, right_chain
+from stabinv.trees import TreeTuple, left_chain, pad_degree, reduce_singleton, right_chain
 
 edge = graph_generator(AdjacencyMatrix.from_edges(2, [(1, 2)]))
 

@@ -29,10 +29,11 @@ def transpose(rows, cols: int) -> tuple[int, ...]:
     )
 
 
-def _xor_basis(rows) -> dict[int, int]:
+def xor_basis(rows, start: dict[int, int] | None = None) -> dict[int, int]:
     """An XOR basis of the rows' span, each row keyed by its leading bit,
-    its bit_length, which is no other row's."""
-    basis: dict[int, int] = {}
+    its bit_length, which is no other row's.  Given a basis to start
+    from, a new basis of the sum of both spans, which extends it."""
+    basis = {} if start is None else start.copy()
     for row in rows:
         while row:
             lead = row.bit_length()
@@ -45,7 +46,7 @@ def _xor_basis(rows) -> dict[int, int]:
 
 def rank(rows) -> int:
     """GF(2) rank: the size of an XOR basis with distinct leading bits."""
-    return len(_xor_basis(rows))
+    return len(xor_basis(rows))
 
 
 def kernel_basis(rows, cols: int) -> tuple[int, ...]:
@@ -57,7 +58,7 @@ def kernel_basis(rows, cols: int) -> tuple[int, ...]:
     are too.
     """
     echelon: dict[int, int] = {}  # pivot bit -> row
-    for row in _xor_basis(rows).values():
+    for row in xor_basis(rows).values():
         for pivot, other in echelon.items():
             if row & pivot:
                 row ^= other

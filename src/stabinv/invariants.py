@@ -8,13 +8,15 @@ are supported inside the path's allowed qubit set; the oracle's
 theorem2_dim counts them as an independent cross-check.
 
 Every record, of one tuple or of a sweep (records, which the theorem
-suites certify), comes from one routine.  At degrees up to 3 it needs no
-block: a record of degree r is a sum of r dimensions of subcodes, the
-codewords supported inside a qubit set, less the dimension of their sum,
-all from ranks of int rows.  From degree 4 on, each block is built as
-int rows, from the code's rows and the tree's right paths, and made a
-0/1 np.uint8 array once for the elimination.  So numpy loads only when a
-record of degree 4 or more is computed.
+suites certify), comes from one routine, and is the stacked matrix's
+column count, r * k, minus its rank.  The rows of each (qubit, tree)
+block are built once per call as ints, from the code's rows and the
+tree's right paths.  Up to degree 3 the rank comes from one XOR basis
+per qubit prefix, extended along a walk of the tuples in order, so a
+prefix's basis serves every tuple that extends it.  From degree 4 on,
+each block is made a 0/1 np.uint8 array once and the stack eliminated
+per tuple.  So numpy loads only when a record of degree 4 or more is
+computed.
 
 Records leave the engine as the JSON rows the CLI prints: `fingerprint`
 returns the {"n", "r_max", "records": [{"r", "tuple", "dim"}, ...]}
@@ -24,25 +26,21 @@ payload, and `first_difference` None or the {"r", "tuple", "dim_a",
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
 from . import trees as trees_mod
 from .errors import BudgetError, capped_sum
-from .gf2 import rank, to_dense
-from .stabilizer import GeneratorMatrix, qubit_rows, qubit_subset, subcode_basis
+from .gf2 import to_dense, xor_basis
+from .stabilizer import GeneratorMatrix, qubit_rows, qubit_subset
 from .trees import (
     BinaryTree,
     TreeTuple,
-    attach_singleton_root,
     catalan,
-    delete_singleton,
     enumerate_trees,
     left_chain,
     right_chain,
     serialize,
-    singleton_path_nodes,
 )
 
 DEFAULT_MAX_RECORDS = 200_000
@@ -72,17 +70,16 @@ def degree2_tuple(n: int, omega) -> TreeTuple:
     )
 
 
-def _block(gen: GeneratorMatrix, i: int, tree: BinaryTree):
-    """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i):
-    a 2t x r*k array of 0/1.  Row (path p, z or x) holds the qubit's z or
+def _rows(gen: GeneratorMatrix, i: int, tree: BinaryTree) -> tuple[int, ...]:
+    """(r x t path matrix of tree)^T tensor (2 x k subblock of qubit i) as
+    2t int rows of r*k bits.  Row (path p, z or x) holds the qubit's z or
     x row in the k columns of each node c of p, from column (c - 1) * k."""
     k = gen.k
-    rows = [
+    return tuple(
         sum(row << (c - 1) * k for c in p)
         for p in tree.paths
         for row in qubit_rows(gen, [i])
-    ]
-    return to_dense(rows, tree.r * k)
+    )
 
 
 def _kernel_dim(blocks) -> int:
@@ -126,85 +123,48 @@ def degree2_dim(gen: GeneratorMatrix, omega) -> int:
 def _records(gen: GeneratorMatrix, choices):
     """Yield (serialized trees, dim) for every tree tuple with qubit i's
     tree drawn from choices[i - 1], in itertools.product order; all trees
-    have r nodes.  From degree 4 on, each (qubit, tree) block is built
-    once per call and shared by every tuple that uses it.
+    have r nodes, and dim is r * k less the rank of the stacked rows.
 
-    Up to degree 3 no block is built.  For a tuple (T_1, ..., T_n) and a
-    node c in {1, ..., r}, let A_c be the qubits i where c is not a
-    one-node maximal right path of T_i, and C_A the subcode supported
-    inside A.  Then
-
-        dim = dim C_A1 + ... + dim C_Ar - dim(C_A1 + ... + C_Ar).
-
-    The kernel holds the coefficient r-tuples (x_1, ..., x_r) whose sum
-    over each right path p of T_i vanishes on qubit i.  The paths of T_i
-    partition {1, ..., r}, so x_1 + ... + x_r vanishes on every qubit, and
-    is 0 because the generator matrix has full column rank.  Given that, a
-    one-node path {c} asks that x_c vanish on qubit i, and a longer path
-    asks the same of the nodes it leaves out: for r <= 3 none, or one that
-    is a one-node path of T_i.  So the kernel is the kernel of the map
-    (x_1, ..., x_r) -> x_1 + ... + x_r from C_A1 x ... x C_Ar onto their
-    sum.  At r = 1 the one node is a one-node path of every tree, A_1 is
-    empty and the record is 0.  At r = 2 both A_c are the qubits whose
-    tree is the right chain, and the record is dim C_A.  Each C_A's basis
-    is built once per call, and each dimension once per sorted
-    (A_1, ..., A_r), as the sum is symmetric.
+    Up to degree 3 the walk keeps one XOR basis per level, of the rows of
+    the qubits up to it, and a tuple extends only the levels from the
+    first qubit whose tree changed.  A qubit with one tree joins the level
+    before it, so a single tuple takes one basis on any number of qubits.
+    From degree 4 on, each block is made dense once and eliminated with
+    the others of each tuple.
     """
     r = choices[0][0].r
+    cols = r * gen.k
+    slots = [
+        [(serialize(tree), _rows(gen, i, tree)) for tree in trees]
+        for i, trees in enumerate(choices, start=1)
+    ]
     if r >= 4:
-        slots = [
-            [(serialize(tree), _block(gen, i, tree)) for tree in trees]
-            for i, trees in enumerate(choices, start=1)
-        ]
+        slots = [[(ser, to_dense(rows, cols)) for ser, rows in slot] for slot in slots]
         for combo in itertools.product(*slots):
             sers, blocks = zip(*combo)
             yield sers, _kernel_dim(blocks)
         return
-    # one slot per (qubit i + 1, tree): the serialized tree and, for each
-    # node c, the tree's share of A_c, bit i or 0
-    slots = [
-        [
-            (serialize(t), *((c not in singleton_path_nodes(t)) << i for c in range(1, r + 1)))
-            for t in trees
-        ]
-        for i, trees in enumerate(choices)
-    ]
-    basis = functools.cache(
-        lambda inside: subcode_basis(gen, [i for i in range(1, gen.n + 1) if inside >> (i - 1) & 1])
-    )
-    dims: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*slots):
-        sers, *columns = zip(*combo)
-        key = tuple(sorted(map(sum, columns)))
-        if key not in dims:
-            parts = [basis(inside) for inside in key]
-            dims[key] = sum(map(len, parts)) - rank(itertools.chain(*parts))
-        yield sers, dims[key]
-
-
-def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
-    """Drop a node that forms a one-node right path in every tree.
-
-    Returns the degree r-1 tuple, or None when no common singleton path
-    exists.  The invariant dimension is unchanged by this reduction.
-    """
-    if tup.r < 2:
-        raise ValueError("need degree at least 2 to reduce")
-    common = set.intersection(*(singleton_path_nodes(t) for t in tup.trees))
-    if not common:
-        return None
-    node = min(common)
-    return TreeTuple(tuple(delete_singleton(t, node) for t in tup.trees))
-
-
-def pad_degree(tup: TreeTuple) -> TreeTuple:
-    """Append a fresh one-node right path to every tree (degree r+1).
-
-    The new node becomes the root with the old tree as its left subtree,
-    so reduce_singleton inverts this exactly and the invariant dimension
-    is unchanged.
-    """
-    return TreeTuple(tuple(attach_singleton_root(t) for t in tup.trees))
+    levels = []  # each choice of a level: its serialized trees and rows
+    for slot in slots:
+        if len(slot) == 1 and levels:
+            ((ser, rows),) = slot
+            levels[-1] = [(sers + (ser,), q + rows) for sers, q in levels[-1]]
+        else:
+            levels.append([((ser,), rows) for ser, rows in slot])
+    *head, last = levels
+    prefixes = [({}, ())] * len(levels)  # basis and serialized trees of the first j levels
+    previous = ()
+    for combo in itertools.product(*head):
+        j = 0
+        while j < len(previous) and combo[j] is previous[j]:
+            j += 1
+        for j, (sers, rows) in enumerate(combo[j:], start=j):
+            basis, prefix = prefixes[j]
+            prefixes[j + 1] = xor_basis(rows, basis), prefix + sers
+        previous = combo
+        basis, prefix = prefixes[-1]
+        for sers, rows in last:
+            yield prefix + sers, cols - len(xor_basis(rows, basis))
 
 
 class _Row(dict):

@@ -57,6 +57,7 @@ from .stabilizer import (
     AdjacencyMatrix,
     GeneratorMatrix,
     all_graphs,
+    check_rows,
     graph_generator,
     random_code,
 )
@@ -178,10 +179,10 @@ def _signs(u: int, size: int) -> list[int]:
 
 
 def _top_first(bits) -> int:
-    """A bit sequence, qubit 1 first, as an int with qubit 1 the top bit."""
+    """A 0/1 sequence, qubit 1 first, as an int with qubit 1 the top bit."""
     out = 0
     for b in bits:
-        out = (out << 1) | (int(b) % 2)
+        out = (out << 1) | b
     return out
 
 
@@ -210,11 +211,11 @@ def _phase(u: int, v: int) -> tuple[int, int]:
 
 def _bit_pair(u, v) -> tuple[int, int, int]:
     """Bit rows u and v, one bit per qubit, as (n, u, v) with qubit 1 the
-    top bit of each int."""
+    top bit of each int; an entry other than 0 or 1 is refused."""
     if len(u) != len(v):
         raise ValueError("u and v must have equal length")
     _check_dim(len(u))
-    return len(u), _top_first(u), _top_first(v)
+    return len(u), _top_first(check_rows(u, 1)), _top_first(check_rows(v, 1))
 
 
 def pauli_op(u, v) -> ExactOperator:

@@ -25,7 +25,10 @@ _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
 
 
-def _check_rows(rows, bits: int) -> tuple[int, ...]:
+def check_rows(rows, bits: int) -> tuple[int, ...]:
+    """The rows as ints in [0, 2^bits), a bit vector's entries being rows
+    of 1 bit: a row that is no int raises TypeError and one out of range
+    ValueError, so nothing is reduced mod 2."""
     rows = tuple(map(operator.index, rows))
     if any(row >> bits for row in rows):
         raise ValueError(f"rows must be ints in [0, 2^{bits})")
@@ -47,7 +50,7 @@ class GeneratorMatrix(Frozen):
     __slots__ = ("rows", "k")
 
     def __init__(self, rows, k: int):
-        rows = _check_rows(rows, k)
+        rows = check_rows(rows, k)
         violation = _violation(rows, k)
         if violation is not None:
             raise InvalidCodeError(violation, (len(rows), k))
@@ -95,13 +98,9 @@ def _violation(rows: tuple[int, ...], k: int) -> str | None:
     return None
 
 
-def _bits(v) -> list[int]:
-    return [int(b) & 1 for b in v]
-
-
 def symplectic_product(a, b) -> int:
     """a^T P b mod 2; zero exactly when the two Pauli operators commute."""
-    a, b = _bits(a), _bits(b)
+    a, b = check_rows(a, 1), check_rows(b, 1)
     if len(a) != len(b) or len(a) % 2:
         raise ValueError("need two equal-length vectors of even length")
     n = len(a) // 2
@@ -116,7 +115,7 @@ def qubit_rows(gen: GeneratorMatrix, qubits) -> tuple[int, ...]:
 
 def support(v) -> set[int]:
     """Qubits where the (z, x) coordinate pair of v is nonzero (1-based)."""
-    v = _bits(v)
+    v = check_rows(v, 1)
     if len(v) % 2:
         raise ValueError("need an even-length vector")
     n = len(v) // 2
@@ -173,7 +172,7 @@ class AdjacencyMatrix(Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = _check_rows(rows, len(rows))
+        rows = check_rows(rows, len(rows))
         if transpose(rows, len(rows)) != rows:
             raise ValueError("adjacency matrix must be symmetric")
         if any((row >> i) & 1 for i, row in enumerate(rows)):

@@ -248,3 +248,25 @@ def attach_singleton_root(tree: BinaryTree) -> BinaryTree:
     """Add a new root whose left subtree is the old tree: a fresh one-node
     right path labelled 1, with the old labels shifted up by one."""
     return BinaryTree(((1,), *(tuple(v + 1 for v in p) for p in tree.paths)))
+
+
+def reduce_singleton(tup: TreeTuple) -> TreeTuple | None:
+    """Drop a node that forms a one-node right path in every tree.
+
+    Returns the degree r-1 tuple, or None when no common singleton path
+    exists.  The invariant dimension is unchanged by this reduction.
+    """
+    if tup.r < 2:
+        raise ValueError("need degree at least 2 to reduce")
+    common = set.intersection(*(singleton_path_nodes(t) for t in tup.trees))
+    if not common:
+        return None
+    node = min(common)
+    return TreeTuple(tuple(delete_singleton(t, node) for t in tup.trees))
+
+
+def pad_degree(tup: TreeTuple) -> TreeTuple:
+    """Append a fresh one-node right path to every tree (degree r+1): a
+    new root with the old tree as its left subtree, which reduce_singleton
+    deletes again.  The invariant dimension is unchanged."""
+    return TreeTuple(tuple(attach_singleton_root(t) for t in tup.trees))

@@ -9,12 +9,7 @@ import itertools
 import random
 
 from stabinv import oracle
-from stabinv.invariants import (
-    degree2_dim,
-    invariant_dim,
-    pad_degree,
-    reduce_singleton,
-)
+from stabinv.invariants import degree2_dim, invariant_dim
 from stabinv.stabilizer import (
     LocalCliffordOp,
     apply_local_clifford,
@@ -27,7 +22,9 @@ from stabinv.trees import (
     TreeTuple,
     catalan,
     enumerate_trees,
+    pad_degree,
     parse,
+    reduce_singleton,
     serialize,
 )
 from test_trees import sons

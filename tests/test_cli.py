@@ -184,6 +184,21 @@ def test_invariant_reads_a_tree_of_any_depth(capsys, edge2, tmp_path):
     assert payload == {"r": 1200, "tuple": f"{chain};{chain}", "dim": 2 * 1200 - 2}
 
 
+def test_invariant_walks_more_qubits_than_the_recursion_limit(capsys, tmp_path):
+    # one degree-3 tuple on 1,500 qubits, more than Python's default
+    # recursion limit, so the tuple walk must be a loop: the edgeless
+    # graph code has k = 1,500, and each right chain's one path gives a
+    # kernel of 3 * k - k = 3,000
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    code_path, trees_path = tmp_path / "empty.code", tmp_path / "chains.trees"
+    code_path.write_text(format_code(graph_generator(AdjacencyMatrix.empty(n))))
+    trees_path.write_text("(R(R()))\n" * n)
+    code, payload = run_json(capsys, "invariant", str(code_path), "--trees", f"@{trees_path}")
+    assert code == 0
+    assert payload == {"r": 3, "tuple": ";".join(["(R(R()))"] * n), "dim": 3000}
+
+
 def test_invariant_rejects_sweep_spec(capsys, edge2):
     code = cli.main(["invariant", edge2, "--trees", "all:2"])
     capsys.readouterr()
@@ -238,9 +253,9 @@ def test_fingerprint_default_budget_refuses_before_any_work(capsys, tmp_path, mo
     def work(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(invariants, "_block", work)
+    monkeypatch.setattr(invariants, "_rows", work)
     monkeypatch.setattr(invariants, "_records", work)
-    monkeypatch.setattr(invariants, "subcode_basis", work)
+    monkeypatch.setattr(invariants, "xor_basis", work)
     code = cli.main(["fingerprint", str(path), "--rmax", "3"])
     err = capsys.readouterr().err
     assert code == 3

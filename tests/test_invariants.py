@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stabinv import invariants
 from stabinv.errors import BudgetError, InvalidCodeError
-from stabinv.gf2 import rank, to_dense
+from stabinv.gf2 import rank, to_dense, xor_basis
 from stabinv.invariants import (
     DEFAULT_MAX_RECORDS,
     compare_global,
@@ -22,9 +22,7 @@ from stabinv.invariants import (
     first_difference,
     identity_tuple,
     invariant_dim,
-    pad_degree,
     parse_tuple,
-    reduce_singleton,
     uniform_tuple,
     _sweep,
 )
@@ -46,6 +44,8 @@ from stabinv.trees import (
     all_tuples,
     enumerate_trees,
     left_chain,
+    pad_degree,
+    reduce_singleton,
     right_chain,
     serialize,
 )
@@ -176,15 +176,18 @@ def test_degree2_full_and_empty():
 
 
 def eliminated_dim(gen, tup) -> int:
-    """The record by elimination of the stacked blocks, which the engine
-    itself does only from degree 4 on."""
-    blocks = [invariants._block(gen, i, tree) for i, tree in enumerate(tup.trees, start=1)]
+    """The record by numpy elimination of the stacked blocks, which the
+    engine itself does only from degree 4 on."""
+    blocks = [
+        to_dense(invariants._rows(gen, i, tree), tup.r * gen.k)
+        for i, tree in enumerate(tup.trees, start=1)
+    ]
     return invariants._kernel_dim(blocks)
 
 
 def test_degree2_matches_tuple_engine():
-    # every degree-2 record of the sweep, which takes the subcode route,
-    # against the general elimination and the oracle's enumeration
+    # every degree-2 record of the sweep, which takes the prefix walk,
+    # against the numpy elimination and the oracle's enumeration
     for n in range(1, 6):
         for k in range(n + 1):
             for trial in range(2):
@@ -211,9 +214,9 @@ def test_degree2_matches_tuple_engine():
 
 
 def test_degree3_matches_tuple_engine():
-    # every degree-3 record of the sweep, which takes the subcode-sum
-    # route, against the general elimination and the oracle's enumeration
-    # (at most 2^(3k) <= 2^12 points)
+    # every degree-3 record of the sweep, which takes the prefix walk,
+    # against the numpy elimination and the oracle's enumeration (at most
+    # 2^(3k) <= 2^12 points)
     right, left = serialize(right_chain(3)), serialize(left_chain(3))
     for n in range(1, 5):
         for k in range(n + 1):
@@ -245,20 +248,21 @@ def test_invariant_dim_is_the_sweep_record():
         ]
 
 
-def test_degree3_records_take_one_rank_per_sorted_triple(monkeypatch):
-    # the record is symmetric in (A1, A2, A3), so the 625 tuples at n = 4
-    # need one rank for each of their 150 sorted triples
+def test_degree3_records_extend_one_basis_per_prefix(monkeypatch):
+    # a prefix's basis serves every tuple that extends it, so the 625
+    # tuples at n = 4 take 5 + 25 + 125 + 625 = 780 basis extensions, one
+    # per prefix of each length, not one per qubit of each tuple (4 * 625)
     gen = random_code(4, 3, (4, 3, 7))
     expected = list(invariants.records(gen, 3))
     calls = []
 
-    def counted(rows):
+    def counted(rows, start=None):
         calls.append(rows)
-        return rank(rows)
+        return xor_basis(rows, start)
 
-    monkeypatch.setattr(invariants, "rank", counted)
+    monkeypatch.setattr(invariants, "xor_basis", counted)
     assert list(invariants.records(gen, 3)) == expected
-    assert (len(expected), len(calls)) == (625, 150)
+    assert (len(expected), len(calls)) == (625, 780)
 
 
 def test_restriction_dimension_is_the_degree2_record():
@@ -482,10 +486,9 @@ def test_comparisons_match_brute_force(seed):
 
 
 def count_engine_calls(monkeypatch) -> dict[str, int]:
-    """Count the engine's block builds and kernel eliminations, and the
-    subcode bases and ranks of its degree-2 and degree-3 records, as they
-    happen; a rank is taken once per record of distinct subcodes."""
-    calls = dict.fromkeys(("_block", "_kernel_dim", "subcode_basis", "rank"), 0)
+    """Count the engine's (qubit, tree) row builds, its numpy eliminations
+    and the basis extensions of its walk below degree 4, as they happen."""
+    calls = dict.fromkeys(("_rows", "_kernel_dim", "xor_basis"), 0)
 
     def counting(name):
         real = getattr(invariants, name)
@@ -502,23 +505,25 @@ def count_engine_calls(monkeypatch) -> dict[str, int]:
 
 
 def test_first_difference_stops_early(monkeypatch):
-    # the records differ at degree 2, so no block of degree 3 or 4 is
-    # built, and the sweeps stop before their last degree-2 record
+    # the records differ at degree 2, so no row of degree 3 or 4 is built,
+    # and the sweeps stop before their last degree-2 record: a whole one
+    # takes 2 + 2^2 basis extensions per code
     prod2 = graph_generator(AdjacencyMatrix.empty(2))
     calls = count_engine_calls(monkeypatch)
     assert first_difference(prod2, EDGE2, 4) is not None
-    assert calls["_block"] == calls["_kernel_dim"] == 0
-    assert 0 < calls["rank"] < 2 * 2**2
+    assert (calls["_rows"], calls["_kernel_dim"]) == (2 * 2 * 2, 0)
+    assert 0 < calls["xor_basis"] < 2 * (2 + 2**2)
 
 
 def test_compare_global_stops_early(monkeypatch):
     # every relabelling is ruled out by the degree-2 records of both codes,
-    # each of which has its own subcode, and no degree-3 record is taken
+    # whose whole sweeps take 2 + 2^2 + 2^3 basis extensions each, and no
+    # degree-3 row is built
     prod3 = graph_generator(AdjacencyMatrix.empty(3))
     tri3 = graph_generator(AdjacencyMatrix.complete(3))
     calls = count_engine_calls(monkeypatch)
     assert compare_global(prod3, tri3, 3) is None
-    assert calls == {"_block": 0, "_kernel_dim": 0, "subcode_basis": 2 * 2**3, "rank": 2 * 2**3}
+    assert calls == {"_rows": 2 * 3 * 2, "_kernel_dim": 0, "xor_basis": 2 * (2 + 2**2 + 2**3)}
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,19 @@ def test_pauli_ops_are_hermitian_and_unitary():
         assert (op @ op).same_as(ExactOperator.identity(n))
 
 
+def test_pauli_ops_take_only_bits():
+    # an entry of 2 used to give the identity and 1.7 a Z: entries are
+    # 0 or 1 as the constructors take them, and numpy 0/1 entries pass
+    assert pauli_op(np.array([1], dtype=np.uint8), np.array([0])).same_as(pauli_op([1], [0]))
+    for op in (pauli_op, tau_op):
+        with pytest.raises(ValueError, match=r"ints in \[0, 2\^1\)"):
+            op([2], [0])
+        with pytest.raises(ValueError, match=r"ints in \[0, 2\^1\)"):
+            op([0], [-1])
+        with pytest.raises(TypeError):
+            op([1.7], [0])
+
+
 def test_operator_budget():
     with pytest.raises(BudgetError):
         pauli_op([0] * 13, [0] * 13)
@@ -852,7 +865,7 @@ def test_lemma_suites_never_call_the_engine(monkeypatch):
         (invariants, "invariant_dim"),
         (oracle, "theorem2_dim"),
         (invariants, "_kernel_dim"),
-        (invariants, "rank"),
+        (invariants, "xor_basis"),
     ):
         monkeypatch.setattr(module, name, engine)
     for suite, limits, count in (
@@ -883,7 +896,7 @@ def test_theorem2_dim_never_calls_the_engine(monkeypatch):
     for module, name in (
         (invariants, "invariant_dim"),
         (invariants, "_kernel_dim"),
-        (invariants, "rank"),
+        (invariants, "xor_basis"),
     ):
         monkeypatch.setattr(module, name, engine)
     assert [oracle.theorem2_dim(gen, tup) for gen, tup in cases] == dims

@@ -152,19 +152,19 @@ def test_one_owner_lays_out_the_copy_permutation():
 
 def test_one_owner_computes_a_record():
     # every record, of one tuple, of a qubit subset or of a sweep, comes
-    # from _records: only it builds blocks, eliminates them, takes ranks
-    # or reads subcode bases, so no second route can grow back
-    readers = {name: set() for name in ("_block", "_kernel_dim", "rank", "subcode_basis")}
+    # from _records: only it builds rows, extends XOR bases, makes blocks
+    # dense or eliminates them, so no second route can grow back
+    readers = {name: set() for name in ("_rows", "xor_basis", "to_dense", "_kernel_dim")}
     for top in ast.parse((SRC / "invariants.py").read_text(encoding="utf-8")).body:
         for node in ast.walk(top):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = getattr(node, "id", getattr(node, "attr", None))
                 readers.get(name, set()).add(getattr(top, "name", None))
     assert readers == {
-        "_block": {"_records"},
+        "_rows": {"_records"},
+        "xor_basis": {"_records"},
+        "to_dense": {"_records"},
         "_kernel_dim": {"_records"},
-        "rank": {"_records"},
-        "subcode_basis": {"_records"},
     }
 
 

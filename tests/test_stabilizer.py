@@ -196,6 +196,18 @@ def test_symplectic_two_qubit_example():
     assert symplectic_product([1, 0, 0, 1], [0, 1, 1, 0]) == 0
 
 
+def test_symplectic_product_takes_only_bits():
+    # entries are 0 or 1, as the constructors take them: nothing is
+    # reduced mod 2, and numpy 0/1 entries pass
+    assert symplectic_product(np.array([1, 0], dtype=np.uint8), np.array([0, 1])) == 1
+    with pytest.raises(ValueError, match=r"ints in \[0, 2\^1\)"):
+        symplectic_product([2, 0], [0, 1])
+    with pytest.raises(ValueError, match=r"ints in \[0, 2\^1\)"):
+        symplectic_product([1, 0], [0, -1])
+    with pytest.raises(TypeError):
+        symplectic_product([1.7, 0], [0, 1])
+
+
 def test_symplectic_matches_dense_commutator():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -232,6 +244,14 @@ def test_support_examples():
     assert support([0, 0, 0, 0]) == set()
     assert support([1, 0, 1, 0]) == {1}  # pairs (1,1) and (0,0)
     assert support([0, 1]) == {1}
+
+
+def test_support_takes_only_bits():
+    assert support(np.array([0, 1, 1, 0], dtype=np.uint8)) == {1, 2}
+    with pytest.raises(ValueError, match=r"ints in \[0, 2\^1\)"):
+        support([0, 2])
+    with pytest.raises(TypeError):
+        support([0, 1.0])
 
 
 def test_restrict_full_set_keeps_space():
