@@ -22,11 +22,23 @@ def to_dense(rows, cols: int):
     return dense.reshape(len(rows), cols)
 
 
+def set_bits(row: int):
+    """The columns of the set bits of a row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def transpose(rows, cols: int) -> tuple[int, ...]:
-    """The cols rows of the transpose; each has len(rows) bits."""
-    return tuple(
-        sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in range(cols)
-    )
+    """The cols rows of the transpose, for rows below 2^cols; each has
+    len(rows) bits.  Only set bits are visited, so a sparse matrix costs
+    its bit count, not its size."""
+    out = [0] * cols
+    for i, row in enumerate(rows):
+        for c in set_bits(row):
+            out[c] |= 1 << i
+    return tuple(out)
 
 
 def xor_basis(rows, start: dict[int, int] | None = None) -> dict[int, int]:

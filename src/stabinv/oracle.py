@@ -40,8 +40,9 @@ Conventions, fixed once and used consistently:
   s^(tensor r) of an entangled graph state is no such product, and no
   per-qubit factor of a trace is ever formed.
 * The tuple-space suites walk all_tuples(n, r) depth first (_walk):
-  each level folds one (qubit, tree) mask into its prefix, and a tuple
-  or a trace is built only for a failure's record.
+  each level folds one (qubit, tree) mask into its prefix.  One builder
+  decides each graph-lemma check from the walked values, and makes a
+  tuple or a trace only for a failure's record.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ MAX_DIM = 4096  # largest dense dimension 2^(n*r): n*r <= 12
 # Largest projected check count of any suite.
 MAX_SUITE_CHECKS = 1 << 20
 MAX_ENUM = 1 << 16  # largest point count of any tuple-space table
+# Seeded random codes per k that theorem1 and theorem2 check.
+THEOREM1_CODES = 20
+THEOREM2_CODES = 5
 
 
 class Dyadic(Frozen):
@@ -714,6 +718,9 @@ class GraphTupleSpaces(TupleSpaces):
     term[i][tree] marks where qubit i's part of the form,
     sum_j (X_(i,.) D_tree)_j (theta_i . X_(.,j)), is 1; base marks where
     the graph-only part Tr X^T L X is 1, L the strict lower triangle of theta.
+
+    lemma3_failure and lemma4_failure decide every check of those lemmas
+    from the walked masks and the tuple's position in all_tuples order.
     """
 
     def __init__(self, adj: AdjacencyMatrix, r: int, degree: _Degree | None = None):
@@ -752,16 +759,10 @@ class GraphTupleSpaces(TupleSpaces):
         that order, by one _walk over the term masks in tree order."""
         return _walk([f.values() for f in self.term], self.base, operator.xor)
 
-    def signed_sum(self, tup: TreeTuple) -> tuple[int, int]:
-        """The sum of (-1)^Q over the tuple space, and its cardinality."""
-        space, q = self.of(tup)
-        card = space.bit_count()
-        return card - 2 * (space & q).bit_count(), card
-
-    def lemma4_failure(self, tup: TreeTuple) -> dict | None:
-        """None if the quadratic form vanishes on the whole tuple space,
-        else a record with its lowest-numbered counterexample."""
-        space, q = self.of(tup)
+    def lemma4_failure(self, i: int, space: int, q: int) -> dict | None:
+        """Lemma 4's check of tuple i of all_tuples(n, r), from its space
+        and form masks: None if the quadratic form vanishes on the whole
+        space, else a record with its lowest-numbered counterexample."""
         bad = space & q
         if not bad:
             return None
@@ -769,32 +770,40 @@ class GraphTupleSpaces(TupleSpaces):
         m = self.adj.n * self.r  # the point as m bits, blocks ordered by copy
         element = [(a >> (m - 1 - b)) & 1 for b in range(m)]
         graph = to_text(self.adj.rows, self.adj.n)
+        tup = _nth_tuple(i, self.adj.n, self.degree.trees)
         return {"element": element, "graph": graph, "tuple": tup.id()}
 
-    def lemma3_failure(self, tup: TreeTuple, trace: Dyadic | None, norm: int) -> dict | None:
-        """None if the signed tuple-space sum reproduces the exact trace
-        and equals the plain cardinality of the space, else a mismatch record.
+    def lemma3_failure(
+        self, i: int, space: int, q: int, trace: tuple[int, int] | None, scale: int, norm: int
+    ) -> dict | None:
+        """Lemma 3's check of tuple i of all_tuples(n, r), from its space
+        and form masks: None if the signed sum of (-1)^Q over the space
+        reproduces the exact trace and equals the plain cardinality of the
+        space, else a mismatch record.
 
-        trace is the exact trace of the graph projector against the copy
-        permutation of tup, kept as text when it is not real, or None when
-        the projector has no c * s s^T form, which the record marks as
-        "factors": false.
+        trace is the exact trace (re, im) / 2^scale of the graph projector
+        against the copy permutation of the tuple, or None when the
+        projector has no c * s s^T form, which the record marks as
+        "factors": false; a trace that is not real is kept as text.
         norm is the cardinality of the edgeless graph's tuple space: its
         projector (|+><+|)^n is a pure product state, whose r-fold power
         every copy permutation fixes, so its trace is 1 and norm is its
         ratio of signed sum to trace.
         """
-        s, card = self.signed_sum(tup)
+        card = space.bit_count()
+        s = card - 2 * (space & q).bit_count()
         if trace is None:
             detail = {"factors": False}
-        elif trace.im or trace.re * norm != s << trace.scale:
-            text = str(trace.as_fraction() if trace.im == 0 else trace)
+        elif trace[1] or trace[0] * norm != s << scale:
+            exact = Dyadic(*trace, scale)
+            text = str(exact.as_fraction() if exact.im == 0 else exact)
             detail = {"trace": text, "normalization": str(norm)}
         elif s != card:
             detail = {"cardinality": card}
         else:
             return None
         graph = to_text(self.adj.rows, self.adj.n)
+        tup = _nth_tuple(i, self.adj.n, self.degree.trees)
         return {"graph": graph, "tuple": tup.id(), "signed_sum": s} | detail
 
 
@@ -891,8 +900,8 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3) -> dict:
     qubits.  It runs in step with the walk over the graph's tuple spaces
     and forms, and reads neither.  The tuple-space cardinalities of the
     edgeless graph, which all_graphs yields first, normalize every trace.
-    A tuple and an exact trace are built only for a failure's record,
-    which lemma3_failure makes.
+    lemma3_failure decides each check from the walked values, and builds
+    a tuple and an exact trace only for a failure's record.
     """
     name = "lemma3"
     bits, rule = _cap(MAX_DIM, "dense dimension 2^(n*r) is", max_n * max_r if max_r > 0 else 0)
@@ -921,21 +930,15 @@ def suite_lemma3(max_n: int = 3, max_r: int = 3) -> dict:
                 walked = zip(spaces.walk(), spaces.forms(), traces, norms)
                 for i, (space, q, trace, norm) in enumerate(walked):
                     checks += 1
-                    # lemma3_failure's test: a real trace, scaled by norm,
-                    # equal to the signed sum, which equals the cardinality
-                    if trace and not trace[1] and not space & q:
-                        if trace[0] * norm == space.bit_count() << scale:
-                            continue
-                    tup = _nth_tuple(i, n, degree.trees)
-                    if found := spaces.lemma3_failure(tup, trace and Dyadic(*trace, scale), norm):
+                    if found := spaces.lemma3_failure(i, space, q, trace, scale, norm):
                         failures.append(found)
     return _result(name, checks, failures, warnings)
 
 
 def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
     """The graph quadratic form vanishes on every tuple space: one walk
-    per graph and degree over its spaces and forms, which builds a tuple
-    only for a failure's record, made by lemma4_failure."""
+    per graph and degree over its spaces and forms, each of whose checks
+    lemma4_failure decides from the tuple's position and its two masks."""
     name = "lemma4"
     sizes = ((n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)) if max_r > 0 else ()
     sizes, warnings = _plan(name, sizes, _graph_checks, None)
@@ -945,38 +948,34 @@ def suite_lemma4(max_n: int = 3, max_r: int = 3) -> dict:
         degree = _Degree(r, n * r)
         for adj in all_graphs(n):
             spaces = GraphTupleSpaces(adj, r, degree)
-            for i, bad in enumerate(map(operator.and_, spaces.walk(), spaces.forms())):
+            for i, (space, q) in enumerate(zip(spaces.walk(), spaces.forms())):
                 checks += 1
-                if bad and (found := spaces.lemma4_failure(_nth_tuple(i, n, degree.trees))):
+                if found := spaces.lemma4_failure(i, space, q):
                     failures.append(found)
     return _result(name, checks, failures, warnings)
 
 
-def suite_theorem1(
-    max_n: int = 3,
-    max_r: int = 3,
-    codes_per_k: int = 20,
-    seed: int = 0,
-) -> dict:
+def suite_theorem1(max_n: int = 3, max_r: int = 3, seed: int = 0) -> dict:
     """The central certification: log2 of the exact trace minus the binary
     kernel dimension is t - n*r for every code, where t counts the maximal
     right paths of the tuple's trees, and the dimension is the code's
-    record that fingerprint prints, which must be of the tuple's trees."""
+    record that fingerprint prints, which must be of the tuple's trees.
+    The codes are THEOREM1_CODES seeded random codes for each k = 0..n."""
     from .invariants import records
 
     name = "theorem1"
     bits, rule = _cap(MAX_DIM, "dense dimension 2^(n*r) is", max_n * max_r if max_r > 1 else 0)
     sizes = ((n, r) for n in range(1, min(max_n, bits) + 1)
              for r in range(2, min(max_r, bits // n) + 1))
-    # codes_per_k codes for each k = 0..n against every tuple
-    sizes, warnings = _plan(name, sizes, lambda n, r: (n + 1) * codes_per_k * catalan(r) ** n, rule)
+    sizes, warnings = _plan(name, sizes, lambda n, r: (n + 1) * THEOREM1_CODES * catalan(r) ** n,
+                            rule)
     checks = 0
     failures = []
     for n, degrees in itertools.groupby(sizes, operator.itemgetter(0)):
         codes = [
             random_code(n, k, seed=(seed, n, k, c))
             for k in range(n + 1)
-            for c in range(codes_per_k)
+            for c in range(THEOREM1_CODES)
         ]
         rhos = [rho_from_code(gen) for gen in codes]
         for _, r in degrees:
@@ -1005,28 +1004,24 @@ def suite_theorem1(
     return _result(name, checks, failures, warnings)
 
 
-def suite_theorem2(
-    max_n: int = 3,
-    max_r: int = 3,
-    codes_per_k: int = 5,
-    seed: int = 0,
-) -> dict:
+def suite_theorem2(max_n: int = 3, max_r: int = 3, seed: int = 0) -> dict:
     """Kernel dimension vs. direct enumeration of constrained codeword
     tuples, exhaustively over tree tuples, one point table per code and r;
-    the dimension is the code's record that fingerprint prints."""
+    the dimension is the code's record that fingerprint prints.  The codes
+    are THEOREM2_CODES seeded random codes for each (n, r, k)."""
     from .invariants import records
 
     name = "theorem2"
     bits, rule = _cap(MAX_ENUM, "2^(r*k) points are", max_n * max_r if max_r > 0 else 0)
     sizes = ((n, r, k) for n in range(1, max_n + 1) for r in range(1, max_r + 1)
              for k in range(min(n, bits // r) + 1)) if max_r > 0 else ()
-    sizes, warnings = _plan(name, sizes, lambda n, r, k: codes_per_k * catalan(r) ** n, rule)
+    sizes, warnings = _plan(name, sizes, lambda n, r, k: THEOREM2_CODES * catalan(r) ** n, rule)
     checks = 0
     failures = []
     for n, r, k in sizes:
         degree = _Degree(r, k * r)
         names = [serialize(tree) for tree in degree.trees]
-        for c in range(codes_per_k):
+        for c in range(THEOREM2_CODES):
             gen = random_code(n, k, seed=(seed, n, k, c))
             spaces = TupleSpaces(gen, r, degree)
             walked = zip(itertools.product(names, repeat=n), spaces.walk(), records(gen, r),

@@ -19,7 +19,7 @@ import operator
 import random
 
 from .errors import Frozen, InvalidCodeError, ParseError
-from .gf2 import kernel_basis, rank, to_text, transpose
+from .gf2 import kernel_basis, rank, set_bits, to_text, transpose
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
@@ -89,12 +89,15 @@ def _violation(rows: tuple[int, ...], k: int) -> str | None:
         return "bad-shape"
     if rank(rows) != k:
         return "not-full-rank"
-    # generator columns, z-part in the low n bits: a pair's symplectic
-    # product is the parity of z_a.x_b + x_a.z_b
-    columns = transpose(rows, k)
-    for a, b in itertools.combinations(columns, 2):
-        if ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1:
-            return "not-self-orthogonal"
+    # generators a and b anticommute when z_a.x_b + x_a.z_b is odd, that is
+    # when M = Z^T X, Z and X the z and x rows, is not symmetric; row a of M
+    # is the XOR of the x rows of the qubits whose z row has bit a set
+    zx = [0] * k
+    for z, x in zip(rows[:n], rows[n:]):
+        for a in set_bits(z):
+            zx[a] ^= x
+    if transpose(zx, k) != tuple(zx):
+        return "not-self-orthogonal"
     return None
 
 

@@ -48,7 +48,7 @@ def test_criterion_1_theorem1_certification():
     # log2(exact trace) - kernel dimension is constant across codes for
     # every fixed (n, tuple): n in 1..3, r in 2..3, 20 random codes per
     # (n, k) with 0 <= k <= n.
-    report = oracle.suite_theorem1(max_n=3, max_r=3, codes_per_k=20, seed=SEED)
+    report = oracle.suite_theorem1(max_n=3, max_r=3, seed=SEED)
     expected_checks = sum(
         (catalan(2) ** n + catalan(3) ** n) * (n + 1) * 20 for n in (1, 2, 3)
     )
@@ -65,7 +65,7 @@ def test_criterion_1_theorem1_certification():
 def test_criterion_2_theorem2_equivalence():
     # kernel dimension == enumeration dimension for every tuple at
     # n <= 3, r <= 3 (all r*k <= 16 here, nothing skipped)
-    report = oracle.suite_theorem2(max_n=3, max_r=3, codes_per_k=5, seed=SEED)
+    report = oracle.suite_theorem2(max_n=3, max_r=3, seed=SEED)
     _report(
         2,
         "theorem-2 enumeration equivalence",

@@ -9,6 +9,7 @@ import pytest
 from stabinv.gf2 import (
     kernel_basis,
     rank,
+    set_bits,
     to_dense,
     to_text,
     transpose,
@@ -139,6 +140,23 @@ def test_rank_equals_transpose_rank():
         rows, cols = rng.randrange(1, 80), rng.randrange(1, 80)
         m = random_matrix(rng, rows, cols)
         assert rank(m) == rank(transpose(m, cols))
+
+
+def test_transpose_matches_the_entry_rule():
+    # entry (c, i) of the transpose is entry (i, c), on dense random rows
+    # and on sparse ones, whose set bits are all the walk visits
+    rng = random.Random(41)
+    for _ in range(40):
+        rows, cols = random_shape(rng, 30, 70)
+        dense = random_matrix(rng, rows, cols)
+        sparse = [row & rng.getrandbits(cols) & rng.getrandbits(cols) for row in dense]
+        for m in (dense, sparse):
+            t = transpose(m, cols)
+            assert len(t) == cols
+            assert all(t[c] >> i & 1 == row >> c & 1 for i, row in enumerate(m) for c in range(cols))
+            assert [list(set_bits(row)) for row in m] == [
+                [c for c in range(cols) if row >> c & 1] for row in m
+            ]
 
 
 def test_rank_nullity():

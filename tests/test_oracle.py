@@ -817,15 +817,17 @@ def test_lemma4_small_graphs():
         for adj in all_graphs(n):
             for r in (1, 2, 3):
                 spaces = GraphTupleSpaces(adj, r)
-                for tup in all_tuples(n, r):
-                    assert spaces.lemma4_failure(tup) is None
+                for i, tup in enumerate(all_tuples(n, r)):
+                    assert spaces.lemma4_failure(i, *spaces.of(tup)) is None
 
 
 def test_lemma4_empty_graph_any_tuple():
     rng = random.Random(7)
     for r in (1, 2, 3):
         tup = random_tuple(3, r, rng)
-        assert GraphTupleSpaces(AdjacencyMatrix.empty(3), r).lemma4_failure(tup) is None
+        spaces = GraphTupleSpaces(AdjacencyMatrix.empty(3), r)
+        i = list(all_tuples(3, r)).index(tup)
+        assert spaces.lemma4_failure(i, *spaces.of(tup)) is None
 
 
 def test_lemma4_reports_a_planted_fault(monkeypatch):
@@ -960,7 +962,8 @@ def test_theorem1_reports_a_planted_per_tuple_fault(monkeypatch, extra):
                     if (e := extra(gen, r, sers))
                 ]
     monkeypatch.setattr(invariants, "_records", planted)
-    report = suite_theorem1(max_n=2, max_r=3, codes_per_k=2)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 2)
+    report = suite_theorem1(max_n=2, max_r=3)
     assert (report["status"], report["checks"]) == ("fail", 4 * (2 + 5) + 6 * (4 + 25))
     assert report["failures"] == expected != []
 
@@ -1007,7 +1010,8 @@ def test_theorem_suites_report_a_record_of_other_trees(monkeypatch):
             ]
     report = suite_theorem2(max_n=2, max_r=2)
     assert (report["status"], report["failures"]) == ("fail", expected)
-    report = suite_theorem1(max_n=1, max_r=2, codes_per_k=1)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 1)
+    report = suite_theorem1(max_n=1, max_r=2)
     assert report["failures"] == [
         {"n": 1, "tuple": t, "k": k, "record": u}
         for t, u in (("(L())", "(R())"), ("(R())", "(L())"))
@@ -1029,7 +1033,8 @@ def test_theorem1_reports_a_trace_that_is_no_power_of_2(monkeypatch, capsys, k):
         return scaled(rho, 3) if (gen.rows, gen.k) == (target.rows, target.k) else rho
 
     monkeypatch.setattr(oracle, "rho_from_code", planted)
-    report = suite_theorem1(max_n=2, max_r=2, codes_per_k=1)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 1)
+    report = suite_theorem1(max_n=2, max_r=2)
     assert (report["status"], report["checks"]) == ("fail", 2 * 2 + 3 * 4)
     assert report["failures"] == [
         {"n": 2, "tuple": tup.id(), "k": k, "trace": str(Dyadic(9 * t.re, 9 * t.im, t.scale))}
@@ -1061,7 +1066,8 @@ def test_dense_suites_report_planted_faults_of_each_kind(monkeypatch):
     lemma3 = suite_lemma3(max_n=3, max_r=2)
     assert lemma3["checks"] == 1 * 3 + 2 * 5 + 8 * 9
     assert len(lemma3["failures"]) == 1 * 5 + 7 * 9  # every other graph
-    theorem1 = suite_theorem1(max_n=2, max_r=3, codes_per_k=2)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 2)
+    theorem1 = suite_theorem1(max_n=2, max_r=3)
     assert theorem1["checks"] == 4 * 7 + 6 * 29
     assert {tuple(f) for f in theorem1["failures"]} == {
         ("n", "tuple", "k", "trace"), ("n", "tuple", "k", "offset", "expected")
@@ -1126,7 +1132,8 @@ def test_dense_suites_keep_checks_below_the_budget(monkeypatch):
 
 def test_dense_suites_run_every_size_that_fits(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_DIM", 4)
-    report = suite_theorem1(max_n=3, max_r=2, codes_per_k=2)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 2)
+    report = suite_theorem1(max_n=3, max_r=2)
     assert (report["status"], report["checks"]) == ("pass", 8)  # n=1: 2 tuples x 4 codes
     assert report["warnings"] == ["skipped every size whose dense dimension 2^(n*r) is over 4"]
     monkeypatch.setattr(oracle, "MAX_DIM", 16)
@@ -1148,7 +1155,7 @@ def test_dense_suites_run_every_size_that_fits(monkeypatch):
     [
         (suite_lemma1, (4, dict(max_n=100000)), 3,
          ["skipped every size whose dense dimension 2^n is over 4"]),
-        (suite_theorem1, (4, dict(max_n=100000, max_r=2, codes_per_k=1)), 4,
+        (suite_theorem1, (4, dict(max_n=100000, max_r=2)), 4,
          ["skipped every size whose dense dimension 2^(n*r) is over 4"]),
         (suite_lemma3, (16, dict(max_n=3, max_r=100000)), 40,
          ["skipped every size whose dense dimension 2^(n*r) is over 16"]),
@@ -1157,9 +1164,10 @@ def test_dense_suites_run_every_size_that_fits(monkeypatch):
 def test_dense_suites_warn_once_per_skipped_range(monkeypatch, suite, limits, checks, warnings):
     # limits is the dense cap and the suite's limits: one warning states
     # the cap's rule, whatever sizes it skips, so huge limits cost neither
-    # time nor report size
+    # time nor report size; theorem1 checks one code per k
     max_dim, kwargs = limits
     monkeypatch.setattr(oracle, "MAX_DIM", max_dim)
+    monkeypatch.setattr(oracle, "THEOREM1_CODES", 1)
     report = suite(**kwargs)
     assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
 
@@ -1176,7 +1184,8 @@ def test_theorem2_warns_once_per_skipped_degree(monkeypatch, limits, warnings):
     # and k >= 1 at every r >= 3, all under one warning; the check count is
     # every fitting (n, r, k) with one code against every tuple
     monkeypatch.setattr(oracle, "MAX_ENUM", 4)
-    report = suite_theorem2(codes_per_k=1, **limits)
+    monkeypatch.setattr(oracle, "THEOREM2_CODES", 1)
+    report = suite_theorem2(**limits)
     checks = sum(
         catalan(r) ** n
         for n in range(1, limits["max_n"] + 1)
@@ -1185,6 +1194,36 @@ def test_theorem2_warns_once_per_skipped_degree(monkeypatch, limits, warnings):
         if r * k <= 2
     )
     assert (report["status"], report["checks"], report["warnings"]) == ("pass", checks, warnings)
+
+
+def test_every_suite_takes_only_the_cli_limits():
+    # oracle-check sets --max-n, --max-r and --seed, and a suite has no
+    # other parameter: every other size is a module constant
+    for name, suite in oracle.SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= {"max_n", "max_r", "seed"}, name
+
+
+@pytest.mark.parametrize(
+    "suite, builder", [(suite_lemma3, "lemma3_failure"), (suite_lemma4, "lemma4_failure")]
+)
+def test_graph_lemma_builders_decide_every_check(monkeypatch, suite, builder):
+    # the builder is the one place that decides a check: one that fails
+    # every call fails every check, each with its own tuple and the masks
+    # that of(tup) gives, so the suite passes nothing it decided itself
+    def failing(self, i, space, q, *rest):
+        tup = oracle._nth_tuple(i, self.adj.n, self.degree.trees)
+        return {"tuple": tup.id(), "masks": (space, q) == self.of(tup)}
+
+    monkeypatch.setattr(GraphTupleSpaces, builder, failing)
+    report = suite(max_n=2, max_r=2)
+    assert (report["status"], report["checks"]) == ("fail", 3 + 2 * 5)
+    assert report["failures"] == [
+        {"tuple": tup.id(), "masks": True}
+        for n in (1, 2)
+        for r in (1, 2)
+        for _ in all_graphs(n)
+        for tup in all_tuples(n, r)
+    ]
 
 
 @pytest.mark.parametrize("name", list(oracle.SUITES))
@@ -1211,16 +1250,17 @@ def test_lemma3_small_graphs():
     for n in (1, 2):
         edgeless = AdjacencyMatrix.empty(n)
         for r in (1, 2):
-            for tup in all_tuples(n, r):
+            for i, tup in enumerate(all_tuples(n, r)):
                 norm = GraphTupleSpaces(edgeless, r).of(tup)[0].bit_count()
                 assert invariant_trace(graph_generator(edgeless), tup) == ONE
                 for adj in all_graphs(n):
                     spaces = GraphTupleSpaces(adj, r)
-                    trace = invariant_trace(graph_generator(adj), tup)
-                    assert spaces.lemma3_failure(tup, trace, norm) is None
-                    doubled = Dyadic(2 * trace.re, 2 * trace.im, trace.scale)
-                    bad = spaces.lemma3_failure(tup, doubled, norm)
-                    assert bad["trace"] == str(2 * trace.as_fraction())
+                    masks = spaces.of(tup)
+                    t = invariant_trace(graph_generator(adj), tup)
+                    assert spaces.lemma3_failure(i, *masks, (t.re, t.im), t.scale, norm) is None
+                    bad = spaces.lemma3_failure(i, *masks, (2 * t.re, 2 * t.im), t.scale, norm)
+                    assert bad["tuple"] == tup.id()
+                    assert bad["trace"] == str(2 * t.as_fraction())
                     assert bad["normalization"] == str(norm)
 
 

@@ -180,6 +180,64 @@ def test_int_row_validate_agrees_with_numpy(m):
         assert (info.value.violation, info.value.shape) == (violation, m.shape)
 
 
+def pairwise_violation(rows, k) -> str | None:
+    """The first violation of 2n int rows of k bits, k <= n: the rank, then
+    the symplectic product of every pair of generator columns."""
+    if rank(rows) != k:
+        return "not-full-rank"
+    columns = [[(row >> j) & 1 for row in rows] for j in range(k)]
+    for a, b in itertools.combinations(columns, 2):
+        if symplectic_product(a, b):
+            return "not-self-orthogonal"
+    return None
+
+
+def test_validate_agrees_with_pairwise_products():
+    # 1,200 seeded row sets with n <= 7 and every k <= n: half of them
+    # random bits, half a random code kept as it is, with one bit flipped
+    # or with one column copied onto another, so that every verdict comes up
+    rng = random.Random(67)
+    verdicts = {}
+    for t in range(1200):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        if t % 2:
+            rows = [rng.getrandbits(k) for _ in range(2 * n)]
+        else:
+            rows = list(random_code(n, k, seed=(67, t)).rows)
+            edit = rng.choice(["none", "flip", "copy"]) if k else "none"
+            a, b = rng.randrange(max(k, 1)), rng.randrange(max(k, 1))
+            if edit == "flip":
+                rows[rng.randrange(2 * n)] ^= 1 << a
+            elif edit == "copy":
+                rows = [row & ~(1 << a) | (row >> b & 1) << a for row in rows]
+        expected = pairwise_violation(rows, k)
+        verdicts[expected] = verdicts.get(expected, 0) + 1
+        if expected is None:
+            assert GeneratorMatrix(rows, k).rows == tuple(rows)
+        else:
+            with pytest.raises(InvalidCodeError) as info:
+                GeneratorMatrix(rows, k)
+            assert info.value.violation == expected
+    assert min(verdicts.get(v, 0) for v in (None, "not-full-rank", "not-self-orthogonal")) >= 50
+
+
+def test_validate_walks_set_bits_on_a_large_code():
+    # the edgeless graph code on 4,000 qubits is accepted, and its twin
+    # whose generator 2 also has Z on qubit 1, which anticommutes with
+    # generator 1's X there, is refused; pairwise products would take
+    # seconds, the set bits a few milliseconds
+    n = 4000
+    gen = graph_generator(AdjacencyMatrix.empty(n))
+    assert (gen.n, gen.k) == (n, n)
+    rows = list(gen.rows)
+    rows[0] |= 1 << 1
+    first, second = ([(row >> j) & 1 for row in rows] for j in (0, 1))
+    assert symplectic_product(first, second) == 1
+    with pytest.raises(InvalidCodeError, match="^invalid code: not-self-orthogonal$"):
+        GeneratorMatrix(rows, n)
+
+
 def test_symplectic_self_product_zero():
     rng = np.random.default_rng(2)
     for _ in range(20):
