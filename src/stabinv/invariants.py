@@ -183,8 +183,6 @@ class _Row(dict):
 def records(gen: GeneratorMatrix, r: int):
     """Yield (serialized trees, dim) for every tree tuple of degree r, in
     canonical order: the records of degree r that fingerprint prints."""
-    if gen.n == 0:
-        raise ValueError("need at least one qubit")
     return _records(gen, [enumerate_trees(r)] * gen.n)
 
 
@@ -228,7 +226,7 @@ def first_difference(
     it: {"r", "tuple", "dim_a", "dim_b"}.  Both codes are swept side by
     side, and no record after the first difference is computed."""
     if gen1.n != gen2.n:
-        raise ValueError("codes have different lengths")
+        raise ValueError(f"codes have different lengths {gen1.n} and {gen2.n}")
     for (r, sers, dim_a), (_, _, dim_b) in zip(
         _sweep(gen1, r_max, max_records), _sweep(gen2, r_max, max_records)
     ):
@@ -253,7 +251,7 @@ def compare_global(
     degree is computed once none is left.
     """
     if gen1.n != gen2.n:
-        raise ValueError("codes have different lengths")
+        raise ValueError(f"codes have different lengths {gen1.n} and {gen2.n}")
     n = gen1.n
     if n > MAX_GLOBAL_QUBITS:
         raise BudgetError(f"global comparison limited to {MAX_GLOBAL_QUBITS} qubits")

@@ -21,8 +21,10 @@ import random
 from .errors import Frozen, InvalidCodeError, ParseError
 from .gf2 import kernel_basis, rank, set_bits, to_text, transpose
 
-_PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-_BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
+_BITS_TO_PAULI = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "Y"}
+# a Pauli letter's z and x bit, as the digit characters int(..., 2) reads
+_Z_DIGITS = str.maketrans("IXZY", "0011")
+_X_DIGITS = str.maketrans("IXZY", "0101")
 
 
 def check_rows(rows, bits: int) -> tuple[int, ...]:
@@ -42,9 +44,10 @@ class GeneratorMatrix(Frozen):
     bit l belongs to generator l + 1.  A row that is no int raises TypeError
     (a 0/1 matrix is refused, not reduced mod 2), one outside [0, 2^k)
     ValueError, and bits that are no code InvalidCodeError with the first
-    violated property, in order: "bad-shape" (an odd row count, or k > n),
-    "not-full-rank", "not-self-orthogonal" (two anticommuting columns).
-    Every instance is a valid code; == compares matrices, same_code_space codes.
+    violated property, in order: "bad-shape" (no rows, an odd row count,
+    or k > n), "not-full-rank", "not-self-orthogonal" (two anticommuting
+    columns).  Every instance is a valid code on at least one qubit; ==
+    compares matrices, same_code_space codes.
     """
 
     __slots__ = ("rows", "k")
@@ -73,19 +76,17 @@ def _pauli_column(s: str, n: int) -> int:
     column: bit i-1 is the z-part of qubit i, bit n+i-1 its x-part."""
     if len(s) != n:
         raise ValueError(f"Pauli string length mismatch: {s!r}")
-    column = 0
-    for i, ch in enumerate(s):
-        if ch not in _PAULI_TO_BITS:
-            raise ValueError(f"bad Pauli letter {ch!r} in {s!r}")
-        z, x = _PAULI_TO_BITS[ch]
-        column |= (z << i) | (x << (n + i))
-    return column
+    if bad := set(s) - set("IXYZ"):
+        raise ValueError(f"bad Pauli letter {next(ch for ch in s if ch in bad)!r} in {s!r}")
+    # letter i is bit i, so the reversed string reads as the int
+    s = s[::-1]
+    return int(s.translate(_Z_DIGITS), 2) | int(s.translate(_X_DIGITS), 2) << n
 
 
 def _violation(rows: tuple[int, ...], k: int) -> str | None:
     """The first violated property of 2n int rows of k bits, or None."""
     n = len(rows) // 2
-    if len(rows) % 2 or k > n:
+    if not rows or len(rows) % 2 or k > n:
         return "bad-shape"
     if rank(rows) != k:
         return "not-full-rank"
@@ -137,8 +138,8 @@ def code_space(gen: GeneratorMatrix) -> list[tuple[int, ...]]:
 
 def qubit_subset(omega, n: int) -> set[int]:
     """omega as a set of qubits, each of which must lie in 1..n."""
-    if not (omega := set(omega)) <= set(range(1, n + 1)):
-        raise ValueError("omega must be a subset of 1..n")
+    if outside := (omega := set(omega)) - set(range(1, n + 1)):
+        raise ValueError(f"omega {sorted(omega)} has qubits {sorted(outside)} outside 1..{n}")
     return omega
 
 
@@ -155,7 +156,8 @@ def restrict_to(gen: GeneratorMatrix, omega) -> GeneratorMatrix:
 
     Maps the subcode basis of omega through S and drops the coordinate
     pairs outside omega.  S being full rank makes that map injective, so
-    the result is a valid code on |omega| qubits.
+    the result is a valid code on |omega| qubits; a code has at least one,
+    so an empty omega raises InvalidCodeError (bad-shape).
     """
     omega = sorted(set(omega))
     basis = subcode_basis(gen, omega)
@@ -312,7 +314,8 @@ def random_code(n: int, k: int, seed) -> GeneratorMatrix:
     """Deterministic random valid code: a local-Clifford image of the
     first k generators of a random graph code, drawn from a random.Random
     seeded with repr(seed), so an int or a tuple of ints gives the same
-    code in every process, whatever PYTHONHASHSEED is."""
+    code in every process, whatever PYTHONHASHSEED is.  A code has at
+    least one qubit, so n = 0 raises InvalidCodeError (bad-shape)."""
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
     rng = random.Random(repr(seed))

@@ -85,42 +85,39 @@ def serialize(tree: BinaryTree) -> str:
     return "".join(out)
 
 
-def parse(text: str) -> BinaryTree:
-    """Inverse of :func:`serialize`; labels are re-derived from preorder,
-    so parse(serialize(t)) == t exactly when t is labelled in preorder.
-    Neither recurses, so a tree of any depth is read and written."""
-    text = text.strip()
-    paths = []  # the maximal right paths begun so far, in start order
-    pos = r = 0
-    stack = []  # open nodes: [their path, 0, or 1 after their L, or 2 after their R]
-
-    def fail(msg: str):
-        raise ValueError(f"bad tree at position {pos}: {msg} in {text!r}")
-
-    while True:
-        if pos >= len(text) or text[pos] != "(":
-            fail("expected '('")
-        pos += 1
-        r += 1
-        if stack and stack[-1][1] == 2:  # an R son joins its father's path
-            path = stack[-1][0]
-            path.append(r)
+def _read_paths(text: str) -> list[list[int]]:
+    """The maximal right paths a tree's text spells.  Each '(' opens the
+    next node, which joins the path of the innermost open node, its
+    father, after an 'R' and starts a new path otherwise; each ')' closes
+    the innermost open node.  Other text reads as paths parse refuses."""
+    paths, open_paths = [], []  # every path, in start order; each open node's path
+    before, *after = text.split("(")
+    for r, seg in enumerate(after, start=1):  # seg: node r's text up to the next '('
+        if before.endswith("R") and open_paths:
+            open_paths[-1].append(r)
+            open_paths.append(open_paths[-1])
         else:
-            path = [r]
-            paths.append(path)
-        stack.append([path, 0])
-        # close open nodes until one takes a son, whose '(' comes next
-        while pos >= len(text) or text[pos] not in "LR"[stack[-1][1]:]:
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')'")
-            pos += 1
-            stack.pop()
-            if not stack:
-                if pos != len(text):
-                    fail("trailing characters")
-                return BinaryTree(paths)
-        stack[-1][1] = "LR".index(text[pos]) + 1
-        pos += 1
+            paths.append([r])
+            open_paths.append(paths[-1])
+        del open_paths[max(len(open_paths) - seg.count(")"), 0):]
+        before = seg
+    return paths
+
+
+def parse(text: str) -> BinaryTree:
+    """The tree whose text, less surrounding whitespace, is text: the one
+    its paths make, when serialize writes that tree back as the text.  So
+    serialize alone defines the format, and anything else raises one
+    ValueError quoting the text.  Neither recurses, so a tree of any
+    depth is read and written."""
+    text = text.strip()
+    try:
+        tree = BinaryTree(_read_paths(text))
+        if serialize(tree) == text:
+            return tree
+    except ValueError:
+        pass
+    raise ValueError(f"not a tree's text: {text!r}")
 
 
 def catalan(r: int) -> int:
@@ -148,7 +145,7 @@ def enumerate_trees(r: int) -> tuple[BinaryTree, ...]:
     """
     if r < 1:
         raise ValueError("need at least one node")
-    return tuple(parse(text) for text in sorted(_serialized(r)))
+    return tuple(BinaryTree(_read_paths(text)) for text in sorted(_serialized(r)))
 
 
 class TreeTuple(Frozen):

@@ -344,6 +344,30 @@ def test_compare_length_mismatch(capsys, edge2, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code, err",
+    [
+        (["fingerprint", "{empty}", "--rmax", "2"], 4, "invalid code: {empty}: bad-shape"),
+        (["invariant", "{edge2}", "--omega", "0"], 2, "omega [0] has qubits [0] outside 1..2"),
+        (["invariant", "{edge2}", "--trees", "(L())"], 2, "tuple is for 1 qubits, code has 2"),
+        (["compare", "{edge2}", "{path3}", "--rmax", "2"], 2, "codes have different lengths 2 and 3"),
+        (["invariant", "{edge2}", "--trees", "(L()L())"], 2, "not a tree's text: '(L()L())'"),
+    ],
+    ids=["zero-qubits", "omega", "tree-count", "lengths", "tree-text"],
+)
+def test_each_input_rule_is_refused_by_its_owner(capsys, tmp_path, edge2, argv, exit_code, err):
+    # the code type, the engine and the tree text format check these, not
+    # the CLI, and the one stderr line names the offending value
+    files = {"edge2": edge2, "empty": tmp_path / "empty.code", "path3": tmp_path / "path3.code"}
+    files["empty"].write_text(EMPTY_TEXT)
+    files["path3"].write_text("pauli\nXZI\nZXZ\nIZX\n")
+    argv = [arg.format(**files) for arg in argv]
+    assert cli.main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stabinv: " + err.format(**files) + "\n"
+
+
 def test_oracle_check_lemma1(capsys):
     code, payload = run_json(capsys, "oracle-check", "--suite", "lemma1", "--max-n", "2")
     assert code == 0

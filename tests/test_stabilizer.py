@@ -78,6 +78,16 @@ def test_anticommuting_pair_not_self_orthogonal():
     assert violation_of(np.array([x1, z1]).T) == "not-self-orthogonal"
 
 
+def test_a_code_needs_a_qubit():
+    # GeneratorMatrix is the one owner of the rule, so every route to a
+    # code on 0 qubits meets it
+    for route in (lambda: GeneratorMatrix((), 0), lambda: GeneratorMatrix((), 1),
+                  lambda: parse_code("0 0\n"), lambda: random_code(0, 0, 1)):
+        with pytest.raises(InvalidCodeError, match="^invalid code: bad-shape$") as info:
+            route()
+        assert info.value.violation == "bad-shape" and info.value.shape[0] == 0
+
+
 def test_too_many_generators_bad_shape():
     assert violation_of(np.eye(2, dtype=np.uint8)) == "bad-shape"  # n=1, k=2
     assert violation_of(np.zeros((3, 1), dtype=np.uint8)) == "bad-shape"  # odd rows
@@ -135,7 +145,7 @@ def numpy_rank(m) -> int:
 def numpy_violation(m) -> str | None:
     rows, k = m.shape
     n = rows // 2
-    if rows % 2 or k > n:
+    if not rows or rows % 2 or k > n:
         return "bad-shape"
     if numpy_rank(m) != k:
         return "not-full-rank"
@@ -323,8 +333,9 @@ def test_restrict_full_set_keeps_space():
 
 
 def test_restrict_empty_set():
-    out = restrict_to(EDGE2, set())
-    assert (out.n, out.k) == (0, 0)
+    # the restriction would be a code on 0 qubits, which is no code
+    with pytest.raises(InvalidCodeError, match="^invalid code: bad-shape$"):
+        restrict_to(EDGE2, set())
 
 
 def test_restrict_entangled_edge():
@@ -338,7 +349,7 @@ def test_restrict_matches_filtered_enumeration():
         n = int(rng.integers(1, 5))
         k = int(rng.integers(0, n + 1))
         gen = random_code(n, k, (trial, 99))
-        for size in range(n + 1):
+        for size in range(1, n + 1):
             for omega in itertools.combinations(range(1, n + 1), size):
                 out = restrict_to(gen, omega)  # built, so a valid code
                 keep = [i - 1 for i in omega] + [n + i - 1 for i in omega]
@@ -517,6 +528,23 @@ def test_pauli_string_roundtrip():
     assert (gen.n, gen.k) == (2, 2)
     with pytest.raises(ParseError, match="^line 3: bad Pauli letter 'Q' in 'XQ'$"):
         parse_code("pauli\nXZ\nXQ\n")
+    # of several bad letters the first is named, after upper-casing
+    with pytest.raises(ParseError, match="^line 2: bad Pauli letter '-' in 'XZ-Q'$"):
+        parse_code("pauli\nxz-q\n")
+
+
+def test_pauli_and_bits_files_give_the_same_code():
+    # the Pauli reader translates whole strings; the bits reader takes
+    # rows, so each checks the other, lower case and Y included
+    rng = random.Random(69)
+    letters = set()
+    for t in range(240):
+        n = rng.randint(1, 8)
+        gen = random_code(n, rng.randint(1, n), (69, t))
+        text = "".join(ch.lower() if rng.getrandbits(1) else ch for ch in format_code(gen, "pauli"))
+        letters |= set(text.upper())
+        assert parse_code(text) == parse_code(format_code(gen, "bits")) == gen
+    assert set("IXYZ") <= letters
 
 
 def test_code_file_roundtrip_bits():
@@ -536,7 +564,7 @@ def test_code_file_roundtrip_pauli():
 def test_code_file_roundtrip_every_k():
     # both formats give back the same code; the pauli format, which has
     # no n of its own, refuses a code with no generator
-    for n in range(4):
+    for n in range(1, 4):
         for k in range(n + 1):
             gen = random_code(n, k, (n, k))
             assert parse_code(format_code(gen, "bits")) == gen

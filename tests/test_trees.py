@@ -131,6 +131,21 @@ def test_parse_rejects_garbage():
             parse(bad)
 
 
+def test_parse_accepts_exactly_what_serialize_writes():
+    # every text of up to 8 characters: the trees on r <= 3 nodes, whose
+    # texts have 3r - 1, are the only ones read, each as its own tree
+    texts = {serialize(t): t for r in range(1, 4) for t in enumerate_trees(r)}
+    read = {}
+    for length in range(9):
+        for chars in itertools.product("()LR", repeat=length):
+            text = "".join(chars)
+            try:
+                read[text] = parse(text)
+            except ValueError as exc:
+                assert str(exc) == f"not a tree's text: {text!r}"
+    assert read == texts
+
+
 def test_ten_node_paths():
     assert serialize(TEN_NODE) == TEN_TEXT and parse(TEN_TEXT) == TEN_NODE
     assert parse(TEN_TEXT).paths == TEN_PATHS
